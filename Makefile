@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: tier1 build test vet lint lint-json race bench bench-campaign bench-bitset bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
 
@@ -12,12 +13,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project's own static-analysis passes (lockorder, lockpair,
-# claims, ceiling, memlife, determinism, tracekind, ipc, blocking, races —
-# see DESIGN.md §8–§9, §12–§14, and `go run ./cmd/deltalint -list`), then
-# enforces the wall-clock budget on a full-module lint of all ten passes
+# lint fails on any tracked Go file outside testdata/ that gofmt would
+# rewrite, runs the project's own static-analysis passes (lockorder,
+# lockpair, claims, ceiling, memlife, determinism, tracekind, ipc, blocking,
+# races — see DESIGN.md §8–§9, §12–§14, and `go run ./cmd/deltalint -list`),
+# then enforces the wall-clock budget on a full-module lint of all ten passes
 # (default 3400 ms; override with DELTALINT_BUDGET_MS on slower machines).
 lint:
+	@unformatted=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/deltalint ./...
 	$(GO) test -run '^TestDeltalintTimeBudget$$' .
 

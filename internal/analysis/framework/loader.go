@@ -3,7 +3,6 @@ package framework
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -43,11 +42,12 @@ type Config struct {
 
 // loader resolves and type-checks packages on demand.  Module-internal
 // imports are checked from source in dependency order; everything else
-// (the standard library) is delegated to go/importer's source importer.
+// (the standard library) is delegated to the stdlib source importer in
+// stdimport.go.
 type loader struct {
 	cfg      Config
 	fset     *token.FileSet
-	std      types.ImporterFrom
+	std      *stdImporter
 	pkgs     map[string]*Package
 	checking map[string]bool
 }
@@ -57,7 +57,7 @@ func newLoader(cfg Config) *loader {
 	return &loader{
 		cfg:      cfg,
 		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:      newStdImporter(fset),
 		pkgs:     map[string]*Package{},
 		checking: map[string]bool{},
 	}

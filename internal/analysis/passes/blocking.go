@@ -140,15 +140,8 @@ type workWalker struct {
 func runBlocking(pass *Pass) (any, error) {
 	w := newLockWalker(pass)
 	flow := runLockFlowWith(w)
-	lockRep := walkLocksWith(w)
 	ceil, programmed := collectCeilings(pass)
 	lockIDs, byLock := indexLongAcquires(flow)
-
-	// Lock-order scopes by position (same FuncDecl walk order as flow).
-	cyclicScope := map[token.Pos]bool{}
-	for _, ls := range lockRep.scopes {
-		cyclicScope[ls.pos] = lockScopeCyclic(ls)
-	}
 
 	ww := &workWalker{w: w}
 	res := &BlockingResult{}
@@ -175,7 +168,7 @@ func runBlocking(pass *Pass) (any, error) {
 				scenarioReasons = append(scenarioReasons, fmt.Sprintf("task %s: %s", t.name, r))
 			}
 		}
-		if cyclicScope[scope.pos] && len(scope.declares) == 0 && !scope.expected {
+		if len(scope.declares) == 0 && !scope.expected && len(findCycles(scope)) > 0 {
 			scenarioReasons = append(scenarioReasons, fmt.Sprintf(
 				"scenario %s: unsupervised cyclic lock-order graph (no Banker claims, no deadlock-expected annotation)", scope.fn))
 		}
@@ -316,45 +309,6 @@ func ipcpBlocking(scope *flowScope, t *taskInfo, lockIDs []int64, byLock map[int
 		}
 	}
 	return tb
-}
-
-// lockScopeCyclic reports whether the scope's lock-order graph has a cycle.
-func lockScopeCyclic(ls *lockScope) bool {
-	adj := map[string][]string{}
-	for _, e := range ls.edges {
-		adj[e.from.key] = append(adj[e.from.key], e.to.key)
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[string]int{}
-	var visit func(string) bool
-	visit = func(n string) bool {
-		color[n] = gray
-		for _, m := range adj[n] {
-			if color[m] == gray {
-				return true
-			}
-			if color[m] == white && visit(m) {
-				return true
-			}
-		}
-		color[n] = black
-		return false
-	}
-	roots := make([]string, 0, len(adj))
-	for n := range adj {
-		roots = append(roots, n)
-	}
-	sort.Strings(roots)
-	for _, n := range roots {
-		if color[n] == white && visit(n) {
-			return true
-		}
-	}
-	return false
 }
 
 // dependencyComponents unions tasks sharing a wait edge (lock key, resource

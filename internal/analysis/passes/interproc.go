@@ -385,7 +385,7 @@ func constIntOf(pass *Pass, e ast.Expr) (int64, string, bool) {
 }
 
 // classifyLockOps maps a call expression to the lock operations it
-// performs (see the lock-surface table at the top of lockwalk.go).
+// performs (see the lock-surface table at the top of lockflow.go).
 func classifyLockOps(pass *Pass, call *ast.CallExpr) []lockOp {
 	name, _ := calleeOf(pass, call)
 	return classifyLockOpsNamed(pass, name, call)

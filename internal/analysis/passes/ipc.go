@@ -413,7 +413,7 @@ func (w *ipcWalker) endpointKey(obj types.Object) string {
 func analyzeIPCScope(scope *ipcScope) IPCScopeReport {
 	rep := IPCScopeReport{Scope: scope.fn, Expected: scope.expected}
 	n := len(scope.tasks)
-	adj := make([][]int, n)   // wait edges task -> counterparties
+	adj := make([][]int, n) // wait edges task -> counterparties
 	flagged := make([]bool, n)
 
 	type blockSite struct {
@@ -576,4 +576,3 @@ func analyzeIPCScope(scope *ipcScope) IPCScopeReport {
 	}
 	return rep
 }
-

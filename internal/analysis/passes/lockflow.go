@@ -13,22 +13,88 @@ import (
 	"deltartos/internal/analysis/framework"
 )
 
-// The CFG-based lock-flow engine.  It reuses the lockwalk classifier (lock
-// surfaces, wrapper helpers, local function-literal bindings) but replaces
-// the ad-hoc statement walk with the framework's control-flow graphs and
-// worklist solver: each function body is lowered to a CFG and a forward
-// dataflow problem tracks the held-lock set along every path.  Besides the
-// lockpair diagnostics, the engine records per-task facts the claims and
-// ceiling passes consume — which locks/resources each task can hold (its
-// maximal claim set) and the longest constant-cycle critical section it
-// executes under each lock.
+// The CFG-based lock-flow engine, the one held-lock analysis behind every
+// lock pass.  It recognizes the repository's lock surfaces by shape:
 //
-// Interprocedural propagation follows the same per-function summary idea as
-// lockwalk: wrapper helpers resolve to the wrapped operation, locally-bound
-// literals are re-analyzed at each call site with the caller's entry fact
+//	Acquire(c, id) / Release(c, id)            long locks   (soclc.Manager)
+//	AcquireShort(c, id) / ReleaseShort(c, id)  short locks  (spin / SoCLC)
+//	Request(c, p, q) / Release(c, p, q)        resources    (ResourceManager,
+//	                                            AvoidanceWorld)
+//	RequestBoth/RequestPair(c, p, qa, qb)      batch resource requests:
+//	                                            grant order is chosen by the
+//	                                            manager, so both acquisition
+//	                                            orders are assumed
+//	Lock(c) / Unlock(c)                        rtos.Mutex (identity = the
+//	                                            receiver variable or field)
+//
+// where c's static type is a pointer to a *Ctx-suffixed named type (the
+// rtos.TaskCtx convention), and lock/resource ids fold to compile-time
+// constants.  Ops with non-constant ids are skipped: the engine is a
+// may-analysis and never guesses identities.
+//
+// Each function body is lowered to the framework's control-flow graph and a
+// forward dataflow problem tracks the held-lock set along every path.  The
+// engine records, per top-level function (tasks synchronize only with tasks
+// of the same scenario): the lock-order edges of the lockorder pass, the
+// lockpair diagnostics, and the per-task facts the claims and ceiling passes
+// consume — which locks/resources each task can hold (its maximal claim set)
+// and the longest constant-cycle critical section it executes under each
+// lock.
+//
+// Interprocedural propagation uses the summary engine in interproc.go:
+// wrapper helpers resolve to the wrapped operation, locally-bound literals
+// (the telemetry/withFrame helper idiom) and literals passed as plain call
+// arguments are re-analyzed at each call site with the caller's entry fact
 // (the resulting exit fact becomes the caller's state — a polymorphic
-// summary, computed per call), and CreateTask/Spawn literals are queued as
-// fresh task roots.
+// summary, computed per call), and CreateTask/Spawn/go literals are queued
+// as fresh task roots.
+
+// lockNode identifies one lock in the static graph.
+type lockNode struct {
+	key     string // canonical id, e.g. "long:0", "res:1", "mutex:mu"
+	display string // id plus the source spelling, e.g. "res:1(resIDCT)"
+}
+
+func makeNode(space string, id int64, srcName string) lockNode {
+	key := fmt.Sprintf("%s:%d", space, id)
+	display := key
+	if srcName != "" {
+		display = fmt.Sprintf("%s(%s)", key, srcName)
+	}
+	return lockNode{key: key, display: display}
+}
+
+type lockOp struct {
+	acquire bool
+	batch   []lockNode // batch acquisition (both orders); nil for single
+	node    lockNode
+	proc    int64 // constant process id of resource-space ops
+	hasProc bool
+}
+
+// lockEdge is one ordered acquisition: to was acquired while from was held.
+type lockEdge struct {
+	from, to lockNode
+	pos      token.Pos
+}
+
+// lockWalker is the per-package context of the engine; the interprocedural
+// pieces (bound-literal bodies, wrapper summaries) come from the shared
+// summary engine in interproc.go.
+type lockWalker struct {
+	pass *Pass
+	sums *summaries
+	// onNode, when set, observes every CFG node with the fact in effect
+	// before the node's calls are interpreted — the races pass's
+	// access-recording hook.  Inlined bound literals are observed under the
+	// calling task, so accesses through the telemetry/withFrame idiom
+	// attribute to the task that runs them.
+	onNode func(task *taskInfo, n ast.Node, f *flowFact)
+}
+
+func newLockWalker(pass *Pass) *lockWalker {
+	return &lockWalker{pass: pass, sums: newSummaries(pass)}
+}
 
 // pairFinding is one lockpair diagnostic.
 type pairFinding struct {
@@ -57,8 +123,8 @@ type taskInfo struct {
 	pos      token.Pos
 	prio     int64
 	hasPrio  bool
-	pseudo   bool  // scope-level code, not a created task
-	delay    int64 // constant CreateTask start delay (cycles), 0 otherwise
+	pseudo   bool         // scope-level code, not a created task
+	delay    int64        // constant CreateTask start delay (cycles), 0 otherwise
 	lit      *ast.FuncLit // the task body literal (nil for pseudo entries)
 	acquires map[string]*taskAcquire
 }
@@ -74,7 +140,8 @@ type declareClaim struct {
 type flowScope struct {
 	fn       string
 	pos      token.Pos
-	expected bool // //deltalint:deadlock-expected
+	expected bool       // //deltalint:deadlock-expected
+	edges    []lockEdge // lock-order graph, one witness per from->to pair
 	findings []pairFinding
 	tasks    []*taskInfo
 	declares []declareClaim
@@ -89,14 +156,14 @@ func runLockFlow(pass *Pass) *flowReport {
 	return runLockFlowWith(newLockWalker(pass))
 }
 
-// runLockFlowWith is runLockFlow on an existing walker, letting callers that
-// need several engines (the blocking pass) share one summary build.
+// runLockFlowWith is runLockFlow on an existing walker, letting the blocking
+// pass reuse its summary build for the work walk.
 func runLockFlowWith(w *lockWalker) *flowReport {
 	rep := &flowReport{}
 	for _, file := range w.pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Body != nil && !w.isWrapper(fd) {
+			if ok && fd.Body != nil && !w.sums.isLockWrapper(fd) {
 				rep.scopes = append(rep.scopes, flowScopeOf(w, fd))
 			}
 		}
@@ -212,6 +279,7 @@ type scopeFlow struct {
 
 	cfgs    map[*ast.BlockStmt]*framework.CFG
 	findSet map[string]pairFinding
+	edgeSet map[string]bool
 }
 
 func newTaskInfo(name string, pos token.Pos) *taskInfo {
@@ -232,6 +300,7 @@ func flowScopeOf(w *lockWalker, fd *ast.FuncDecl) *flowScope {
 		queued:  map[*ast.FuncLit]bool{},
 		cfgs:    map[*ast.BlockStmt]*framework.CFG{},
 		findSet: map[string]pairFinding{},
+		edgeSet: map[string]bool{},
 	}
 	pseudo := newTaskInfo(fd.Name.Name, fd.Pos())
 	pseudo.pseudo = true
@@ -681,10 +750,23 @@ func (sf *scopeFlow) queueLit(lit *ast.FuncLit, label, name string, prio int64, 
 	sf.taskQueue = append(sf.taskQueue, taskReq{lit: lit, label: label, name: name, prio: prio, hasPrio: hasPrio, delay: delay})
 }
 
-// apply interprets one lock operation against the fact.
+// apply interprets one lock operation against the fact, recording a
+// lock-order edge from every held lock to each lock it acquires.
 func (sf *scopeFlow) apply(op lockOp, call *ast.CallExpr, f *flowFact) {
 	pos := call.Pos()
 	if op.batch != nil {
+		// The manager picks a batch's grant order at run time, so both
+		// orders between the members are assumed.
+		for _, n := range op.batch {
+			for _, h := range f.held {
+				sf.addEdge(h.node, n, pos)
+			}
+		}
+		for _, a := range op.batch {
+			for _, b := range op.batch {
+				sf.addEdge(a, b, pos)
+			}
+		}
 		for _, n := range op.batch {
 			sf.recordAcquire(n, op, pos)
 			f.held = append(f.held, flowHeld{node: n, pos: pos})
@@ -698,6 +780,9 @@ func (sf *scopeFlow) apply(op lockOp, call *ast.CallExpr, f *flowFact) {
 				sf.where, op.node.display))
 			return
 		}
+		for _, h := range f.held {
+			sf.addEdge(h.node, op.node, pos)
+		}
 		sf.recordAcquire(op.node, op, pos)
 		f.held = append(f.held, flowHeld{node: op.node, pos: pos})
 		return
@@ -710,6 +795,20 @@ func (sf *scopeFlow) apply(op lockOp, call *ast.CallExpr, f *flowFact) {
 	sf.addFinding(pos, fmt.Sprintf(
 		"%s: lock %s is released without a matching acquire on this path",
 		sf.where, op.node.display))
+}
+
+// addEdge records from->to once, keeping the first-visited acquire site as
+// the witness; self-edges are dropped.
+func (sf *scopeFlow) addEdge(from, to lockNode, pos token.Pos) {
+	if from.key == to.key {
+		return
+	}
+	key := from.key + "->" + to.key
+	if sf.edgeSet[key] {
+		return
+	}
+	sf.edgeSet[key] = true
+	sf.scope.edges = append(sf.scope.edges, lockEdge{from: from, to: to, pos: pos})
 }
 
 // recordAcquire books one acquire into the current task's claim set.

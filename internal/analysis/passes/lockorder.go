@@ -47,7 +47,7 @@ func LockOrder() *Analyzer {
 }
 
 func runLockOrder(pass *Pass) (any, error) {
-	rep := walkLocks(pass)
+	rep := runLockFlow(pass)
 	res := &LockOrderResult{}
 	for _, scope := range rep.scopes {
 		cycles := findCycles(scope)
@@ -73,7 +73,7 @@ func runLockOrder(pass *Pass) (any, error) {
 // findCycles enumerates the distinct simple cycles of a scope's lock-order
 // graph.  Cycles are canonicalized (rotated to start at the smallest node)
 // and deduplicated, so each set of conflicting locks is reported once.
-func findCycles(scope *lockScope) []LockCycle {
+func findCycles(scope *flowScope) []LockCycle {
 	// Adjacency over canonical keys; remember a witness edge per pair.
 	adj := map[string][]string{}
 	edgeAt := map[string]lockEdge{}

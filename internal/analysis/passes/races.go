@@ -133,7 +133,7 @@ func runRaces(pass *Pass) (any, error) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || w.isWrapper(fd) {
+			if !ok || fd.Body == nil || w.sums.isLockWrapper(fd) {
 				continue
 			}
 			cur = &raceScope{fn: fd, file: file, locs: map[string]*raceLoc{}}

@@ -105,3 +105,27 @@ func SeparateScenariosReversed(k *Kernel, m *Manager) {
 		m.Release(c, lockB)
 	})
 }
+
+// BreakHeld's t1 leaves an unbounded loop by a break while still holding
+// lockA, then takes lockB: the lock held across the break orders A before B,
+// against t2's B-before-A (true positive).
+func BreakHeld(k *Kernel, m *Manager, ready func() bool) {
+	k.CreateTask("t1", 0, 1, 0, func(c *TaskCtx) {
+		for {
+			m.Acquire(c, lockA)
+			if ready() {
+				break
+			}
+			m.Release(c, lockA)
+		}
+		m.Acquire(c, lockB) // want `potential deadlock: tasks of BreakHeld acquire locks in conflicting orders`
+		m.Release(c, lockB)
+		m.Release(c, lockA)
+	})
+	k.CreateTask("t2", 0, 1, 0, func(c *TaskCtx) {
+		m.Acquire(c, lockB)
+		m.Acquire(c, lockA)
+		m.Release(c, lockA)
+		m.Release(c, lockB)
+	})
+}

@@ -230,3 +230,23 @@ func TestChaosUnknownSystem(t *testing.T) {
 		t.Error("unknown lock system accepted")
 	}
 }
+
+// A blocked task's priority-inheritance boost in the software lock system
+// yields to the simulator before it touches the owner; by then the owner can
+// have released the lock or had it reclaimed.  These single-seed campaigns
+// used to crash the process with a nil owner; each must now finish with a
+// classified outcome.
+func TestChaosCampaignOwnerGoneDuringBoost(t *testing.T) {
+	for _, seed := range []uint64{110, 193, 218, 250, 442} {
+		cfg := DefaultChaosConfig()
+		cfg.Seeds = 1
+		cfg.BaseSeed = seed
+		_, runs, err := RunChaosCampaign(cfg, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(runs) != 1 || runs[0].Outcome == "" {
+			t.Errorf("seed %d: run not classified: %+v", seed, runs)
+		}
+	}
+}

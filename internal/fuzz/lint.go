@@ -20,10 +20,10 @@ import (
 )
 
 // EmitGo renders the scenario as a self-contained Go package in the shape
-// deltalint's lock walker recognizes: one scenario function creating one
-// task closure per program, resource ops as Request/Release with constant
-// ids, and a DeclareClaim per task covering its derived claim set (so the
-// claims pass has declarations to check coverage against).
+// deltalint's lock-flow engine recognizes: one scenario function creating
+// one task closure per program, resource ops as Request/Release with
+// constant ids, and a DeclareClaim per task covering its derived claim set
+// (so the claims pass has declarations to check coverage against).
 func EmitGo(sc *Scenario, st *Static) string {
 	var b strings.Builder
 	b.WriteString("// Code generated by deltartos/internal/fuzz; seed ")

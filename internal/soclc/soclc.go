@@ -183,11 +183,7 @@ func (sl *SoftwareLocks) Acquire(c *rtos.TaskCtx, id int) {
 	sl.stats.Acquires++
 	sl.Audit.Record(t.Name, claims.ResourceKey("long", id))
 	if l.owner == nil {
-		l.owner = t
-		l.savedPrio = t.CurPrio
-		sl.Races.Acquire(t.Name, claims.ResourceKey("long", id))
-		sl.stats.TotalLatency += c.Now() - start
-		record(c, "lock.acquire", start, id, "uncontended")
+		sl.grant(c, l, id, start)
 		return
 	}
 	sl.stats.Contended++
@@ -195,6 +191,12 @@ func (sl *SoftwareLocks) Acquire(c *rtos.TaskCtx, id int) {
 	// The boost walks the owner's TCB and the ready queue in shared memory.
 	if t.CurPrio < l.owner.CurPrio {
 		c.ChargeSharedAccesses(8)
+		// The walk yields to the simulator: meanwhile the owner may have
+		// released the lock, or the lock may have been reclaimed.
+		if l.owner == nil {
+			sl.grant(c, l, id, start)
+			return
+		}
 		sl.k.SetTaskPriority(l.owner, t.CurPrio)
 	}
 	l.waiters = insertByPrio(l.waiters, t)
@@ -206,6 +208,16 @@ func (sl *SoftwareLocks) Acquire(c *rtos.TaskCtx, id int) {
 	sl.Races.Acquire(t.Name, claims.ResourceKey("long", id))
 	sl.stats.TotalDelay += c.Now() - start
 	record(c, "lock.acquire", start, id, "contended")
+}
+
+// grant gives the free lock l to the calling task on the uncontended path.
+func (sl *SoftwareLocks) grant(c *rtos.TaskCtx, l *lockState, id int, start sim.Cycles) {
+	t := c.Task()
+	l.owner = t
+	l.savedPrio = t.CurPrio
+	sl.Races.Acquire(t.Name, claims.ResourceKey("long", id))
+	sl.stats.TotalLatency += c.Now() - start
+	record(c, "lock.acquire", start, id, "uncontended")
 }
 
 // Release implements Manager.
