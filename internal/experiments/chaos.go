@@ -9,10 +9,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"deltartos/internal/app"
-	"deltartos/internal/campaign"
 	"deltartos/internal/fault"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
@@ -41,11 +39,6 @@ type ChaosConfig struct {
 	Budget        sim.Cycles   // per-task watchdog budget
 	MaxRecoveries int          // recovery cap before a run reports wedged
 	Fuse          sim.Cycles   // hard simulation limit for wedged runs
-
-	// failSeed, when non-nil, injects an error for matching seeds before the
-	// run executes.  Test-only: it exercises the campaign's error path (which
-	// the real RunChaosSeed only takes on a config mistake).
-	failSeed func(seed uint64) error
 }
 
 // DefaultChaosConfig returns the stock campaign: 5 seeds, 6 faults per run
@@ -129,9 +122,11 @@ func RunChaosSeed(cfg ChaosConfig, seed uint64, hooks *sim.Hooks) (ChaosRun, err
 	rec.WatchAll()
 
 	end := w.S.RunUntil(cfg.Fuse)
+	cycles, stuck := taskCensus(w.K, end)
 
 	run := ChaosRun{
 		Seed:            seed,
+		Cycles:          cycles,
 		Fired:           len(plan.Fired()),
 		Pending:         plan.Pending(),
 		Tolerated:       plan.Tolerated,
@@ -143,37 +138,6 @@ func RunChaosSeed(cfg ChaosConfig, seed uint64, hooks *sim.Hooks) (ChaosRun, err
 		ReclaimedBlocks: rec.ReclaimedBlocks,
 		MeanLatency:     rec.MeanLatency(),
 		AllocFailures:   w.AllocFailures,
-	}
-
-	// Terminal-state census.  Cycles is the last task activity, not the
-	// simulation end (watchdog deadlines extend the event horizon).
-	var stuck []string
-	sawTerminal := false
-	for _, t := range w.K.Tasks() {
-		switch t.State() {
-		case rtos.StateDone:
-			sawTerminal = true
-			if at, ok := t.Finished(); ok && at > run.Cycles {
-				run.Cycles = at
-			}
-		case rtos.StateKilled:
-			sawTerminal = true
-			if t.KilledAt > run.Cycles {
-				run.Cycles = t.KilledAt
-			}
-		default:
-			what := t.BlockedOn()
-			if what == "" {
-				what = strings.ToLower(fmt.Sprint(t.State()))
-			}
-			stuck = append(stuck, t.Name+":"+what)
-		}
-	}
-	if !sawTerminal && len(stuck) > 0 {
-		// Every task is stuck: there is no finish or kill time to report, so
-		// the run's Cycles is the time the simulation actually stopped (the
-		// fuse, or earlier if the event queue drained) — not a bogus 0.
-		run.Cycles = end
 	}
 
 	// Leak audit: residual live blocks are fine only when the plan leaked
@@ -215,17 +179,6 @@ func RunChaosSeed(cfg ChaosConfig, seed uint64, hooks *sim.Hooks) (ChaosRun, err
 	return run, nil
 }
 
-// runChaosJob is the campaign's per-seed job body: the test-only failure
-// injection, then the real seeded run.
-func runChaosJob(cfg ChaosConfig, seed uint64, shard *RunCtx) (ChaosRun, error) {
-	if cfg.failSeed != nil {
-		if err := cfg.failSeed(seed); err != nil {
-			return ChaosRun{}, err
-		}
-	}
-	return RunChaosSeed(cfg, seed, shard.SimHooks())
-}
-
 func chaosTaskLive(k *rtos.Kernel, name string) bool {
 	for _, t := range k.Tasks() {
 		if t.Name == name {
@@ -238,52 +191,17 @@ func chaosTaskLive(k *rtos.Kernel, name string) bool {
 
 // RunChaosCampaign sweeps cfg.Seeds seeds across rc.Workers() cores and
 // renders the campaign table.  Each seed is an independent job with its own
-// simulation and trace shard; results and shards are merged in seed order,
-// so a parallel campaign is byte-identical to a sequential one.  The
-// returned runs back the machine-readable -chaos-report output, and the
-// Result's notes carry the survived/recovered/degraded/wedged totals.
-//
-// On a seed failure the campaign still adopts the trace shards of every
-// seed below the first failing one — those jobs are guaranteed executed and
-// complete (the pool stops dispatching past a failure, never before it) —
-// so a failing sweep loses no finished work and its trace output is
-// deterministic.  Shards at or above the failing seed are dropped: whether
-// those jobs ran depends on what was in flight when the error landed.
+// simulation and trace shard (see runSeeded for the ordering and error-path
+// guarantees).  The returned runs back the machine-readable -chaos-report
+// output, and the Result's notes carry the survived/recovered/degraded/
+// wedged totals.
 func RunChaosCampaign(cfg ChaosConfig, rc *RunCtx) (Result, []ChaosRun, error) {
 	if cfg.Seeds <= 0 {
 		return Result{}, nil, fmt.Errorf("chaos: need at least one seed")
 	}
-	runs := make([]ChaosRun, cfg.Seeds)
-	shards := make([]*RunCtx, cfg.Seeds)
-	var firstFail atomic.Int64
-	firstFail.Store(int64(cfg.Seeds))
-	err := campaign.Run(cfg.Seeds, rc.Workers(), func(i int) error {
-		seed := cfg.BaseSeed + uint64(i)
-		shard := rc.Shard(fmt.Sprintf(".seed%d", seed))
-		shards[i] = shard
-		run, err := runChaosJob(cfg, seed, shard)
-		if err != nil {
-			for {
-				cur := firstFail.Load()
-				if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
-			return err
-		}
-		runs[i] = run
-		return nil
+	runs, err := runSeeded(rc, cfg.Seeds, cfg.BaseSeed, func(seed uint64, hooks *sim.Hooks) (ChaosRun, error) {
+		return RunChaosSeed(cfg, seed, hooks)
 	})
-	if rc != nil && rc.Session != nil {
-		for i, shard := range shards {
-			if int64(i) >= firstFail.Load() {
-				break
-			}
-			if shard != nil {
-				rc.Session.Adopt(shard.Session)
-			}
-		}
-	}
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"deltartos/internal/sim"
 	"deltartos/internal/trace"
 )
 
@@ -198,27 +199,45 @@ func TestChaosFullyWedgedRunReportsFuseTime(t *testing.T) {
 
 // When a seed errors mid-campaign, the trace shards of every seed below the
 // failing one are completed work and must be adopted, not silently dropped;
-// shards at or above it are dropped deterministically.
+// shards at or above it are dropped deterministically.  Both campaigns run
+// on runSeeded, so the failure is injected into each one's seed job there.
 func TestChaosCampaignAdoptsCompletedShardsOnError(t *testing.T) {
-	cfg := DefaultChaosConfig()
-	cfg.Seeds = 5
-	const failIdx = 3
-	failSeed := cfg.BaseSeed + failIdx
-	cfg.failSeed = func(seed uint64) error {
-		if seed >= failSeed {
-			return fmt.Errorf("injected failure at seed %d", seed)
-		}
-		return nil
+	const seeds, base, failIdx = 5, 1, 3
+	jobs := []struct {
+		name string
+		run  func(seed uint64, hooks *sim.Hooks) error
+	}{
+		{"chaos", func(seed uint64, hooks *sim.Hooks) error {
+			_, err := RunChaosSeed(DefaultChaosConfig(), seed, hooks)
+			return err
+		}},
+		{"ipc-chaos", func(seed uint64, hooks *sim.Hooks) error {
+			_, err := RunIPCChaosSeed(DefaultIPCChaosConfig(), seed, hooks)
+			return err
+		}},
 	}
-	for _, workers := range []int{1, 4} {
-		rc := &RunCtx{Parallel: workers, Session: trace.NewSession(), Label: "chaos"}
-		_, _, err := RunChaosCampaign(cfg, rc)
-		if err == nil || err.Error() != fmt.Sprintf("injected failure at seed %d", failSeed) {
-			t.Fatalf("workers=%d: err = %v, want injected failure at seed %d", workers, err, failSeed)
-		}
-		if got := rc.Session.Len(); got != failIdx {
-			t.Errorf("workers=%d: session adopted %d shard recorders, want %d (seeds below the failure)",
-				workers, got, failIdx)
+	for _, job := range jobs {
+		name, run := job.name, job.run
+		for _, workers := range []int{1, 4} {
+			rc := &RunCtx{Parallel: workers, Session: trace.NewSession(), Label: name}
+			_, err := runSeeded(rc, seeds, base, func(seed uint64, hooks *sim.Hooks) (struct{}, error) {
+				// A failing seed runs its simulation before it fails, so
+				// its shard holds a recorder that must not be adopted.
+				if err := run(seed, hooks); err != nil {
+					return struct{}{}, err
+				}
+				if seed >= base+failIdx {
+					return struct{}{}, fmt.Errorf("injected failure at seed %d", seed)
+				}
+				return struct{}{}, nil
+			})
+			if want := fmt.Sprintf("injected failure at seed %d", base+failIdx); err == nil || err.Error() != want {
+				t.Fatalf("%s workers=%d: err = %v, want %q", name, workers, err, want)
+			}
+			if got := rc.Session.Len(); got != failIdx {
+				t.Errorf("%s workers=%d: session adopted %d shard recorders, want %d (seeds below the failure)",
+					name, workers, got, failIdx)
+			}
 		}
 	}
 }

@@ -12,12 +12,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"deltartos/internal/app"
-	"deltartos/internal/campaign"
 	"deltartos/internal/fault"
-	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 )
 
@@ -115,41 +112,17 @@ func RunIPCChaosSeed(cfg IPCChaosConfig, seed uint64, hooks *sim.Hooks) (IPCChao
 	plan.Attach(w.K, nil, nil, nil)
 
 	end := w.S.RunUntil(cfg.Fuse)
+	cycles, stuck := taskCensus(w.K, end)
 
 	run := IPCChaosRun{
 		Seed:         seed,
+		Cycles:       cycles,
 		Variant:      cfg.Variant,
 		Fired:        len(plan.Fired()),
 		Pending:      plan.Pending(),
 		Completed:    w.Completed,
 		Regenerated:  w.Regenerated,
 		SendFailures: w.SendFailures,
-	}
-
-	var stuck []string
-	sawTerminal := false
-	for _, t := range w.K.Tasks() {
-		switch t.State() {
-		case rtos.StateDone:
-			sawTerminal = true
-			if at, ok := t.Finished(); ok && at > run.Cycles {
-				run.Cycles = at
-			}
-		case rtos.StateKilled:
-			sawTerminal = true
-			if t.KilledAt > run.Cycles {
-				run.Cycles = t.KilledAt
-			}
-		default:
-			what := t.BlockedOn()
-			if what == "" {
-				what = strings.ToLower(fmt.Sprint(t.State()))
-			}
-			stuck = append(stuck, t.Name+":"+what)
-		}
-	}
-	if !sawTerminal && len(stuck) > 0 {
-		run.Cycles = end
 	}
 
 	switch {
@@ -170,10 +143,8 @@ func RunIPCChaosSeed(cfg IPCChaosConfig, seed uint64, hooks *sim.Hooks) (IPCChao
 }
 
 // RunIPCChaosCampaign sweeps cfg.Seeds seeds across rc.Workers() cores and
-// renders the campaign table.  Same guarantees as RunChaosCampaign: results
-// and trace shards merge in seed order, so a parallel campaign is
-// byte-identical to a sequential one, and on a seed failure the shards of
-// every seed below the first failing one are still adopted.
+// renders the campaign table.  It runs on runSeeded, as RunChaosCampaign
+// does, with the same seed-order and error-path guarantees.
 func RunIPCChaosCampaign(cfg IPCChaosConfig, rc *RunCtx) (Result, []IPCChaosRun, error) {
 	if cfg.Seeds <= 0 {
 		return Result{}, nil, fmt.Errorf("ipc-chaos: need at least one seed")
@@ -181,37 +152,9 @@ func RunIPCChaosCampaign(cfg IPCChaosConfig, rc *RunCtx) (Result, []IPCChaosRun,
 	if _, err := ringBuilder(cfg.Variant); err != nil {
 		return Result{}, nil, err
 	}
-	runs := make([]IPCChaosRun, cfg.Seeds)
-	shards := make([]*RunCtx, cfg.Seeds)
-	var firstFail atomic.Int64
-	firstFail.Store(int64(cfg.Seeds))
-	err := campaign.Run(cfg.Seeds, rc.Workers(), func(i int) error {
-		seed := cfg.BaseSeed + uint64(i)
-		shard := rc.Shard(fmt.Sprintf(".seed%d", seed))
-		shards[i] = shard
-		run, err := RunIPCChaosSeed(cfg, seed, shard.SimHooks())
-		if err != nil {
-			for {
-				cur := firstFail.Load()
-				if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
-			return err
-		}
-		runs[i] = run
-		return nil
+	runs, err := runSeeded(rc, cfg.Seeds, cfg.BaseSeed, func(seed uint64, hooks *sim.Hooks) (IPCChaosRun, error) {
+		return RunIPCChaosSeed(cfg, seed, hooks)
 	})
-	if rc != nil && rc.Session != nil {
-		for i, shard := range shards {
-			if int64(i) >= firstFail.Load() {
-				break
-			}
-			if shard != nil {
-				rc.Session.Adopt(shard.Session)
-			}
-		}
-	}
 	if err != nil {
 		return Result{}, nil, err
 	}

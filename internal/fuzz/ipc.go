@@ -600,63 +600,35 @@ func RunIPCSweep(sw IPCSweep, workers int) (*IPCReport, error) {
 			return nil, fmt.Errorf("point %q: %w", p.Label, err)
 		}
 	}
-	chunk := sw.ChunkSize
-	if chunk <= 0 {
-		chunk = 1024
-	}
 
-	type job struct {
-		point  int
-		seedLo uint64
-		count  int
-	}
-	var jobs []job
-	perPoint := make([][]int, len(sw.Points))
-	for p := range sw.Points {
-		base := sw.BaseSeed + uint64(p)*uint64(sw.Seeds)
-		for lo := 0; lo < sw.Seeds; lo += chunk {
-			n := sw.Seeds - lo
-			if n > chunk {
-				n = chunk
+	aggs, err := campaign.Sweep(len(sw.Points), sw.Seeds, sw.BaseSeed, sw.ChunkSize, workers,
+		func(c campaign.Chunk, agg *IPCAgg) error {
+			gen := sw.Points[c.Point].Gen
+			for k := 0; k < c.Count; k++ {
+				sc, err := GenerateIPC(c.Seed+uint64(k), gen)
+				if err != nil {
+					return err
+				}
+				st := DeriveIPC(sc)
+				agg.fold(st, ExecIPC(sc, st))
 			}
-			perPoint[p] = append(perPoint[p], len(jobs))
-			jobs = append(jobs, job{point: p, seedLo: base + uint64(lo), count: n})
-		}
-	}
-
-	aggs := make([]IPCAgg, len(jobs))
-	err := campaign.Run(len(jobs), workers, func(j int) error {
-		jb := jobs[j]
-		agg := &aggs[j]
-		gen := sw.Points[jb.point].Gen
-		for k := 0; k < jb.count; k++ {
-			sc, err := GenerateIPC(jb.seedLo+uint64(k), gen)
-			if err != nil {
-				return err
-			}
-			st := DeriveIPC(sc)
-			agg.fold(st, ExecIPC(sc, st))
-		}
-		return nil
-	})
+			return nil
+		}, (*IPCAgg).merge)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &IPCReport{Config: IPCReportConfig{
-		SeedsPerPoint: sw.Seeds, BaseSeed: sw.BaseSeed, ChunkSize: chunk,
+		SeedsPerPoint: sw.Seeds, BaseSeed: sw.BaseSeed, ChunkSize: chunkSize(sw.ChunkSize),
 	}}
 	totalViolations := 0
 	witness := ""
-	for p := range sw.Points {
-		merged := IPCAgg{}
-		for _, j := range perPoint[p] {
-			merged.merge(&aggs[j])
-		}
-		rep.Points = append(rep.Points, ipcPointReport(sw.Points[p], &merged))
-		totalViolations += merged.Violations
+	for p := range aggs {
+		a := &aggs[p]
+		rep.Points = append(rep.Points, ipcPointReport(sw.Points[p], a))
+		totalViolations += a.Violations
 		if witness == "" {
-			witness = merged.FirstViolation
+			witness = a.FirstViolation
 		}
 	}
 	if totalViolations > 0 {

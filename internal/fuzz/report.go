@@ -5,7 +5,11 @@
 
 package fuzz
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"deltartos/internal/campaign"
+)
 
 // Report is the full sweep output.
 type Report struct {
@@ -75,17 +79,13 @@ type PointReport struct {
 
 // NewReport starts a report echoing the sweep config.
 func NewReport(sw Sweep) *Report {
-	chunk := sw.ChunkSize
-	if chunk <= 0 {
-		chunk = 1024
-	}
 	return &Report{
 		Config: ReportConfig{
 			SeedsPerPoint: sw.Seeds,
 			BaseSeed:      sw.BaseSeed,
 			OracleEvery:   sw.OracleEvery,
 			LintSample:    sw.LintSample,
-			ChunkSize:     chunk,
+			ChunkSize:     chunkSize(sw.ChunkSize),
 		},
 	}
 }
@@ -135,4 +135,13 @@ func (r *Report) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
+}
+
+// chunkSize is the chunk size a sweep runs with: n, or campaign.Sweep's
+// default when n <= 0.
+func chunkSize(n int) int {
+	if n <= 0 {
+		return campaign.DefaultChunk
+	}
+	return n
 }

@@ -168,16 +168,6 @@ func latBucket(lat int) int {
 	return b
 }
 
-// chunkJob is one unit of parallel work: a contiguous seed range of one
-// point.
-type chunkJob struct {
-	point    int
-	seedLo   uint64 // absolute first seed
-	indexLo  int    // seed index within the point (for sampling cadence)
-	count    int
-	lintUpTo int // point-local seed indices below this round-trip deltalint
-}
-
 // RunSweep executes the sweep on a pool of the given width and returns the
 // per-point report.  A non-nil error means an invariant broke (PDDA vs
 // oracle, static ⊇ runtime, lint round-trip) or lint infrastructure
@@ -194,79 +184,52 @@ func RunSweep(sw Sweep, workers int) (*Report, error) {
 			return nil, fmt.Errorf("point %q: %w", p.Label, err)
 		}
 	}
-	chunk := sw.ChunkSize
-	if chunk <= 0 {
-		chunk = 1024
-	}
 
-	var jobs []chunkJob
-	perPoint := make([][]int, len(sw.Points)) // job indices per point, in order
-	for p := range sw.Points {
-		base := sw.BaseSeed + uint64(p)*uint64(sw.Seeds)
-		for lo := 0; lo < sw.Seeds; lo += chunk {
-			n := sw.Seeds - lo
-			if n > chunk {
-				n = chunk
-			}
-			perPoint[p] = append(perPoint[p], len(jobs))
-			jobs = append(jobs, chunkJob{
-				point:    p,
-				seedLo:   base + uint64(lo),
-				indexLo:  lo,
-				count:    n,
-				lintUpTo: sw.LintSample,
-			})
-		}
-	}
-
-	aggs := make([]Agg, len(jobs))
-	err := campaign.Run(len(jobs), workers, func(j int) error {
-		job := jobs[j]
-		agg := &aggs[j]
-		gen := sw.Points[job.point].Gen
-		var es ExecScratch // detection buffers shared by the chunk's seeds
-		for k := 0; k < job.count; k++ {
-			seed := job.seedLo + uint64(k)
-			idx := job.indexLo + k
-			sc, err := Generate(seed, gen)
-			if err != nil {
-				return err
-			}
-			st := Derive(sc)
-			deep := sw.OracleEvery > 0 && idx%sw.OracleEvery == 0
-			res := ExecWith(&es, sc, st, deep)
-			agg.fold(sc, st, res, deep)
-			// The Banker differential: replay the seed's traffic through the
-			// bitset Banker and the per-cell RefBanker, comparing every
-			// grant/refuse decision.
-			bd := BankerDiff(sc, st)
-			agg.BankerChecked++
-			agg.BankerDecisions += bd.Decisions
-			if bd.Mismatch != "" {
-				agg.Mismatches++
-				if agg.FirstMismatch == "" {
-					agg.FirstMismatch = bd.Mismatch
-				}
-			}
-			if idx < job.lintUpTo {
-				mismatch, err := LintCheck(sc, st)
+	aggs, err := campaign.Sweep(len(sw.Points), sw.Seeds, sw.BaseSeed, sw.ChunkSize, workers,
+		func(c campaign.Chunk, agg *Agg) error {
+			gen := sw.Points[c.Point].Gen
+			var es ExecScratch // detection buffers shared by the chunk's seeds
+			for k := 0; k < c.Count; k++ {
+				idx := c.Index + k
+				sc, err := Generate(c.Seed+uint64(k), gen)
 				if err != nil {
-					if agg.InfraErr == "" {
-						agg.InfraErr = err.Error()
-					}
-					continue
+					return err
 				}
-				agg.LintChecked++
-				if mismatch != "" {
+				st := Derive(sc)
+				deep := sw.OracleEvery > 0 && idx%sw.OracleEvery == 0
+				res := ExecWith(&es, sc, st, deep)
+				agg.fold(sc, st, res, deep)
+				// The Banker differential: replay the seed's traffic through
+				// the bitset Banker and the per-cell RefBanker, comparing
+				// every grant/refuse decision.
+				bd := BankerDiff(sc, st)
+				agg.BankerChecked++
+				agg.BankerDecisions += bd.Decisions
+				if bd.Mismatch != "" {
 					agg.Mismatches++
 					if agg.FirstMismatch == "" {
-						agg.FirstMismatch = mismatch
+						agg.FirstMismatch = bd.Mismatch
+					}
+				}
+				if idx < sw.LintSample {
+					mismatch, err := LintCheck(sc, st)
+					if err != nil {
+						if agg.InfraErr == "" {
+							agg.InfraErr = err.Error()
+						}
+						continue
+					}
+					agg.LintChecked++
+					if mismatch != "" {
+						agg.Mismatches++
+						if agg.FirstMismatch == "" {
+							agg.FirstMismatch = mismatch
+						}
 					}
 				}
 			}
-		}
-		return nil
-	})
+			return nil
+		}, (*Agg).merge)
 	if err != nil {
 		return nil, err
 	}
@@ -275,18 +238,15 @@ func RunSweep(sw Sweep, workers int) (*Report, error) {
 	totalMismatch := 0
 	witness := ""
 	infra := ""
-	for p := range sw.Points {
-		merged := Agg{}
-		for _, j := range perPoint[p] {
-			merged.merge(&aggs[j])
-		}
-		rep.Points = append(rep.Points, pointReport(sw.Points[p], &merged))
-		totalMismatch += merged.Mismatches
+	for p := range aggs {
+		a := &aggs[p]
+		rep.Points = append(rep.Points, pointReport(sw.Points[p], a))
+		totalMismatch += a.Mismatches
 		if witness == "" {
-			witness = merged.FirstMismatch
+			witness = a.FirstMismatch
 		}
 		if infra == "" {
-			infra = merged.InfraErr
+			infra = a.InfraErr
 		}
 	}
 	if infra != "" {
