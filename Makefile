@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-campaign bench-bitset bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
+.PHONY: tier1 build test vet lint lint-json race bench bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -40,25 +40,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-campaign measures the campaign engine — event-dispatch allocs/op and
-# the sequential-vs-parallel wall-clock ratio for a 32-seed chaos sweep —
-# and writes BENCH_campaign.json (uploaded as a CI artifact).
-bench-campaign:
-	$(GO) run ./cmd/deltasim -bench-campaign BENCH_campaign.json
-
-# bench-bitset measures the word-parallel detection engine against the
-# per-cell reference engine at 64x64, 1kx1k and 16kx16k — Reduce ns/op per
-# engine, speedup, detect-path allocs/op (must be 0), and a verdict
-# cross-check — and writes BENCH_bitset.json (uploaded as a CI artifact).
-bench-bitset:
-	$(GO) run ./cmd/deltasim -bench-bitset BENCH_bitset.json
-
 # bench-fuzz runs the full-size generative sweep — 8 contention points x
 # 125000 seeds = 1e6 scenarios, every one checked against the standing
 # invariants including the engine differentials (bitset vs per-cell PDDA
 # verdicts, cycle witnesses, Banker grant/refuse decisions) — and writes the
 # deadlock-probability-vs-contention curve to BENCH_fuzz.json (uploaded as a
-# CI artifact next to BENCH_campaign.json).
+# CI artifact).
 bench-fuzz:
 	$(GO) run ./cmd/deltasim -fuzz -fuzz-seeds 125000 -fuzz-report BENCH_fuzz.json
 

@@ -14,13 +14,11 @@ import (
 	"deltartos/internal/analysis/framework"
 	"deltartos/internal/analysis/passes"
 	"deltartos/internal/app"
-	"deltartos/internal/campaign"
 	"deltartos/internal/daa"
 	"deltartos/internal/dau"
 	"deltartos/internal/ddu"
 	"deltartos/internal/delta"
 	"deltartos/internal/det"
-	"deltartos/internal/experiments"
 	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
 	"deltartos/internal/sim"
@@ -241,7 +239,7 @@ func BenchmarkFig13DDUDetect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := u.Load(rag.Chain(50, 50).Matrix()); err != nil {
+	if err := u.Load(rag.Chain(50, 50)); err != nil {
 		b.Fatal(err)
 	}
 	var res ddu.Result
@@ -306,9 +304,7 @@ func BenchmarkAblationPackedVsNaive(b *testing.B) {
 
 // ---- Bitset engine vs per-cell engine across geometries ----
 //
-// The go-test flavor of the BENCH_bitset.json comparison (deltasim
-// -bench-bitset): the word-parallel reduction against the per-cell
-// reference engine at 64x64, 1kx1k and 16kx16k, plus the zero-allocation
+// The word-parallel reduction against the per-cell reference engine at 64x64, 1kx1k and 16kx16k, plus the zero-allocation
 // graph-detect path.  Request density scales down with n so per-row request
 // degree stays realistic at 16k; the cell engine scans every cell per pass
 // regardless of density.
@@ -508,32 +504,6 @@ func BenchmarkSimDispatch(b *testing.B) {
 	})
 	b.ResetTimer()
 	s.Run()
-}
-
-// BenchmarkChaosCampaign compares a sequential seed sweep against the
-// worker-pool sharded one (the `deltasim -parallel` path).  Output identity
-// between the two is asserted by the tests; this measures the wall-clock
-// ratio that `make bench-campaign` records in BENCH_campaign.json.
-func BenchmarkChaosCampaign(b *testing.B) {
-	cfg := experiments.DefaultChaosConfig()
-	cfg.Seeds = 32
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", campaign.DefaultWorkers()},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rc := &experiments.RunCtx{Parallel: tc.workers}
-				if _, _, err := experiments.RunChaosCampaign(cfg, rc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // ---- Deltalint: full-module static analysis ----

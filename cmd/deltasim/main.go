@@ -10,8 +10,6 @@
 //	deltasim -exp fig20 -vcd robot.vcd
 //	deltasim -exp table45 -trace table45.json -metrics table45.metrics.json
 //	deltasim -chaos -chaos-seeds 32 -parallel 8
-//	deltasim -bench-campaign BENCH_campaign.json
-//	deltasim -bench-bitset BENCH_bitset.json
 //	deltasim -fuzz -fuzz-seeds 12500 -fuzz-report BENCH_fuzz.json -parallel 8
 //	deltasim -fuzz-ipc -fuzz-seeds 2000 -fuzz-report BENCH_ipc_fuzz.json -parallel 8
 //
@@ -59,10 +57,6 @@ func main() {
 	ipcChaosSeed := flag.Uint64("ipc-chaos-seed", 1, "with -ipc-chaos: first seed (run i uses seed+i)")
 	ipcChaosFaults := flag.Int("ipc-chaos-faults", 6, "with -ipc-chaos: message faults injected per run")
 	ipcChaosVariant := flag.String("ipc-chaos-variant", "timeout", "with -ipc-chaos: ring variant under test (blocking or timeout)")
-	benchPath := flag.String("bench-campaign", "",
-		"measure the campaign engine (sequential vs parallel wall-clock, dispatch allocs/op), write JSON to this file, and exit")
-	benchBitsetPath := flag.String("bench-bitset", "",
-		"measure the word-parallel detection engine against the per-cell reference at 64x64/1k/16k, write JSON to this file, and exit")
 	fuzzRun := flag.Bool("fuzz", false, "run the generative scenario sweep (deadlock probability vs contention)")
 	fuzzSeeds := flag.Int("fuzz-seeds", 12500, "with -fuzz: seeds per parameter point (8 points, so the default sweeps 1e5 seeds)")
 	fuzzBaseSeed := flag.Uint64("fuzz-base-seed", 1, "with -fuzz: first seed of the sweep")
@@ -73,22 +67,6 @@ func main() {
 	if *vcdPath != "" && *exp != "fig20" {
 		fmt.Fprintln(os.Stderr, "deltasim: -vcd is only valid together with -exp fig20")
 		os.Exit(2)
-	}
-
-	if *benchPath != "" {
-		if err := runBenchCampaign(*benchPath, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "deltasim: bench-campaign:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchBitsetPath != "" {
-		if err := runBenchBitset(*benchBitsetPath); err != nil {
-			fmt.Fprintln(os.Stderr, "deltasim: bench-bitset:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	var session *trace.Session

@@ -59,7 +59,7 @@ func strategies() []strategy {
 				return row{}, err
 			}
 			return detectTape(func(g *rag.Graph) (bool, sim.Cycles, error) {
-				if err := u.Load(g.Matrix()); err != nil {
+				if err := u.Load(g); err != nil {
 					return false, 0, err
 				}
 				res := u.Detect()

@@ -33,12 +33,12 @@ func main() {
 	fmt.Printf("PDDA (software):     deadlock = %v  (%d reduction iterations, %d cell reads)\n",
 		dead, stats.Iterations, stats.CellReads)
 
-	// 3. Hardware DDU: word-parallel evaluation with a step counter.
+	// 3. Hardware DDU: the same reduction, counted in hardware clock steps.
 	unit, err := ddu.New(ddu.Config{Procs: 4, Resources: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	must(unit.Load(g.Matrix()))
+	must(unit.Load(g))
 	res := unit.Detect()
 	fmt.Printf("DDU (hardware):      deadlock = %v  (%d hardware steps)\n", res.Deadlock, res.Steps)
 

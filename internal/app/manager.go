@@ -54,8 +54,6 @@ type SoftwareDetector struct {
 	Pad         int
 	Invocations int
 	TotalCycles sim.Cycles
-	mx          *rag.Matrix // reusable graph image
-	padded      *rag.Matrix // reusable padded image when Pad exceeds live size
 	sc          pdda.Scratch
 }
 
@@ -65,29 +63,8 @@ func (d *SoftwareDetector) Name() string { return "PDDA in software" }
 // Invoke implements Detector.
 func (d *SoftwareDetector) Invoke(c *rtos.TaskCtx, g *rag.Graph) (bool, sim.Cycles) {
 	gm, gn := g.Size()
-	if d.mx == nil || d.mx.M != gm || d.mx.N != gn {
-		d.mx = rag.NewMatrix(gm, gn)
-	}
-	g.MatrixInto(d.mx)
-	mx := d.mx
-	if d.Pad > mx.M || d.Pad > mx.N {
-		m, n := max(d.Pad, mx.M), max(d.Pad, mx.N)
-		if d.padded == nil || d.padded.M != m || d.padded.N != n {
-			d.padded = rag.NewMatrix(m, n)
-		}
-		for s := 0; s < m; s++ {
-			d.padded.ClearRow(s)
-		}
-		for s := 0; s < mx.M; s++ {
-			for t := 0; t < mx.N; t++ {
-				if cell := mx.Get(s, t); cell != rag.None {
-					d.padded.Set(s, t, cell)
-				}
-			}
-		}
-		mx = d.padded
-	}
-	dead, st := pdda.DetectInto(&d.sc, mx)
+	g.MatrixInto(d.sc.Work(max(d.Pad, gm), max(d.Pad, gn)))
+	dead, st := pdda.DetectWork(&d.sc)
 	cost := sim.SoftwareDetectCycles(st)
 	c.ChargeCompute(cost)
 	d.Invocations++
@@ -111,7 +88,6 @@ type HardwareDetector struct {
 	Unit        *ddu.Unit
 	Invocations int
 	TotalCycles sim.Cycles
-	mx          *rag.Matrix // reusable graph image for the matrix load
 }
 
 // NewHardwareDetector sizes a DDU for the scenario.
@@ -128,12 +104,7 @@ func (d *HardwareDetector) Name() string { return "DDU (hardware)" }
 
 // Invoke implements Detector.
 func (d *HardwareDetector) Invoke(c *rtos.TaskCtx, g *rag.Graph) (bool, sim.Cycles) {
-	gm, gn := g.Size()
-	if d.mx == nil || d.mx.M != gm || d.mx.N != gn {
-		d.mx = rag.NewMatrix(gm, gn)
-	}
-	g.MatrixInto(d.mx)
-	if err := d.Unit.Load(d.mx); err != nil {
+	if err := d.Unit.Load(g); err != nil {
 		panic("app: ddu size mismatch: " + err.Error())
 	}
 	res := d.Unit.Detect()

@@ -155,3 +155,27 @@ func TestBankerUnsafeRefusalMatchesRef(t *testing.T) {
 		t.Fatal("granting q1 to p1 while p0 holds q0 with full cross-claims is unsafe")
 	}
 }
+
+// The oracle keeps Assumption 2 on its own holder index: only the holder may
+// release, and a refused or never-made grant leaves nothing to release.
+func TestRefBankerReleaseByNonHolderErrors(t *testing.T) {
+	ref, _ := NewRefBanker(2, 2)
+	if err := ref.DeclareClaim(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Release(0, 0); err == nil {
+		t.Error("release of a free resource accepted")
+	}
+	if g, err := ref.Request(0, 0); err != nil || !g {
+		t.Fatalf("grant: %v %v", g, err)
+	}
+	if err := ref.Release(1, 0); err == nil {
+		t.Error("release by a non-holder accepted")
+	}
+	if err := ref.Release(0, 0); err != nil {
+		t.Errorf("release by the holder: %v", err)
+	}
+	if err := ref.Release(0, 0); err == nil {
+		t.Error("double release accepted")
+	}
+}

@@ -1,23 +1,21 @@
 // RefBanker is the per-cell reference implementation of the Banker's
-// algorithm: boolean claim rows and the original triple-loop safety scan,
-// reading allocation state only through the graph's per-cell API.  It shares
-// no claim storage or scanning code with the word-parallel Banker, so the
-// fuzz campaign can replay every seed's traffic through both and flag any
-// grant/refuse divergence.
+// algorithm: boolean claim rows, a plain holder index per resource and the
+// original triple-loop safety scan.  It shares no state, claim storage or
+// scanning code with the word-parallel Banker (not even the rag.Graph the
+// Banker tracks allocations in), so the fuzz campaign can replay every
+// seed's traffic through both and flag any grant/refuse divergence.
 
 package daa
 
-import (
-	"fmt"
-
-	"deltartos/internal/rag"
-)
+import "fmt"
 
 // RefBanker mirrors Banker's public behavior with per-cell internals.
 type RefBanker struct {
 	m, n     int
 	claims   [][]bool // claims[p][q]: p may ever need q
-	g        *rag.Graph
+	holder   []int    // holder[q]: process holding q, or -1
+	free     []bool   // safety-scan scratch, one per resource
+	done     []bool   // safety-scan scratch, one per process
 	Refusals int
 }
 
@@ -26,7 +24,16 @@ func NewRefBanker(procs, resources int) (*RefBanker, error) {
 	if procs <= 0 || resources <= 0 {
 		return nil, fmt.Errorf("daa: invalid banker size %d x %d", procs, resources)
 	}
-	b := &RefBanker{m: resources, n: procs, g: rag.NewGraph(resources, procs)}
+	b := &RefBanker{
+		m:      resources,
+		n:      procs,
+		holder: make([]int, resources),
+		free:   make([]bool, resources),
+		done:   make([]bool, procs),
+	}
+	for q := range b.holder {
+		b.holder[q] = -1
+	}
 	b.claims = make([][]bool, procs)
 	for p := range b.claims {
 		b.claims[p] = make([]bool, resources)
@@ -48,9 +55,6 @@ func (b *RefBanker) DeclareClaim(p int, resources ...int) error {
 	return nil
 }
 
-// Graph exposes the tracked allocation state.
-func (b *RefBanker) Graph() *rag.Graph { return b.g }
-
 // Request grants q to p under the same rules as Banker.Request, deciding
 // safety with the per-cell scan.
 func (b *RefBanker) Request(p, q int) (granted bool, err error) {
@@ -60,38 +64,41 @@ func (b *RefBanker) Request(p, q int) (granted bool, err error) {
 	if !b.claims[p][q] {
 		return false, fmt.Errorf("daa: p%d requests unclaimed q%d", p+1, q+1)
 	}
-	if b.g.Holder(q) != -1 {
+	if b.holder[q] != -1 {
 		return false, nil
 	}
-	if err := b.g.SetGrant(q, p); err != nil {
-		return false, err
-	}
+	b.holder[q] = p
 	if b.safe() {
 		return true, nil
 	}
-	if err := b.g.Release(q, p); err != nil {
-		return false, err
-	}
+	b.holder[q] = -1
 	b.Refusals++
 	return false, nil
 }
 
-// Release frees q held by p.
+// Release frees q held by p.  Releasing a resource p does not hold is an
+// error (Assumption 2: a resource can be released only by its holder).
 func (b *RefBanker) Release(p, q int) error {
 	if p < 0 || p >= b.n || q < 0 || q >= b.m {
 		return fmt.Errorf("daa: release (%d,%d) out of range", p, q)
 	}
-	return b.g.Release(q, p)
+	if b.holder[q] != p {
+		return fmt.Errorf("daa: p%d cannot release q%d held by p%d", p+1, q+1, b.holder[q]+1)
+	}
+	b.holder[q] = -1
+	return nil
 }
 
-// safe is the seed triple-loop scan: one Holder probe per (process,
+// safe is the seed triple-loop scan: one holder probe per (process,
 // resource) pair per pass.
 func (b *RefBanker) safe() bool {
-	free := make([]bool, b.m)
+	free, done := b.free, b.done
 	for q := 0; q < b.m; q++ {
-		free[q] = b.g.Holder(q) == -1
+		free[q] = b.holder[q] == -1
 	}
-	done := make([]bool, b.n)
+	for p := 0; p < b.n; p++ {
+		done[p] = false
+	}
 	for retired := 0; retired < b.n; {
 		progress := false
 		for p := 0; p < b.n; p++ {
@@ -100,7 +107,7 @@ func (b *RefBanker) safe() bool {
 			}
 			ok := true
 			for q := 0; q < b.m; q++ {
-				if b.claims[p][q] && !free[q] && b.g.Holder(q) != p {
+				if b.claims[p][q] && !free[q] && b.holder[q] != p {
 					ok = false
 					break
 				}
@@ -109,7 +116,7 @@ func (b *RefBanker) safe() bool {
 				continue
 			}
 			for q := 0; q < b.m; q++ {
-				if b.g.Holder(q) == p {
+				if b.holder[q] == p {
 					free[q] = true
 				}
 			}

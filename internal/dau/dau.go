@@ -123,9 +123,11 @@ func New(cfg Config) (*Unit, error) {
 }
 
 // hardwareDetect loads the candidate graph into the embedded DDU and runs a
-// detection pass, charging its steps to the current command.
+// detection pass, charging its steps to the current command.  The graph maps
+// straight into the DDU's cells and the DDU reduces in its own scratch, so a
+// warm unit decides a command without allocating.
 func (u *Unit) hardwareDetect(g *rag.Graph) bool {
-	if err := u.dd.Load(g.Matrix()); err != nil {
+	if err := u.dd.Load(g); err != nil {
 		panic("dau: internal ddu size mismatch: " + err.Error())
 	}
 	res := u.dd.Detect()

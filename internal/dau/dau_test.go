@@ -203,6 +203,31 @@ func TestStepAccountingIncludesDDU(t *testing.T) {
 	}
 }
 
+// A warm DAU decides steady-state traffic without allocating: the avoider
+// reuses its trial graph, the graph maps straight into the embedded DDU's
+// cells and the DDU reduces in its own scratch (the hardware counterpart of
+// daa's TestAvoidancePathsDoNotAllocate, on the same probe: a free grant,
+// vetted by the DDU, and its release).
+func TestRequestReleaseDoNotAllocate(t *testing.T) {
+	u := mustUnit(t, 8, 16)
+	probe := func() {
+		if _, _, err := u.Request(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := u.Release(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // warm
+	detections := u.dd.Detections
+	if allocs := testing.AllocsPerRun(10, probe); allocs > 0 {
+		t.Errorf("DAU request/release allocated %.0f times per cycle, want 0", allocs)
+	}
+	if u.dd.Detections == detections {
+		t.Error("probe never ran the embedded DDU")
+	}
+}
+
 func TestWorstCaseStepsTable2(t *testing.T) {
 	// Table 2: 5 processes x 5 resources -> 6*5 + 8 = 38.
 	if got := WorstCaseSteps(Config{Procs: 5, Resources: 5}); got != 38 {

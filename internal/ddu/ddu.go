@@ -3,11 +3,16 @@
 // cells and a decide cell that evaluates the terminal reduction sequence in
 // parallel, one reduction iteration per pair of hardware steps.
 //
-// Three views of the unit are provided:
+// Four views of the unit are provided:
 //
 //   - Unit: a functional, step-counted model used inside the MPSoC
-//     simulation.  Its word-parallel evaluation is bit-exact with Equations
-//     3–7 of the paper.
+//     simulation.  The DDU is PDDA in hardware (Section 4.2), so the Unit
+//     runs pdda's one reduction kernel on a copy of its cells (with any
+//     stuck-at faults applied) and converts the iteration count k into
+//     clock steps with HardwareSteps.
+//   - RTLModel: a cell-accurate model of the generated hardware, sharing no
+//     code with pdda; it is the Unit's independent oracle
+//     (TestRTLEquivalence) and drives the VCD waveform dump.
 //   - Generate: a Verilog generator emitting the structural description the
 //     δ framework's GUI tool would produce (one instance line per matrix
 //     cell, as in the original generator, so the lines-of-Verilog metric is
@@ -19,6 +24,7 @@ import (
 	"fmt"
 
 	"deltartos/internal/gates"
+	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
 	"deltartos/internal/verilog"
 )
@@ -49,7 +55,8 @@ type Result struct {
 // interface, mirroring how PEs program the real unit over the bus.
 type Unit struct {
 	cfg    Config
-	mx     *rag.Matrix
+	mx     *rag.Matrix  // the true cells
+	sc     pdda.Scratch // detection working copy, faults applied
 	faults []Fault
 
 	// cumulative instrumentation
@@ -80,95 +87,35 @@ func (u *Unit) SetGrant(s, t int) { u.mx.Set(s, t, rag.Grant) }
 // ClearCell clears cell (s,t).
 func (u *Unit) ClearCell(s, t int) { u.mx.Set(s, t, rag.None) }
 
-// Load replaces the whole matrix.  A matrix smaller than the unit embeds in
-// the top-left corner with the spare cells zero (the paper's experiments
-// run 4-process systems on a 5x5 DDU); a larger matrix is an error.
-func (u *Unit) Load(mx *rag.Matrix) error {
-	if mx.M > u.cfg.Resources || mx.N > u.cfg.Procs {
-		return fmt.Errorf("ddu: matrix %dx%d does not fit unit %dx%d",
-			mx.M, mx.N, u.cfg.Resources, u.cfg.Procs)
+// Load replaces the whole matrix with the state matrix of g.  A graph
+// smaller than the unit embeds in the top-left corner with the spare cells
+// zero (see rag.Graph.MatrixInto); a larger graph is an error.
+func (u *Unit) Load(g *rag.Graph) error {
+	if m, n := g.Size(); m > u.cfg.Resources || n > u.cfg.Procs {
+		return fmt.Errorf("ddu: graph %dx%d does not fit unit %dx%d",
+			m, n, u.cfg.Resources, u.cfg.Procs)
 	}
-	if mx.M == u.cfg.Resources && mx.N == u.cfg.Procs {
-		u.mx = mx.Clone()
-		return nil
-	}
-	fresh := rag.NewMatrix(u.cfg.Resources, u.cfg.Procs)
-	for s := 0; s < mx.M; s++ {
-		for t := 0; t < mx.N; t++ {
-			if c := mx.Get(s, t); c != rag.None {
-				fresh.Set(s, t, c)
-			}
-		}
-	}
-	u.mx = fresh
+	g.MatrixInto(u.mx)
 	return nil
 }
 
 // Detect runs the hardware algorithm on a snapshot of the current matrix and
 // returns the decision.  The internal matrix is not consumed: the real DDU
-// also keeps its cells, re-evaluating weights combinationally.
+// also keeps its cells, re-evaluating weights combinationally.  The
+// snapshot lives in the unit's scratch, so a warm unit does not allocate.
 func (u *Unit) Detect() Result {
-	work := u.mx.Clone()
+	work := u.sc.Work(u.cfg.Resources, u.cfg.Procs)
+	work.CopyFrom(u.mx)
 	u.applyFaults(work)
-	k := reduceWordParallel(work)
+	dead, st := pdda.DetectWork(&u.sc)
 	res := Result{
-		Deadlock:   !work.Empty(),
-		Iterations: k,
-		Steps:      HardwareSteps(k),
+		Deadlock:   dead,
+		Iterations: st.Iterations,
+		Steps:      HardwareSteps(st.Iterations),
 	}
 	u.Detections++
 	u.TotalSteps += res.Steps
 	return res
-}
-
-// reduceWordParallel is the hardware evaluation loop: per iteration it forms
-// the row and column BWO/XOR weight planes with whole-word boolean operations
-// (Equations 3–4), tests T_iter (Equation 5) and clears all terminal lines at
-// once.  It returns the number of reduction iterations.
-func reduceWordParallel(mx *rag.Matrix) int {
-	k := 0
-	words := mx.Words()
-	for {
-		// Column weights, all columns at once (packed planes).
-		colReq, colGrant := mx.ColumnSummaries()
-		colTau := make([]uint64, words)
-		anyTerm := false
-		for w := 0; w < words; w++ {
-			colTau[w] = colReq[w] ^ colGrant[w]
-			if colTau[w] != 0 {
-				anyTerm = true
-			}
-		}
-		// Row weights.
-		rowTau := make([]bool, mx.M)
-		for s := 0; s < mx.M; s++ {
-			anyReq, anyGrant := mx.RowSummary(s)
-			rowTau[s] = anyReq != anyGrant
-			if rowTau[s] {
-				anyTerm = true
-			}
-		}
-		if !anyTerm { // T_iter == 0
-			return k
-		}
-		// Parallel clear of all terminal rows and columns.
-		for s := 0; s < mx.M; s++ {
-			if rowTau[s] {
-				mx.ClearRow(s)
-			}
-		}
-		for w := 0; w < words; w++ {
-			for b := uint(0); b < 64; b++ {
-				if colTau[w]>>b&1 == 1 {
-					t := w*64 + int(b)
-					if t < mx.N {
-						mx.ClearColumn(t)
-					}
-				}
-			}
-		}
-		k++
-	}
 }
 
 // HardwareSteps converts reduction iterations into DDU clock steps.  The unit
@@ -195,7 +142,7 @@ func WorstCaseSteps(cfg Config) int {
 	if err != nil {
 		panic(err)
 	}
-	if err := u.Load(g.Matrix()); err != nil {
+	if err := u.Load(g); err != nil {
 		panic(err)
 	}
 	return u.Detect().Steps

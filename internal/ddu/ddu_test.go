@@ -81,23 +81,89 @@ func TestDetectPreservesMatrix(t *testing.T) {
 
 func TestLoadSizeCheck(t *testing.T) {
 	u := mustNew(t, 4, 4)
-	if err := u.Load(rag.NewMatrix(5, 4)); err == nil {
-		t.Error("Load accepted wrong-size matrix")
+	if err := u.Load(rag.NewGraph(5, 4)); err == nil {
+		t.Error("Load accepted wrong-size graph")
 	}
-	if err := u.Load(rag.NewMatrix(4, 4)); err != nil {
+	if err := u.Load(rag.NewGraph(4, 4)); err != nil {
 		t.Errorf("Load rejected correct size: %v", err)
 	}
 }
 
 func TestLoadIsACopy(t *testing.T) {
 	u := mustNew(t, 3, 3)
-	mx := rag.NewMatrix(3, 3)
-	if err := u.Load(mx); err != nil {
+	g := rag.NewGraph(3, 3)
+	if err := u.Load(g); err != nil {
 		t.Fatal(err)
 	}
-	mx.Set(0, 0, rag.Grant)
+	if err := g.SetGrant(0, 0); err != nil {
+		t.Fatal(err)
+	}
 	if u.Matrix().Get(0, 0) != rag.None {
-		t.Error("Load aliased caller matrix")
+		t.Error("Load aliased caller graph")
+	}
+}
+
+// A system smaller than the unit embeds top-left (Table 5 runs a 4-process
+// scenario on a 5x5 DDU): the verdict, iteration count and step count must
+// equal those of a unit of the system's own size.
+func TestLoadSmallerGraphMatchesExactUnit(t *testing.T) {
+	rng := det.New(77)
+	for i := 0; i < 200; i++ {
+		g := rag.Random(rng, 4, 4, 0.7, 0.35)
+		big, exact := mustNew(t, 5, 5), mustNew(t, 4, 4)
+		if err := big.Load(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := exact.Load(g); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := big.Detect(), exact.Detect(); got != want {
+			t.Fatalf("case %d: 5x5 unit %+v, 4x4 unit %+v\n%s", i, got, want, g.Matrix())
+		}
+	}
+}
+
+// Loading a smaller graph after a fuller one must not leave the fuller
+// state behind in the spare rows or columns.
+func TestLoadClearsSpareCells(t *testing.T) {
+	u := mustNew(t, 5, 5)
+	if err := u.Load(rag.CycleGraph(5, 5, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if !u.Detect().Deadlock {
+		t.Fatal("5-cycle not detected")
+	}
+	small := rag.Chain(4, 4)
+	if err := u.Load(small); err != nil {
+		t.Fatal(err)
+	}
+	want := rag.NewMatrix(5, 5)
+	for s := 0; s < 4; s++ {
+		for p := 0; p < 4; p++ {
+			want.Set(s, p, small.Matrix().Get(s, p))
+		}
+	}
+	if !u.Matrix().Equal(want) {
+		t.Errorf("cells after reload:\n%swant:\n%s", u.Matrix(), want)
+	}
+	if res := u.Detect(); res.Deadlock {
+		t.Errorf("stale cells kept the cycle: %+v", res)
+	}
+}
+
+// A warm unit detects without allocating: the snapshot lives in the unit's
+// pdda.Scratch (the DDU counterpart of pdda's TestDetectDoesNotAllocate).
+func TestUnitDetectDoesNotAllocate(t *testing.T) {
+	u := mustNew(t, 96, 48)
+	if err := u.Load(rag.Random(det.New(3), 48, 96, 0.7, 0.2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.InjectFault(0, 0, rag.Request); err != nil {
+		t.Fatal(err)
+	}
+	u.Detect() // warm the scratch
+	if allocs := testing.AllocsPerRun(10, func() { u.Detect() }); allocs > 0 {
+		t.Errorf("Unit.Detect allocated %.0f times per scan, want 0", allocs)
 	}
 }
 
@@ -112,7 +178,7 @@ func TestDDUMatchesPDDAAndOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.Load(g.Matrix()); err != nil {
+		if err := u.Load(g); err != nil {
 			t.Fatal(err)
 		}
 		hw := u.Detect()
@@ -131,7 +197,7 @@ func TestIterationAgreement(t *testing.T) {
 		g := rag.Random(rng, 1+rng.Intn(8), 1+rng.Intn(8), 0.8, 0.35)
 		m, n := g.Size()
 		u, _ := New(Config{Procs: n, Resources: m})
-		if err := u.Load(g.Matrix()); err != nil {
+		if err := u.Load(g); err != nil {
 			t.Fatal(err)
 		}
 		hw := u.Detect()

@@ -83,7 +83,7 @@ func TestCrossCheckHealthyUnitNeverMismatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.Load(g.Matrix()); err != nil {
+		if err := u.Load(g); err != nil {
 			t.Fatal(err)
 		}
 		if cc := u.CrossCheck(); cc.Mismatch {
@@ -105,7 +105,7 @@ func TestFaultCampaignCrossCheckCatchesAllFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.Load(g.Matrix()); err != nil {
+		if err := u.Load(g); err != nil {
 			t.Fatal(err)
 		}
 		truth := g.HasCycle()
@@ -126,5 +126,31 @@ func TestFaultCampaignCrossCheckCatchesAllFlips(t *testing.T) {
 	}
 	if flips == 0 {
 		t.Error("fault campaign produced no verdict flips; fault model too weak")
+	}
+}
+
+// Faults act on the detection snapshot only: a faulty Detect leaves the true
+// cells (Matrix) untouched, so the cross-check, which reads them, still sees
+// the divergence.
+func TestFaultyDetectKeepsTrueCells(t *testing.T) {
+	u := mustNew(t, 3, 3)
+	u.SetGrant(0, 0)
+	u.SetGrant(1, 1)
+	u.SetRequest(0, 1)
+	before := u.Matrix().Clone()
+	if err := u.InjectFault(1, 0, rag.Request); err != nil {
+		t.Fatal(err)
+	}
+	if !u.Detect().Deadlock {
+		t.Fatal("stuck-at fault did not change the verdict")
+	}
+	if !u.Matrix().Equal(before) {
+		t.Errorf("faulty Detect changed the true cells:\n%swant:\n%s", u.Matrix(), before)
+	}
+	if cc := u.CrossCheck(); !cc.Mismatch || !cc.Hardware || cc.Software {
+		t.Errorf("cross-check: %+v", cc)
+	}
+	if !u.Matrix().Equal(before) {
+		t.Error("CrossCheck changed the true cells")
 	}
 }

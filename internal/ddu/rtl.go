@@ -12,9 +12,10 @@ import (
 // the Verilog in generate.go describes (weights settle combinationally; the
 // parallel clear latches on the clock edge).
 //
-// It exists to verify the word-parallel Unit against the emitted structure:
-// both must produce identical deadlock decisions, iteration counts and step
-// counts on every state (see TestRTLEquivalence).  It can also drive the
+// It is the Unit's independent oracle: the Unit runs pdda's word-parallel
+// reduction kernel, the RTL model evaluates the emitted structure cell by
+// cell, and both must produce identical deadlock decisions, iteration counts
+// and step counts on every state (see TestRTLEquivalence).  It can also drive the
 // VCD writer to produce a waveform of a detection run.
 type RTLModel struct {
 	cfg Config

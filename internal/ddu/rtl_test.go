@@ -74,7 +74,7 @@ func TestRTLEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := unit.Load(g.Matrix()); err != nil {
+		if err := unit.Load(g); err != nil {
 			t.Fatal(err)
 		}
 		fast := unit.Detect()

@@ -65,7 +65,7 @@ func TestDumpMatchesUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	u, _ := New(Config{Procs: 6, Resources: 6})
-	if err := u.Load(g.Matrix()); err != nil {
+	if err := u.Load(g); err != nil {
 		t.Fatal(err)
 	}
 	fast := u.Detect()

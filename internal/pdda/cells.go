@@ -1,10 +1,10 @@
 // The per-cell reference engine: terminal reduction and PDDA implemented
 // one Get/Set at a time, exactly as the paper's software model walks shared
 // memory.  It shares no scanning or clearing code with the word-parallel
-// engine in pdda.go, which makes it useful twice over: as the differential
-// oracle the fuzz campaign checks the fast engine against on every seed, and
-// as the baseline the BenchmarkBitset* suite measures the word-parallel
-// speedup from (the ≥10x/≥50x acceptance numbers in BENCH_bitset.json).
+// engine in pdda.go — the one reduction kernel that software PDDA, the DDU
+// and the DAU all run — which makes it that kernel's differential oracle:
+// the fuzz campaign checks the fast engine against it on every seed, and
+// BenchmarkBitsetReduce measures the word-parallel speedup from it.
 
 package pdda
 

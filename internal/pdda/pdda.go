@@ -12,13 +12,15 @@
 // Two engines implement the reduction.  The word-parallel engine (this file)
 // sweeps whole []uint64 word groups per step — terminal rows via packed row
 // summaries, terminal columns via one XOR of the column BWO planes, column
-// clearing via one AND-NOT sweep per row — and, through Scratch/DetectInto,
-// performs zero allocations per detection scan.  The per-cell engine
-// (cells.go) walks the matrix one Get/Set at a time and serves as the
-// differential oracle and benchmark baseline.  Stats counts the ABSTRACT
-// cell operations of the paper's software model in both engines (counted,
-// not performed), so packing words never changes the simulated cost — only
-// the host wall clock.
+// clearing via one AND-NOT sweep per row — and, through a caller-owned
+// Scratch, performs zero allocations per detection scan.  It is the one
+// reduction core of the repository: software PDDA, the DDU model
+// (ddu.Unit, which fills Scratch.Work with its cells and calls DetectWork)
+// and, through the DDU, the DAU all run it.  The per-cell engine (cells.go)
+// walks the matrix one Get/Set at a time and serves as the differential
+// oracle.  Stats counts the ABSTRACT cell operations of the paper's
+// software model in both engines (counted, not performed), so packing words
+// never changes the simulated cost — only the host wall clock.
 package pdda
 
 import (
@@ -100,12 +102,20 @@ func ReduceTraced(mx *rag.Matrix) (k int, stats Stats, trace []StepTrace) {
 	return reduce(mx, &sc, true)
 }
 
+// Work sizes the scratch for an m×n system and returns its working matrix,
+// for a caller that fills the cells itself (a DDU copying its latches and
+// applying stuck-at faults, a detector embedding a smaller graph) before
+// DetectWork.  The matrix stays owned by the scratch.
+func (sc *Scratch) Work(m, n int) *rag.Matrix {
+	sc.ensure(m, n)
+	return sc.work
+}
+
 // ReduceInto copies mx into the scratch working matrix and reduces THAT,
 // leaving mx untouched — the no-Clone() flavor of Reduce.  The reduced
 // matrix stays in the scratch for inspection until the next call.
 func ReduceInto(sc *Scratch, mx *rag.Matrix) (k int, stats Stats) {
-	sc.ensure(mx.M, mx.N)
-	sc.work.CopyFrom(mx)
+	sc.Work(mx.M, mx.N).CopyFrom(mx)
 	k, stats, _ = reduce(sc.work, sc, false)
 	return k, stats
 }
@@ -188,14 +198,8 @@ func Detect(mx *rag.Matrix) (deadlock bool, stats Stats) {
 // into the scratch working matrix (no Clone per scan) and reduced there.
 // Zero allocations once the scratch is warm; Stats is identical to Detect's.
 func DetectInto(sc *Scratch, mx *rag.Matrix) (deadlock bool, stats Stats) {
-	sc.ensure(mx.M, mx.N)
-	sc.work.CopyFrom(mx)
-	stats.CellWrites += mx.M * mx.N // lines 2–6: construct M_ij
-	_, rs, _ := reduce(sc.work, sc, false)
-	stats.Add(rs)
-	deadlock = !sc.work.Empty()
-	stats.CellReads += mx.M * mx.N // lines 8–12: test M_{i,j+k} == [0]
-	return deadlock, stats
+	sc.Work(mx.M, mx.N).CopyFrom(mx)
+	return DetectWork(sc)
 }
 
 // DetectGraph runs PDDA on a Graph by first mapping it to its state matrix
@@ -209,14 +213,21 @@ func DetectGraph(g *rag.Graph) (bool, Stats) {
 // rows) and reduced in place — the steady-state detection path of the fuzz
 // executor and the avoidance arbiters, zero allocations per scan.
 func DetectGraphInto(sc *Scratch, g *rag.Graph) (deadlock bool, stats Stats) {
-	m, n := g.Size()
-	sc.ensure(m, n)
-	g.MatrixInto(sc.work)
-	stats.CellWrites += m * n // lines 2–6: construct M_ij
-	_, rs, _ := reduce(sc.work, sc, false)
+	g.MatrixInto(sc.Work(g.Size()))
+	return DetectWork(sc)
+}
+
+// DetectWork is Algorithm 2 on the scratch working matrix as the caller
+// left it (see Work): it reduces the matrix in place and reports deadlock
+// iff the irreducible matrix is non-empty.  stats.Iterations is the number
+// of reduction steps k.
+func DetectWork(sc *Scratch) (deadlock bool, stats Stats) {
+	mx := sc.work
+	stats.CellWrites += mx.M * mx.N // lines 2–6: construct M_ij
+	_, rs, _ := reduce(mx, sc, false)
 	stats.Add(rs)
-	deadlock = !sc.work.Empty()
-	stats.CellReads += m * n // lines 8–12: test M_{i,j+k} == [0]
+	deadlock = !mx.Empty()
+	stats.CellReads += mx.M * mx.N // lines 8–12: test M_{i,j+k} == [0]
 	return deadlock, stats
 }
 

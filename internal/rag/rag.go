@@ -131,13 +131,6 @@ func (mx *Matrix) Get(s, t int) Cell {
 	return None
 }
 
-// RowWords exposes the packed request and grant planes for row s.  The
-// returned slices alias the matrix storage; callers must treat them as
-// read-only.  This is the fast path used by the hardware model.
-func (mx *Matrix) RowWords(s int) (req, grant []uint64) {
-	return mx.req[s], mx.grant[s]
-}
-
 // Words returns the number of 64-bit words per row.
 func (mx *Matrix) Words() int { return mx.words }
 
@@ -212,15 +205,6 @@ func (mx *Matrix) ClearRow(s int) {
 	for w := 0; w < mx.words; w++ {
 		mx.req[s][w] = 0
 		mx.grant[s][w] = 0
-	}
-}
-
-// ClearColumn zeroes every cell in column t.
-func (mx *Matrix) ClearColumn(t int) {
-	w, b := t/64, uint(t%64)
-	for s := 0; s < mx.M; s++ {
-		mx.req[s][w] &^= 1 << b
-		mx.grant[s][w] &^= 1 << b
 	}
 }
 
@@ -535,20 +519,24 @@ func (g *Graph) Matrix() *Matrix {
 	return mx
 }
 
-// MatrixInto writes the graph's state matrix into a caller-owned matrix of
-// matching dimensions — word copies of the packed request rows plus one
-// grant bit per held resource, no allocation.  This is the scratch-reuse
-// path the periodic detection scan runs on.
+// MatrixInto writes the graph's state matrix into a caller-owned matrix —
+// word copies of the packed request rows plus one grant bit per held
+// resource, no allocation.  This is the scratch-reuse path the periodic
+// detection scan runs on.  A matrix larger than the graph receives the
+// graph in its top-left corner with every spare cell cleared (the paper's
+// experiments run 4-process systems on a 5x5 DDU); a smaller one panics.
 func (g *Graph) MatrixInto(mx *Matrix) {
-	if mx.M != g.m || mx.N != g.n {
+	if mx.M < g.m || mx.N < g.n {
 		panic(fmt.Sprintf("rag: MatrixInto %dx%d graph into %dx%d matrix", g.m, g.n, mx.M, mx.N))
 	}
-	for s := 0; s < g.m; s++ {
-		copy(mx.req[s], g.reqRows[s])
-		grant := mx.grant[s]
-		for w := range grant {
-			grant[w] = 0
+	for s := 0; s < mx.M; s++ {
+		req, grant := mx.req[s], mx.grant[s]
+		clear(grant)
+		if s >= g.m {
+			clear(req)
+			continue
 		}
+		clear(req[copy(req, g.reqRows[s]):])
 		if h := g.grantTo[s]; h != -1 {
 			grant[h/64] |= 1 << (uint(h) % 64)
 		}

@@ -124,9 +124,13 @@ func TestClearRowColumn(t *testing.T) {
 	if mx.Get(1, 2) != Request {
 		t.Error("ClearRow touched other rows")
 	}
-	mx.ClearColumn(2)
+	mx.Set(1, 1, Grant)
+	mx.ClearColumns([]uint64{1 << 2})
 	if mx.Get(1, 2) != None {
-		t.Error("ClearColumn left edges")
+		t.Error("ClearColumns left edges")
+	}
+	if mx.Get(1, 1) != Grant {
+		t.Error("ClearColumns touched other columns")
 	}
 }
 
