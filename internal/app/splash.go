@@ -435,10 +435,3 @@ func NewSoCDMMUAllocator() socdmmu.Allocator {
 	}
 	return u
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

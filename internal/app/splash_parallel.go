@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"deltartos/internal/det"
 	"deltartos/internal/rtos"
 	"deltartos/internal/socdmmu"
 )
@@ -36,9 +37,9 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...Option)
 
 	keys := make([]int, radixN)
 	tmp := make([]int, radixN)
-	rng := newSplitMix(99)
+	rng := det.New(99)
 	for i := range keys {
-		keys[i] = int(rng.next() & 0x7fffffff)
+		keys[i] = int(rng.Uint64() & 0x7fffffff)
 	}
 	ref := append([]int(nil), keys...)
 	chunk := radixN / pes
@@ -138,18 +139,4 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...Option)
 		BarrierWaits: bar.Rounds,
 		Speedup:      float64(seq.TotalCycles) / float64(total),
 	}
-}
-
-// splitMix is a tiny deterministic RNG so parallel and sequential runs use
-// identical keys without sharing math/rand state across goroutines.
-type splitMix struct{ state uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
-
-func (r *splitMix) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -62,16 +62,3 @@ func TestRadixParallelPanicsOnBadPEs(t *testing.T) {
 	}()
 	RunRadixParallel(NewSoCDMMUAllocator, 3) // does not divide radixN
 }
-
-func TestSplitMixDeterministic(t *testing.T) {
-	a, b := newSplitMix(5), newSplitMix(5)
-	for i := 0; i < 100; i++ {
-		if a.next() != b.next() {
-			t.Fatal("splitmix not deterministic")
-		}
-	}
-	c := newSplitMix(6)
-	if newSplitMix(5).next() == c.next() {
-		t.Error("different seeds should differ")
-	}
-}

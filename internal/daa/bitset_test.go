@@ -122,6 +122,35 @@ func TestAvoidancePathsDoNotAllocate(t *testing.T) {
 	}); allocs > 0 {
 		t.Errorf("Avoider request/release allocated %.0f times per cycle, want 0", allocs)
 	}
+
+	// Handover: p0 holds r0 while p1 waits for it, so p0's release hands r0
+	// to p1 through the grant scan; p1's release and p0's re-request restore
+	// the starting state.
+	if _, err := a.Request(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	handover := func() {
+		if r, err := a.Request(1, 0); err != nil || r.Decision != Pending {
+			t.Fatalf("p1 request = %+v, %v; want pending", r, err)
+		}
+		if r, err := a.Release(0, 0); err != nil || r.GrantedTo != 1 {
+			t.Fatalf("p0 release = %+v, %v; want a handover to p1", r, err)
+		}
+		if _, err := a.Release(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Request(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handover() // warm
+	scans := a.Stats().GrantScans
+	if allocs := testing.AllocsPerRun(10, handover); allocs > 0 {
+		t.Errorf("Avoider release handover allocated %.0f times per cycle, want 0", allocs)
+	}
+	if a.Stats().GrantScans == scans {
+		t.Error("handover probe never ran the grant scan")
+	}
 }
 
 // A deliberately unsafe configuration both engines must refuse: two

@@ -132,6 +132,7 @@ type Avoider struct {
 	psc      pdda.Scratch
 	prio     []Priority
 	deny     map[[2]int]int // consecutive give-up answers per (proc, res)
+	waiters  []int          // Release's requester buffer, reused per event
 	stats    Stats
 	detector func(*rag.Graph) bool
 }
@@ -284,16 +285,16 @@ func (a *Avoider) Release(p, q int) (ReleaseResult, error) {
 		return res, err
 	}
 
-	waiters := a.g.Requesters(q)
-	if len(waiters) == 0 {
+	a.waiters = a.g.AppendRequesters(a.waiters[:0], q)
+	if len(a.waiters) == 0 {
 		// Lines 23-24: nobody waiting; the resource becomes available.
 		return res, nil
 	}
 
 	// Lines 17-22: try waiters from highest priority down; the first whose
 	// tentative grant does not cause G-dl receives the resource.
-	order := a.byPriority(waiters)
-	for i, w := range order {
+	a.sortByPriority(a.waiters)
+	for i, w := range a.waiters {
 		a.stats.GrantScans++
 		a.trial.CopyFrom(a.g)
 		if err := a.trial.SetGrant(q, w); err != nil {
@@ -364,10 +365,9 @@ func (a *Avoider) checkIDs(p, q int) error {
 	return nil
 }
 
-// byPriority orders process ids by descending importance (highest priority
-// first), breaking ties by process id for determinism.
-func (a *Avoider) byPriority(ps []int) []int {
-	out := append([]int(nil), ps...)
+// sortByPriority orders process ids in place by descending importance
+// (highest priority first), breaking ties by process id for determinism.
+func (a *Avoider) sortByPriority(out []int) {
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
 			pj, pj1 := out[j], out[j-1]
@@ -379,5 +379,4 @@ func (a *Avoider) byPriority(ps []int) []int {
 			}
 		}
 	}
-	return out
 }

@@ -226,6 +226,31 @@ func TestRequestReleaseDoNotAllocate(t *testing.T) {
 	if u.dd.Detections == detections {
 		t.Error("probe never ran the embedded DDU")
 	}
+
+	// Handover: p1 waits for r0 while p0 holds it, so p0's release hands r0
+	// to p1 through the DDU-vetted grant scan; p1's release and p0's
+	// re-request restore the starting state.
+	if _, _, err := u.Request(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	handover := func() {
+		if st, _, err := u.Request(1, 0); err != nil || !st.Pending {
+			t.Fatalf("p1 request = %+v, %v; want pending", st, err)
+		}
+		if st, _, err := u.Release(0, 0); err != nil || st.GrantedTo != 1 {
+			t.Fatalf("p0 release = %+v, %v; want a handover to p1", st, err)
+		}
+		if _, _, err := u.Release(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := u.Request(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handover() // warm
+	if allocs := testing.AllocsPerRun(10, handover); allocs > 0 {
+		t.Errorf("DAU release handover allocated %.0f times per cycle, want 0", allocs)
+	}
 }
 
 func TestWorstCaseStepsTable2(t *testing.T) {

@@ -320,10 +320,3 @@ func (nl *Netlist) AddPriorityEncoder(inputs int) {
 		nl.AddWideAND(min(i+1, 4))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -455,17 +455,19 @@ func (g *Graph) Release(s, t int) error {
 }
 
 // Requesters returns the processes with request edges to q_s, ascending.
-func (g *Graph) Requesters(s int) []int {
+func (g *Graph) Requesters(s int) []int { return g.AppendRequesters(nil, s) }
+
+// AppendRequesters appends the processes requesting resource s, ascending,
+// to dst and returns the extended slice (Requesters into a reused buffer).
+func (g *Graph) AppendRequesters(dst []int, s int) []int {
 	g.checkRes(s)
-	var out []int
-	row := g.reqRows[s]
-	for w, word := range row {
+	for w, word := range g.reqRows[s] {
 		for word != 0 {
-			out = append(out, w*64+bits.TrailingZeros64(word))
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
 			word &= word - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // HeldBy returns the resources currently granted to process t, ascending.

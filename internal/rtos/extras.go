@@ -80,7 +80,8 @@ func (k *Kernel) rotate(pe int) {
 }
 
 // Barrier synchronizes n tasks: each Wait blocks until all n arrive, then
-// every waiter is released (sense-reversing, reusable).
+// every waiter is released (sense-reversing, reusable).  Its waiters stay in
+// arrival order, not in a WaitQueue: the release readies them in that order.
 type Barrier struct {
 	k       *Kernel
 	Name    string
@@ -106,9 +107,12 @@ func (k *Kernel) NewBarrier(name string, n int) *Barrier {
 // participants are not counted against a corpse (Kernel.Kill).  Note the
 // barrier still expects n participants on future rounds.
 func (b *Barrier) purgeTask(t *Task) {
-	var ok bool
-	if b.waiters, ok = removeTask(b.waiters, t); ok {
-		b.arrived--
+	for i, w := range b.waiters {
+		if w == t {
+			b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
+			b.arrived--
+			return
+		}
 	}
 }
 

@@ -96,20 +96,56 @@ func (ps *peerSet) others(t *Task) []*Task {
 	return out
 }
 
-func taskIn(ws []*Task, t *Task) bool {
-	for _, w := range ws {
-		if w == t {
-			return true
+// timedWait is the scaffolding of one blocking IPC operation on endpoint ep,
+// bounded by deadline (noDeadline blocks forever).  The operation loops on
+// its own ready condition, calling park once per block; it ends with
+// timeout when park gives up, or with end once the condition holds.
+type timedWait struct {
+	c        *TaskCtx
+	ep       string
+	deadline sim.Cycles
+	armed    bool // a wakeup timer is pending for the deadline
+}
+
+// park blocks the task once on l (nil: on no list) as prefix+ep.  It reports
+// false, without blocking, once the deadline has passed; the first block of a
+// bounded operation arms the deadline timer.
+func (w *timedWait) park(l waitList, prefix string) bool {
+	if w.deadline != noDeadline {
+		if w.c.p.Now() >= w.deadline {
+			return false
+		}
+		if !w.armed {
+			w.c.armWakeup(w.deadline)
+			w.armed = true
 		}
 	}
-	return false
+	w.c.k.ipcTrace(w.c.t, "block", w.ep)
+	w.c.parkOn(l, prefix+w.ep)
+	return true
+}
+
+// end invalidates the deadline timer, if one was armed.  Every non-unwind
+// exit of the operation must end it: a stale timer firing into a later
+// unrelated block would steal that block's wakeup.
+func (w *timedWait) end() {
+	if w.armed {
+		w.c.t.gen++
+	}
+}
+
+// timeout ends an operation that park gave up on: the timer is cancelled,
+// the endpoint's timeout counter bumped and the timeout traced.
+func (w *timedWait) timeout(timeouts *int) {
+	w.end()
+	*timeouts++
+	w.c.k.ipcTrace(w.c.t, "timeout", w.ep)
 }
 
 // armWakeup schedules a one-shot timer that re-readies the task at deadline
 // if it is still blocked then.  The timer is guarded by the task's sleep
-// generation; cancelWakeup (or any later Sleep/Compute/Restart) invalidates
-// it.  Callers MUST cancel on every non-unwind exit path: a stale timer
-// firing into a later unrelated block would steal that block's wakeup.
+// generation, which timedWait.end (or any later Sleep/Compute/Restart)
+// advances.
 func (c *TaskCtx) armWakeup(deadline sim.Cycles) {
 	t := c.t
 	t.gen++
@@ -124,40 +160,87 @@ func (c *TaskCtx) armWakeup(deadline sim.Cycles) {
 	})
 }
 
-// cancelWakeup invalidates any timer armed by armWakeup.
-func (c *TaskCtx) cancelWakeup() { c.t.gen++ }
-
-// Mailbox is a single-slot message box: Send blocks while full, Recv blocks
-// while empty.
-type Mailbox struct {
-	k       *Kernel
-	Name    string
-	msg     interface{}
-	full    bool
-	readers []*Task
-	writers []*Task
-
-	senders   peerSet // tasks observed/declared on the sending side
-	receivers peerSet // tasks observed/declared on the receiving side
-	inFlight  int     // fault-delayed deliveries not yet landed
-
+// endpoint is what Mailbox and Queue share: the reader and writer wait
+// queues, the peer sets of the wait-for graph, the fault-delayed deliveries
+// in flight, and the message counters.
+type endpoint struct {
+	k                *Kernel
+	Name             string
+	readers, writers WaitQueue
+	senders          peerSet // tasks observed/declared on the sending side
+	receivers        peerSet // tasks observed/declared on the receiving side
+	inFlight         int     // fault-delayed deliveries not yet landed
 	// Instrumentation.
 	Sends, Recvs, Timeouts, Dropped, Delayed int
 }
 
+// BindSender declares t a sender on this endpoint without an operation having
+// been observed yet (scenario topology declarations for the wait-for graph).
+func (e *endpoint) BindSender(t *Task) { e.senders.add(t) }
+
+// BindReceiver declares t a receiver on this endpoint.
+func (e *endpoint) BindReceiver(t *Task) { e.receivers.add(t) }
+
+// deliverer lands one message on an endpoint and wakes its best reader.
+type deliverer interface{ deliver(msg interface{}) }
+
+// faultedSend opens a send on the endpoint: it charges the service, records
+// the sender and consults the IPC fault injector.  A dropped message is lost
+// in flight and a delayed one is handed to a timer proc that lands it on d;
+// either way the sender believes it delivered, and sent reports the send
+// complete.  Otherwise the returned fault (a duplicate, at most) applies to
+// the caller's own delivery.
+func (e *endpoint) faultedSend(c *TaskCtx, msg interface{}, d deliverer) (f IPCFault, sent bool) {
+	c.serviceOverhead(4)
+	t := c.t
+	e.senders.add(t)
+	f = c.k.sendFault(e.Name, t)
+	if f.Drop {
+		e.Sends++
+		e.Dropped++
+		c.k.ipcTrace(t, "send", e.Name)
+		return f, true
+	}
+	if f.Delay > 0 {
+		e.Sends++
+		e.Delayed++
+		e.inFlight++
+		delay := f.Delay
+		c.k.S.Spawn(fmt.Sprintf("ipcdly.%s.%d", e.Name, e.Delayed), -1, func(tp *sim.Proc) {
+			tp.Delay(delay)
+			e.inFlight--
+			d.deliver(msg)
+		})
+		c.k.ipcTrace(t, "send", e.Name)
+		return f, true
+	}
+	return f, false
+}
+
+// readerPeers is the reader half of waitPeers: a blocked reader waits on the
+// endpoint's senders, unless a fault-delayed delivery is in flight — its
+// timer proc will wake a reader without any task's help.
+func (e *endpoint) readerPeers(t *Task, kind string) ([]*Task, string, bool) {
+	if e.inFlight > 0 {
+		return nil, "", false
+	}
+	return e.senders.others(t), kind + e.Name, true
+}
+
+// Mailbox is a single-slot message box: Send blocks while full, Recv blocks
+// while empty.
+type Mailbox struct {
+	endpoint
+	msg  interface{}
+	full bool
+}
+
 // NewMailbox creates an empty mailbox.
 func (k *Kernel) NewMailbox(name string) *Mailbox {
-	m := &Mailbox{k: k, Name: name}
+	m := &Mailbox{endpoint: endpoint{k: k, Name: name}}
 	k.syncObjs = append(k.syncObjs, m)
 	return m
 }
-
-// BindSender declares t a sender on this mailbox without an operation having
-// been observed yet (scenario topology declarations for the wait-for graph).
-func (m *Mailbox) BindSender(t *Task) { m.senders.add(t) }
-
-// BindReceiver declares t a receiver on this mailbox.
-func (m *Mailbox) BindReceiver(t *Task) { m.receivers.add(t) }
 
 // purgeTask drops a killed task from both wait queues (Kernel.Kill).  If the
 // victim had already been chosen as the wakee of a hand-off (popped from a
@@ -165,32 +248,22 @@ func (m *Mailbox) BindReceiver(t *Task) { m.receivers.add(t) }
 // free slot it was woken for would otherwise be stranded while the remaining
 // waiters sleep — so the wake is re-issued to the next eligible waiter.
 func (m *Mailbox) purgeTask(t *Task) {
-	m.readers, _ = removeTask(m.readers, t)
-	m.writers, _ = removeTask(m.writers, t)
-	if m.full && len(m.readers) > 0 {
-		r := m.readers[0]
-		m.readers = m.readers[1:]
-		m.k.makeReady(r)
-	}
-	if !m.full && len(m.writers) > 0 {
-		w := m.writers[0]
-		m.writers = m.writers[1:]
-		m.k.makeReady(w)
+	m.readers.Remove(t)
+	m.writers.Remove(t)
+	if m.full {
+		m.k.wakeHead(&m.readers)
+	} else {
+		m.k.wakeHead(&m.writers)
 	}
 }
 
 // waitPeers implements waitNode: the tasks that could wake t out of this
 // mailbox, given which side it is blocked on.
 func (m *Mailbox) waitPeers(t *Task) ([]*Task, string, bool) {
-	if taskIn(m.readers, t) {
-		if m.inFlight > 0 {
-			// A fault-delayed delivery is still in flight; its timer proc will
-			// wake a reader without any task's help.
-			return nil, "", false
-		}
-		return m.senders.others(t), "mbox:" + m.Name, true
+	if m.readers.Has(t) {
+		return m.readerPeers(t, "mbox:")
 	}
-	if taskIn(m.writers, t) {
+	if m.writers.Has(t) {
 		return m.receivers.others(t), "mbox:" + m.Name, true
 	}
 	return nil, "", false
@@ -202,18 +275,13 @@ func (m *Mailbox) ipcEndpoint() bool { return true }
 // the normal send path and by fault-delayed deliveries (which lose the
 // message if the slot refilled in the meantime — a delayed message has no
 // sender left to block).
-func (m *Mailbox) deliver(msg interface{}) bool {
+func (m *Mailbox) deliver(msg interface{}) {
 	if m.full {
-		return false
+		return
 	}
 	m.msg = msg
 	m.full = true
-	if len(m.readers) > 0 {
-		r := m.readers[0]
-		m.readers = m.readers[1:]
-		m.k.makeReady(r)
-	}
-	return true
+	m.k.wakeHead(&m.readers)
 }
 
 // Send deposits msg, blocking while the box is full.
@@ -229,61 +297,20 @@ func (m *Mailbox) SendTimeout(c *TaskCtx, msg interface{}, wait sim.Cycles) bool
 
 // sendCommon implements Send and SendTimeout; deadline == noDeadline blocks forever.
 func (m *Mailbox) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) bool {
-	c.serviceOverhead(4)
-	t := c.t
-	m.senders.add(t)
-	f := c.k.sendFault(m.Name, t)
-	if f.Drop {
-		// Lost in flight: the sender believes it delivered.
-		m.Sends++
-		m.Dropped++
-		c.k.ipcTrace(t, "send", m.Name)
+	if _, sent := m.faultedSend(c, msg, m); sent {
 		return true
 	}
-	if f.Delay > 0 {
-		m.Sends++
-		m.Delayed++
-		m.inFlight++
-		d := f.Delay
-		c.k.S.Spawn(fmt.Sprintf("ipcdly.%s.%d", m.Name, m.Delayed), -1, func(tp *sim.Proc) {
-			tp.Delay(d)
-			m.inFlight--
-			m.deliver(msg) // lost if the slot refilled meanwhile
-		})
-		c.k.ipcTrace(t, "send", m.Name)
-		return true
-	}
-	armed := false
+	w := timedWait{c: c, ep: m.Name, deadline: deadline}
 	for m.full {
-		if deadline != noDeadline && c.p.Now() >= deadline {
-			if armed {
-				c.cancelWakeup()
-			}
-			m.Timeouts++
-			c.k.ipcTrace(t, "timeout", m.Name)
+		if !w.park(&m.writers, "mbox-send:") {
+			w.timeout(&m.Timeouts)
 			return false
 		}
-		if deadline != noDeadline && !armed {
-			c.armWakeup(deadline)
-			armed = true
-		}
-		m.writers = insertByPriority(m.writers, t)
-		c.k.ipcTrace(t, "block", m.Name)
-		c.k.blockCurrent(t, "mbox-send:"+m.Name)
-		for t.state == StateBlocked {
-			t.sig.Wait(c.p)
-		}
-		// A timeout wake leaves the task queued; a hand-off wake already
-		// popped it (this is then a no-op).
-		m.writers, _ = removeTask(m.writers, t)
-		c.ensureRunning()
 	}
-	if armed {
-		c.cancelWakeup()
-	}
+	w.end()
 	m.deliver(msg)
 	m.Sends++
-	c.k.ipcTrace(t, "send", m.Name)
+	c.k.ipcTrace(c.t, "send", m.Name)
 	return true
 }
 
@@ -302,45 +329,16 @@ func (m *Mailbox) RecvTimeout(c *TaskCtx, wait sim.Cycles) (interface{}, bool) {
 // recvCommon implements Recv and RecvTimeout; deadline == noDeadline blocks forever.
 func (m *Mailbox) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) {
 	c.serviceOverhead(4)
-	t := c.t
-	m.receivers.add(t)
-	armed := false
+	m.receivers.add(c.t)
+	w := timedWait{c: c, ep: m.Name, deadline: deadline}
 	for !m.full {
-		if deadline != noDeadline && c.p.Now() >= deadline {
-			if armed {
-				c.cancelWakeup()
-			}
-			m.Timeouts++
-			c.k.ipcTrace(t, "timeout", m.Name)
+		if !w.park(&m.readers, "mbox-recv:") {
+			w.timeout(&m.Timeouts)
 			return nil, false
 		}
-		if deadline != noDeadline && !armed {
-			c.armWakeup(deadline)
-			armed = true
-		}
-		m.readers = insertByPriority(m.readers, t)
-		c.k.ipcTrace(t, "block", m.Name)
-		c.k.blockCurrent(t, "mbox-recv:"+m.Name)
-		for t.state == StateBlocked {
-			t.sig.Wait(c.p)
-		}
-		m.readers, _ = removeTask(m.readers, t)
-		c.ensureRunning()
 	}
-	if armed {
-		c.cancelWakeup()
-	}
-	msg := m.msg
-	m.msg = nil
-	m.full = false
-	m.Recvs++
-	c.k.ipcTrace(t, "recv", m.Name)
-	if len(m.writers) > 0 {
-		w := m.writers[0]
-		m.writers = m.writers[1:]
-		c.k.makeReady(w)
-	}
-	return msg, true
+	w.end()
+	return m.take(c), true
 }
 
 // TryRecv takes the message without blocking; ok reports success.
@@ -350,17 +348,18 @@ func (m *Mailbox) TryRecv(c *TaskCtx) (msg interface{}, ok bool) {
 	if !m.full {
 		return nil, false
 	}
-	msg = m.msg
+	return m.take(c), true
+}
+
+// take empties the full slot and wakes the best writer.
+func (m *Mailbox) take(c *TaskCtx) interface{} {
+	msg := m.msg
 	m.msg = nil
 	m.full = false
 	m.Recvs++
 	c.k.ipcTrace(c.t, "recv", m.Name)
-	if len(m.writers) > 0 {
-		w := m.writers[0]
-		m.writers = m.writers[1:]
-		c.k.makeReady(w)
-	}
-	return msg, true
+	c.k.wakeHead(&m.writers)
+	return msg
 }
 
 // rvItem is one pending rendezvous offer on a capacity-0 queue: the sender
@@ -375,21 +374,14 @@ type rvItem struct {
 // Queue is a bounded FIFO message queue.  Capacity 0 makes it a synchronous
 // rendezvous channel: Send blocks until a receiver takes the message.
 type Queue struct {
-	k        *Kernel
-	Name     string
+	endpoint
 	cap      int
 	items    []interface{}
-	rv       []*rvItem // pending rendezvous offers (capacity 0 only)
-	readers  []*Task
-	writers  []*Task
+	rv       []*rvItem  // pending rendezvous offers (capacity 0 only)
 	jamUntil sim.Cycles // stuck-full fault: report full until this cycle
 
-	senders   peerSet
-	receivers peerSet
-	inFlight  int // fault-delayed deliveries not yet landed
-
 	// Instrumentation.
-	Sends, Recvs, HighWater, Timeouts, Dropped, Delayed, Duped int
+	HighWater, Duped int
 }
 
 // NewQueue creates a queue with the given capacity (0 = rendezvous).
@@ -397,7 +389,7 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 	if capacity < 0 {
 		panic("rtos: negative queue capacity")
 	}
-	q := &Queue{k: k, Name: name, cap: capacity}
+	q := &Queue{endpoint: endpoint{k: k, Name: name}, cap: capacity}
 	k.syncObjs = append(k.syncObjs, q)
 	return q
 }
@@ -408,19 +400,13 @@ func (q *Queue) Cap() int { return q.cap }
 // Len returns the number of queued messages.
 func (q *Queue) Len() int { return len(q.items) }
 
-// BindSender declares t a sender on this queue (wait-for graph topology).
-func (q *Queue) BindSender(t *Task) { q.senders.add(t) }
-
-// BindReceiver declares t a receiver on this queue.
-func (q *Queue) BindReceiver(t *Task) { q.receivers.add(t) }
-
 // purgeTask drops a killed task from both wait queues and withdraws its
 // pending rendezvous offers (Kernel.Kill).  As with Mailbox.purgeTask, a
 // wake the victim had already consumed is re-issued to the next eligible
 // waiter so no message or slot is stranded.
 func (q *Queue) purgeTask(t *Task) {
-	q.readers, _ = removeTask(q.readers, t)
-	q.writers, _ = removeTask(q.writers, t)
+	q.readers.Remove(t)
+	q.writers.Remove(t)
 	kept := q.rv[:0]
 	for _, it := range q.rv {
 		if it.sender == t && !it.taken {
@@ -429,37 +415,29 @@ func (q *Queue) purgeTask(t *Task) {
 		kept = append(kept, it)
 	}
 	q.rv = kept
-	if q.recvReady() && len(q.readers) > 0 {
-		r := q.readers[0]
-		q.readers = q.readers[1:]
-		q.k.makeReady(r)
+	if q.recvReady() {
+		q.k.wakeHead(&q.readers)
 	}
-	if q.cap > 0 && !q.sendBlocked() && len(q.writers) > 0 {
-		w := q.writers[0]
-		q.writers = q.writers[1:]
-		q.k.makeReady(w)
+	if q.cap > 0 && !q.sendBlocked() {
+		q.k.wakeHead(&q.writers)
 	}
 }
 
 // waitPeers implements waitNode for all three blocked positions: reader,
 // writer waiting for space, rendezvous sender waiting for a taker.
 func (q *Queue) waitPeers(t *Task) ([]*Task, string, bool) {
-	ep := "queue:" + q.Name
-	if taskIn(q.readers, t) {
-		if q.inFlight > 0 {
-			return nil, "", false // a delayed delivery will land on its own
-		}
-		return q.senders.others(t), ep, true
+	if q.readers.Has(t) {
+		return q.readerPeers(t, "queue:")
 	}
-	if taskIn(q.writers, t) {
+	if q.writers.Has(t) {
 		if q.k.S.Now() < q.jamUntil {
 			return nil, "", false // the jam-expiry proc will wake a writer
 		}
-		return q.receivers.others(t), ep, true
+		return q.receivers.others(t), "queue:" + q.Name, true
 	}
 	for _, it := range q.rv {
 		if it.sender == t && !it.taken {
-			return q.receivers.others(t), ep, true
+			return q.receivers.others(t), "queue:" + q.Name, true
 		}
 	}
 	return nil, "", false
@@ -510,10 +488,8 @@ func (q *Queue) Jam(d sim.Cycles) {
 		if q.jamUntil != until {
 			return // a later jam extended the deadline; its proc will unjam
 		}
-		if !q.sendBlocked() && len(q.writers) > 0 {
-			w := q.writers[0]
-			q.writers = q.writers[1:]
-			q.k.makeReady(w)
+		if !q.sendBlocked() {
+			q.k.wakeHead(&q.writers)
 		}
 	})
 }
@@ -531,11 +507,7 @@ func (q *Queue) deliver(msg interface{}) {
 			q.HighWater = len(q.items)
 		}
 	}
-	if len(q.readers) > 0 {
-		r := q.readers[0]
-		q.readers = q.readers[1:]
-		q.k.makeReady(r)
-	}
+	q.k.wakeHead(&q.readers)
 }
 
 // Send enqueues msg, blocking while the queue is full (capacity 0: until a
@@ -553,103 +525,39 @@ func (q *Queue) SendTimeout(c *TaskCtx, msg interface{}, wait sim.Cycles) bool {
 
 // sendCommon implements Send and SendTimeout; deadline == noDeadline blocks forever.
 func (q *Queue) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) bool {
-	c.serviceOverhead(4)
-	t := c.t
-	q.senders.add(t)
-	f := c.k.sendFault(q.Name, t)
-	if f.Drop {
-		q.Sends++
-		q.Dropped++
-		c.k.ipcTrace(t, "send", q.Name)
+	f, sent := q.faultedSend(c, msg, q)
+	if sent {
 		return true
 	}
-	if f.Delay > 0 {
-		q.Sends++
-		q.Delayed++
-		q.inFlight++
-		d := f.Delay
-		c.k.S.Spawn(fmt.Sprintf("ipcdly.%s.%d", q.Name, q.Delayed), -1, func(tp *sim.Proc) {
-			tp.Delay(d)
-			q.inFlight--
-			q.deliver(msg)
-		})
-		c.k.ipcTrace(t, "send", q.Name)
-		return true
-	}
-	armed := false
+	w := timedWait{c: c, ep: q.Name, deadline: deadline}
 	for q.sendBlocked() {
-		if deadline != noDeadline && c.p.Now() >= deadline {
-			if armed {
-				c.cancelWakeup()
-			}
-			q.Timeouts++
-			c.k.ipcTrace(t, "timeout", q.Name)
+		if !w.park(&q.writers, "queue-send:") {
+			w.timeout(&q.Timeouts)
 			return false
 		}
-		if deadline != noDeadline && !armed {
-			c.armWakeup(deadline)
-			armed = true
-		}
-		q.writers = insertByPriority(q.writers, t)
-		c.k.ipcTrace(t, "block", q.Name)
-		c.k.blockCurrent(t, "queue-send:"+q.Name)
-		for t.state == StateBlocked {
-			t.sig.Wait(c.p)
-		}
-		q.writers, _ = removeTask(q.writers, t)
-		c.ensureRunning()
 	}
 	if q.cap == 0 {
 		// Rendezvous: park beside the offer until a receiver takes it.
-		it := &rvItem{msg: msg, sender: t}
+		it := &rvItem{msg: msg, sender: c.t}
 		q.rv = append(q.rv, it)
-		if len(q.readers) > 0 {
-			r := q.readers[0]
-			q.readers = q.readers[1:]
-			c.k.makeReady(r)
-		}
+		q.k.wakeHead(&q.readers)
 		for !it.taken {
-			if deadline != noDeadline && c.p.Now() >= deadline {
+			if !w.park(nil, "queue-rv:") {
 				q.rv, _ = removeRv(q.rv, it)
-				if armed {
-					c.cancelWakeup()
-				}
-				q.Timeouts++
-				c.k.ipcTrace(t, "timeout", q.Name)
+				w.timeout(&q.Timeouts)
 				return false
 			}
-			if deadline != noDeadline && !armed {
-				c.armWakeup(deadline)
-				armed = true
-			}
-			c.k.ipcTrace(t, "block", q.Name)
-			c.k.blockCurrent(t, "queue-rv:"+q.Name)
-			for t.state == StateBlocked {
-				t.sig.Wait(c.p)
-			}
-			c.ensureRunning()
 		}
-		if armed {
-			c.cancelWakeup()
-		}
-		q.Sends++
-		if f.Dup {
-			q.Duped++
-			q.deliver(msg)
-		}
-		c.k.ipcTrace(t, "send", q.Name)
-		return true
+	} else {
+		q.deliver(msg)
 	}
-	if armed {
-		c.cancelWakeup()
-	}
-	q.deliver(msg)
+	w.end()
 	q.Sends++
 	if f.Dup {
 		q.Duped++
 		q.deliver(msg)
 	}
-	c.k.ipcTrace(t, "send", q.Name)
+	c.k.ipcTrace(c.t, "send", q.Name)
 	return true
 }
 
@@ -677,42 +585,21 @@ func (q *Queue) RecvTimeout(c *TaskCtx, wait sim.Cycles) (interface{}, bool) {
 // recvCommon implements Recv and RecvTimeout; deadline == noDeadline blocks forever.
 func (q *Queue) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) {
 	c.serviceOverhead(4)
-	t := c.t
-	q.receivers.add(t)
-	armed := false
+	q.receivers.add(c.t)
+	w := timedWait{c: c, ep: q.Name, deadline: deadline}
 	for !q.recvReady() {
-		if deadline != noDeadline && c.p.Now() >= deadline {
-			if armed {
-				c.cancelWakeup()
-			}
-			q.Timeouts++
-			c.k.ipcTrace(t, "timeout", q.Name)
+		if !w.park(&q.readers, "queue-recv:") {
+			w.timeout(&q.Timeouts)
 			return nil, false
 		}
-		if deadline != noDeadline && !armed {
-			c.armWakeup(deadline)
-			armed = true
-		}
-		q.readers = insertByPriority(q.readers, t)
-		c.k.ipcTrace(t, "block", q.Name)
-		c.k.blockCurrent(t, "queue-recv:"+q.Name)
-		for t.state == StateBlocked {
-			t.sig.Wait(c.p)
-		}
-		q.readers, _ = removeTask(q.readers, t)
-		c.ensureRunning()
 	}
-	if armed {
-		c.cancelWakeup()
-	}
+	w.end()
 	var msg interface{}
 	if len(q.items) > 0 {
 		msg = q.items[0]
 		q.items = q.items[1:]
-		if len(q.writers) > 0 && !q.sendBlocked() {
-			w := q.writers[0]
-			q.writers = q.writers[1:]
-			c.k.makeReady(w)
+		if !q.sendBlocked() {
+			q.k.wakeHead(&q.writers)
 		}
 	} else {
 		// Rendezvous: take the oldest pending offer and release its sender.
@@ -730,11 +617,13 @@ func (q *Queue) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) 
 		}
 	}
 	q.Recvs++
-	c.k.ipcTrace(t, "recv", q.Name)
+	c.k.ipcTrace(c.t, "recv", q.Name)
 	return msg, true
 }
 
 // EventFlags is a group of 32 event bits with wait-any/wait-all semantics.
+// Its waiters stay in arrival order, not in a WaitQueue: Set releases every
+// satisfied waiter, in the order they began waiting.
 type EventFlags struct {
 	k     *Kernel
 	Name  string
@@ -747,10 +636,26 @@ type EventFlags struct {
 	Sets, Waits, Timeouts int
 }
 
+// eventWait is one task's pending wait on an event group.  It is the
+// waitList the task parks on: Push registers it with the group, Remove
+// withdraws it.
 type eventWait struct {
+	e    *EventFlags
 	t    *Task
 	mask uint32
 	all  bool
+}
+
+func (w *eventWait) Push(*Task) { w.e.waits = append(w.e.waits, w) }
+
+func (w *eventWait) Remove(*Task) bool {
+	for i, x := range w.e.waits {
+		if x == w {
+			w.e.waits = append(w.e.waits[:i], w.e.waits[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // NewEventFlags creates an event group with all bits clear.
@@ -840,44 +745,15 @@ func (e *EventFlags) WaitTimeout(c *TaskCtx, mask uint32, all bool, wait sim.Cyc
 func (e *EventFlags) waitCommon(c *TaskCtx, mask uint32, all bool, deadline sim.Cycles) (uint32, bool) {
 	c.serviceOverhead(3)
 	e.Waits++
-	t := c.t
-	w := &eventWait{t: t, mask: mask, all: all}
-	armed := false
-	for !w.satisfied(e.bits) {
-		if deadline != noDeadline && c.p.Now() >= deadline {
-			if armed {
-				c.cancelWakeup()
-			}
-			e.Timeouts++
-			c.k.ipcTrace(t, "timeout", e.Name)
+	ew := &eventWait{e: e, t: c.t, mask: mask, all: all}
+	w := timedWait{c: c, ep: e.Name, deadline: deadline}
+	for !ew.satisfied(e.bits) {
+		if !w.park(ew, "events:") {
+			w.timeout(&e.Timeouts)
 			return e.bits & mask, false
 		}
-		if deadline != noDeadline && !armed {
-			c.armWakeup(deadline)
-			armed = true
-		}
-		e.waits = append(e.waits, w)
-		c.k.ipcTrace(t, "block", e.Name)
-		c.k.blockCurrent(t, "events:"+e.Name)
-		for t.state == StateBlocked {
-			t.sig.Wait(c.p)
-		}
-		// A timeout wake leaves the wait registered; Set removed it.
-		e.removeWait(w)
-		c.ensureRunning()
 	}
-	if armed {
-		c.cancelWakeup()
-	}
-	c.k.ipcTrace(t, "wait", e.Name)
+	w.end()
+	c.k.ipcTrace(c.t, "wait", e.Name)
 	return e.bits & mask, true
-}
-
-func (e *EventFlags) removeWait(w *eventWait) {
-	for i, x := range e.waits {
-		if x == w {
-			e.waits = append(e.waits[:i], e.waits[i+1:]...)
-			return
-		}
-	}
 }

@@ -323,16 +323,24 @@ func (k *Kernel) exitTask(t *Task) {
 	}
 }
 
-// blockCurrent parks the PE's current task (state Blocked, on `what`) and
-// dispatches the next ready task.  Must be called from t's own context.
-func (k *Kernel) blockCurrent(t *Task, what string) {
-	// A task preempted between its service's bus charges and the actual
-	// block point arrives here Ready: drop it from the ready queue or it
-	// would be dispatched again while blocked.
+// vacate takes t off its PE into state st, tracing what, and dispatches the
+// next ready task.  A task preempted between its service's bus charges and
+// the point where it leaves the CPU arrives here Ready: it is dropped from
+// the ready queue, or it would be dispatched again while away.
+func (k *Kernel) vacate(t *Task, st TaskState, what string) {
 	if t.state == StateReady {
 		k.readyRemove(t)
 	}
-	t.state = StateBlocked
+	t.state = st
+	k.trace(t.PE, t.Name, what)
+	if k.current[t.PE] == t {
+		k.reschedule(t.PE)
+	}
+}
+
+// blockCurrent parks the PE's current task (state Blocked, on `what`) and
+// dispatches the next ready task.  Must be called from t's own context.
+func (k *Kernel) blockCurrent(t *Task, what string) {
 	t.blockedOn = what
 	// Open a blocking episode for the static↔runtime cross-check: the
 	// blocked cycles accumulate into block.* trace counters when the task
@@ -343,10 +351,7 @@ func (k *Kernel) blockCurrent(t *Task, what string) {
 		t.blockAttrib = true
 		t.blockStart = k.S.Now()
 	}
-	k.trace(t.PE, t.Name, "block:"+what)
-	if k.current[t.PE] == t {
-		k.reschedule(t.PE)
-	}
+	k.vacate(t, StateBlocked, "block:"+what)
 }
 
 // endBlockEpisode closes an open blocking episode, crediting the blocked
@@ -642,14 +647,7 @@ func (c *TaskCtx) BusWrite(words int) {
 func (c *TaskCtx) Sleep(dt sim.Cycles) {
 	c.serviceOverhead(2)
 	t := c.t
-	if t.state == StateReady {
-		c.k.readyRemove(t)
-	}
-	t.state = StateSleeping
-	c.k.trace(t.PE, t.Name, "sleep")
-	if c.k.current[t.PE] == t {
-		c.k.reschedule(t.PE)
-	}
+	c.k.vacate(t, StateSleeping, "sleep")
 	t.gen++
 	g := t.gen
 	c.k.S.Spawn(fmt.Sprintf("slp.%s.%d", t.Name, g), -1, func(tp *sim.Proc) {
@@ -658,7 +656,7 @@ func (c *TaskCtx) Sleep(dt sim.Cycles) {
 			c.k.makeReady(t)
 		}
 	})
-	c.waitUntilRunnable()
+	c.ensureRunning()
 }
 
 // SleepUntil blocks until the given absolute time (no-op if already past).
@@ -668,11 +666,6 @@ func (c *TaskCtx) SleepUntil(deadline sim.Cycles) {
 		return
 	}
 	c.Sleep(deadline - now)
-}
-
-// waitUntilRunnable parks until the scheduler runs the task again.
-func (c *TaskCtx) waitUntilRunnable() {
-	c.ensureRunning()
 }
 
 // Yield voluntarily rotates the task to the back of its priority class
@@ -697,14 +690,7 @@ func (c *TaskCtx) Yield() {
 func (c *TaskCtx) Suspend() {
 	c.serviceOverhead(2)
 	t := c.t
-	if t.state == StateReady {
-		c.k.readyRemove(t)
-	}
-	t.state = StateSuspended
-	c.k.trace(t.PE, t.Name, "suspend")
-	if c.k.current[t.PE] == t {
-		c.k.reschedule(t.PE)
-	}
+	c.k.vacate(t, StateSuspended, "suspend")
 	for t.state == StateSuspended {
 		t.sig.Wait(c.p)
 	}
@@ -749,11 +735,31 @@ func (c *TaskCtx) serviceOverhead(words int) {
 // `what` names the object waited on (visible in Deadlocked / BlockedOn).
 // Hardware RTOS components (SoCLC, SoCDMMU, DAU drivers) build their blocking
 // primitives from Park/Unpark.
-func (c *TaskCtx) Park(what string) {
+func (c *TaskCtx) Park(what string) { c.parkOn(nil, what) }
+
+// waitList is where a parked task waits to be picked for a wakeup: a
+// WaitQueue, or an event group's FIFO registration (eventWait).
+type waitList interface {
+	Push(t *Task)
+	Remove(t *Task) bool
+}
+
+// parkOn is the one park path: it queues the task on l (nil: on no list),
+// blocks it as `what` until it is made ready, and leaves l again before
+// waiting for the CPU — a hand-off wake already popped the task, a timeout or
+// kill wake left it queued, and a queued task that is not blocked would
+// swallow the next hand-off.
+func (c *TaskCtx) parkOn(l waitList, what string) {
 	t := c.t
+	if l != nil {
+		l.Push(t)
+	}
 	c.k.blockCurrent(t, what)
 	for t.state == StateBlocked {
 		t.sig.Wait(c.p)
+	}
+	if l != nil {
+		l.Remove(t)
 	}
 	c.ensureRunning()
 }
@@ -816,19 +822,12 @@ func (c *TaskCtx) RunOn(d *sim.Device, duration sim.Cycles) {
 	c.ensureRunning()
 	done := d.Start(c.p, duration)
 	t := c.t
-	if t.state == StateReady {
-		c.k.readyRemove(t)
-	}
-	t.state = StateBlocked
 	t.blockedOn = d.Name
-	c.k.trace(t.PE, t.Name, "block:"+d.Name)
-	if c.k.current[t.PE] == t {
-		c.k.reschedule(t.PE)
-	}
+	c.k.vacate(t, StateBlocked, "block:"+d.Name)
 	c.k.S.Spawn("isr."+d.Name+"."+t.Name, -1, func(tp *sim.Proc) {
 		done.Wait(tp)
 		tp.Delay(sim.InterruptEntryCycles)
 		c.k.makeReady(t)
 	})
-	c.waitUntilRunnable()
+	c.ensureRunning()
 }

@@ -17,12 +17,70 @@ var (
 	ErrNotOwner = errors.New("rtos: mutex unlock by non-owner")
 )
 
+// WaitQueue is the one priority wait queue every blocking primitive of the
+// kernel and of the soclc lock managers queues on: tasks are ordered by
+// CurPrio at insertion, FIFO within a priority level.  The zero value is an
+// empty queue.
+type WaitQueue struct{ tasks []*Task }
+
+// Push queues t behind every waiter of equal or better priority.
+func (q *WaitQueue) Push(t *Task) {
+	i := 0
+	for i < len(q.tasks) && q.tasks[i].CurPrio <= t.CurPrio {
+		i++
+	}
+	q.tasks = append(q.tasks, nil)
+	copy(q.tasks[i+1:], q.tasks[i:])
+	q.tasks[i] = t
+}
+
+// Pop removes and returns the best waiter, or nil when the queue is empty.
+func (q *WaitQueue) Pop() *Task {
+	if len(q.tasks) == 0 {
+		return nil
+	}
+	t := q.tasks[0]
+	q.tasks = q.tasks[1:]
+	return t
+}
+
+// Remove drops t from the queue; reports whether it was queued.
+func (q *WaitQueue) Remove(t *Task) bool {
+	for i, w := range q.tasks {
+		if w == t {
+			q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// Has reports whether t is queued.
+func (q *WaitQueue) Has(t *Task) bool {
+	for _, w := range q.tasks {
+		if w == t {
+			return true
+		}
+	}
+	return false
+}
+
+// Len returns the number of queued tasks.
+func (q *WaitQueue) Len() int { return len(q.tasks) }
+
+// wakeHead pops q's best waiter, if any, and makes it ready.
+func (k *Kernel) wakeHead(q *WaitQueue) {
+	if t := q.Pop(); t != nil {
+		k.makeReady(t)
+	}
+}
+
 // Semaphore is a counting semaphore with priority-ordered wakeup.
 type Semaphore struct {
 	k       *Kernel
 	Name    string
 	count   int
-	waiters []*Task // priority order, FIFO within priority
+	waiters WaitQueue
 	// Instrumentation.
 	Pends, Posts, Blocks int
 }
@@ -38,46 +96,19 @@ func (k *Kernel) NewSemaphore(name string, initial int) *Semaphore {
 }
 
 // purgeTask drops a killed task from the wait queue (Kernel.Kill).
-func (s *Semaphore) purgeTask(t *Task) {
-	s.waiters, _ = removeTask(s.waiters, t)
-}
+func (s *Semaphore) purgeTask(t *Task) { s.waiters.Remove(t) }
 
 // Count returns the current count.
 func (s *Semaphore) Count() int { return s.count }
-
-func insertByPriority(ws []*Task, t *Task) []*Task {
-	i := 0
-	for i < len(ws) && ws[i].CurPrio <= t.CurPrio {
-		i++
-	}
-	ws = append(ws, nil)
-	copy(ws[i+1:], ws[i:])
-	ws[i] = t
-	return ws
-}
-
-func removeTask(ws []*Task, t *Task) ([]*Task, bool) {
-	for i, w := range ws {
-		if w == t {
-			return append(ws[:i], ws[i+1:]...), true
-		}
-	}
-	return ws, false
-}
 
 // Pend decrements the count, blocking while it is zero.
 func (s *Semaphore) Pend(c *TaskCtx) {
 	c.serviceOverhead(4)
 	s.Pends++
-	t := c.t
 	for s.count == 0 {
 		s.Blocks++
-		s.waiters = insertByPriority(s.waiters, t)
-		c.k.blockCurrent(t, "sem:"+s.Name)
-		for t.state == StateBlocked {
-			t.sig.Wait(c.p)
-		}
-		c.ensureRunning()
+		s.waiters.Push(c.t)
+		c.Park("sem:" + s.Name)
 	}
 	s.count--
 }
@@ -96,25 +127,14 @@ func (s *Semaphore) TryPend(c *TaskCtx) bool {
 // Post increments the count and wakes the best waiter, if any.
 func (s *Semaphore) Post(c *TaskCtx) {
 	c.serviceOverhead(4)
-	s.Posts++
-	s.count++
-	s.wakeBest()
+	s.PostFromISR()
 }
 
 // PostFromISR increments from a non-task context (device ISR path).
 func (s *Semaphore) PostFromISR() {
 	s.Posts++
 	s.count++
-	s.wakeBest()
-}
-
-func (s *Semaphore) wakeBest() {
-	if len(s.waiters) == 0 {
-		return
-	}
-	t := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.k.makeReady(t)
+	s.k.wakeHead(&s.waiters)
 }
 
 // Mutex is a binary lock with optional priority protocols: plain, priority
@@ -127,7 +147,7 @@ type Mutex struct {
 	Proto     LockProtocol
 	Ceiling   int // used by IPCP
 	owner     *Task
-	waiters   []*Task
+	waiters   WaitQueue
 	savedPrio int
 	// Instrumentation.
 	Acquires, Contended int
@@ -159,26 +179,10 @@ func (k *Kernel) NewMutex(name string, proto LockProtocol, ceiling int) *Mutex {
 // owner, force-hands the lock to the best waiter (or frees it) so survivors
 // are not blocked behind a corpse (Kernel.Kill).
 func (m *Mutex) purgeTask(t *Task) {
-	m.waiters, _ = removeTask(m.waiters, t)
-	if m.owner != t {
-		return
+	m.waiters.Remove(t)
+	if m.owner == t {
+		m.handOff(t)
 	}
-	// Undo any boost this acquisition applied to the victim, and drop its
-	// shadow-lockset entry: the lock is being force-handed off.
-	m.k.Races.Release(t.Name, "mutex:"+m.Name)
-	m.k.setPriority(t, m.savedPrio)
-	if len(m.waiters) == 0 {
-		m.owner = nil
-		return
-	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	m.owner = next
-	m.savedPrio = next.CurPrio
-	if m.Proto == ProtoCeiling && m.Ceiling < next.CurPrio {
-		m.k.setPriority(next, m.Ceiling)
-	}
-	m.k.makeReady(next)
 }
 
 // Owner returns the current owner, or nil.
@@ -188,7 +192,7 @@ func (m *Mutex) Owner() *Task { return m.owner }
 // by the current owner.  This is the lock half of the mixed lock+IPC
 // wait-for graph (waitfor.go).
 func (m *Mutex) waitPeers(t *Task) ([]*Task, string, bool) {
-	if !taskIn(m.waiters, t) {
+	if !m.waiters.Has(t) {
 		return nil, "", false
 	}
 	if m.owner == nil {
@@ -206,7 +210,7 @@ func (m *Mutex) Lock(c *TaskCtx) {
 	c.serviceOverhead(6)
 	t := c.t
 	if m.owner == nil {
-		m.acquire(c, t)
+		m.grant(t)
 		m.k.Races.Acquire(t.Name, "mutex:"+m.Name)
 		m.Acquires++
 		m.TotalLatency += c.p.Now() - start
@@ -238,7 +242,7 @@ func (m *Mutex) Lock(c *TaskCtx) {
 			owner = next.owner
 		}
 	}
-	m.waiters = insertByPriority(m.waiters, t)
+	m.waiters.Push(t)
 	t.waitingOn = m
 	c.k.blockCurrent(t, "mutex:"+m.Name)
 	for m.owner != t && !t.killed {
@@ -251,13 +255,29 @@ func (m *Mutex) Lock(c *TaskCtx) {
 	m.TotalDelay += c.p.Now() - start
 }
 
-func (m *Mutex) acquire(c *TaskCtx, t *Task) {
+// grant makes t the owner, raising it to the ceiling under IPCP.
+func (m *Mutex) grant(t *Task) {
 	m.owner = t
 	m.savedPrio = t.CurPrio
 	if m.Proto == ProtoCeiling && m.Ceiling < t.CurPrio {
 		// Immediate priority ceiling: raise on acquisition.
-		c.k.setPriority(t, m.Ceiling)
+		m.k.setPriority(t, m.Ceiling)
 	}
+}
+
+// handOff takes the lock from its departing owner t — restoring the priority
+// the acquisition may have boosted or raised, and dropping t's shadow-lockset
+// entry — and grants it to the best waiter, or frees it.
+func (m *Mutex) handOff(t *Task) {
+	m.k.Races.Release(t.Name, "mutex:"+m.Name)
+	m.k.setPriority(t, m.savedPrio)
+	next := m.waiters.Pop()
+	if next == nil {
+		m.owner = nil
+		return
+	}
+	m.grant(next)
+	m.k.makeReady(next)
 }
 
 // Unlock releases the mutex, restoring the owner's priority and handing the
@@ -277,21 +297,7 @@ func (m *Mutex) Unlock(c *TaskCtx) {
 		c.k.trace(t.PE, t.Name, "misuse:unlock")
 		return // tolerated: the lock keeps its true owner
 	}
-	// Restore the priority this acquisition may have boosted/raised.
-	m.k.Races.Release(t.Name, "mutex:"+m.Name)
-	c.k.setPriority(t, m.savedPrio)
-	if len(m.waiters) == 0 {
-		m.owner = nil
-		return
-	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	m.owner = next
-	m.savedPrio = next.CurPrio
-	if m.Proto == ProtoCeiling && m.Ceiling < next.CurPrio {
-		c.k.setPriority(next, m.Ceiling)
-	}
-	c.k.makeReady(next)
+	m.handOff(t)
 }
 
 // AvgLatency returns the mean uncontended acquisition cost in cycles.

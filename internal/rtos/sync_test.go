@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"strings"
 	"testing"
 
 	"deltartos/internal/sim"
@@ -319,5 +320,69 @@ func TestPriorityInheritanceTransitiveChain(t *testing.T) {
 	}
 	if !s.AllDone() {
 		t.Errorf("blocked: %v", s.Blocked())
+	}
+}
+
+func TestWaitQueue(t *testing.T) {
+	task := func(name string, prio int) *Task { return &Task{Name: name, CurPrio: prio} }
+	a, b, c, d, e := task("a", 2), task("b", 1), task("c", 2), task("d", 3), task("e", 1)
+	absent := task("absent", 1)
+	names := func(q *WaitQueue) string {
+		var out []string
+		for _, t := range q.tasks {
+			out = append(out, t.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	fill := func() *WaitQueue {
+		var q WaitQueue
+		for _, t := range []*Task{a, b, c, d, e} {
+			q.Push(t)
+		}
+		return &q
+	}
+	if got := names(fill()); got != "b,e,a,c,d" {
+		t.Fatalf("push order = %s, want b,e,a,c,d (priority, FIFO within a priority)", got)
+	}
+	for _, tc := range []struct {
+		name   string
+		remove *Task
+		found  bool
+		want   string
+	}{
+		{"head", b, true, "e,a,c,d"},
+		{"middle", a, true, "b,e,c,d"},
+		{"tail", d, true, "b,e,a,c"},
+		{"absent", absent, false, "b,e,a,c,d"},
+	} {
+		t.Run("remove "+tc.name, func(t *testing.T) {
+			q := fill()
+			if got := q.Remove(tc.remove); got != tc.found {
+				t.Errorf("Remove(%s) = %v, want %v", tc.remove.Name, got, tc.found)
+			}
+			if got := names(q); got != tc.want {
+				t.Errorf("after Remove(%s): %s, want %s", tc.remove.Name, got, tc.want)
+			}
+			if q.Has(tc.remove) {
+				t.Errorf("Has(%s) after Remove", tc.remove.Name)
+			}
+			if q.Len() != strings.Count(tc.want, ",")+1 {
+				t.Errorf("Len = %d, want %d", q.Len(), strings.Count(tc.want, ",")+1)
+			}
+		})
+	}
+	q := fill()
+	var popped []string
+	for q.Len() > 0 {
+		popped = append(popped, q.Pop().Name)
+	}
+	if got := strings.Join(popped, ","); got != "b,e,a,c,d" {
+		t.Errorf("pop order = %s, want b,e,a,c,d", got)
+	}
+	if got := q.Pop(); got != nil {
+		t.Errorf("Pop on empty = %s, want nil", got.Name)
+	}
+	if q.Has(a) || q.Remove(a) {
+		t.Error("empty queue reports a member")
 	}
 }

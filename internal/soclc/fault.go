@@ -1,78 +1,213 @@
 package soclc
 
-// Fault-injection and recovery support: wait-for chains for victim
-// selection and forced reclaim of a killed task's locks.  Both lock
-// managers expose the same surface so the recovery policy is agnostic to
-// the RTOS5/RTOS6 configuration.
+// The lock table both managers embed: lock state, the acquisition and
+// release bookkeeping that does not depend on the lock system's costs or
+// protocol, the misuse and dropped-release fault paths, and the recovery
+// surface (wait-for chains for victim selection, forced reclaim of a killed
+// task's locks), so the recovery policy is agnostic to the RTOS5/RTOS6
+// configuration.
 
-import "deltartos/internal/rtos"
+import (
+	"fmt"
 
-func ownerName(l *lockState) string {
-	if l.owner == nil {
-		return "<free>"
-	}
-	return l.owner.Name
+	"deltartos/internal/claims"
+	"deltartos/internal/races"
+	"deltartos/internal/rtos"
+	"deltartos/internal/sim"
+)
+
+// lockTable is the state and the protocol-independent paths of a lock
+// manager.
+type lockTable struct {
+	k          *rtos.Kernel
+	locks      []lockState
+	shortOwner []*rtos.Task // holder of each short lock, nil when free
+	stats      Stats
+	inj        Injector
+	// atGrant applies the manager's priority protocol when long lock id
+	// passes to t, whose priority before the grant was prio: LockCache's
+	// IPCP ceiling.  nil for SoftwareLocks, whose inheritance boost happens
+	// when a task blocks.
+	atGrant func(t *rtos.Task, id, prio int)
+	// Instrumentation.
+	ShortAcquires   int
+	ShortSpinCycles sim.Cycles
+	DroppedReleases int
+	// Audit records every (task, lock) hold for the static-claims
+	// cross-check; nil-safe, set by the scenarios.
+	Audit *claims.Audit
+	// Races, when attached, shadows every lock transition for the runtime
+	// lockset auditor (the races-pass cross-check); nil-safe.
+	Races *races.Auditor
 }
 
-// SetInjector attaches a fault injector (nil detaches).
-func (sl *SoftwareLocks) SetInjector(inj Injector) { sl.inj = inj }
+func newLockTable(k *rtos.Kernel, longs, shorts int) lockTable {
+	return lockTable{k: k, locks: make([]lockState, longs), shortOwner: make([]*rtos.Task, shorts)}
+}
+
+// Stats implements Manager.
+func (lt *lockTable) Stats() Stats { return lt.stats }
 
 // SetInjector attaches a fault injector (nil detaches).
-func (lc *LockCache) SetInjector(inj Injector) { lc.inj = inj }
+func (lt *lockTable) SetInjector(inj Injector) { lt.inj = inj }
 
 // Owner returns the task holding long lock id, or nil.
-func (sl *SoftwareLocks) Owner(id int) *rtos.Task { return sl.locks[id].owner }
+func (lt *lockTable) Owner(id int) *rtos.Task { return lt.locks[id].owner }
 
-// Owner returns the task holding long lock id, or nil.
-func (lc *LockCache) Owner(id int) *rtos.Task { return lc.locks[id].owner }
+// request counts an acquisition of long lock id by the calling task, after
+// the manager charged its cost, and grants the lock if it is free.  Reports
+// whether it did; otherwise the acquisition is contended.
+func (lt *lockTable) request(c *rtos.TaskCtx, id int, start sim.Cycles) bool {
+	lt.stats.Acquires++
+	lt.Audit.Record(c.Task().Name, claims.ResourceKey("long", id))
+	if lt.locks[id].owner == nil {
+		lt.grant(c, id, start)
+		return true
+	}
+	lt.stats.Contended++
+	return false
+}
 
-// holdings lists the long locks owned by t, in id order.
-func holdings(locks []*lockState, t *rtos.Task) []int {
+// grant gives the free long lock id to the calling task on the uncontended
+// path.
+func (lt *lockTable) grant(c *rtos.TaskCtx, id int, start sim.Cycles) {
+	l := &lt.locks[id]
+	t := c.Task()
+	l.owner = t
+	l.savedPrio = t.CurPrio
+	lt.Races.Acquire(t.Name, claims.ResourceKey("long", id))
+	if lt.atGrant != nil {
+		lt.atGrant(t, id, l.savedPrio)
+	}
+	lt.stats.TotalLatency += c.Now() - start
+	record(c, "lock.acquire", start, id, "uncontended")
+}
+
+// granted completes a contended acquisition once a hand-off has made the
+// calling task the owner of long lock id.
+func (lt *lockTable) granted(c *rtos.TaskCtx, id int, start sim.Cycles) {
+	lt.Races.Acquire(c.Task().Name, claims.ResourceKey("long", id))
+	lt.stats.TotalDelay += c.Now() - start
+	record(c, "lock.acquire", start, id, "contended")
+}
+
+// owns reports whether the calling task holds long lock id.  A release by
+// any other task is misuse: a traced no-op under the kernel's misuse policy,
+// a panic without one.
+func (lt *lockTable) owns(c *rtos.TaskCtx, id int) bool {
+	owner := lt.locks[id].owner
+	if owner == c.Task() {
+		return true
+	}
+	name := "<free>"
+	if owner != nil {
+		name = owner.Name
+	}
+	err := fmt.Errorf("%w: task %s, lock %d owned by %s", ErrNotOwner, c.Task().Name, id, name)
+	if !lt.k.Misuse(err) {
+		panic(err.Error())
+	}
+	record(c, "lock.release.misuse", c.Now(), id, "tolerated")
+	return false
+}
+
+// release frees long lock id from the calling task, after the manager
+// charged its cost, and restores the task's priority.  Reports whether
+// waiters remain, so the caller must hand the lock off.  A release the
+// injector drops is lost: the task still owns the lock and keeps any boost.
+func (lt *lockTable) release(c *rtos.TaskCtx, id int, start sim.Cycles) bool {
+	l := &lt.locks[id]
+	t := c.Task()
+	if lt.inj != nil && lt.inj.DropRelease(t.Name, id, c.Now()) {
+		lt.DroppedReleases++
+		record(c, "lock.release.drop", start, id, "")
+		return false
+	}
+	lt.Races.Release(t.Name, claims.ResourceKey("long", id))
+	lt.k.SetTaskPriority(t, l.savedPrio)
+	if l.waiters.Len() == 0 {
+		l.owner = nil
+		record(c, "lock.release", start, id, "")
+		return false
+	}
+	return true
+}
+
+// handOff passes long lock id to its best waiter under the manager's
+// priority protocol and returns the new owner, which the caller wakes.
+func (lt *lockTable) handOff(id int) *rtos.Task {
+	l := &lt.locks[id]
+	next := l.waiters.Pop()
+	l.owner = next
+	l.savedPrio = next.BasePrio
+	if lt.atGrant != nil {
+		lt.atGrant(next, id, next.BasePrio)
+	}
+	return next
+}
+
+// claimShort takes short lock id for the calling task if it is free;
+// reports whether it did.
+func (lt *lockTable) claimShort(c *rtos.TaskCtx, id int) bool {
+	if lt.shortOwner[id] != nil {
+		return false
+	}
+	t := c.Task()
+	lt.shortOwner[id] = t
+	lt.Audit.Record(t.Name, claims.ResourceKey("short", id))
+	lt.Races.Acquire(t.Name, claims.ResourceKey("short", id))
+	return true
+}
+
+// shortAcquired completes a short-lock acquisition that began spinning at
+// start.
+func (lt *lockTable) shortAcquired(c *rtos.TaskCtx, id int, start sim.Cycles) {
+	lt.ShortAcquires++
+	lt.ShortSpinCycles += c.Now() - start
+	record(c, "lock.acquire.short", start, id, "")
+}
+
+// freeShort clears short lock id; reports whether it was held, so the
+// caller charges the release store.  Freeing a free lock is misuse (see
+// owns).
+func (lt *lockTable) freeShort(c *rtos.TaskCtx, id int) bool {
+	if lt.shortOwner[id] == nil {
+		err := fmt.Errorf("%w: task %s, short lock %d", ErrShortFree, c.Task().Name, id)
+		if !lt.k.Misuse(err) {
+			panic(err.Error())
+		}
+		record(c, "lock.release.misuse", c.Now(), id, "tolerated")
+		return false
+	}
+	lt.shortOwner[id] = nil
+	lt.Races.Release(c.Task().Name, claims.ResourceKey("short", id))
+	return true
+}
+
+// Holdings lists the long locks owned by t, in id order.
+func (lt *lockTable) Holdings(t *rtos.Task) []int {
 	var out []int
-	for id, l := range locks {
-		if l.owner == t {
+	for id := range lt.locks {
+		if lt.locks[id].owner == t {
 			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// Holdings lists the long locks owned by t, in id order.
-func (sl *SoftwareLocks) Holdings(t *rtos.Task) []int { return holdings(sl.locks, t) }
-
-// Holdings lists the long locks owned by t, in id order.
-func (lc *LockCache) Holdings(t *rtos.Task) []int { return holdings(lc.locks, t) }
-
-// purgeWaiter drops t from every waiter queue and request-time table.
-func purgeWaiter(locks []*lockState, t *rtos.Task) {
-	for _, l := range locks {
-		for i, w := range l.waiters {
-			if w == t {
-				l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
-				break
-			}
-		}
-		delete(l.reqTime, t)
-	}
-}
-
-// waitChain follows the wait-for chain from t: the lock t waits on has an
-// owner, who may itself wait on another lock, and so on.  The chain includes
-// t and stops at a task that is not waiting on any managed lock, or when the
-// chain closes into a cycle (deadlock).
-func waitChain(locks []*lockState, t *rtos.Task) []*rtos.Task {
+// WaitChain follows the wait-for chain from t (victim selection): the lock t
+// waits on has an owner, who may itself wait on another lock, and so on.
+// The chain includes t and stops at a task that is not waiting on any
+// managed lock, or when the chain closes into a cycle (deadlock).
+func (lt *lockTable) WaitChain(t *rtos.Task) []*rtos.Task {
 	chain := []*rtos.Task{t}
 	seen := map[*rtos.Task]bool{t: true}
-	cur := t
-	for {
+	for cur := t; ; {
 		var next *rtos.Task
-	scan:
-		for _, l := range locks {
-			for _, w := range l.waiters {
-				if w == cur {
-					next = l.owner
-					break scan
-				}
+		for id := range lt.locks {
+			if lt.locks[id].waiters.Has(cur) {
+				next = lt.locks[id].owner
+				break
 			}
 		}
 		if next == nil || seen[next] {
@@ -84,73 +219,32 @@ func waitChain(locks []*lockState, t *rtos.Task) []*rtos.Task {
 	}
 }
 
-// WaitChain returns the wait-for chain starting at t (victim selection).
-func (sl *SoftwareLocks) WaitChain(t *rtos.Task) []*rtos.Task { return waitChain(sl.locks, t) }
-
-// WaitChain returns the wait-for chain starting at t (victim selection).
-func (lc *LockCache) WaitChain(t *rtos.Task) []*rtos.Task { return waitChain(lc.locks, t) }
-
-// ReclaimOwnedBy force-releases every lock held by a killed task: long locks
-// hand off to their best waiter (or free), short locks clear, and the victim
-// is purged from all waiter queues.  Runs outside any task context (the
-// recovery proc charges its own time) and returns the reclaimed long and
-// short lock ids, in id order.
-func (sl *SoftwareLocks) ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int) {
-	purgeWaiter(sl.locks, t)
-	for id, l := range sl.locks {
+// ReclaimOwnedBy force-releases every lock held by a killed task: the victim
+// is purged from all waiter queues, long locks hand off to their best waiter
+// under the manager's priority protocol (or free), and short locks clear.
+// The new owner is made ready directly — LockCache raises no grant
+// interrupt here.  Runs outside any task context (the recovery proc charges
+// its own time) and returns the reclaimed long and short lock ids, in id
+// order.
+func (lt *lockTable) ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int) {
+	for id := range lt.locks {
+		lt.locks[id].waiters.Remove(t)
+	}
+	for id := range lt.locks {
+		l := &lt.locks[id]
 		if l.owner != t {
 			continue
 		}
 		longs = append(longs, id)
-		if len(l.waiters) == 0 {
+		if l.waiters.Len() == 0 {
 			l.owner = nil
 			continue
 		}
-		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		l.owner = next
-		l.savedPrio = next.BasePrio
-		delete(l.reqTime, next)
-		sl.k.Unpark(next)
+		lt.k.Unpark(lt.handOff(id))
 	}
-	for id, o := range sl.shortOwner {
+	for id, o := range lt.shortOwner {
 		if o == t {
-			sl.shorts[id] = false
-			sl.shortOwner[id] = nil
-			shorts = append(shorts, id)
-		}
-	}
-	return longs, shorts
-}
-
-// ReclaimOwnedBy force-releases every lock held by a killed task (see the
-// SoftwareLocks variant).  Long-lock hand-off applies the IPCP ceiling and
-// raises the grant interrupt exactly as a normal release would.
-func (lc *LockCache) ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int) {
-	purgeWaiter(lc.locks, t)
-	for id, l := range lc.locks {
-		if l.owner != t {
-			continue
-		}
-		longs = append(longs, id)
-		if len(l.waiters) == 0 {
-			l.owner = nil
-			continue
-		}
-		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		l.owner = next
-		l.savedPrio = next.BasePrio
-		if lc.ceilings[id] < next.BasePrio {
-			lc.k.SetTaskPriority(next, lc.ceilings[id])
-		}
-		delete(l.reqTime, next)
-		lc.k.Unpark(next)
-	}
-	for id, o := range lc.shortOwner {
-		if o == t {
-			lc.shorts[id] = false
-			lc.shortOwner[id] = nil
+			lt.shortOwner[id] = nil
 			shorts = append(shorts, id)
 		}
 	}

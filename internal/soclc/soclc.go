@@ -14,8 +14,12 @@
 //     is one bus access; queueing, hand-off and the ceiling lookup happen in
 //     the unit, leaving only a thin software shell.
 //
-// Both managers implement Manager and report the paper's two lock metrics:
-// lock latency (uncontended acquisition time) and lock delay (time from
+// Both managers embed one lock table (owners, rtos.WaitQueue waiters, short
+// lock holders, stats, fault hooks and the recovery surface) and differ only
+// in what each operation costs, in their priority protocol (inheritance at
+// contention vs the ceiling at a grant) and in LockCache's grant interrupt.
+// Both implement Manager and report the paper's two lock metrics: lock
+// latency (uncontended acquisition time) and lock delay (time from
 // requesting a held lock until it is granted).
 package soclc
 
@@ -23,9 +27,7 @@ import (
 	"errors"
 	"fmt"
 
-	"deltartos/internal/claims"
 	"deltartos/internal/gates"
-	"deltartos/internal/races"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/trace"
@@ -117,47 +119,18 @@ const (
 	serviceWords     = 4  // burst portion of the service (TCB line)
 )
 
+// lockState is one long lock: its owner, the tasks queued for it, and the
+// owner's priority before the acquisition (restored at release).
 type lockState struct {
 	owner     *rtos.Task
-	waiters   []*rtos.Task // priority order
+	waiters   rtos.WaitQueue
 	savedPrio int
-	reqTime   map[*rtos.Task]sim.Cycles
-}
-
-func newLockState() *lockState {
-	return &lockState{reqTime: map[*rtos.Task]sim.Cycles{}}
-}
-
-func insertByPrio(ws []*rtos.Task, t *rtos.Task) []*rtos.Task {
-	i := 0
-	for i < len(ws) && ws[i].CurPrio <= t.CurPrio {
-		i++
-	}
-	ws = append(ws, nil)
-	copy(ws[i+1:], ws[i:])
-	ws[i] = t
-	return ws
 }
 
 // SoftwareLocks is the RTOS5 lock system: long locks with priority
 // inheritance implemented entirely in software over shared memory.
 type SoftwareLocks struct {
-	k          *rtos.Kernel
-	locks      []*lockState
-	shorts     []bool
-	shortOwner []*rtos.Task // holder of each short lock (reclaim support)
-	stats      Stats
-	inj        Injector
-	// Instrumentation.
-	ShortAcquires   int
-	ShortSpinCycles sim.Cycles
-	DroppedReleases int
-	// Audit records every (task, lock) hold for the static-claims
-	// cross-check; nil-safe, set by the scenarios.
-	Audit *claims.Audit
-	// Races, when attached, shadows every lock transition for the runtime
-	// lockset auditor (the races-pass cross-check); nil-safe.
-	Races *races.Auditor
+	lockTable
 }
 
 // NewSoftwareLocks creates n software long locks.
@@ -165,28 +138,20 @@ func NewSoftwareLocks(k *rtos.Kernel, n int) *SoftwareLocks {
 	if n <= 0 {
 		panic("soclc: need at least one lock")
 	}
-	sl := &SoftwareLocks{k: k, locks: make([]*lockState, n)}
-	for i := range sl.locks {
-		sl.locks[i] = newLockState()
-	}
-	return sl
+	return &SoftwareLocks{newLockTable(k, n, 0)}
 }
 
 // Acquire implements Manager.
 func (sl *SoftwareLocks) Acquire(c *rtos.TaskCtx, id int) {
-	l := sl.locks[id]
+	l := &sl.locks[id]
 	t := c.Task()
 	start := c.Now()
 	c.ChargeCompute(wrapperCPUCycles)
 	c.ChargeService(serviceWords)
 	c.ChargeSharedAccesses(swLockAccesses)
-	sl.stats.Acquires++
-	sl.Audit.Record(t.Name, claims.ResourceKey("long", id))
-	if l.owner == nil {
-		sl.grant(c, l, id, start)
+	if sl.request(c, id, start) {
 		return
 	}
-	sl.stats.Contended++
 	// Priority inheritance: boost the owner to the blocked task's level.
 	// The boost walks the owner's TCB and the ready queue in shared memory.
 	if t.CurPrio < l.owner.CurPrio {
@@ -194,100 +159,56 @@ func (sl *SoftwareLocks) Acquire(c *rtos.TaskCtx, id int) {
 		// The walk yields to the simulator: meanwhile the owner may have
 		// released the lock, or the lock may have been reclaimed.
 		if l.owner == nil {
-			sl.grant(c, l, id, start)
+			sl.grant(c, id, start)
 			return
 		}
 		sl.k.SetTaskPriority(l.owner, t.CurPrio)
 	}
-	l.waiters = insertByPrio(l.waiters, t)
-	l.reqTime[t] = start
+	l.waiters.Push(t)
 	c.Park(fmt.Sprintf("swlock:%d", id))
 	// On wakeup the waiter re-enters the lock service to complete ownership
 	// bookkeeping before returning to the application.
 	c.ChargeSharedAccesses(12)
-	sl.Races.Acquire(t.Name, claims.ResourceKey("long", id))
-	sl.stats.TotalDelay += c.Now() - start
-	record(c, "lock.acquire", start, id, "contended")
-}
-
-// grant gives the free lock l to the calling task on the uncontended path.
-func (sl *SoftwareLocks) grant(c *rtos.TaskCtx, l *lockState, id int, start sim.Cycles) {
-	t := c.Task()
-	l.owner = t
-	l.savedPrio = t.CurPrio
-	sl.Races.Acquire(t.Name, claims.ResourceKey("long", id))
-	sl.stats.TotalLatency += c.Now() - start
-	record(c, "lock.acquire", start, id, "uncontended")
+	sl.granted(c, id, start)
 }
 
 // Release implements Manager.
 func (sl *SoftwareLocks) Release(c *rtos.TaskCtx, id int) {
-	l := sl.locks[id]
-	t := c.Task()
-	if l.owner != t {
-		err := fmt.Errorf("%w: task %s, lock %d owned by %s", ErrNotOwner, t.Name, id, ownerName(l))
-		if !sl.k.Misuse(err) {
-			panic(err.Error())
-		}
-		record(c, "lock.release.misuse", c.Now(), id, "tolerated")
+	if !sl.owns(c, id) {
 		return
 	}
 	start := c.Now()
 	c.ChargeCompute(wrapperCPUCycles)
 	c.ChargeService(serviceWords)
 	c.ChargeSharedAccesses(swUnlockAccesses)
-	if sl.inj != nil && sl.inj.DropRelease(t.Name, id, c.Now()) {
-		// Lost release: the task ran the release path but the lock structure
-		// never updated — it still owns the lock and keeps any boost.
-		sl.DroppedReleases++
-		record(c, "lock.release.drop", start, id, "")
-		return
-	}
-	sl.Races.Release(t.Name, claims.ResourceKey("long", id))
-	sl.k.SetTaskPriority(t, l.savedPrio)
-	if len(l.waiters) == 0 {
-		l.owner = nil
-		record(c, "lock.release", start, id, "")
+	if !sl.release(c, id, start) {
 		return
 	}
 	// Hand-off: walk the waiter queue, transfer ownership, and restore the
 	// priority-inheritance chain — all in shared memory.
 	c.ChargeSharedAccesses(10)
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
-	l.owner = next
-	l.savedPrio = next.BasePrio
-	delete(l.reqTime, next)
+	next := sl.handOff(id)
 	record(c, "lock.handoff", start, id, next.Name)
 	sl.k.Unpark(next)
 }
-
-// Stats implements Manager.
-func (sl *SoftwareLocks) Stats() Stats { return sl.stats }
 
 // EnableShortLocks provisions n software spin locks (lock words in shared
 // memory).  RTOS5's short-CS synchronization spins over the bus: every probe
 // is a full memory read, the traffic the SoCLC was designed to remove.
 func (sl *SoftwareLocks) EnableShortLocks(n int) {
-	sl.shorts = make([]bool, n)
 	sl.shortOwner = make([]*rtos.Task, n)
 }
 
 // AcquireShort spins on the in-memory lock word until it is free, then
-// claims it with a read-modify-write.
+// claims it with a read-modify-write.  The claim is recorded before the
+// store, because the store yields.
 func (sl *SoftwareLocks) AcquireShort(c *rtos.TaskCtx, id int) {
 	start := c.Now()
 	for {
 		c.BusRead(1) // probe the lock word in shared memory
-		if !sl.shorts[id] {
-			sl.shorts[id] = true
-			sl.shortOwner[id] = c.Task()
-			sl.Audit.Record(c.Task().Name, claims.ResourceKey("short", id))
-			sl.Races.Acquire(c.Task().Name, claims.ResourceKey("short", id))
+		if sl.claimShort(c, id) {
 			c.BusWrite(1) // claim (store-conditional)
-			sl.ShortAcquires++
-			sl.ShortSpinCycles += c.Now() - start
-			record(c, "lock.acquire.short", start, id, "")
+			sl.shortAcquired(c, id, start)
 			return
 		}
 		c.ChargeCompute(sim.SpinLockProbeCycles)
@@ -296,18 +217,9 @@ func (sl *SoftwareLocks) AcquireShort(c *rtos.TaskCtx, id int) {
 
 // ReleaseShort frees the in-memory lock word.
 func (sl *SoftwareLocks) ReleaseShort(c *rtos.TaskCtx, id int) {
-	if !sl.shorts[id] {
-		err := fmt.Errorf("%w: task %s, short lock %d", ErrShortFree, c.Task().Name, id)
-		if !sl.k.Misuse(err) {
-			panic(err.Error())
-		}
-		record(c, "lock.release.misuse", c.Now(), id, "tolerated")
-		return
+	if sl.freeShort(c, id) {
+		c.BusWrite(1)
 	}
-	sl.shorts[id] = false
-	sl.shortOwner[id] = nil
-	sl.Races.Release(c.Task().Name, claims.ResourceKey("short", id))
-	c.BusWrite(1)
 }
 
 // Config sizes a lock cache (Figure 4's "number of small locks" and "number
@@ -328,25 +240,10 @@ func (c Config) Validate() error {
 
 // LockCache is the RTOS6 lock system: the SoCLC hardware unit with IPCP.
 type LockCache struct {
-	k          *rtos.Kernel
-	cfg        Config
-	ceilings   []int
-	locks      []*lockState
-	shorts     []bool       // short (spin) lock states
-	shortOwner []*rtos.Task // holder of each short lock (reclaim support)
-	stats      Stats
-	inj        Injector
+	lockTable
+	ceilings []int
 	// Instrumentation.
-	Interrupts      int
-	ShortAcquires   int
-	ShortSpinCycles sim.Cycles
-	DroppedReleases int
-	// Audit records every (task, lock) hold for the static-claims
-	// cross-check; nil-safe, set by the scenarios.
-	Audit *claims.Audit
-	// Races, when attached, shadows every lock transition for the runtime
-	// lockset auditor (the races-pass cross-check); nil-safe.
-	Races *races.Auditor
+	Interrupts int
 }
 
 // NewLockCache creates a lock cache.  Ceilings default to 0 (highest);
@@ -356,16 +253,10 @@ func NewLockCache(k *rtos.Kernel, cfg Config) (*LockCache, error) {
 		return nil, err
 	}
 	lc := &LockCache{
-		k:          k,
-		cfg:        cfg,
-		ceilings:   make([]int, cfg.LongLocks),
-		locks:      make([]*lockState, cfg.LongLocks),
-		shorts:     make([]bool, cfg.ShortLocks),
-		shortOwner: make([]*rtos.Task, cfg.ShortLocks),
+		lockTable: newLockTable(k, cfg.LongLocks, cfg.ShortLocks),
+		ceilings:  make([]int, cfg.LongLocks),
 	}
-	for i := range lc.locks {
-		lc.locks[i] = newLockState()
-	}
+	lc.atGrant = lc.raiseToCeiling
 	return lc, nil
 }
 
@@ -373,51 +264,37 @@ func NewLockCache(k *rtos.Kernel, cfg Config) (*LockCache, error) {
 // lowest number — of any task that will ever take the lock).
 func (lc *LockCache) SetCeiling(id, ceiling int) { lc.ceilings[id] = ceiling }
 
+// raiseToCeiling is IPCP in hardware: a task granted lock id runs at the
+// lock's ceiling until release, if that outranks prio, its level before the
+// grant.
+func (lc *LockCache) raiseToCeiling(t *rtos.Task, id, prio int) {
+	if lc.ceilings[id] < prio {
+		lc.k.SetTaskPriority(t, lc.ceilings[id])
+	}
+}
+
 // Acquire implements Manager: one lock-cache bus access; on success the
 // hardware applies IPCP (the task runs at the lock's ceiling until release).
 func (lc *LockCache) Acquire(c *rtos.TaskCtx, id int) {
-	l := lc.locks[id]
-	t := c.Task()
 	start := c.Now()
 	c.ChargeCompute(wrapperCPUCycles)
 	c.ChargeService(serviceWords) // thin API shell
 	c.ChargeSharedAccesses(hwLockAccesses)
 	c.Kernel().S.Bus.TransactFast(c.Proc(), 1) // lock-cache test-and-set
-	lc.stats.Acquires++
-	lc.Audit.Record(t.Name, claims.ResourceKey("long", id))
-	if l.owner == nil {
-		l.owner = t
-		l.savedPrio = t.CurPrio
-		lc.Races.Acquire(t.Name, claims.ResourceKey("long", id))
-		if lc.ceilings[id] < t.CurPrio {
-			lc.k.SetTaskPriority(t, lc.ceilings[id]) // IPCP in hardware
-		}
-		lc.stats.TotalLatency += c.Now() - start
-		record(c, "lock.acquire", start, id, "uncontended")
+	if lc.request(c, id, start) {
 		return
 	}
 	// Busy: the SoCLC queues the PE in hardware; the task blocks and will be
 	// woken by the lock-grant interrupt.
-	lc.stats.Contended++
-	l.waiters = insertByPrio(l.waiters, t)
-	l.reqTime[t] = start
+	lc.locks[id].waiters.Push(c.Task())
 	c.Park(fmt.Sprintf("soclc:%d", id))
-	lc.Races.Acquire(t.Name, claims.ResourceKey("long", id))
-	lc.stats.TotalDelay += c.Now() - start
-	record(c, "lock.acquire", start, id, "contended")
+	lc.granted(c, id, start)
 }
 
 // Release implements Manager: one lock-cache bus access; the unit hands the
 // lock to the highest-priority waiting PE and interrupts it.
 func (lc *LockCache) Release(c *rtos.TaskCtx, id int) {
-	l := lc.locks[id]
-	t := c.Task()
-	if l.owner != t {
-		err := fmt.Errorf("%w: task %s, lock %d owned by %s", ErrNotOwner, t.Name, id, ownerName(l))
-		if !lc.k.Misuse(err) {
-			panic(err.Error())
-		}
-		record(c, "lock.release.misuse", c.Now(), id, "tolerated")
+	if !lc.owns(c, id) {
 		return
 	}
 	start := c.Now()
@@ -425,28 +302,10 @@ func (lc *LockCache) Release(c *rtos.TaskCtx, id int) {
 	c.ChargeService(serviceWords)
 	c.ChargeSharedAccesses(hwUnlockAccesses)
 	c.Kernel().S.Bus.TransactFast(c.Proc(), 1) // lock-cache release
-	if lc.inj != nil && lc.inj.DropRelease(t.Name, id, c.Now()) {
-		// Lost release: the command never reached the lock cache — the unit
-		// still shows the task as owner and the IPCP boost stays applied.
-		lc.DroppedReleases++
-		record(c, "lock.release.drop", start, id, "")
+	if !lc.release(c, id, start) {
 		return
 	}
-	lc.Races.Release(t.Name, claims.ResourceKey("long", id))
-	lc.k.SetTaskPriority(t, l.savedPrio)
-	if len(l.waiters) == 0 {
-		l.owner = nil
-		record(c, "lock.release", start, id, "")
-		return
-	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
-	l.owner = next
-	l.savedPrio = next.BasePrio
-	if lc.ceilings[id] < next.BasePrio {
-		lc.k.SetTaskPriority(next, lc.ceilings[id])
-	}
-	delete(l.reqTime, next)
+	next := lc.handOff(id)
 	record(c, "lock.handoff", start, id, next.Name)
 	// Hardware raises the lock-grant interrupt on the waiter's PE.
 	lc.Interrupts++
@@ -456,9 +315,6 @@ func (lc *LockCache) Release(c *rtos.TaskCtx, id int) {
 	})
 }
 
-// Stats implements Manager.
-func (lc *LockCache) Stats() Stats { return lc.stats }
-
 // AcquireShort takes short (spin) lock id.  The SoCLC serves the
 // test-and-set in a single bus transaction; while busy, the PE re-polls the
 // unit, which — unlike memory spinning — occupies only one bus word per poll
@@ -467,14 +323,8 @@ func (lc *LockCache) AcquireShort(c *rtos.TaskCtx, id int) {
 	start := c.Now()
 	for {
 		c.Kernel().S.Bus.TransactFast(c.Proc(), 1) // test-and-set at the lock cache
-		if !lc.shorts[id] {
-			lc.shorts[id] = true
-			lc.shortOwner[id] = c.Task()
-			lc.Audit.Record(c.Task().Name, claims.ResourceKey("short", id))
-			lc.Races.Acquire(c.Task().Name, claims.ResourceKey("short", id))
-			lc.ShortAcquires++
-			lc.ShortSpinCycles += c.Now() - start
-			record(c, "lock.acquire.short", start, id, "")
+		if lc.claimShort(c, id) {
+			lc.shortAcquired(c, id, start)
 			return
 		}
 		c.ChargeCompute(sim.SpinLockProbeCycles)
@@ -483,18 +333,9 @@ func (lc *LockCache) AcquireShort(c *rtos.TaskCtx, id int) {
 
 // ReleaseShort frees short lock id.
 func (lc *LockCache) ReleaseShort(c *rtos.TaskCtx, id int) {
-	if !lc.shorts[id] {
-		err := fmt.Errorf("%w: task %s, short lock %d", ErrShortFree, c.Task().Name, id)
-		if !lc.k.Misuse(err) {
-			panic(err.Error())
-		}
-		record(c, "lock.release.misuse", c.Now(), id, "tolerated")
-		return
+	if lc.freeShort(c, id) {
+		c.Kernel().S.Bus.TransactFast(c.Proc(), 1)
 	}
-	lc.shorts[id] = false
-	lc.shortOwner[id] = nil
-	lc.Races.Release(c.Task().Name, claims.ResourceKey("short", id))
-	c.Kernel().S.Bus.TransactFast(c.Proc(), 1)
 }
 
 // SynthResult summarizes the generated SoCLC hardware.
