@@ -86,20 +86,18 @@ func BenchmarkTable5Detection(b *testing.B) {
 	b.Run("DDU", func(b *testing.B) {
 		var res app.DetectionResult
 		for i := 0; i < b.N; i++ {
-			res = app.RunDetectionScenario(func() app.Detector {
-				d, err := app.NewHardwareDetector(5, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return d
-			})
+			d, err := app.NewHardwareDetector(5, 5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res = app.RunDetectionScenario(d)
 		}
 		report(b, res.DeadlockFound, float64(res.AppCycles), res.AvgDetectCycles)
 	})
 	b.Run("PDDA-software", func(b *testing.B) {
 		var res app.DetectionResult
 		for i := 0; i < b.N; i++ {
-			res = app.RunDetectionScenario(func() app.Detector { return &app.SoftwareDetector{} })
+			res = app.RunDetectionScenario(app.NewSoftwareDetector(5, 5))
 		}
 		report(b, res.DeadlockFound, float64(res.AppCycles), res.AvgDetectCycles)
 	})
@@ -468,24 +466,20 @@ func report(b *testing.B, ok bool, appCycles, algCycles float64) {
 	b.ReportMetric(algCycles, "alg-cycles")
 }
 
-func hwBackend(b *testing.B) func() app.AvoidanceBackend {
-	return func() app.AvoidanceBackend {
-		be, err := app.NewHardwareAvoidance(5, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return be
+func hwBackend(b *testing.B) app.AvoidanceBackend {
+	be, err := app.NewHardwareAvoidance(5, 5)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return be
 }
 
-func swBackend(b *testing.B) func() app.AvoidanceBackend {
-	return func() app.AvoidanceBackend {
-		be, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return be
+func swBackend(b *testing.B) app.AvoidanceBackend {
+	be, err := app.NewSoftwareAvoidance(5, 5)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return be
 }
 
 // ---- Campaign engine / sim hot path ----
@@ -529,27 +523,29 @@ func BenchmarkDeltalint(b *testing.B) {
 }
 
 // TestDeltalintTimeBudget guards `make lint`'s wall clock: one full-module
-// lint (load plus all ten passes, the BenchmarkDeltalint body) must finish
-// inside DELTALINT_BUDGET_MS, defaulting to 3400 ms — roughly twice the
-// pre-summary-engine seed time — so the interprocedural layer cannot
-// quietly regress the merge gate.  Override the budget via the environment
-// on slower machines.  Race-detector builds multiply the budget by 6:
-// the instrumentation slows type-checking and the passes several-fold,
-// and the budget guards the uninstrumented merge gate, not -race runs.
+// lint (load plus all ten passes, the BenchmarkDeltalint body) must come
+// out clean and, when DELTALINT_BUDGET_MS is set, finish inside that many
+// milliseconds.  `make lint` sets it to 3400 ms — roughly twice the
+// pre-summary-engine seed time — unless the caller chose a budget, so the
+// interprocedural layer cannot quietly regress the merge gate, while a
+// plain `go test ./...` checks only that the lint is clean and does not
+// depend on how fast the machine is.  Race-detector builds multiply the
+// budget by 6: the instrumentation slows type-checking and the passes
+// several-fold, and the budget guards the uninstrumented merge gate.
 func TestDeltalintTimeBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("wall-clock budget is not meaningful under -short")
+		t.Skip("a full-module lint is not run under -short")
 	}
-	budget := 3400 * time.Millisecond
-	if raceEnabled {
-		budget *= 6
-	}
+	var budget time.Duration
 	if s := os.Getenv("DELTALINT_BUDGET_MS"); s != "" {
 		ms, err := strconv.Atoi(s)
 		if err != nil {
 			t.Fatalf("DELTALINT_BUDGET_MS=%q: %v", s, err)
 		}
 		budget = time.Duration(ms) * time.Millisecond
+		if raceEnabled {
+			budget *= 6
+		}
 	}
 	start := time.Now()
 	pkgs, err := framework.LoadModule(".", "./...")
@@ -563,7 +559,7 @@ func TestDeltalintTimeBudget(t *testing.T) {
 	if len(diags) != 0 {
 		t.Fatalf("lint tree not clean: %d finding(s), first: %s", len(diags), diags[0].Message)
 	}
-	if elapsed := time.Since(start); elapsed > budget {
+	if elapsed := time.Since(start); budget > 0 && elapsed > budget {
 		t.Errorf("full-module deltalint took %v, over the %v budget (override with DELTALINT_BUDGET_MS)", elapsed, budget)
 	}
 }

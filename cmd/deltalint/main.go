@@ -50,7 +50,6 @@ func main() {
 	help := flag.Bool("help", false, "print pass documentation and exit")
 	list := flag.Bool("list", false, "print one name-plus-synopsis line per pass and exit")
 	run := flag.String("run", "", "comma-separated subset of passes to run")
-	only := flag.String("only", "", "alias for -run (kept for compatibility)")
 	jsonOut := flag.Bool("json", false, "emit findings as a sorted JSON array on stdout")
 	claimsOut := flag.String("claims", "", "write the inferred resource-claims manifest to this file")
 	blockingOut := flag.String("blocking", "", "write the static worst-case blocking bounds to this file as JSON")
@@ -74,16 +73,9 @@ func main() {
 		}
 		return
 	}
-	sel := *run
-	if sel == "" {
-		sel = *only
-	} else if *only != "" && *only != *run {
-		fmt.Fprintf(os.Stderr, "deltalint: -run and -only disagree; pass just one\n")
-		os.Exit(2)
-	}
-	if sel != "" {
+	if *run != "" {
 		want := map[string]bool{}
-		for _, name := range strings.Split(sel, ",") {
+		for _, name := range strings.Split(*run, ",") {
 			want[strings.TrimSpace(name)] = true
 		}
 		var picked []*passes.Analyzer
@@ -103,7 +95,7 @@ func main() {
 			os.Exit(2)
 		}
 		if len(picked) == 0 {
-			fmt.Fprintf(os.Stderr, "deltalint: no passes match -run=%s\n", sel)
+			fmt.Fprintf(os.Stderr, "deltalint: no passes match -run=%s\n", *run)
 			os.Exit(2)
 		}
 		analyzers = picked

@@ -105,22 +105,18 @@ func requestDeadlock() {
 }
 
 func fullSimulations() {
-	g := app.RunGrantDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewHardwareAvoidance(5, 5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return b
-	})
+	unit, err := app.NewHardwareAvoidance(5, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g := app.RunGrantDeadlockScenario(unit)
 	fmt.Printf("G-dl app with DAU:  %d cycles, %d invocations, avg %.2f cycles/invocation\n",
 		g.AppCycles, g.Invocations, g.AvgAlgCycles)
-	r := app.RunRequestDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return b
-	})
+	soft, err := app.NewSoftwareAvoidance(5, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r := app.RunRequestDeadlockScenario(soft)
 	fmt.Printf("R-dl app with DAA:  %d cycles, %d invocations, avg %.0f cycles/invocation\n",
 		r.AppCycles, r.Invocations, r.AvgAlgCycles)
 }

@@ -122,8 +122,7 @@ func TestBuildCFGSwitchFallthrough(t *testing.T) {
 // names called on EVERY path so far.  Join intersects.
 type mustCall struct{}
 
-func (mustCall) Direction() Direction { return Forward }
-func (mustCall) Boundary() any        { return map[string]bool{} }
+func (mustCall) Boundary() any { return map[string]bool{} }
 
 func (mustCall) Transfer(b *Block, in any) any {
 	out := map[string]bool{}
@@ -214,63 +213,6 @@ func TestSolveForwardLoopFixpoint(t *testing.T) {
 	got := names(in[g.Exit])
 	if got != "a,c" {
 		t.Fatalf("calls on all paths = %q, want %q", got, "a,c")
-	}
-}
-
-// liveNames is a toy backward analysis: a name is live at a point if some
-// path from it reads the name.  Join unions.
-type liveNames struct{}
-
-func (liveNames) Direction() Direction { return Backward }
-func (liveNames) Boundary() any        { return map[string]bool{} }
-
-func (liveNames) Transfer(b *Block, in any) any {
-	out := map[string]bool{}
-	for name := range in.(map[string]bool) {
-		out[name] = true
-	}
-	for _, n := range b.Nodes {
-		ast.Inspect(n, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok {
-				out[id.Name] = true
-			}
-			return true
-		})
-	}
-	return out
-}
-
-func (liveNames) Join(b *Block, in []EdgeFact) any {
-	out := map[string]bool{}
-	for _, ef := range in {
-		for name := range ef.Fact.(map[string]bool) {
-			out[name] = true
-		}
-	}
-	return out
-}
-
-func (liveNames) Equal(a, b any) bool { return mustCall{}.Equal(a, b) }
-
-func TestSolveBackwardLiveness(t *testing.T) {
-	g := BuildCFG(parseBody(t, `
-		for i := 0; i < n; i++ {
-			use(v)
-		}
-	`))
-	in := Solve(g, liveNames{})
-	// v is read inside the loop, so it is live at the loop head's exit side.
-	var head *Block
-	for _, b := range g.Blocks {
-		if b.Kind == BlockLoopHead {
-			head = b
-		}
-	}
-	if head == nil {
-		t.Fatal("no loop head")
-	}
-	if !in[head].(map[string]bool)["v"] {
-		t.Fatalf("v not live at loop head: %q", names(in[head]))
 	}
 }
 

@@ -2,26 +2,15 @@ package framework
 
 // Generic worklist dataflow solver over a CFG.  Facts are opaque (any); a
 // FlowProblem supplies the boundary fact, the per-block transfer function,
-// the merge rule and fact equality.  The solver iterates blocks in reverse
-// post-order (post-order for backward problems) until a fixpoint, which
-// keeps both the iteration count low and — more importantly here — the
+// the merge rule and fact equality.  Facts flow forward from Entry along
+// Succs edges.  The solver iterates blocks in reverse post-order until a
+// fixpoint, which keeps both the iteration count low and — more importantly here — the
 // visit order deterministic, so diagnostics emitted from inside Join or
 // Transfer come out in a stable order.
 //
 // A nil fact means "unreachable": blocks that never receive a fact are
 // skipped, and their diagnostics are never produced (code after an
 // unconditional return is not analyzed, matching the runtime).
-
-// Direction orients a dataflow analysis.
-type Direction int
-
-// Analysis directions.
-const (
-	// Forward propagates facts from Entry along Succs edges.
-	Forward Direction = iota
-	// Backward propagates facts from Exit along Preds edges.
-	Backward
-)
 
 // EdgeFact pairs an in-edge with the fact that flows across it.
 type EdgeFact struct {
@@ -31,10 +20,7 @@ type EdgeFact struct {
 
 // FlowProblem defines one dataflow analysis.
 type FlowProblem interface {
-	// Direction orients the analysis.
-	Direction() Direction
-	// Boundary is the fact entering the start block (Entry for forward,
-	// Exit for backward).
+	// Boundary is the fact entering the Entry block.
 	Boundary() any
 	// Transfer computes the fact leaving block b given the fact entering
 	// it.  It must not mutate in; return a new fact.
@@ -60,15 +46,9 @@ type EdgeRefiner interface {
 const maxSweeps = 64
 
 // Solve runs p over g to a fixpoint and returns the fact at each block's
-// entry (for forward problems) or exit (for backward problems).  Blocks
-// never reached hold no entry in the map.
+// entry.  Blocks never reached hold no entry in the map.
 func Solve(g *CFG, p FlowProblem) map[*Block]any {
-	fwd := p.Direction() == Forward
-	start := g.Entry
-	if !fwd {
-		start = g.Exit
-	}
-	order := iterationOrder(g, start, fwd)
+	order := iterationOrder(g)
 	refiner, _ := p.(EdgeRefiner)
 
 	in := make(map[*Block]any, len(order))
@@ -78,12 +58,12 @@ func Solve(g *CFG, p FlowProblem) map[*Block]any {
 		changed := false
 		for _, b := range order {
 			var inFact any
-			if b == start {
+			if b == g.Entry {
 				inFact = p.Boundary()
 			} else {
 				var facts []EdgeFact
-				for _, e := range inEdges(b, fwd) {
-					f, ok := out[edgeSource(e, fwd)]
+				for _, e := range b.Preds {
+					f, ok := out[e.From]
 					if !ok || f == nil {
 						continue
 					}
@@ -114,47 +94,23 @@ func Solve(g *CFG, p FlowProblem) map[*Block]any {
 	return in
 }
 
-func inEdges(b *Block, fwd bool) []*Edge {
-	if fwd {
-		return b.Preds
-	}
-	return b.Succs
-}
-
-func edgeSource(e *Edge, fwd bool) *Block {
-	if fwd {
-		return e.From
-	}
-	return e.To
-}
-
-// iterationOrder returns the blocks reachable from start in reverse
-// post-order of the traversal direction — the classic order that visits a
-// block after all its non-back-edge predecessors.
-func iterationOrder(g *CFG, start *Block, fwd bool) []*Block {
+// iterationOrder returns the blocks reachable from Entry in reverse
+// post-order — the classic order that visits a block after all its
+// non-back-edge predecessors.
+func iterationOrder(g *CFG) []*Block {
 	seen := make([]bool, len(g.Blocks))
 	var post []*Block
 	var visit func(b *Block)
 	visit = func(b *Block) {
 		seen[b.Index] = true
-		var next []*Edge
-		if fwd {
-			next = b.Succs
-		} else {
-			next = b.Preds
-		}
-		for _, e := range next {
-			t := e.To
-			if !fwd {
-				t = e.From
-			}
-			if !seen[t.Index] {
-				visit(t)
+		for _, e := range b.Succs {
+			if !seen[e.To.Index] {
+				visit(e.To)
 			}
 		}
 		post = append(post, b)
 	}
-	visit(start)
+	visit(g.Entry)
 	order := make([]*Block, len(post))
 	for i, b := range post {
 		order[len(post)-1-i] = b

@@ -140,7 +140,8 @@ type workWalker struct {
 func runBlocking(pass *Pass) (any, error) {
 	w := newLockWalker(pass)
 	flow := runLockFlowWith(w)
-	ceil, programmed := collectCeilings(pass)
+	sets, _ := scanCeilings(pass)
+	ceil, programmed := foldCeilings(sets)
 	lockIDs, byLock := indexLongAcquires(flow)
 
 	ww := &workWalker{w: w}
@@ -235,29 +236,6 @@ func lowerPrio(o, t *taskInfo) bool {
 		return true
 	}
 	return o.prio > t.prio
-}
-
-// collectCeilings gathers the package's constant-folded SetCeiling calls
-// (last call wins, like the runtime).
-func collectCeilings(pass *Pass) (map[int64]int64, map[int64]bool) {
-	ceil := map[int64]int64{}
-	programmed := map[int64]bool{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || calleeName(call) != "SetCeiling" || len(call.Args) != 2 {
-				return true
-			}
-			id, ok1 := constInt(pass, call.Args[0])
-			c, ok2 := constInt(pass, call.Args[1])
-			if ok1 && ok2 {
-				ceil[id] = c
-				programmed[id] = true
-			}
-			return true
-		})
-	}
-	return ceil, programmed
 }
 
 // lockAcq is one task's acquire of a long lock within a scope.

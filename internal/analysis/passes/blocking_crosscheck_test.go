@@ -119,19 +119,12 @@ func TestTracedBlockingWithinStaticBounds(t *testing.T) {
 		c := traceScenario(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS6Locks, false, opt) })
 		checkBlockingBound(t, bounds, "RunRobotScenario", c, true)
 	})
-	mkAvoid := func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	t.Run("grant-avoidance", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) { app.RunGrantDeadlockScenario(mkAvoid, opt) })
+		c := traceScenario(t, func(opt app.Option) { app.RunGrantDeadlockScenario(softwareAvoidance(t), opt) })
 		checkBlockingBound(t, bounds, "RunGrantDeadlockScenario", c, true)
 	})
 	t.Run("request-avoidance", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) { app.RunRequestDeadlockScenario(mkAvoid, opt) })
+		c := traceScenario(t, func(opt app.Option) { app.RunRequestDeadlockScenario(softwareAvoidance(t), opt) })
 		checkBlockingBound(t, bounds, "RunRequestDeadlockScenario", c, true)
 	})
 	t.Run("chaos", func(t *testing.T) {

@@ -2,7 +2,6 @@ package passes
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"sort"
 )
@@ -69,10 +68,10 @@ type ceilCall struct {
 	pos      token.Pos
 }
 
-func runCeiling(pass *Pass) (any, error) {
-	res := &CeilingResult{}
-	active := false
-	var sets []ceilCall
+// scanCeilings walks every file once for the package's constant-folded
+// SetCeiling calls, in source order, and reports whether the package also
+// builds a LockCache.
+func scanCeilings(pass *Pass) (sets []ceilCall, lockCache bool) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -81,22 +80,39 @@ func runCeiling(pass *Pass) (any, error) {
 			}
 			switch calleeName(call) {
 			case "NewLockCache":
-				active = true
+				lockCache = true
 			case "SetCeiling":
 				if len(call.Args) != 2 {
 					return true
 				}
-				id, ok1 := constInt(pass, call.Args[0])
-				c, ok2 := constInt(pass, call.Args[1])
+				id, _, ok1 := constIntOf(pass, call.Args[0])
+				c, _, ok2 := constIntOf(pass, call.Args[1])
 				if ok1 && ok2 {
-					active = true
 					sets = append(sets, ceilCall{id: id, ceil: c, pos: call.Pos()})
 				}
 			}
 			return true
 		})
 	}
-	if !active {
+	return sets, lockCache
+}
+
+// foldCeilings folds the SetCeiling calls into per-lock ceilings (last call
+// wins, like the runtime) and the set of programmed lock ids.
+func foldCeilings(sets []ceilCall) (map[int64]int64, map[int64]bool) {
+	ceil := map[int64]int64{}
+	programmed := map[int64]bool{}
+	for _, s := range sets {
+		ceil[s.id] = s.ceil
+		programmed[s.id] = true
+	}
+	return ceil, programmed
+}
+
+func runCeiling(pass *Pass) (any, error) {
+	res := &CeilingResult{}
+	sets, lockCache := scanCeilings(pass)
+	if !lockCache && len(sets) == 0 {
 		return res, nil
 	}
 
@@ -106,18 +122,13 @@ func runCeiling(pass *Pass) (any, error) {
 	// blocking engine).
 	lockIDs, byLock := indexLongAcquires(rep)
 
-	ceil := map[int64]ceilCall{}
-	programmed := map[int64]bool{}
-	for _, s := range sets {
-		ceil[s.id] = s // last call wins, like the runtime
-		programmed[s.id] = true
-	}
+	ceil, programmed := foldCeilings(sets)
 
 	for _, id := range lockIDs {
 		acqs := byLock[id]
 		lc := LockCeiling{ID: int(id), Programmed: programmed[id]}
 		if programmed[id] {
-			lc.Ceiling = int(ceil[id].ceil)
+			lc.Ceiling = int(ceil[id])
 		}
 		names := map[string]bool{}
 		for _, a := range acqs {
@@ -173,16 +184,12 @@ func runCeiling(pass *Pass) (any, error) {
 	// push-through term (the longest critical section a lower-priority task
 	// of the same scenario can run under a lock whose ceiling blocks this
 	// task) — derived, not hand-maintained.
-	ceilVals := map[int64]int64{}
-	for id, s := range ceil {
-		ceilVals[id] = s.ceil
-	}
 	for _, scope := range rep.scopes {
 		for _, t := range scope.tasks {
 			if !t.hasPrio {
 				continue
 			}
-			res.Blocking = append(res.Blocking, ipcpBlocking(scope, t, lockIDs, byLock, ceilVals, programmed))
+			res.Blocking = append(res.Blocking, ipcpBlocking(scope, t, lockIDs, byLock, ceil, programmed))
 		}
 	}
 	return res, nil
@@ -196,14 +203,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fn.Sel.Name
 	}
 	return ""
-}
-
-func constInt(pass *Pass, e ast.Expr) (int64, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }
 
 // hasLineDirective reports a //deltalint:<name> directive on pos's line or

@@ -67,22 +67,15 @@ func TestRuntimeHeldSetsWithinStaticClaims(t *testing.T) {
 	m := loadAppManifest(t)
 
 	t.Run("detection", func(t *testing.T) {
-		run := app.RunDetectionScenario(func() app.Detector { return &app.SoftwareDetector{} })
+		run := app.RunDetectionScenario(app.NewSoftwareDetector(5, 5))
 		checkSubset(t, m, "RunDetectionScenario", run.Observed)
 	})
-	mkAvoid := func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	t.Run("grant-avoidance", func(t *testing.T) {
-		run := app.RunGrantDeadlockScenario(mkAvoid)
+		run := app.RunGrantDeadlockScenario(softwareAvoidance(t))
 		checkSubset(t, m, "RunGrantDeadlockScenario", run.Observed)
 	})
 	t.Run("request-avoidance", func(t *testing.T) {
-		run := app.RunRequestDeadlockScenario(mkAvoid)
+		run := app.RunRequestDeadlockScenario(softwareAvoidance(t))
 		checkSubset(t, m, "RunRequestDeadlockScenario", run.Observed)
 	})
 	t.Run("robot-rtos5", func(t *testing.T) {
@@ -114,7 +107,7 @@ func TestBankerFromManifestAvoidsDeadlock(t *testing.T) {
 
 	for _, tc := range []struct {
 		scenario string
-		run      func(func() app.AvoidanceBackend, ...app.Option) app.AvoidanceResult
+		run      func(app.AvoidanceBackend, ...app.Option) app.AvoidanceResult
 		avoided  func(app.AvoidanceResult) bool
 	}{
 		{"RunGrantDeadlockScenario", app.RunGrantDeadlockScenario,
@@ -129,14 +122,11 @@ func TestBankerFromManifestAvoidsDeadlock(t *testing.T) {
 		if len(sc.ResourceClaims()) == 0 {
 			t.Fatalf("%s: manifest carries no resource claims to configure the Banker", tc.scenario)
 		}
-		mk := func() app.AvoidanceBackend {
-			b, err := app.NewBankerFromManifest(sc, 5, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
+		b, err := app.NewBankerFromManifest(sc, 5, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		res := tc.run(mk)
+		res := tc.run(b)
 		if !res.Completed {
 			t.Errorf("%s under Banker(manifest): scenario did not complete deadlock-free", tc.scenario)
 		}

@@ -63,7 +63,7 @@ func TestStaticCyclesCoverRuntimeDeadlock(t *testing.T) {
 		t.Fatal("lockorder found no cycles in RunDetectionScenario — the scenario deadlocks at runtime, so the static report lost them")
 	}
 
-	run := app.RunDetectionScenario(func() app.Detector { return &app.SoftwareDetector{} })
+	run := app.RunDetectionScenario(app.NewSoftwareDetector(5, 5))
 	if !run.DeadlockFound {
 		t.Fatal("runtime detection scenario found no deadlock")
 	}
@@ -105,14 +105,7 @@ func TestStaticCyclesPresentForAvoidanceScenarios(t *testing.T) {
 		t.Errorf("RunRequestDeadlockScenario static cycles %v miss the VI->IDCT->DSP request chain", request)
 	}
 
-	mk := func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if res := app.RunRequestDeadlockScenario(mk); !res.Completed || !res.RDlAvoided {
+	if res := app.RunRequestDeadlockScenario(softwareAvoidance(t)); !res.Completed || !res.RDlAvoided {
 		t.Errorf("runtime avoider did not defuse the statically-predicted cycle: completed=%v avoided=%v",
 			res.Completed, res.RDlAvoided)
 	}
@@ -133,4 +126,15 @@ func TestNoStaticCyclesInDeadlockFreeScenarios(t *testing.T) {
 			t.Errorf("unexpected static lock-order cycle in %s: %s", scope, cycles[0].Path)
 		}
 	}
+}
+
+// softwareAvoidance builds the DAA-in-software backend (RTOS3) the scenario
+// cross-checks run on, sized for the 5-process/5-resource system.
+func softwareAvoidance(t *testing.T) *app.SoftwareAvoidance {
+	t.Helper()
+	b, err := app.NewSoftwareAvoidance(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

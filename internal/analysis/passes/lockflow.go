@@ -403,9 +403,6 @@ type bodyProblem struct {
 	exit     *flowFact
 }
 
-// Direction implements framework.FlowProblem.
-func (p *bodyProblem) Direction() framework.Direction { return framework.Forward }
-
 // Boundary implements framework.FlowProblem.
 func (p *bodyProblem) Boundary() any { return p.boundary.clone() }
 

@@ -214,9 +214,6 @@ type memProblem struct {
 	body *ast.BlockStmt
 }
 
-// Direction implements framework.FlowProblem.
-func (p *memProblem) Direction() framework.Direction { return framework.Forward }
-
 // Boundary implements framework.FlowProblem.
 func (p *memProblem) Boundary() any { return &memFact{} }
 

@@ -118,19 +118,12 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 		}
 	})
 
-	mkAvoid := func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	t.Run("avoidance", func(t *testing.T) {
 		audG := races.NewAuditor()
-		app.RunGrantDeadlockScenario(mkAvoid, app.WithRaceAuditor(audG))
+		app.RunGrantDeadlockScenario(softwareAvoidance(t), app.WithRaceAuditor(audG))
 		checkContained(t, m, "RunGrantDeadlockScenario", audG)
 		audR := races.NewAuditor()
-		app.RunRequestDeadlockScenario(mkAvoid, app.WithRaceAuditor(audR))
+		app.RunRequestDeadlockScenario(softwareAvoidance(t), app.WithRaceAuditor(audR))
 		checkContained(t, m, "RunRequestDeadlockScenario", audR)
 		// done[i] elements are task-exclusive: the shadow state machine must
 		// never escalate them past exclusive.

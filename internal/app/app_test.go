@@ -8,7 +8,7 @@ import (
 	"deltartos/internal/socdmmu"
 )
 
-func newHW(t *testing.T) Detector {
+func newHW(t *testing.T) *HardwareDetector {
 	t.Helper()
 	d, err := NewHardwareDetector(5, 5)
 	if err != nil {
@@ -18,13 +18,7 @@ func newHW(t *testing.T) Detector {
 }
 
 func TestDetectionScenarioHardware(t *testing.T) {
-	res := RunDetectionScenario(func() Detector {
-		d, err := NewHardwareDetector(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	})
+	res := RunDetectionScenario(newHW(t))
 	if !res.DeadlockFound {
 		t.Fatal("hardware run did not detect the deadlock")
 	}
@@ -41,7 +35,7 @@ func TestDetectionScenarioHardware(t *testing.T) {
 }
 
 func TestDetectionScenarioSoftware(t *testing.T) {
-	res := RunDetectionScenario(func() Detector { return &SoftwareDetector{} })
+	res := RunDetectionScenario(NewSoftwareDetector(5, 5))
 	if !res.DeadlockFound {
 		t.Fatal("software run did not detect the deadlock")
 	}
@@ -55,11 +49,8 @@ func TestDetectionScenarioSoftware(t *testing.T) {
 }
 
 func TestDetectionHardwareBeatsSoftware(t *testing.T) {
-	hw := RunDetectionScenario(func() Detector {
-		d, _ := NewHardwareDetector(5, 5)
-		return d
-	})
-	sw := RunDetectionScenario(func() Detector { return &SoftwareDetector{} })
+	hw := RunDetectionScenario(newHW(t))
+	sw := RunDetectionScenario(NewSoftwareDetector(5, 5))
 	if hw.AppCycles >= sw.AppCycles {
 		t.Errorf("DDU app (%d) not faster than software app (%d)", hw.AppCycles, sw.AppCycles)
 	}
@@ -70,36 +61,32 @@ func TestDetectionHardwareBeatsSoftware(t *testing.T) {
 }
 
 func TestDetectionDeterministic(t *testing.T) {
-	a := RunDetectionScenario(func() Detector { return &SoftwareDetector{} })
-	b := RunDetectionScenario(func() Detector { return &SoftwareDetector{} })
+	a := RunDetectionScenario(NewSoftwareDetector(5, 5))
+	b := RunDetectionScenario(NewSoftwareDetector(5, 5))
 	if a.AppCycles != b.AppCycles || a.Invocations != b.Invocations {
 		t.Errorf("non-deterministic: %+v vs %+v", a, b)
 	}
 }
 
-func mkHWBackend(t *testing.T) func() AvoidanceBackend {
-	return func() AvoidanceBackend {
-		b, err := NewHardwareAvoidance(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+func mkHWBackend(t *testing.T) *HardwareAvoidance {
+	b, err := NewHardwareAvoidance(5, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
-func mkSWBackend(t *testing.T) func() AvoidanceBackend {
-	return func() AvoidanceBackend {
-		b, err := NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+func mkSWBackend(t *testing.T) *SoftwareAvoidance {
+	b, err := NewSoftwareAvoidance(5, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
 func TestGrantDeadlockScenario(t *testing.T) {
-	for _, mk := range []func() AvoidanceBackend{mkHWBackend(t), mkSWBackend(t)} {
-		res := RunGrantDeadlockScenario(mk)
+	for _, b := range []AvoidanceBackend{mkHWBackend(t), mkSWBackend(t)} {
+		res := RunGrantDeadlockScenario(b)
 		if !res.GDlAvoided {
 			t.Fatalf("%s: grant deadlock not avoided", res.Mechanism)
 		}
@@ -113,8 +100,8 @@ func TestGrantDeadlockScenario(t *testing.T) {
 }
 
 func TestRequestDeadlockScenario(t *testing.T) {
-	for _, mk := range []func() AvoidanceBackend{mkHWBackend(t), mkSWBackend(t)} {
-		res := RunRequestDeadlockScenario(mk)
+	for _, b := range []AvoidanceBackend{mkHWBackend(t), mkSWBackend(t)} {
+		res := RunRequestDeadlockScenario(b)
 		if !res.RDlAvoided {
 			t.Fatalf("%s: request deadlock not avoided", res.Mechanism)
 		}
@@ -245,7 +232,7 @@ func TestResourceManagerBasics(t *testing.T) {
 	s := sim.New()
 	k := rtos.NewKernel(s, 2)
 	devices := sim.StandardDevices(s)
-	det := &SoftwareDetector{}
+	det := NewSoftwareDetector(2, len(devices))
 	rm := NewResourceManager(k, det, 2, devices)
 	rm.SetPriority(0, 1)
 	rm.SetPriority(1, 2)
@@ -268,18 +255,17 @@ func TestResourceManagerBasics(t *testing.T) {
 	if rm.DeadlockSeen {
 		t.Error("false deadlock")
 	}
-	if det.Invocations == 0 {
+	if det.Invocations() == 0 {
 		t.Error("no detection invocations")
 	}
-	_ = newHW(t)
 }
 
 func TestSoftwareDetectorPadding(t *testing.T) {
 	s := sim.New()
 	k := rtos.NewKernel(s, 1)
 	devices := sim.StandardDevices(s)
-	small := &SoftwareDetector{}         // pad 0: native 4x4
-	padded := &SoftwareDetector{Pad: 12} // padded to 12x12
+	small := NewSoftwareDetector(2, len(devices)) // the graph's own size
+	padded := NewSoftwareDetector(12, 12)         // padded to 12x12
 	rmS := NewResourceManager(k, small, 2, devices)
 	rmP := NewResourceManager(k, padded, 2, devices)
 	k.CreateTask("a", 0, 1, 0, func(c *rtos.TaskCtx) {
@@ -287,8 +273,8 @@ func TestSoftwareDetectorPadding(t *testing.T) {
 		rmP.Request(c, 0, 1)
 	})
 	s.Run()
-	if padded.TotalCycles <= small.TotalCycles {
+	if padded.TotalCost() <= small.TotalCost() {
 		t.Errorf("padded detection (%d) should cost more than native (%d)",
-			padded.TotalCycles, small.TotalCycles)
+			padded.TotalCost(), small.TotalCost())
 	}
 }

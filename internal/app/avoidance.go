@@ -54,10 +54,29 @@ type AvoidanceBackend interface {
 	ReleaseOp(p, q int) (daa.ReleaseResult, sim.Cycles)
 	Holder(q int) int
 	Held(p int) []int
+	Deadlocked() bool
+	// Invocations, TotalCost and Average read the backend's Meter.
 	Invocations() int
 	TotalCost() sim.Cycles
-	Deadlocked() bool
+	Average() float64
 }
+
+// avoider is what the two DAA-backed backends share: the Avoider's view of
+// holdings, priorities and deadlock.  They differ only in what running the
+// algorithm costs.
+type avoider struct{ av *daa.Avoider }
+
+// SetPriority implements AvoidanceBackend.
+func (b avoider) SetPriority(p, prio int) { b.av.SetPriority(p, daa.Priority(prio)) }
+
+// Holder implements AvoidanceBackend.
+func (b avoider) Holder(q int) int { return b.av.Holder(q) }
+
+// Held implements AvoidanceBackend.
+func (b avoider) Held(p int) []int { return b.av.Graph().HeldBy(p) }
+
+// Deadlocked implements AvoidanceBackend.
+func (b avoider) Deadlocked() bool { return b.av.Deadlocked() }
 
 // fixed software overhead per DAA invocation beyond detection: argument
 // marshalling, case dispatch, queue bookkeeping in shared memory.
@@ -65,9 +84,8 @@ const daaSoftwareOverhead = 230
 
 // SoftwareAvoidance is DAA in software (RTOS3).
 type SoftwareAvoidance struct {
-	av    *daa.Avoider
-	calls int
-	total sim.Cycles
+	Meter
+	avoider
 }
 
 // NewSoftwareAvoidance builds the RTOS3 backend.
@@ -76,27 +94,20 @@ func NewSoftwareAvoidance(procs, resources int) (*SoftwareAvoidance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SoftwareAvoidance{av: av}, nil
+	return &SoftwareAvoidance{avoider: avoider{av}}, nil
 }
 
 // Name implements AvoidanceBackend.
 func (b *SoftwareAvoidance) Name() string { return "DAA in software" }
 
-// SetPriority implements AvoidanceBackend.
-func (b *SoftwareAvoidance) SetPriority(p, prio int) {
-	b.av.SetPriority(p, daa.Priority(prio))
-}
-
+// charge books the detection work the Avoider did since before.
 func (b *SoftwareAvoidance) charge(before daa.Stats) sim.Cycles {
 	after := b.av.Stats()
 	det := after.Detection
 	det.CellReads -= before.Detection.CellReads
 	det.CellWrites -= before.Detection.CellWrites
 	det.Ops -= before.Detection.Ops
-	cost := sim.SoftwareDetectCycles(det) + daaSoftwareOverhead
-	b.calls++
-	b.total += cost
-	return cost
+	return b.add(sim.SoftwareDetectCycles(det) + daaSoftwareOverhead)
 }
 
 // RequestOp implements AvoidanceBackend.
@@ -119,26 +130,11 @@ func (b *SoftwareAvoidance) ReleaseOp(p, q int) (daa.ReleaseResult, sim.Cycles) 
 	return res, b.charge(before)
 }
 
-// Holder implements AvoidanceBackend.
-func (b *SoftwareAvoidance) Holder(q int) int { return b.av.Holder(q) }
-
-// Held implements AvoidanceBackend.
-func (b *SoftwareAvoidance) Held(p int) []int { return b.av.Graph().HeldBy(p) }
-
-// Invocations implements AvoidanceBackend.
-func (b *SoftwareAvoidance) Invocations() int { return b.calls }
-
-// TotalCost implements AvoidanceBackend.
-func (b *SoftwareAvoidance) TotalCost() sim.Cycles { return b.total }
-
-// Deadlocked implements AvoidanceBackend.
-func (b *SoftwareAvoidance) Deadlocked() bool { return b.av.Deadlocked() }
-
 // HardwareAvoidance is the DAU (RTOS4).
 type HardwareAvoidance struct {
-	u     *dau.Unit
-	calls int
-	total sim.Cycles
+	Meter
+	avoider
+	u *dau.Unit
 }
 
 // NewHardwareAvoidance builds the RTOS4 backend.
@@ -147,16 +143,11 @@ func NewHardwareAvoidance(procs, resources int) (*HardwareAvoidance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HardwareAvoidance{u: u}, nil
+	return &HardwareAvoidance{avoider: avoider{u.Avoider()}, u: u}, nil
 }
 
 // Name implements AvoidanceBackend.
 func (b *HardwareAvoidance) Name() string { return "DAU (hardware)" }
-
-// SetPriority implements AvoidanceBackend.
-func (b *HardwareAvoidance) SetPriority(p, prio int) {
-	b.u.SetPriority(p, daa.Priority(prio))
-}
 
 // RequestOp implements AvoidanceBackend.
 func (b *HardwareAvoidance) RequestOp(p, q int) (daa.RequestResult, sim.Cycles) {
@@ -164,9 +155,6 @@ func (b *HardwareAvoidance) RequestOp(p, q int) (daa.RequestResult, sim.Cycles) 
 	if err != nil {
 		panic("app: " + err.Error())
 	}
-	cost := sim.DAUInvokeCycles(steps)
-	b.calls++
-	b.total += cost
 	res := daa.RequestResult{RDl: st.RDl, Livelock: st.Livelock, AskedProcess: st.WhichProcess}
 	switch {
 	case st.Successful:
@@ -179,7 +167,7 @@ func (b *HardwareAvoidance) RequestOp(p, q int) (daa.RequestResult, sim.Cycles) 
 		res.Decision = daa.Pending
 		res.AskedProcess = -1
 	}
-	return res, cost
+	return res, b.add(sim.DAUInvokeCycles(steps))
 }
 
 // ReleaseOp implements AvoidanceBackend.
@@ -188,26 +176,8 @@ func (b *HardwareAvoidance) ReleaseOp(p, q int) (daa.ReleaseResult, sim.Cycles) 
 	if err != nil {
 		panic("app: " + err.Error())
 	}
-	cost := sim.DAUInvokeCycles(steps)
-	b.calls++
-	b.total += cost
-	return daa.ReleaseResult{GrantedTo: st.GrantedTo, GDl: st.GDl}, cost
+	return daa.ReleaseResult{GrantedTo: st.GrantedTo, GDl: st.GDl}, b.add(sim.DAUInvokeCycles(steps))
 }
-
-// Holder implements AvoidanceBackend.
-func (b *HardwareAvoidance) Holder(q int) int { return b.u.Holder(q) }
-
-// Held implements AvoidanceBackend.
-func (b *HardwareAvoidance) Held(p int) []int { return b.u.Avoider().Graph().HeldBy(p) }
-
-// Invocations implements AvoidanceBackend.
-func (b *HardwareAvoidance) Invocations() int { return b.calls }
-
-// TotalCost implements AvoidanceBackend.
-func (b *HardwareAvoidance) TotalCost() sim.Cycles { return b.total }
-
-// Deadlocked implements AvoidanceBackend.
-func (b *HardwareAvoidance) Deadlocked() bool { return b.u.Avoider().Deadlocked() }
 
 // AvoidanceWorld plumbs an avoidance backend into the running tasks:
 // blocking requests, grant wakeups, and give-up compliance performed by the
@@ -218,8 +188,7 @@ type AvoidanceWorld struct {
 	B       AvoidanceBackend
 	tasks   []*rtos.Task
 	devices []*sim.Device
-	// GiveUps counts give-up compliance actions; Reacquires counts
-	// re-requests issued after giving a resource up.
+	// GiveUps counts give-up compliance actions.
 	GiveUps int
 	// Audit records every (task, resource) hold actually granted, for the
 	// runtime-vs-static-claims cross-check.
@@ -231,12 +200,11 @@ type AvoidanceWorld struct {
 
 // NewAvoidanceWorld builds a 4-PE world with the standard devices.
 func NewAvoidanceWorld(b AvoidanceBackend, opts ...Option) *AvoidanceWorld {
-	s := newScenarioSim(opts)
-	w := &AvoidanceWorld{S: s, K: rtos.NewKernel(s, 4), B: b, devices: sim.StandardDevices(s)}
-	w.tasks = make([]*rtos.Task, 4)
-	w.Audit = claims.NewAudit()
-	w.Races = raceAuditorOf(opts)
-	return w
+	s, aud := newScenarioSim(opts)
+	return &AvoidanceWorld{
+		S: s, K: rtos.NewKernel(s, 4), B: b, devices: sim.StandardDevices(s),
+		tasks: make([]*rtos.Task, 4), Audit: claims.NewAudit(), Races: aud,
+	}
 }
 
 // recordHold books that the calling task now holds resource q.
@@ -263,32 +231,8 @@ func (w *AvoidanceWorld) Device(q int) *sim.Device { return w.devices[q] }
 // safe waiters) and the request retried — the compliance loop of the
 // scenario applications.
 func (w *AvoidanceWorld) Request(c *rtos.TaskCtx, p, q int) {
-	for {
-		res, cost := w.B.RequestOp(p, q)
-		c.ChargeCompute(cost)
-		recordAvoid(w.S.Rec, "avoid.request", c.Now(), cost, c.Task().PE, c.Task().Name, q, decisionVerdict(res.Decision))
-		switch res.Decision {
-		case daa.Granted:
-			w.recordHold(c, q)
-			return
-		case daa.Pending, daa.PendingOwnerAsked:
-			if res.Decision == daa.PendingOwnerAsked {
-				w.askOwner(res.AskedProcess, q)
-			}
-			for w.B.Holder(q) != p {
-				c.Park(fmt.Sprintf("avoid:%s", w.devices[q].Name))
-			}
-			w.recordHold(c, q)
-			return
-		case daa.GiveUpRequested:
-			// Comply: release everything held (each release may hand the
-			// resource to a waiter), back off, retry.
-			w.GiveUps++
-			for _, h := range w.B.Held(p) {
-				w.release(c, p, h)
-			}
-			c.Compute(150) // checkpoint/restart cost before retrying
-		}
+	if !w.ask(c, p, q) {
+		w.await(c, p, q, "avoid")
 	}
 }
 
@@ -297,60 +241,80 @@ func (w *AvoidanceWorld) Request(c *rtos.TaskCtx, p, q int) {
 // issued while the process is still running, then the process blocks until
 // it holds both.
 func (w *AvoidanceWorld) RequestPair(c *rtos.TaskCtx, p, qa, qb int) {
-	pending := make([]int, 0, 2)
-	for _, q := range []int{qa, qb} {
-		for {
-			res, cost := w.B.RequestOp(p, q)
-			c.ChargeCompute(cost)
-			recordAvoid(w.S.Rec, "avoid.request", c.Now(), cost, c.Task().PE, c.Task().Name, q, decisionVerdict(res.Decision))
-			if res.Decision == daa.GiveUpRequested {
-				w.GiveUps++
-				for _, h := range w.B.Held(p) {
-					w.release(c, p, h)
-				}
-				c.Compute(150)
-				continue
-			}
-			if res.Decision == daa.PendingOwnerAsked {
-				w.askOwner(res.AskedProcess, q)
-			}
-			if res.Decision != daa.Granted {
-				pending = append(pending, q)
-			} else {
-				w.recordHold(c, q)
-			}
-			break
-		}
+	grantedA := w.ask(c, p, qa)
+	grantedB := w.ask(c, p, qb)
+	if !grantedA {
+		w.await(c, p, qa, "avoid")
 	}
-	for _, q := range pending {
-		for w.B.Holder(q) != p {
-			c.Park(fmt.Sprintf("avoid:%s", w.devices[q].Name))
-		}
-		w.recordHold(c, q)
+	if !grantedB {
+		w.await(c, p, qb, "avoid")
 	}
+}
+
+// ask runs p's request event for q until the avoider grants or queues
+// it, and reports whether it granted.  A give-up demand is complied with:
+// release everything held (each release may hand the resource to a
+// waiter), back off, retry.  A request the avoider queued by asking q's
+// owner to give it up starts that give-up.
+func (w *AvoidanceWorld) ask(c *rtos.TaskCtx, p, q int) bool {
+	for {
+		res, cost := w.B.RequestOp(p, q)
+		c.ChargeCompute(cost)
+		recordAvoid(w.S.Rec, "avoid.request", c.Now(), cost, c.Task().PE, c.Task().Name, q, decisionVerdict(res.Decision))
+		//deltalint:partial a plain Pending needs no action before the wait
+		switch res.Decision {
+		case daa.Granted:
+			w.recordHold(c, q)
+			return true
+		case daa.GiveUpRequested:
+			w.GiveUps++
+			for _, h := range w.B.Held(p) {
+				w.Release(c, p, h)
+			}
+			c.Compute(150) // checkpoint/restart cost before retrying
+			continue
+		case daa.PendingOwnerAsked:
+			w.askOwner(res.AskedProcess, q)
+		}
+		return false
+	}
+}
+
+// await parks task p until the avoider has granted it q.
+func (w *AvoidanceWorld) await(c *rtos.TaskCtx, p, q int, why string) {
+	for w.B.Holder(q) != p {
+		c.Park(fmt.Sprintf("%s:%s", why, w.devices[q].Name))
+	}
+	w.recordHold(c, q)
 }
 
 // Release frees q held by p and wakes whoever the avoider granted it to.
 func (w *AvoidanceWorld) Release(c *rtos.TaskCtx, p, q int) {
-	w.release(c, p, q)
-}
-
-func (w *AvoidanceWorld) release(c *rtos.TaskCtx, p, q int) {
 	res, cost := w.B.ReleaseOp(p, q)
 	w.Races.Release(w.taskName(p, c.Task().Name), claims.ResourceKey("res", q))
 	c.ChargeCompute(cost)
+	w.handOver(res, "avoid.release", c.Now(), cost, c.Task().PE, c.Task().Name, q)
+}
+
+// handOver books a release of q whose cost ends at now — "free", or
+// "handoff" when the avoider granted q on — and wakes every process the
+// release granted a resource to.
+func (w *AvoidanceWorld) handOver(res daa.ReleaseResult, name string, now, cost sim.Cycles, pe int, proc string, q int) {
 	verdict := "free"
 	if res.GrantedTo >= 0 {
 		verdict = "handoff"
 	}
-	recordAvoid(w.S.Rec, "avoid.release", c.Now(), cost, c.Task().PE, c.Task().Name, q, verdict)
-	if res.GrantedTo >= 0 && w.tasks[res.GrantedTo] != nil {
-		w.K.Unpark(w.tasks[res.GrantedTo])
-	}
+	recordAvoid(w.S.Rec, name, now, cost, pe, proc, q, verdict)
+	w.wake(res.GrantedTo)
 	for _, g := range res.AlsoGranted {
-		if g >= 0 && w.tasks[g] != nil {
-			w.K.Unpark(w.tasks[g])
-		}
+		w.wake(g)
+	}
+}
+
+// wake readies process p's task (p < 0 or a process with no task: nothing).
+func (w *AvoidanceWorld) wake(p int) {
+	if p >= 0 && w.tasks[p] != nil {
+		w.K.Unpark(w.tasks[p])
 	}
 }
 
@@ -371,25 +335,13 @@ func (w *AvoidanceWorld) askOwner(owner, q int) {
 		res, cost := w.B.ReleaseOp(owner, q)
 		w.Races.Release(w.taskName(owner, p.Name), claims.ResourceKey("res", q))
 		p.Delay(cost)
-		verdict := "free"
-		if res.GrantedTo >= 0 {
-			verdict = "handoff"
-		}
-		recordAvoid(w.S.Rec, "avoid.giveup", p.Now(), cost, p.PE, p.Name, q, verdict)
-		if res.GrantedTo >= 0 && w.tasks[res.GrantedTo] != nil {
-			w.K.Unpark(w.tasks[res.GrantedTo])
-		}
-		for _, g := range res.AlsoGranted {
-			if g >= 0 && w.tasks[g] != nil {
-				w.K.Unpark(w.tasks[g])
-			}
-		}
+		w.handOver(res, "avoid.giveup", p.Now(), cost, p.PE, p.Name, q)
 		// The owner will need the resource again: queue its re-request.
 		rr, cost2 := w.B.RequestOp(owner, q)
 		p.Delay(cost2)
 		recordAvoid(w.S.Rec, "avoid.request", p.Now(), cost2, p.PE, p.Name, q, decisionVerdict(rr.Decision))
-		if rr.Decision == daa.Granted && w.tasks[owner] != nil {
-			w.K.Unpark(w.tasks[owner])
+		if rr.Decision == daa.Granted {
+			w.wake(owner)
 		}
 	})
 }
@@ -397,10 +349,7 @@ func (w *AvoidanceWorld) askOwner(owner, q int) {
 // WaitRegranted parks task p until it holds q again (used by a process that
 // was asked to give q up and whose re-request was queued by askOwner).
 func (w *AvoidanceWorld) WaitRegranted(c *rtos.TaskCtx, p, q int) {
-	for w.B.Holder(q) != p {
-		c.Park(fmt.Sprintf("regrant:%s", w.devices[q].Name))
-	}
-	w.recordHold(c, q)
+	w.await(c, p, q, "regrant")
 }
 
 // AvoidanceResult is one column of Table 7 or Table 9.
@@ -422,13 +371,11 @@ type AvoidanceResult struct {
 // safely by the avoider.  Returns the Table 7 measurements.
 //
 //deltalint:deadlock-expected the scenario exists to exercise G-dl avoidance
-func RunGrantDeadlockScenario(mkBackend func() AvoidanceBackend, opts ...Option) AvoidanceResult {
-	b := mkBackend()
+func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResult {
 	w := NewAvoidanceWorld(b, opts...)
 	for p := 0; p < 4; p++ {
 		b.SetPriority(p, p+1)
 	}
-	var gdlSeen bool
 	done := make([]bool, 4)
 
 	// p1: video capture + IDCT over one frame (t1..t4).
@@ -462,21 +409,10 @@ func RunGrantDeadlockScenario(mkBackend func() AvoidanceBackend, opts ...Option)
 		w.Races.Access(c.Task().Name, "done[1]", true)
 	})
 
-	end := w.S.Run()
-	_ = end
-	// G-dl avoided iff the avoidance ran without the system deadlocking and
-	// all three pipelines completed.
-	gdlSeen = done[0] && done[1] && done[2] && !b.Deadlocked()
-	last := lastFinish(w.K)
-	return AvoidanceResult{
-		Mechanism:    b.Name(),
-		Invocations:  b.Invocations(),
-		AvgAlgCycles: avg(b.TotalCost(), b.Invocations()),
-		AppCycles:    last,
-		GDlAvoided:   gdlSeen,
-		Completed:    done[0] && done[1] && done[2],
-		Observed:     w.Audit.Observed(),
-	}
+	w.S.Run()
+	res, avoided := w.result(done)
+	res.GDlAvoided = avoided
+	return res
 }
 
 // RunRequestDeadlockScenario executes Application Example II (Table 8 /
@@ -484,14 +420,12 @@ func RunGrantDeadlockScenario(mkBackend func() AvoidanceBackend, opts ...Option)
 // Table 9 measurements.
 //
 //deltalint:deadlock-expected the scenario exists to exercise R-dl avoidance
-func RunRequestDeadlockScenario(mkBackend func() AvoidanceBackend, opts ...Option) AvoidanceResult {
-	b := mkBackend()
+func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResult {
 	w := NewAvoidanceWorld(b, opts...)
 	for p := 0; p < 4; p++ {
 		b.SetPriority(p, p+1)
 	}
 	done := make([]bool, 4)
-	var rdlSeen bool
 
 	// p1 needs q1 (VI) and q2 (IDCT).
 	w.tasks[0] = w.K.CreateTask("p1", 0, 1, 0, func(c *rtos.TaskCtx) {
@@ -534,23 +468,24 @@ func RunRequestDeadlockScenario(mkBackend func() AvoidanceBackend, opts ...Optio
 	})
 
 	w.S.Run()
-	rdlSeen = done[0] && done[1] && done[2] && !b.Deadlocked()
-	return AvoidanceResult{
-		Mechanism:    b.Name(),
-		Invocations:  b.Invocations(),
-		AvgAlgCycles: avg(b.TotalCost(), b.Invocations()),
-		AppCycles:    lastFinish(w.K),
-		RDlAvoided:   rdlSeen,
-		Completed:    done[0] && done[1] && done[2],
-		Observed:     w.Audit.Observed(),
-	}
+	res, avoided := w.result(done)
+	res.RDlAvoided = avoided
+	return res
 }
 
-func avg(total sim.Cycles, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
+// result measures a finished run of the three-pipeline scenarios.  The
+// deadlock counts as avoided iff every pipeline completed and the system
+// never deadlocked.
+func (w *AvoidanceWorld) result(done []bool) (res AvoidanceResult, avoided bool) {
+	completed := done[0] && done[1] && done[2]
+	return AvoidanceResult{
+		Mechanism:    w.B.Name(),
+		Invocations:  w.B.Invocations(),
+		AvgAlgCycles: w.B.Average(),
+		AppCycles:    lastFinish(w.K),
+		Completed:    completed,
+		Observed:     w.Audit.Observed(),
+	}, completed && !w.B.Deadlocked()
 }
 
 func lastFinish(k *rtos.Kernel) sim.Cycles {

@@ -21,6 +21,7 @@ import (
 // after every release (a refused request can become safe when an unrelated
 // resource frees, hence ReleaseResult.AlsoGranted).
 type BankerAvoidance struct {
+	Meter
 	bk               *daa.Banker
 	procs, resources int
 	prio             []int
@@ -28,8 +29,6 @@ type BankerAvoidance struct {
 	pending [][]int
 	arrival int
 	stamp   map[[2]int]int // (p,q) -> arrival stamp, for stable retry order
-	calls   int
-	total   sim.Cycles
 }
 
 // bankerOpCycles is the deterministic software cost of one Banker
@@ -97,10 +96,7 @@ func (b *BankerAvoidance) SetPriority(p, prio int) {
 }
 
 func (b *BankerAvoidance) charge() sim.Cycles {
-	cost := bankerOpCycles(b.procs, b.resources)
-	b.calls++
-	b.total += cost
-	return cost
+	return b.add(bankerOpCycles(b.procs, b.resources))
 }
 
 // RequestOp implements AvoidanceBackend: grant iff free and safe, else
@@ -207,12 +203,6 @@ func (b *BankerAvoidance) Holder(q int) int { return b.bk.Graph().Holder(q) }
 
 // Held implements AvoidanceBackend.
 func (b *BankerAvoidance) Held(p int) []int { return b.bk.Graph().HeldBy(p) }
-
-// Invocations implements AvoidanceBackend.
-func (b *BankerAvoidance) Invocations() int { return b.calls }
-
-// TotalCost implements AvoidanceBackend.
-func (b *BankerAvoidance) TotalCost() sim.Cycles { return b.total }
 
 // Deadlocked implements AvoidanceBackend: the Banker's safety invariant
 // rules deadlock out by construction (that is its whole trade: fewer

@@ -65,8 +65,7 @@ type ChaosWorld struct {
 // allocation failure is absorbed, so a recovery-restarted task replays
 // cleanly.
 func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Option) *ChaosWorld {
-	aud := raceAuditorOf(opts)
-	s := newScenarioSim(opts)
+	s, aud := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	k.Races = aud
 	locks := mkLocks(k)
@@ -78,14 +77,7 @@ func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Opti
 	idct := s.NewDevice("IDCT")
 	w := &ChaosWorld{S: s, K: k, Locks: locks, Mem: mem, Devices: []*sim.Device{idct}}
 	w.Audit = claims.NewAudit()
-	switch m := locks.(type) {
-	case *soclc.SoftwareLocks:
-		m.Audit = w.Audit
-		m.Races = aud
-	case *soclc.LockCache:
-		m.Audit = w.Audit
-		m.Races = aud
-	}
+	locks.Attach(w.Audit, aud)
 
 	const (
 		lockState = 0 // long: shared position state

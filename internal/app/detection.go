@@ -42,7 +42,9 @@ const (
 
 // RunDetectionScenario executes the Jini-inspired lookup application of
 // Section 5.3 (Table 4 / Figure 15) on a 4-PE MPSoC, with deadlock
-// detection performed by det.  It returns the Table 5 measurements.
+// detection performed by det, which the caller sizes for the system (the
+// paper's RTOS1 compiles PDDA for the 5-process/5-resource maximum).  It
+// returns the Table 5 measurements.
 //
 // Event sequence (Table 4):
 //
@@ -61,14 +63,10 @@ const (
 // deadlock was detected.
 //
 //deltalint:deadlock-expected the scenario exists to exercise the DDU/PDDA
-func RunDetectionScenario(mkDet func() Detector, opts ...Option) DetectionResult {
-	s := newScenarioSim(opts)
+func RunDetectionScenario(det Detector, opts ...Option) DetectionResult {
+	s, _ := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	devices := sim.StandardDevices(s)
-	det := mkDet()
-	if sd, ok := det.(*SoftwareDetector); ok && sd.Pad == 0 {
-		sd.Pad = 5 // RTOS1 compiles PDDA for the 5-process/5-resource maximum
-	}
 	rm := NewResourceManager(k, det, 4, devices)
 	rm.Audit = claims.NewAudit()
 	lock := k.NewMutex("alloc-svc", rtos.ProtoNone, 0)
@@ -112,21 +110,14 @@ func RunDetectionScenario(mkDet func() Detector, opts ...Option) DetectionResult
 
 	s.Run()
 
-	res := DetectionResult{
+	return DetectionResult{
 		Mechanism:           det.Name(),
+		Invocations:         det.Invocations(),
+		AvgDetectCycles:     det.Average(),
 		DeadlockFound:       rm.DeadlockSeen,
 		AppCycles:           rm.DeadlockAt,
 		DeadlockedProcs:     rm.DeadlockedProcs,
 		DeadlockedResources: rm.DeadlockedResources,
 		Observed:            rm.Audit.Observed(),
 	}
-	switch d := det.(type) {
-	case *SoftwareDetector:
-		res.Invocations = d.Invocations
-		res.AvgDetectCycles = d.Average()
-	case *HardwareDetector:
-		res.Invocations = d.Invocations
-		res.AvgDetectCycles = d.Average()
-	}
-	return res
 }

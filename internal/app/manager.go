@@ -35,6 +35,36 @@ func recordDetect(c *rtos.TaskCtx, name string, cost sim.Cycles, steps int, dead
 	})
 }
 
+// Meter counts a backend's invocations and the algorithm cycles they cost:
+// the two numbers Tables 5, 7 and 9 compare per mechanism.  Every detection
+// and avoidance backend embeds one, so a scenario reads its measurements
+// the same way whichever side of the partition the service runs on.
+type Meter struct {
+	calls int
+	total sim.Cycles
+}
+
+// add books one invocation of the given cost and returns the cost.
+func (m *Meter) add(cost sim.Cycles) sim.Cycles {
+	m.calls++
+	m.total += cost
+	return cost
+}
+
+// Invocations returns how many times the backend ran.
+func (m *Meter) Invocations() int { return m.calls }
+
+// TotalCost returns the cycles charged over all invocations.
+func (m *Meter) TotalCost() sim.Cycles { return m.total }
+
+// Average returns the mean per-invocation cost (0 before the first).
+func (m *Meter) Average() float64 {
+	if m.calls == 0 {
+		return 0
+	}
+	return float64(m.total) / float64(m.calls)
+}
+
 // Detector abstracts WHERE deadlock detection runs: software PDDA on the
 // requesting PE (RTOS1) or the DDU hardware unit (RTOS2).
 type Detector interface {
@@ -44,17 +74,26 @@ type Detector interface {
 	Invoke(c *rtos.TaskCtx, g *rag.Graph) (deadlock bool, cost sim.Cycles)
 	// Name labels the mechanism in reports.
 	Name() string
+	// Invocations, TotalCost and Average read the backend's Meter.
+	Invocations() int
+	TotalCost() sim.Cycles
+	Average() float64
 }
 
 // SoftwareDetector runs PDDA in software: every matrix cell access is an
-// uncached shared-memory access from the invoking PE.  Pad, when positive,
-// is the compiled-in system maximum (the paper's RTOS1 scans the full 5x5
+// uncached shared-memory access from the invoking PE.  It scans at least
+// the compiled-in system maximum (the paper's RTOS1 scans the full 5x5
 // matrix regardless of how many processes are live).
 type SoftwareDetector struct {
-	Pad         int
-	Invocations int
-	TotalCycles sim.Cycles
-	sc          pdda.Scratch
+	Meter
+	procs, resources int
+	sc               pdda.Scratch
+}
+
+// NewSoftwareDetector sizes PDDA for a system of at most procs processes
+// and resources resources; a larger graph is scanned at its own size.
+func NewSoftwareDetector(procs, resources int) *SoftwareDetector {
+	return &SoftwareDetector{procs: procs, resources: resources}
 }
 
 // Name implements Detector.
@@ -63,31 +102,20 @@ func (d *SoftwareDetector) Name() string { return "PDDA in software" }
 // Invoke implements Detector.
 func (d *SoftwareDetector) Invoke(c *rtos.TaskCtx, g *rag.Graph) (bool, sim.Cycles) {
 	gm, gn := g.Size()
-	g.MatrixInto(d.sc.Work(max(d.Pad, gm), max(d.Pad, gn)))
+	g.MatrixInto(d.sc.Work(max(d.resources, gm), max(d.procs, gn)))
 	dead, st := pdda.DetectWork(&d.sc)
-	cost := sim.SoftwareDetectCycles(st)
+	cost := d.add(sim.SoftwareDetectCycles(st))
 	c.ChargeCompute(cost)
-	d.Invocations++
-	d.TotalCycles += cost
 	recordDetect(c, "detect.invoke", cost, st.Iterations, dead)
 	return dead, cost
-}
-
-// Average returns the mean per-invocation cost.
-func (d *SoftwareDetector) Average() float64 {
-	if d.Invocations == 0 {
-		return 0
-	}
-	return float64(d.TotalCycles) / float64(d.Invocations)
 }
 
 // HardwareDetector drives a DDU: the matrix is kept in the unit by the
 // resource manager (one bus write per edge change, already part of the event
 // cost), so detection itself is a start plus a status read.
 type HardwareDetector struct {
-	Unit        *ddu.Unit
-	Invocations int
-	TotalCycles sim.Cycles
+	Meter
+	Unit *ddu.Unit
 }
 
 // NewHardwareDetector sizes a DDU for the scenario.
@@ -108,20 +136,10 @@ func (d *HardwareDetector) Invoke(c *rtos.TaskCtx, g *rag.Graph) (bool, sim.Cycl
 		panic("app: ddu size mismatch: " + err.Error())
 	}
 	res := d.Unit.Detect()
-	cost := sim.DDUInvokeCycles(res.Steps)
+	cost := d.add(sim.DDUInvokeCycles(res.Steps))
 	c.ChargeCompute(cost)
-	d.Invocations++
-	d.TotalCycles += cost
 	recordDetect(c, "detect.invoke", cost, res.Steps, res.Deadlock)
 	return res.Deadlock, cost
-}
-
-// Average returns the mean per-invocation cost.
-func (d *HardwareDetector) Average() float64 {
-	if d.Invocations == 0 {
-		return 0
-	}
-	return float64(d.TotalCycles) / float64(d.Invocations)
 }
 
 // ResourceManager is the RTOS resource-allocation service of RTOS1/RTOS2:
@@ -159,7 +177,6 @@ type ResourceManager struct {
 type waiter struct {
 	proc int
 	t    *rtos.Task
-	ctx  *rtos.TaskCtx
 }
 
 // Serialize guards every manager operation with the given kernel mutex,
@@ -236,25 +253,40 @@ func (rm *ResourceManager) detect(c *rtos.TaskCtx) bool {
 	return dead
 }
 
+// ask is one request event of p for q: a free resource is granted at once,
+// a busy one gets a request edge, and detection runs on the event either
+// way.  It reports whether q was granted.
+func (rm *ResourceManager) ask(c *rtos.TaskCtx, p, q int) bool {
+	rm.Events++
+	rm.serviceCost(c)
+	granted := rm.g.Holder(q) == -1
+	if granted {
+		if err := rm.g.SetGrant(q, p); err != nil {
+			panic("app: " + err.Error())
+		}
+		rm.Audit.Record(c.Task().Name, claims.ResourceKey("res", q))
+	} else {
+		rm.g.AddRequest(q, p)
+	}
+	rm.detect(c)
+	return granted
+}
+
+// enqueue queues the calling task, as process p, for a grant of q.
+func (rm *ResourceManager) enqueue(c *rtos.TaskCtx, p, q int) {
+	rm.waiters[q] = insertWaiter(rm.waiters[q], &waiter{proc: p, t: c.Task()}, rm.prio)
+}
+
 // Request asks for resource q on behalf of process p (running in task
 // context c).  It blocks until the resource is granted.  Detection runs on
 // every request event, as the experiment prescribes.
 func (rm *ResourceManager) Request(c *rtos.TaskCtx, p, q int) {
 	rm.lock(c)
-	rm.Events++
-	rm.serviceCost(c)
-	if rm.g.Holder(q) == -1 {
-		if err := rm.g.SetGrant(q, p); err != nil {
-			panic("app: " + err.Error())
-		}
-		rm.Audit.Record(c.Task().Name, claims.ResourceKey("res", q))
-		rm.detect(c)
+	if rm.ask(c, p, q) {
 		rm.unlock(c)
 		return
 	}
-	rm.g.AddRequest(q, p)
-	rm.detect(c)
-	rm.waiters[q] = insertWaiter(rm.waiters[q], &waiter{proc: p, t: c.Task(), ctx: c}, rm.prio)
+	rm.enqueue(c, p, q)
 	rm.unlock(c)
 	c.Park(fmt.Sprintf("res:%s", rm.devices[q].Name))
 }
@@ -268,23 +300,13 @@ func (rm *ResourceManager) RequestBoth(c *rtos.TaskCtx, p, q1, q2 int) {
 	rm.lock(c)
 	var pendings []int
 	for _, q := range []int{q1, q2} {
-		rm.Events++
-		rm.serviceCost(c)
-		if rm.g.Holder(q) == -1 {
-			if err := rm.g.SetGrant(q, p); err != nil {
-				panic("app: " + err.Error())
-			}
-			rm.Audit.Record(c.Task().Name, claims.ResourceKey("res", q))
-			rm.detect(c)
-			continue
+		if !rm.ask(c, p, q) {
+			pendings = append(pendings, q)
 		}
-		rm.g.AddRequest(q, p)
-		rm.detect(c)
-		pendings = append(pendings, q)
 	}
 	for _, q := range pendings {
 		if rm.g.Holder(q) != p {
-			rm.waiters[q] = insertWaiter(rm.waiters[q], &waiter{proc: p, t: c.Task(), ctx: c}, rm.prio)
+			rm.enqueue(c, p, q)
 		}
 	}
 	rm.unlock(c)

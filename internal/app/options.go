@@ -33,20 +33,12 @@ func WithRaceAuditor(a *races.Auditor) Option {
 	return func(c *buildCfg) { c.races = a }
 }
 
-// raceAuditorOf extracts the WithRaceAuditor value (nil when unset).
-func raceAuditorOf(opts []Option) *races.Auditor {
-	var cfg buildCfg
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg.races
-}
-
 // newScenarioSim applies the options and creates the scenario's simulation.
-func newScenarioSim(opts []Option) *sim.Sim {
+// It also returns the WithRaceAuditor value (nil when unset).
+func newScenarioSim(opts []Option) (*sim.Sim, *races.Auditor) {
 	var cfg buildCfg
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return sim.New(sim.WithHooks(cfg.hooks))
+	return sim.New(sim.WithHooks(cfg.hooks)), cfg.races
 }

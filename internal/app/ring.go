@@ -55,8 +55,7 @@ type RingWorld struct {
 //
 //deltalint:ipc-expected the blocking ring is a send/recv cycle: message loss can wedge it
 func BuildRingScenario(opts ...Option) *RingWorld {
-	aud := raceAuditorOf(opts)
-	s := newScenarioSim(opts)
+	s, aud := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	q0 := k.NewQueue("ring.q0", 1)
 	q1 := k.NewQueue("ring.q1", 1)
@@ -132,8 +131,7 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 // operation blocks forever, so message faults cost throughput, never
 // liveness.
 func BuildRingTimeoutScenario(opts ...Option) *RingWorld {
-	aud := raceAuditorOf(opts)
-	s := newScenarioSim(opts)
+	s, aud := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	q0 := k.NewQueue("ring.q0", 1)
 	q1 := k.NewQueue("ring.q1", 1)

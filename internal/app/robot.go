@@ -68,21 +68,13 @@ type shortLocker interface {
 // (RTOS6, SoCLC with IPCP in hardware).  Everything else is identical, so
 // the deltas of Table 10 come entirely from the lock system.
 func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool, opts ...Option) RobotResult {
-	s := newScenarioSim(opts)
-	raud := raceAuditorOf(opts)
+	s, raud := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	k.Races = raud
 	locks := mkLocks(k)
 	shorts := locks.(shortLocker)
 	aud := claims.NewAudit()
-	switch m := locks.(type) {
-	case *soclc.SoftwareLocks:
-		m.Audit = aud
-		m.Races = raud
-	case *soclc.LockCache:
-		m.Audit = aud
-		m.Races = raud
-	}
+	locks.Attach(aud, raud)
 
 	var trace []rtos.TraceEvent
 	if wantTrace {

@@ -31,7 +31,7 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...Option)
 	alloc := mkAlloc()
 	var verified bool
 
-	s := newScenarioSim(opts)
+	s, _ := newScenarioSim(opts)
 	k := rtos.NewKernel(s, pes)
 	bar := k.NewBarrier("radix", pes)
 

@@ -24,7 +24,7 @@ func withSession(t *testing.T, fn func(opt Option)) *trace.Session {
 func TestDetectionTraceDeterministic(t *testing.T) {
 	export := func() []byte {
 		sess := withSession(t, func(opt Option) {
-			RunDetectionScenario(func() Detector { return &SoftwareDetector{} }, opt)
+			RunDetectionScenario(NewSoftwareDetector(5, 5), opt)
 		})
 		var buf bytes.Buffer
 		if err := sess.WriteChromeTrace(&buf); err != nil {
@@ -40,11 +40,7 @@ func TestDetectionTraceDeterministic(t *testing.T) {
 
 func TestDetectionTraceCrossChecksBus(t *testing.T) {
 	sess := withSession(t, func(opt Option) {
-		d, err := NewHardwareDetector(5, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		RunDetectionScenario(func() Detector { return d }, opt)
+		RunDetectionScenario(newHW(t), opt)
 	})
 	if sess.Len() == 0 {
 		t.Fatal("no simulations recorded")
@@ -65,10 +61,10 @@ func TestDetectionTraceCrossChecksBus(t *testing.T) {
 }
 
 func TestDetectionCyclesUnchangedByTracing(t *testing.T) {
-	plain := RunDetectionScenario(func() Detector { return &SoftwareDetector{} })
+	plain := RunDetectionScenario(NewSoftwareDetector(5, 5))
 	var traced DetectionResult
 	withSession(t, func(opt Option) {
-		traced = RunDetectionScenario(func() Detector { return &SoftwareDetector{} }, opt)
+		traced = RunDetectionScenario(NewSoftwareDetector(5, 5), opt)
 	})
 	if plain.AppCycles != traced.AppCycles || plain.Invocations != traced.Invocations {
 		t.Errorf("tracing changed the measurement: %+v vs %+v", plain, traced)
@@ -77,7 +73,7 @@ func TestDetectionCyclesUnchangedByTracing(t *testing.T) {
 
 func TestDetectionTraceSeesDeadlockVerdict(t *testing.T) {
 	sess := withSession(t, func(opt Option) {
-		RunDetectionScenario(func() Detector { return &SoftwareDetector{} }, opt)
+		RunDetectionScenario(NewSoftwareDetector(5, 5), opt)
 	})
 	found := false
 	for _, r := range sess.Recorders() {

@@ -188,13 +188,11 @@ func runFig15(rc *RunCtx) (Result, error) {
 }
 
 func runFig16(rc *RunCtx) (Result, error) {
-	hw := app.RunGrantDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewHardwareAvoidance(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}, app.WithSimHooks(rc.SimHooks()))
+	unit, err := app.NewHardwareAvoidance(5, 5)
+	if err != nil {
+		return Result{}, err
+	}
+	hw := app.RunGrantDeadlockScenario(unit, app.WithSimHooks(rc.SimHooks()))
 	r := Result{
 		ID:     "fig16",
 		Title:  "G-dl scenario outcome with the DAU",
@@ -209,13 +207,11 @@ func runFig16(rc *RunCtx) (Result, error) {
 }
 
 func runFig17(rc *RunCtx) (Result, error) {
-	hw := app.RunRequestDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewHardwareAvoidance(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}, app.WithSimHooks(rc.SimHooks()))
+	unit, err := app.NewHardwareAvoidance(5, 5)
+	if err != nil {
+		return Result{}, err
+	}
+	hw := app.RunRequestDeadlockScenario(unit, app.WithSimHooks(rc.SimHooks()))
 	r := Result{
 		ID:     "fig17",
 		Title:  "R-dl scenario outcome with the DAU",

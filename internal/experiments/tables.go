@@ -99,14 +99,12 @@ func runTable3(rc *RunCtx) (Result, error) {
 
 func runTable45(rc *RunCtx) (Result, error) {
 	hooks := app.WithSimHooks(rc.SimHooks())
-	hw := app.RunDetectionScenario(func() app.Detector {
-		d, err := app.NewHardwareDetector(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}, hooks)
-	sw := app.RunDetectionScenario(func() app.Detector { return &app.SoftwareDetector{} }, hooks)
+	unit, err := app.NewHardwareDetector(5, 5)
+	if err != nil {
+		return Result{}, err
+	}
+	hw := app.RunDetectionScenario(unit, hooks)
+	sw := app.RunDetectionScenario(app.NewSoftwareDetector(5, 5), hooks)
 	if !hw.DeadlockFound || !sw.DeadlockFound {
 		return Result{}, fmt.Errorf("detection scenario did not reach deadlock")
 	}
@@ -128,22 +126,25 @@ func runTable45(rc *RunCtx) (Result, error) {
 	return r, nil
 }
 
+// avoidanceBackends builds the pair Tables 7 and 9 compare, both sized for
+// the 5-process/5-resource system: the DAU and DAA in software.
+func avoidanceBackends() (*app.HardwareAvoidance, *app.SoftwareAvoidance, error) {
+	hw, err := app.NewHardwareAvoidance(5, 5)
+	if err != nil {
+		return nil, nil, err
+	}
+	sw, err := app.NewSoftwareAvoidance(5, 5)
+	return hw, sw, err
+}
+
 func runTable67(rc *RunCtx) (Result, error) {
 	hooks := app.WithSimHooks(rc.SimHooks())
-	hw := app.RunGrantDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewHardwareAvoidance(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}, hooks)
-	sw := app.RunGrantDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}, hooks)
+	unit, soft, err := avoidanceBackends()
+	if err != nil {
+		return Result{}, err
+	}
+	hw := app.RunGrantDeadlockScenario(unit, hooks)
+	sw := app.RunGrantDeadlockScenario(soft, hooks)
 	if !hw.GDlAvoided || !sw.GDlAvoided {
 		return Result{}, fmt.Errorf("grant deadlock not avoided: hw=%v sw=%v", hw.GDlAvoided, sw.GDlAvoided)
 	}
@@ -166,20 +167,12 @@ func runTable67(rc *RunCtx) (Result, error) {
 
 func runTable89(rc *RunCtx) (Result, error) {
 	hooks := app.WithSimHooks(rc.SimHooks())
-	hw := app.RunRequestDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewHardwareAvoidance(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}, hooks)
-	sw := app.RunRequestDeadlockScenario(func() app.AvoidanceBackend {
-		b, err := app.NewSoftwareAvoidance(5, 5)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}, hooks)
+	unit, soft, err := avoidanceBackends()
+	if err != nil {
+		return Result{}, err
+	}
+	hw := app.RunRequestDeadlockScenario(unit, hooks)
+	sw := app.RunRequestDeadlockScenario(soft, hooks)
 	if !hw.RDlAvoided || !sw.RDlAvoided {
 		return Result{}, fmt.Errorf("request deadlock not avoided: hw=%v sw=%v", hw.RDlAvoided, sw.RDlAvoided)
 	}

@@ -48,6 +48,14 @@ func newLockTable(k *rtos.Kernel, longs, shorts int) lockTable {
 // Stats implements Manager.
 func (lt *lockTable) Stats() Stats { return lt.stats }
 
+// Attach wires the audits a scenario cross-checks against the static
+// passes: every hold into a (claims pass), every lock transition into r
+// (races pass).  Either may be nil.
+func (lt *lockTable) Attach(a *claims.Audit, r *races.Auditor) {
+	lt.Audit = a
+	lt.Races = r
+}
+
 // SetInjector attaches a fault injector (nil detaches).
 func (lt *lockTable) SetInjector(inj Injector) { lt.inj = inj }
 
