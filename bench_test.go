@@ -485,7 +485,7 @@ func swBackend(b *testing.B) app.AvoidanceBackend {
 // ---- Campaign engine / sim hot path ----
 
 // BenchmarkSimDispatch measures the cost of one scheduled timer event:
-// push + pop on the event heap plus the resume/yield handshake.  The
+// push + pop on the event heap plus the coroutine resume and yield.  The
 // acceptance gate is 0 allocs/op — the de-boxed heap must not allocate in
 // steady state.
 func BenchmarkSimDispatch(b *testing.B) {
@@ -494,6 +494,25 @@ func BenchmarkSimDispatch(b *testing.B) {
 	s.Spawn("bench", 0, func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Delay(1)
+		}
+	})
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkSimSpawn measures the life of one one-shot timer proc — Spawn,
+// one Delay, done — the shape the rtos kernel spawns per Compute chunk,
+// sleep, IPC timeout and watchdog.  A spawner proc starts one per op, so
+// ns/op also holds one spawner dispatch (see BenchmarkSimDispatch); every
+// allocation is the spawn layer's.
+func BenchmarkSimSpawn(b *testing.B) {
+	b.ReportAllocs()
+	s := sim.New()
+	timer := func(p *sim.Proc) { p.Delay(1) }
+	s.Spawn("spawner", 0, func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			s.Spawn("timer", -1, timer)
+			p.Delay(2)
 		}
 	})
 	b.ResetTimer()

@@ -14,6 +14,7 @@
 //	go run ./cmd/deltalint -claims claims.json ./...  # write the inferred claims manifest
 //	go run ./cmd/deltalint -blocking blocking.json ./...  # write worst-case blocking bounds
 //	go run ./cmd/deltalint -races races.json ./...    # write the inferred guard manifest
+//	go run ./cmd/deltalint -cpuprofile cpu.pprof -memprofile mem.pprof ./...  # runtime/pprof profiles
 //	go run ./cmd/deltalint -list           # one line per pass
 //	go run ./cmd/deltalint -help           # pass documentation
 //
@@ -33,6 +34,7 @@ import (
 	"deltartos/internal/analysis/framework"
 	"deltartos/internal/analysis/passes"
 	"deltartos/internal/claims"
+	"deltartos/internal/profile"
 	"deltartos/internal/races"
 )
 
@@ -46,32 +48,51 @@ type finding struct {
 	Message string `json:"message"`
 }
 
-func main() {
-	help := flag.Bool("help", false, "print pass documentation and exit")
-	list := flag.Bool("list", false, "print one name-plus-synopsis line per pass and exit")
-	run := flag.String("run", "", "comma-separated subset of passes to run")
-	jsonOut := flag.Bool("json", false, "emit findings as a sorted JSON array on stdout")
-	claimsOut := flag.String("claims", "", "write the inferred resource-claims manifest to this file")
-	blockingOut := flag.String("blocking", "", "write the static worst-case blocking bounds to this file as JSON")
-	racesOut := flag.String("races", "", "write the inferred shared-location guard manifest to this file as JSON")
-	flag.Usage = func() {
+func main() { os.Exit(deltalint(os.Args[1:])) }
+
+// deltalint is the command body.  It returns the exit status instead of
+// exiting, so the profiles are written on every path out.
+func deltalint(args []string) (code int) {
+	fs := flag.NewFlagSet("deltalint", flag.ExitOnError)
+	help := fs.Bool("help", false, "print pass documentation and exit")
+	list := fs.Bool("list", false, "print one name-plus-synopsis line per pass and exit")
+	run := fs.String("run", "", "comma-separated subset of passes to run")
+	jsonOut := fs.Bool("json", false, "emit findings as a sorted JSON array on stdout")
+	claimsOut := fs.String("claims", "", "write the inferred resource-claims manifest to this file")
+	blockingOut := fs.String("blocking", "", "write the static worst-case blocking bounds to this file as JSON")
+	racesOut := fs.String("races", "", "write the inferred shared-location guard manifest to this file as JSON")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: deltalint [-run pass,pass] [-json] [-claims file] [-blocking file] [-races file] packages...\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	prof := profile.Register(fs)
+	fs.Parse(args)
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	analyzers := passes.All()
 	if *help {
 		for _, a := range analyzers {
 			fmt.Printf("%s: %s\n\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 	if *list {
 		for _, line := range passes.Summaries() {
 			fmt.Println(line)
 		}
-		return
+		return 0
 	}
 	if *run != "" {
 		want := map[string]bool{}
@@ -92,11 +113,11 @@ func main() {
 			}
 			sort.Strings(unknown)
 			fmt.Fprintf(os.Stderr, "deltalint: unknown pass(es) in -run: %s\n", strings.Join(unknown, ", "))
-			os.Exit(2)
+			return 2
 		}
 		if len(picked) == 0 {
 			fmt.Fprintf(os.Stderr, "deltalint: no passes match -run=%s\n", *run)
-			os.Exit(2)
+			return 2
 		}
 		analyzers = picked
 	}
@@ -111,7 +132,7 @@ func main() {
 		}
 		if !found {
 			fmt.Fprintf(os.Stderr, "deltalint: -blocking requires the blocking pass (add it to -run)\n")
-			os.Exit(2)
+			return 2
 		}
 	}
 	if *racesOut != "" {
@@ -125,23 +146,23 @@ func main() {
 		}
 		if !found {
 			fmt.Fprintf(os.Stderr, "deltalint: -races requires the races pass (add it to -run)\n")
-			os.Exit(2)
+			return 2
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	pkgs, err := framework.LoadModule(cwd, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	loadFailed := false
 	for _, pkg := range pkgs {
@@ -151,7 +172,7 @@ func main() {
 		}
 	}
 	if loadFailed {
-		os.Exit(2)
+		return 2
 	}
 
 	// Drive each analyzer ourselves (rather than framework.Run) so the
@@ -166,7 +187,7 @@ func main() {
 			diags, res, err := framework.RunAnalyzer(pkg, a)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			for _, d := range diags {
 				pos := pkg.Fset.Position(d.Pos)
@@ -210,11 +231,11 @@ func main() {
 		data, err := manifest.JSON()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: encode claims manifest: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if err := os.WriteFile(*claimsOut, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -229,11 +250,11 @@ func main() {
 		data, err := json.MarshalIndent(blocking, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: encode blocking bounds: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if err := os.WriteFile(*blockingOut, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -241,11 +262,11 @@ func main() {
 		data, err := guards.JSON()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: encode guard manifest: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if err := os.WriteFile(*racesOut, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -257,7 +278,7 @@ func main() {
 		}
 		if err := enc.Encode(findings); err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
@@ -266,6 +287,7 @@ func main() {
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "deltalint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

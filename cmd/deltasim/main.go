@@ -12,6 +12,7 @@
 //	deltasim -chaos -chaos-seeds 32 -parallel 8
 //	deltasim -fuzz -fuzz-seeds 12500 -fuzz-report BENCH_fuzz.json -parallel 8
 //	deltasim -fuzz-ipc -fuzz-seeds 2000 -fuzz-report BENCH_ipc_fuzz.json -parallel 8
+//	deltasim -all -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -parallel shards independent runs — the seeds of a -chaos campaign and
 // the experiments of -all — across a worker pool (default: all cores).
@@ -24,6 +25,9 @@
 // -metrics writes machine-readable per-experiment summaries: the rendered
 // table rows plus the cycle-attributed counters the tracing layer collected.
 // Both flags are valid for any -exp or -all selection.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles of
+// any run (read them with `go tool pprof`).
 package main
 
 import (
@@ -34,39 +38,59 @@ import (
 	"deltartos/internal/campaign"
 	"deltartos/internal/experiments"
 	"deltartos/internal/fuzz"
+	"deltartos/internal/profile"
 	"deltartos/internal/rtos"
 	"deltartos/internal/trace"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list available experiments")
-	exp := flag.String("exp", "", "run one experiment by id (e.g. table1, fig15)")
-	all := flag.Bool("all", false, "run every experiment")
-	parallel := flag.Int("parallel", campaign.DefaultWorkers(),
+func main() { os.Exit(deltasim(os.Args[1:])) }
+
+// deltasim is the command body.  It returns the exit status instead of
+// exiting, so the profiles are written on every path out.
+func deltasim(args []string) (code int) {
+	fs := flag.NewFlagSet("deltasim", flag.ExitOnError)
+	list := fs.Bool("list", false, "list available experiments")
+	exp := fs.String("exp", "", "run one experiment by id (e.g. table1, fig15)")
+	all := fs.Bool("all", false, "run every experiment")
+	parallel := fs.Int("parallel", campaign.DefaultWorkers(),
 		"worker count for seed sweeps and -all (1 = sequential; output is identical either way)")
-	vcdPath := flag.String("vcd", "", "with -exp fig20: also write the robot schedule waveform to this file")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file covering every simulation run")
-	metricsPath := flag.String("metrics", "", "write per-experiment JSON summaries (table rows + trace counters)")
-	chaos := flag.Bool("chaos", false, "run a fault-injection campaign over the chaos workload")
-	chaosSeeds := flag.Int("chaos-seeds", 5, "with -chaos: number of seeds to sweep")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "with -chaos: first seed (run i uses seed+i)")
-	chaosFaults := flag.Int("chaos-faults", 6, "with -chaos: faults injected per run")
-	chaosSystem := flag.String("chaos-system", "rtos5", "with -chaos: lock system under test (rtos5 or rtos6)")
-	ipcChaos := flag.Bool("ipc-chaos", false, "run a message-fault campaign over the producer/consumer ring")
-	ipcChaosSeeds := flag.Int("ipc-chaos-seeds", 8, "with -ipc-chaos: number of seeds to sweep")
-	ipcChaosSeed := flag.Uint64("ipc-chaos-seed", 1, "with -ipc-chaos: first seed (run i uses seed+i)")
-	ipcChaosFaults := flag.Int("ipc-chaos-faults", 6, "with -ipc-chaos: message faults injected per run")
-	ipcChaosVariant := flag.String("ipc-chaos-variant", "timeout", "with -ipc-chaos: ring variant under test (blocking or timeout)")
-	fuzzRun := flag.Bool("fuzz", false, "run the generative scenario sweep (deadlock probability vs contention)")
-	fuzzSeeds := flag.Int("fuzz-seeds", 12500, "with -fuzz: seeds per parameter point (8 points, so the default sweeps 1e5 seeds)")
-	fuzzBaseSeed := flag.Uint64("fuzz-base-seed", 1, "with -fuzz: first seed of the sweep")
-	fuzzReport := flag.String("fuzz-report", "", "with -fuzz: write the machine-readable sweep report (BENCH_fuzz.json) to this file")
-	fuzzIPC := flag.Bool("fuzz-ipc", false, "run the generative IPC-topology sweep (wedge probability vs message loss); reuses -fuzz-seeds, -fuzz-base-seed and -fuzz-report")
-	flag.Parse()
+	vcdPath := fs.String("vcd", "", "with -exp fig20: also write the robot schedule waveform to this file")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file covering every simulation run")
+	metricsPath := fs.String("metrics", "", "write per-experiment JSON summaries (table rows + trace counters)")
+	chaos := fs.Bool("chaos", false, "run a fault-injection campaign over the chaos workload")
+	chaosSeeds := fs.Int("chaos-seeds", 5, "with -chaos: number of seeds to sweep")
+	chaosSeed := fs.Uint64("chaos-seed", 1, "with -chaos: first seed (run i uses seed+i)")
+	chaosFaults := fs.Int("chaos-faults", 6, "with -chaos: faults injected per run")
+	chaosSystem := fs.String("chaos-system", "rtos5", "with -chaos: lock system under test (rtos5 or rtos6)")
+	ipcChaos := fs.Bool("ipc-chaos", false, "run a message-fault campaign over the producer/consumer ring")
+	ipcChaosSeeds := fs.Int("ipc-chaos-seeds", 8, "with -ipc-chaos: number of seeds to sweep")
+	ipcChaosSeed := fs.Uint64("ipc-chaos-seed", 1, "with -ipc-chaos: first seed (run i uses seed+i)")
+	ipcChaosFaults := fs.Int("ipc-chaos-faults", 6, "with -ipc-chaos: message faults injected per run")
+	ipcChaosVariant := fs.String("ipc-chaos-variant", "timeout", "with -ipc-chaos: ring variant under test (blocking or timeout)")
+	fuzzRun := fs.Bool("fuzz", false, "run the generative scenario sweep (deadlock probability vs contention)")
+	fuzzSeeds := fs.Int("fuzz-seeds", 12500, "with -fuzz: seeds per parameter point (8 points, so the default sweeps 1e5 seeds)")
+	fuzzBaseSeed := fs.Uint64("fuzz-base-seed", 1, "with -fuzz: first seed of the sweep")
+	fuzzReport := fs.String("fuzz-report", "", "with -fuzz: write the machine-readable sweep report (BENCH_fuzz.json) to this file")
+	fuzzIPC := fs.Bool("fuzz-ipc", false, "run the generative IPC-topology sweep (wedge probability vs message loss); reuses -fuzz-seeds, -fuzz-base-seed and -fuzz-report")
+	prof := profile.Register(fs)
+	fs.Parse(args)
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "deltasim: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "deltasim: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *vcdPath != "" && *exp != "fig20" {
 		fmt.Fprintln(os.Stderr, "deltasim: -vcd is only valid together with -exp fig20")
-		os.Exit(2)
+		return 2
 	}
 
 	var session *trace.Session
@@ -81,12 +105,12 @@ func main() {
 	case *fuzzIPC:
 		if err := runIPCFuzz(*fuzzSeeds, *fuzzBaseSeed, *fuzzReport, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: fuzz-ipc:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *fuzzRun:
 		if err := runFuzz(*fuzzSeeds, *fuzzBaseSeed, *fuzzReport, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: fuzz:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *ipcChaos:
 		cfg := experiments.DefaultIPCChaosConfig()
@@ -97,7 +121,7 @@ func main() {
 		rc := &experiments.RunCtx{Parallel: *parallel, Session: session, Label: "ipc-chaos"}
 		if err := runIPCChaos(cfg, rc, collect, &summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: ipc-chaos:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *chaos:
 		cfg := experiments.DefaultChaosConfig()
@@ -108,7 +132,7 @@ func main() {
 		rc := &experiments.RunCtx{Parallel: *parallel, Session: session, Label: "chaos"}
 		if err := runChaos(cfg, rc, collect, &summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim: chaos:", err)
-			os.Exit(1)
+			return 1
 		}
 	case *list:
 		for _, e := range experiments.All() {
@@ -118,7 +142,7 @@ func main() {
 		e, ok := experiments.Find(*exp)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "deltasim: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+			return 2
 		}
 		rc := &experiments.RunCtx{Parallel: *parallel, Session: session, Label: e.ID}
 		var err error
@@ -129,7 +153,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deltasim: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 	case *all:
 		failed := 0
@@ -146,25 +170,26 @@ func main() {
 			fmt.Println()
 		}
 		if failed > 0 {
-			os.Exit(1)
+			return 1
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, session); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *metricsPath != "" {
 		if err := writeMetrics(*metricsPath, summaries); err != nil {
 			fmt.Fprintln(os.Stderr, "deltasim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // runOne executes an experiment, prints its table, and (when requested)

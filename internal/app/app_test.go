@@ -1,6 +1,7 @@
 package app
 
 import (
+	"strings"
 	"testing"
 
 	"deltartos/internal/rtos"
@@ -277,4 +278,38 @@ func TestSoftwareDetectorPadding(t *testing.T) {
 		t.Errorf("padded detection (%d) should cost more than native (%d)",
 			padded.TotalCost(), small.TotalCost())
 	}
+}
+
+// Every scenario runner closes the simulations it builds once it has read
+// its results, so no blocked task or idle coroutine outlives the run.
+func TestScenariosCloseTheirSimulations(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		run  func(opts ...Option)
+	}{
+		{"detection", func(o ...Option) { RunDetectionScenario(NewSoftwareDetector(5, 5), o...) }},
+		{"grant-deadlock", func(o ...Option) { RunGrantDeadlockScenario(mkSWBackend(t), o...) }},
+		{"request-deadlock", func(o ...Option) { RunRequestDeadlockScenario(mkSWBackend(t), o...) }},
+		{"robot", func(o ...Option) { RunRobotScenario(NewRTOS6Locks, false, o...) }},
+		{"radix", func(o ...Option) { RunRadix(NewSoCDMMUAllocator, o...) }},
+		{"radix-parallel", func(o ...Option) { RunRadixParallel(NewSoCDMMUAllocator, 2, o...) }},
+	} {
+		var sims []*sim.Sim
+		sc.run(WithSimHooks(&sim.Hooks{OnNew: func(s *sim.Sim) { sims = append(sims, s) }}))
+		if len(sims) == 0 {
+			t.Fatalf("%s: built no simulation", sc.name)
+		}
+		for _, s := range sims {
+			if msg := spawnPanic(s); !strings.Contains(msg, "closed") {
+				t.Errorf("%s: simulation left open (Spawn: %q)", sc.name, msg)
+			}
+		}
+	}
+}
+
+// spawnPanic returns the panic message of a Spawn into s ("" if none).
+func spawnPanic(s *sim.Sim) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	s.Spawn("probe", -1, func(*sim.Proc) {})
+	return ""
 }

@@ -373,6 +373,7 @@ type AvoidanceResult struct {
 //deltalint:deadlock-expected the scenario exists to exercise G-dl avoidance
 func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResult {
 	w := NewAvoidanceWorld(b, opts...)
+	defer w.S.Close()
 	for p := 0; p < 4; p++ {
 		b.SetPriority(p, p+1)
 	}
@@ -422,6 +423,7 @@ func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResul
 //deltalint:deadlock-expected the scenario exists to exercise R-dl avoidance
 func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResult {
 	w := NewAvoidanceWorld(b, opts...)
+	defer w.S.Close()
 	for p := 0; p < 4; p++ {
 		b.SetPriority(p, p+1)
 	}

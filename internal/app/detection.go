@@ -65,6 +65,7 @@ const (
 //deltalint:deadlock-expected the scenario exists to exercise the DDU/PDDA
 func RunDetectionScenario(det Detector, opts ...Option) DetectionResult {
 	s, _ := newScenarioSim(opts)
+	defer s.Close()
 	k := rtos.NewKernel(s, 4)
 	devices := sim.StandardDevices(s)
 	rm := NewResourceManager(k, det, 4, devices)

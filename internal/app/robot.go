@@ -69,6 +69,7 @@ type shortLocker interface {
 // the deltas of Table 10 come entirely from the lock system.
 func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool, opts ...Option) RobotResult {
 	s, raud := newScenarioSim(opts)
+	defer s.Close()
 	k := rtos.NewKernel(s, 4)
 	k.Races = raud
 	locks := mkLocks(k)

@@ -389,6 +389,7 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
 // the total execution time.
 func runBench(opts []Option, body func(c *rtos.TaskCtx)) sim.Cycles {
 	s, _ := newScenarioSim(opts)
+	defer s.Close()
 	k := rtos.NewKernel(s, 1)
 	k.CreateTask("bench", 0, 1, 0, body)
 	return s.Run()

@@ -32,6 +32,7 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...Option)
 	var verified bool
 
 	s, _ := newScenarioSim(opts)
+	defer s.Close()
 	k := rtos.NewKernel(s, pes)
 	bar := k.NewBarrier("radix", pes)
 

@@ -1,5 +1,7 @@
 package campaign
 
+import "fmt"
+
 // DefaultChunk is the sweep chunk size used when the caller passes
 // chunk <= 0.
 const DefaultChunk = 1024
@@ -20,7 +22,8 @@ type Chunk struct {
 // merge folds each point's chunk accumulators into the point's result in
 // input order.  Chunk boundaries are fixed by the arguments, never by the
 // worker count, so the results are byte-identical at any width.  The error
-// is the lowest-index chunk's, as Run reports it.
+// is the lowest-index chunk's, as Run reports it; a panic in run fails its
+// chunk with an error naming the chunk and carrying the panic value.
 func Sweep[A any](points, seeds int, base uint64, chunk, workers int,
 	run func(c Chunk, acc *A) error, merge func(dst, src *A)) ([]A, error) {
 	if chunk <= 0 {
@@ -34,7 +37,17 @@ func Sweep[A any](points, seeds int, base uint64, chunk, workers int,
 		}
 	}
 	accs := make([]A, len(jobs))
-	if err := Run(len(jobs), workers, func(j int) error { return run(jobs[j], &accs[j]) }); err != nil {
+	err := Run(len(jobs), workers, func(j int) (err error) {
+		c := jobs[j]
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("chunk %d (point %d, seeds %d..%d): panic: %v",
+					j, c.Point, c.Seed, c.Seed+uint64(c.Count)-1, r)
+			}
+		}()
+		return run(c, &accs[j])
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]A, points)

@@ -89,3 +89,21 @@ func TestSweepReportsFirstFailingChunk(t *testing.T) {
 		}
 	}
 }
+
+// A panic in one chunk fails the sweep with an error naming the lowest
+// panicking chunk and its panic value, at every width, instead of crashing.
+func TestSweepPanicBecomesChunkError(t *testing.T) {
+	const k = 5 // point 1's second chunk: seeds 15..17
+	want := "chunk 5 (point 1, seeds 15..17): panic: boom at chunk 5"
+	for _, workers := range []int{1, 2, 3, 8} {
+		_, err := Sweep(3, 12, 0, 3, workers, func(c Chunk, _ *trail) error {
+			if idx := c.Point*4 + c.Index/3; idx >= k {
+				panic(fmt.Sprintf("boom at chunk %d", idx))
+			}
+			return nil
+		}, appendTrail)
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+	}
+}

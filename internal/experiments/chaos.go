@@ -111,6 +111,7 @@ func RunChaosSeed(cfg ChaosConfig, seed uint64, hooks *sim.Hooks) (ChaosRun, err
 	}
 
 	w := app.BuildChaosScenario(mk, app.WithSimHooks(hooks))
+	defer w.S.Close()
 	plan := fault.NewPlan(seed).Randomize(cfg.Faults, kinds, fault.Profile{
 		Tasks:   app.ChaosTaskNames,
 		Devices: []string{"IDCT"},

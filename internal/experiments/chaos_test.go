@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/trace"
 )
@@ -239,6 +242,80 @@ func TestChaosCampaignAdoptsCompletedShardsOnError(t *testing.T) {
 					name, workers, got, failIdx)
 			}
 		}
+	}
+}
+
+// settledGoroutines waits briefly for exiting goroutines to leave the count
+// and returns it.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// Every seed closes its simulation, so a campaign leaves no proc parked:
+// the ISR loop, wedged tasks and pending timers all stop with their Sim.
+func TestChaosCampaignLeavesNoProcsBehind(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := DefaultChaosConfig()
+	cfg.Seeds = 32
+	ipc := DefaultIPCChaosConfig()
+	ipc.Variant = "blocking" // wedges, leaving tasks blocked at the fuse
+	for _, workers := range []int{1, 4} {
+		rc := &RunCtx{Parallel: workers}
+		if _, _, err := RunChaosCampaign(cfg, rc); err != nil {
+			t.Fatal(err)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("workers=%d: %d goroutines after a 32-seed chaos campaign, started with %d", workers, n, base)
+		}
+		if _, _, err := RunIPCChaosCampaign(ipc, rc); err != nil {
+			t.Fatal(err)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("workers=%d: %d goroutines after an IPC chaos campaign, started with %d", workers, n, base)
+		}
+	}
+}
+
+// A task body that panics fails its seed with an error naming the seed and
+// the panic value, and the process lives on.  The lowest failing seed's
+// error is the one reported at every width, only the shards below it are
+// adopted, and the failing seeds' simulations still close.
+func TestRunSeededPanickingTaskFailsItsSeed(t *testing.T) {
+	const seeds, base, failIdx = 5, 1, 2
+	goroutines := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		rc := &RunCtx{Parallel: workers, Session: trace.NewSession(), Label: "planted"}
+		_, err := runSeeded(rc, seeds, base, func(seed uint64, hooks *sim.Hooks) (struct{}, error) {
+			s := sim.New(sim.WithHooks(hooks))
+			defer s.Close()
+			k := rtos.NewKernel(s, 2)
+			never := k.NewEventFlags("never")
+			k.CreateTask("waiter", 1, 1, 0, func(c *rtos.TaskCtx) { never.Wait(c, 1, true) })
+			k.CreateTask("planted", 0, 1, 0, func(c *rtos.TaskCtx) {
+				c.Compute(10)
+				if seed >= base+failIdx {
+					panic(fmt.Sprintf("planted fault at seed %d", seed))
+				}
+			})
+			s.Run()
+			return struct{}{}, nil
+		})
+		fail := base + failIdx
+		if want := fmt.Sprintf("seed %d: panic: planted fault at seed %d", fail, fail); err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		if got := rc.Session.Len(); got != failIdx {
+			t.Errorf("workers=%d: session adopted %d shard recorders, want %d (seeds below the panic)",
+				workers, got, failIdx)
+		}
+	}
+	if n := settledGoroutines(goroutines); n > goroutines {
+		t.Errorf("%d goroutines after the panicking campaigns, started with %d", n, goroutines)
 	}
 }
 

@@ -104,6 +104,7 @@ func RunIPCChaosSeed(cfg IPCChaosConfig, seed uint64, hooks *sim.Hooks) (IPCChao
 	}
 
 	w := build(app.WithSimHooks(hooks))
+	defer w.S.Close()
 	plan := fault.NewPlan(seed).Randomize(cfg.Faults, kinds, fault.Profile{
 		Tasks:     app.RingTaskNames,
 		Endpoints: app.RingEndpointNames,

@@ -21,20 +21,25 @@ import (
 // so a failing sweep loses no finished work and its trace output is
 // deterministic.  Shards at or above the failing seed are dropped: whether
 // those jobs ran depends on what was in flight when the error landed.
+//
+// A panic in a job (a task body's panic surfaces from the simulation's Run)
+// fails that seed like an error, one that names the seed and carries the
+// panic value, instead of taking the whole process down.
 func runSeeded[R any](rc *RunCtx, n int, base uint64, job func(seed uint64, hooks *sim.Hooks) (R, error)) ([]R, error) {
 	runs := make([]R, n)
 	shards := make([]*RunCtx, n)
 	failed := make([]bool, n)
-	err := campaign.Run(n, rc.Workers(), func(i int) error {
+	err := campaign.Run(n, rc.Workers(), func(i int) (err error) {
 		seed := base + uint64(i)
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("seed %d: panic: %v", seed, r)
+			}
+			failed[i] = err != nil
+		}()
 		shards[i] = rc.Shard(fmt.Sprintf(".seed%d", seed))
-		run, err := job(seed, shards[i].SimHooks())
-		if err != nil {
-			failed[i] = true
-			return err
-		}
-		runs[i] = run
-		return nil
+		runs[i], err = job(seed, shards[i].SimHooks())
+		return err
 	})
 	if rc != nil && rc.Session != nil {
 		for i, shard := range shards {

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"deltartos/internal/trace"
 )
 
 // The hand-rolled event heap must honour the (time, seq) dispatch order that
@@ -81,6 +85,119 @@ func TestSpawnAfterDrainPanics(t *testing.T) {
 		}
 	}()
 	s.Spawn("late", 0, func(p *Proc) {})
+}
+
+// Spawn into a closed simulation panics just as it does into a drained one.
+func TestSpawnAfterClosePanics(t *testing.T) {
+	s := New()
+	s.Spawn("worker", 0, func(p *Proc) { p.Delay(3) })
+	s.RunUntil(1)
+	s.Close()
+	defer func() {
+		msg, ok := recover().(string)
+		if !ok || !strings.Contains(msg, `Spawn("late")`) || !strings.Contains(msg, "closed") {
+			t.Fatalf("panic message does not identify the late proc: %q", msg)
+		}
+	}()
+	s.Spawn("late", 0, func(p *Proc) {})
+}
+
+// settledGoroutines waits briefly for exiting goroutines to leave the count.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// Close stops every unfinished proc — blocked, mid-Delay and never started
+// alike — by unwinding its body through its deferred calls, records nothing
+// while doing so, and leaves no coroutine behind, idle ones included.
+func TestCloseUnwindsUnfinishedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	rec := trace.NewRecorder("close")
+	s.Rec = rec
+	sig := s.NewSignal("never")
+	unwound := map[string]bool{}
+	body := func(p *Proc) {
+		defer func() {
+			unwound[p.Name] = true
+			if r := s.Rec; r != nil {
+				r.Count("unwind", 1)
+			}
+		}()
+		if p.Name == "blocked" {
+			sig.Wait(p)
+		} else {
+			p.Delay(100)
+		}
+		t.Errorf("%s resumed after Close", p.Name)
+	}
+	s.Spawn("blocked", 0, body)
+	s.Spawn("delayed", 1, body)
+	for pe := 2; pe < 4; pe++ {
+		s.Spawn("finished", pe, func(p *Proc) { p.Delay(1) })
+	}
+	s.RunUntil(10)
+	s.Spawn("unstarted", 3, body) // reuses one finished coroutine; one stays idle
+	s.Close()
+	if !unwound["blocked"] || !unwound["delayed"] {
+		t.Errorf("deferred calls did not run on Close: %v", unwound)
+	}
+	if unwound["unstarted"] {
+		t.Error("a never-started body ran on Close")
+	}
+	if s.Rec != nil || rec.Counter("unwind") != 0 {
+		t.Error("unwinding bodies recorded into the simulation's recorder")
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("goroutines after Close: %d, started with %d", n, base)
+	}
+}
+
+// A finished proc's coroutine runs the next Spawn, so a stream of one-shot
+// timers holds one coroutine between them, not one per timer.
+func TestSpawnReusesFinishedCoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	fired, peak := 0, 0
+	s.Spawn("spawner", 0, func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			s.Spawn("timer", -1, func(t *Proc) {
+				t.Delay(1)
+				fired++
+			})
+			p.Delay(2)
+			peak = max(peak, runtime.NumGoroutine()-base)
+		}
+	})
+	s.Run()
+	s.Close()
+	if fired != 100 {
+		t.Errorf("%d of 100 timers fired", fired)
+	}
+	if peak > 2 {
+		t.Errorf("%d coroutines alive at once, want 2 (spawner and one timer)", peak)
+	}
+}
+
+// A panic in a proc body surfaces from Run in the caller's goroutine with
+// its original value.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	s := New()
+	s.Spawn("bad", 0, func(p *Proc) {
+		p.Delay(2)
+		panic("planted")
+	})
+	defer func() {
+		if r := recover(); r != "planted" {
+			t.Fatalf("recovered %v, want the body's panic value", r)
+		}
+	}()
+	s.Run()
 }
 
 // WithHooks must fire OnNew exactly once per Sim, after the bus exists; nil

@@ -6,15 +6,17 @@
 //
 // Time is counted in bus-clock cycles (10 ns), the unit every table of the
 // paper reports.  Each simulated flow of control (one per PE, plus device
-// timers) is a goroutine that synchronizes with the scheduler through a
-// strict handshake: exactly one goroutine runs at any instant, resumptions
-// are ordered by (time, sequence number), and therefore a given program
-// produces identical cycle counts on every run — the property the
-// co-simulation experiments rely on (substituting for Seamless CVE).
+// timers) is an iter.Pull coroutine that the scheduler resumes directly:
+// exactly one proc runs at any instant, resumptions are ordered by (time,
+// sequence number), and therefore a given program produces identical cycle
+// counts on every run — the property the co-simulation experiments rely on
+// (substituting for Seamless CVE).  A panic in a proc body surfaces from
+// Run in the caller's goroutine; Close stops procs left unfinished.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"deltartos/internal/trace"
@@ -29,7 +31,9 @@ type Sim struct {
 	events  eventHeap
 	seq     uint64
 	procs   []*Proc
-	drained bool // set when the event queue ran dry inside RunUntil
+	idle    []*coroutine // coroutines whose body returned, for the next Spawn
+	drained bool         // set when the event queue ran dry inside RunUntil
+	closed  bool         // set by Close
 	// Bus is the shared system bus all PEs and hardware units sit on.
 	Bus *Bus
 	// Rec, when non-nil, receives cycle-attributed trace events from the
@@ -160,12 +164,11 @@ type yieldMsg struct {
 // timer).  Methods on Proc may only be called from inside the proc's own
 // body function.
 type Proc struct {
-	sim    *Sim
-	Name   string
-	PE     int // owning processing element, -1 for device/timer procs
-	resume chan struct{}
-	yield  chan yieldMsg
-	state  procState
+	sim   *Sim
+	Name  string
+	PE    int        // owning processing element, -1 for device/timer procs
+	co    *coroutine // the coroutine running the body; nil once done
+	state procState
 
 	// Instrumentation.
 	BusyCycles Cycles // cycles spent computing or on the bus (not blocked)
@@ -179,29 +182,70 @@ const (
 	stateDone
 )
 
+// coroutine is the iter.Pull coroutine a proc's body runs on.  When a body
+// returns, its coroutine parks on the Sim's idle list and the next Spawn
+// runs there: starting a coroutine is most of a spawn's cost, and the rtos
+// kernel spawns a one-shot timer proc per Compute chunk, sleep, IPC timeout
+// and watchdog.
+type coroutine struct {
+	next  func() (yieldMsg, bool)
+	stop  func()
+	yield func(yieldMsg) bool
+	p     *Proc // the proc it runs, with its body
+	body  func(*Proc)
+}
+
+func newCoroutine() *coroutine {
+	c := &coroutine{}
+	c.next, c.stop = iter.Pull(func(yield func(yieldMsg) bool) {
+		c.yield = yield
+		for c.run() && yield(yieldMsg{kind: yDone}) {
+		}
+	})
+	return c
+}
+
+// stopped is the panic sentinel that unwinds the body of a proc stopped by
+// Close; run recovers it.  (runtime.Goexit would not do: iter.Pull
+// re-raises a Goexit in the goroutine that called stop.)
+type stopped struct{}
+
+// run runs the bound body and reports whether it returned; false means
+// Close stopped it.  Any other panic propagates to Run's caller.
+func (c *coroutine) run() (returned bool) {
+	defer func() {
+		if r := recover(); r != nil && r != (stopped{}) {
+			panic(r)
+		}
+	}()
+	c.body(c.p)
+	return true
+}
+
 // Spawn creates a proc bound to a PE (use -1 for device contexts) whose body
 // starts at the current simulation time.  Spawning into a simulation whose
-// event queue already drained panics: the proc would silently schedule at
-// the stale final time and never run unless Run were called again.
+// event queue already drained, or that was closed, panics: the proc would
+// silently schedule at the stale final time and never run unless Run were
+// called again.
 func (s *Sim) Spawn(name string, pe int, body func(p *Proc)) *Proc {
-	if s.drained {
+	if s.drained || s.closed {
+		state := "drained"
+		if s.closed {
+			state = "closed"
+		}
 		panic(fmt.Sprintf(
-			"sim: Spawn(%q) into a drained simulation (Run returned at cycle %d): build procs before running, or spawn from a running proc",
-			name, s.now))
+			"sim: Spawn(%q) into a %s simulation (Run returned at cycle %d): build procs before running, or spawn from a running proc",
+			name, state, s.now))
 	}
-	p := &Proc{
-		sim:    s,
-		Name:   name,
-		PE:     pe,
-		resume: make(chan struct{}),
-		yield:  make(chan yieldMsg),
+	var co *coroutine
+	if n := len(s.idle); n > 0 {
+		co, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		co = newCoroutine()
 	}
+	p := &Proc{sim: s, Name: name, PE: pe, co: co}
+	co.p, co.body = p, body
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.resume
-		body(p)
-		p.yield <- yieldMsg{kind: yDone}
-	}()
 	s.schedule(p, s.now)
 	return p
 }
@@ -254,19 +298,43 @@ func (s *Sim) RunUntil(limit Cycles) Cycles {
 	return s.now
 }
 
-// dispatch resumes p and handles its next yield.
+// dispatch resumes p and handles its next yield.  A panic in p's body
+// propagates from here to Run's caller.
 func (s *Sim) dispatch(p *Proc) {
 	p.state = stateReady
-	p.resume <- struct{}{}
-	m := <-p.yield
-	switch m.kind {
-	case yDelay:
-		s.schedule(p, s.now+m.delay)
-	case yBlock:
-		p.state = stateBlocked
-	case yDone:
+	m, ok := p.co.next()
+	switch {
+	case !ok: // stopped by Close
 		p.state = stateDone
+	case m.kind == yDelay:
+		s.schedule(p, s.now+m.delay)
+	case m.kind == yBlock:
+		p.state = stateBlocked
+	default:
+		p.state = stateDone
+		co := p.co
+		co.p, co.body, p.co = nil, nil, nil
+		s.idle = append(s.idle, co)
 	}
+}
+
+// Close stops every proc that has not finished, so a dropped simulation
+// leaves no parked coroutine behind, and makes later Spawns panic.  A
+// stopped body unwinds from its Delay or block, running its deferred calls;
+// the recorder is detached first, so the unwinding records nothing.  Read
+// every result off the simulation before closing it.
+func (s *Sim) Close() {
+	s.closed = true
+	s.Rec = nil
+	for _, p := range s.procs {
+		if p.state != stateDone {
+			p.co.stop()
+		}
+	}
+	for _, co := range s.idle {
+		co.stop()
+	}
+	s.idle = nil
 }
 
 // Blocked returns the names of procs that are still blocked, sorted.
@@ -297,14 +365,16 @@ func (p *Proc) Now() Cycles { return p.sim.now }
 // Delay advances simulation time by dt busy cycles (computation on the PE).
 func (p *Proc) Delay(dt Cycles) {
 	p.BusyCycles += dt
-	p.yield <- yieldMsg{kind: yDelay, delay: dt}
-	<-p.resume
+	if !p.co.yield(yieldMsg{kind: yDelay, delay: dt}) {
+		panic(stopped{})
+	}
 }
 
 // block parks the proc until another proc wakes it.
 func (p *Proc) block() {
-	p.yield <- yieldMsg{kind: yBlock}
-	<-p.resume
+	if !p.co.yield(yieldMsg{kind: yBlock}) {
+		panic(stopped{})
+	}
 }
 
 // wake schedules p to resume at the current time.  Must be called from the
@@ -340,8 +410,8 @@ func (sig *Signal) Wait(p *Proc) {
 }
 
 // WakeOne wakes the longest-waiting proc, returning whether one was woken.
-// The vacated slot is nilled out so a completed Proc (and the goroutine
-// state hanging off it) stays GC-able through long chaos campaigns.
+// The vacated slot is nilled out so a completed Proc stays GC-able through
+// long chaos campaigns.
 func (sig *Signal) WakeOne() bool {
 	if len(sig.waiters) == 0 {
 		return false
