@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
+.PHONY: tier1 build test vet lint lint-json race bench bench-detect bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -40,6 +40,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench-detect runs the detection-layer benchmarks — the PDDA reduction and
+# graph-detect scans on dense and block-diagonal geometries, and the DDU
+# model's detect — three times each with allocation counts.  -short skips
+# the 16kx16k point, whose per-cell sweep takes seconds per op.
+bench-detect:
+	$(GO) test -run '^$$' -bench 'BitsetReduce|BitsetDetectGraph|Fig13DDUDetect' -benchmem -count 3 -short .
 
 # bench-fuzz runs the full-size generative sweep — 8 contention points x
 # 125000 seeds = 1e6 scenarios, every one checked against the standing

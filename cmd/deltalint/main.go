@@ -24,10 +24,12 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -240,13 +242,7 @@ func deltalint(args []string) (code int) {
 	}
 
 	if *blockingOut != "" {
-		sort.Slice(blocking.Bounds, func(i, j int) bool {
-			a, b := blocking.Bounds[i], blocking.Bounds[j]
-			if a.Scenario != b.Scenario {
-				return a.Scenario < b.Scenario
-			}
-			return a.Task < b.Task
-		})
+		slices.SortFunc(blocking.Bounds, compareBounds)
 		data, err := json.MarshalIndent(blocking, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deltalint: encode blocking bounds: %v\n", err)
@@ -290,4 +286,37 @@ func deltalint(args []string) (code int) {
 		return 1
 	}
 	return 0
+}
+
+// compareBounds orders the -blocking manifest by scenario and task, then by
+// every remaining field, so bounds that share a scenario and task name (the
+// module has three Attach/Attach bounds) always land in the same order and
+// the manifest depends on the code only, not on the sort's tie handling.
+func compareBounds(a, b passes.BlockingBound) int {
+	return cmp.Or(
+		cmp.Compare(a.Scenario, b.Scenario),
+		cmp.Compare(a.Task, b.Task),
+		cmp.Compare(a.Prio, b.Prio),
+		compareBool(a.HasPrio, b.HasPrio),
+		cmp.Compare(a.Direct, b.Direct),
+		cmp.Compare(a.Ceiling, b.Ceiling),
+		cmp.Compare(a.Chain, b.Chain),
+		cmp.Compare(a.Overhead, b.Overhead),
+		cmp.Compare(a.Total, b.Total),
+		compareBool(a.Finite, b.Finite),
+		slices.Compare(a.Reasons, b.Reasons),
+		slices.Compare(a.Waits, b.Waits),
+		slices.Compare(a.DependsOn, b.DependsOn),
+	)
+}
+
+// compareBool orders false before true.
+func compareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	}
+	return -1
 }

@@ -1,6 +1,7 @@
 package pdda
 
 import (
+	"fmt"
 	"testing"
 
 	"deltartos/internal/det"
@@ -9,45 +10,104 @@ import (
 
 // The word-parallel engine and the per-cell reference engine must agree on
 // verdict, step count, and the irreducible matrix itself, across random
-// graphs and awkward word geometries.
+// graphs and awkward word geometries: dense graphs where most rows stay live,
+// sparse ones where most rows are empty from the start, and block-diagonal
+// tiles where rows go empty mid-reduction through column clears.
 func TestBitsetEngineMatchesCellEngine(t *testing.T) {
 	rng := det.New(7)
-	sizes := []struct{ m, n int }{
+	var sc Scratch
+	dense := []struct{ m, n int }{
 		{1, 1}, {3, 1}, {1, 3}, {5, 5}, {64, 64}, {65, 64}, {64, 65},
 		{63, 129}, {129, 63}, {10, 200}, {200, 10},
 	}
-	var sc Scratch
-	for _, size := range sizes {
+	for _, size := range dense {
 		for trial := 0; trial < 20; trial++ {
 			g := rag.Random(rng, size.m, size.n, 0.6, 0.15)
-			mx := g.Matrix()
-
-			cellCopy := mx.Clone()
-			cellK := ReduceCells(cellCopy)
-			wordCopy := mx.Clone()
-			wordK, _ := Reduce(wordCopy)
-			if cellK != wordK {
-				t.Fatalf("%dx%d trial %d: ReduceCells k=%d, Reduce k=%d", size.m, size.n, trial, cellK, wordK)
-			}
-			if !cellCopy.Equal(wordCopy) {
-				t.Fatalf("%dx%d trial %d: irreducible matrices differ", size.m, size.n, trial)
-			}
-
-			wantDead := DetectCells(mx)
-			if dead, _ := Detect(mx); dead != wantDead {
-				t.Fatalf("%dx%d trial %d: Detect=%v, DetectCells=%v", size.m, size.n, trial, dead, wantDead)
-			}
-			if dead, _ := DetectInto(&sc, mx); dead != wantDead {
-				t.Fatalf("%dx%d trial %d: DetectInto=%v, DetectCells=%v", size.m, size.n, trial, dead, wantDead)
-			}
-			if dead, _ := DetectGraphInto(&sc, g); dead != wantDead {
-				t.Fatalf("%dx%d trial %d: DetectGraphInto=%v, DetectCells=%v", size.m, size.n, trial, dead, wantDead)
-			}
-			if dead := DetectGraphCells(g); dead != wantDead {
-				t.Fatalf("%dx%d trial %d: DetectGraphCells=%v, DetectCells=%v", size.m, size.n, trial, dead, wantDead)
+			checkAgainstCells(t, &sc, fmt.Sprintf("dense %dx%d trial %d", size.m, size.n, trial), g)
+		}
+	}
+	for _, n := range []int{63, 64, 65, 129} {
+		for _, pGrant := range []float64{0.1, 0.2, 0.3} {
+			for trial := 0; trial < 5; trial++ {
+				g := rag.Random(rng, 100, n, pGrant, 0.02)
+				checkAgainstCells(t, &sc, fmt.Sprintf("sparse 100x%d grant %.1f trial %d", n, pGrant, trial), g)
 			}
 		}
 	}
+	emptiedByColumns := 0
+	for _, tiles := range []int{1, 4, 9} {
+		for trial := 0; trial < 5; trial++ {
+			g := rag.BlockDiagonal(rng, tiles, 16, 12, 0.6, 0.15)
+			emptiedByColumns += checkAgainstCells(t, &sc, fmt.Sprintf("%d tiles of 16x12 trial %d", tiles, trial), g)
+		}
+	}
+	if emptiedByColumns == 0 {
+		t.Fatal("no block-diagonal trial emptied a row through a column clear")
+	}
+}
+
+// checkAgainstCells runs every word-parallel entry point on g and fails the
+// test unless k, the irreducible matrix and the verdicts equal the per-cell
+// engine's and ReduceTraced's trace ends at the reduced matrix after k
+// steps.  It returns how many rows went empty in a step that did not clear
+// them as terminal rows, i.e. through column clears alone.
+func checkAgainstCells(t *testing.T, sc *Scratch, label string, g *rag.Graph) int {
+	t.Helper()
+	mx := g.Matrix()
+	cellCopy := mx.Clone()
+	cellK := ReduceCells(cellCopy)
+	wordCopy := mx.Clone()
+	wordK, _ := Reduce(wordCopy)
+	if cellK != wordK {
+		t.Fatalf("%s: ReduceCells k=%d, Reduce k=%d", label, cellK, wordK)
+	}
+	if !cellCopy.Equal(wordCopy) {
+		t.Fatalf("%s: irreducible matrices differ", label)
+	}
+	if k, _ := ReduceInto(sc, mx); k != cellK || !sc.work.Equal(cellCopy) {
+		t.Fatalf("%s: ReduceInto k=%d or its matrix differs from ReduceCells (k=%d)", label, k, cellK)
+	}
+	tracedK, _, trace := ReduceTraced(mx.Clone())
+	if tracedK != cellK || len(trace) != cellK {
+		t.Fatalf("%s: ReduceTraced k=%d with %d steps, want %d", label, tracedK, len(trace), cellK)
+	}
+	emptied := 0
+	before := mx
+	for _, step := range trace {
+		terminal := map[int]bool{}
+		for _, s := range step.TerminalRows {
+			terminal[s] = true
+		}
+		for s := 0; s < mx.M; s++ {
+			if rowHasEdge(before, s) && !rowHasEdge(step.After, s) && !terminal[s] {
+				emptied++
+			}
+		}
+		before = step.After
+	}
+	if len(trace) > 0 && !trace[len(trace)-1].After.Equal(cellCopy) {
+		t.Fatalf("%s: ReduceTraced's last After differs from the reduced matrix", label)
+	}
+
+	wantDead := DetectCells(mx)
+	if dead, _ := Detect(mx); dead != wantDead {
+		t.Fatalf("%s: Detect=%v, DetectCells=%v", label, dead, wantDead)
+	}
+	if dead, _ := DetectInto(sc, mx); dead != wantDead {
+		t.Fatalf("%s: DetectInto=%v, DetectCells=%v", label, dead, wantDead)
+	}
+	if dead, _ := DetectGraphInto(sc, g); dead != wantDead {
+		t.Fatalf("%s: DetectGraphInto=%v, DetectCells=%v", label, dead, wantDead)
+	}
+	if dead := DetectGraphCells(g); dead != wantDead {
+		t.Fatalf("%s: DetectGraphCells=%v, DetectCells=%v", label, dead, wantDead)
+	}
+	return emptied
+}
+
+func rowHasEdge(mx *rag.Matrix, s int) bool {
+	anyReq, anyGrant := mx.RowSummary(s)
+	return anyReq || anyGrant
 }
 
 // Stats is the abstract cost model the simulator converts to bus cycles; the
@@ -86,6 +146,49 @@ func TestStatsMatchAcrossPaths(t *testing.T) {
 	if st.CellReads != wantReads {
 		t.Fatalf("chain(2,3): CellReads=%d, want %d", st.CellReads, wantReads)
 	}
+
+	// A mostly-empty, multi-word 200x130 matrix: the kernel sweeps only the
+	// live rows, but Stats must still charge the full-matrix closed form.
+	const m, n = 200, 130
+	multiStep := false
+	for trial := 0; trial < 20; trial++ {
+		g := rag.Random(rng, m, n, 0.2, 0.002)
+		mx := g.Matrix()
+		if live := liveRows(mx); live > m/2 {
+			t.Fatalf("200x130 trial %d: %d live rows, want a mostly-empty matrix", trial, live)
+		}
+		k, _, trace := ReduceTraced(mx.Clone())
+		multiStep = multiStep || k >= 2
+		wantWrites := m * n
+		for _, step := range trace {
+			wantWrites += len(step.TerminalRows)*n + len(step.TerminalCols)*m
+		}
+		want := Stats{
+			Iterations: k,
+			CellReads:  (k+1)*2*m*n + m*n,
+			CellWrites: wantWrites,
+			Ops:        (k + 1) * (2*m + 2*n),
+		}
+		if _, got := Detect(mx); got != want {
+			t.Fatalf("200x130 trial %d: Detect stats %+v, want %+v", trial, got, want)
+		}
+		if _, got := DetectGraphInto(&sc, g); got != want {
+			t.Fatalf("200x130 trial %d: DetectGraphInto stats %+v, want %+v", trial, got, want)
+		}
+	}
+	if !multiStep {
+		t.Fatal("no 200x130 trial took two or more reduction steps")
+	}
+}
+
+func liveRows(mx *rag.Matrix) int {
+	live := 0
+	for s := 0; s < mx.M; s++ {
+		if rowHasEdge(mx, s) {
+			live++
+		}
+	}
+	return live
 }
 
 // TestDetectDoesNotAllocate is the steady-state gate mirroring

@@ -12,11 +12,12 @@
 // Two engines implement the reduction.  The word-parallel engine (this file)
 // sweeps whole []uint64 word groups per step — terminal rows via packed row
 // summaries, terminal columns via one XOR of the column BWO planes, column
-// clearing via one AND-NOT sweep per row — and, through a caller-owned
-// Scratch, performs zero allocations per detection scan.  It is the one
-// reduction core of the repository: software PDDA, the DDU model
-// (ddu.Unit, which fills Scratch.Work with its cells and calls DetectWork)
-// and, through the DDU, the DAU all run it.  The per-cell engine (cells.go)
+// clearing via one AND-NOT sweep per row — over only the rows that still
+// hold an edge, and, through a caller-owned Scratch, performs zero
+// allocations per detection scan.  It is the one reduction core of the
+// repository: software PDDA, the DDU model (ddu.Unit, which fills
+// Scratch.Work with its cells and calls DetectWork) and, through the DDU,
+// the DAU all run it.  The per-cell engine (cells.go)
 // walks the matrix one Get/Set at a time and serves as the differential
 // oracle.  Stats counts the ABSTRACT cell operations of the paper's
 // software model in both engines (counted, not performed), so packing words
@@ -56,10 +57,11 @@ type StepTrace struct {
 }
 
 // Scratch owns the reusable buffers of the allocation-free detection path: a
-// working state matrix plus the packed column-summary and terminal-set
-// buffers one reduction needs.  A Scratch resizes itself lazily to the
-// largest system it has seen; reusing one across scans of the same system
-// performs zero allocations per scan (gated by TestDetectDoesNotAllocate).
+// working state matrix plus the live-row list and the packed column-summary
+// and terminal-set buffers one reduction needs.  A Scratch resizes itself
+// lazily to the largest system it has seen; reusing one across scans of the
+// same system performs zero allocations per scan (gated by
+// TestDetectDoesNotAllocate).
 // A Scratch is owned by its caller and must not be shared across goroutines.
 type Scratch struct {
 	work     *rag.Matrix
@@ -67,6 +69,7 @@ type Scratch struct {
 	colGrant []uint64
 	colTerm  []uint64
 	termRows []int
+	live     []int // rows that held an edge at the last row scan
 }
 
 // ensure sizes the scratch for an m×n system.
@@ -80,6 +83,7 @@ func (sc *Scratch) ensure(m, n int) {
 	sc.colGrant = make([]uint64, w)
 	sc.colTerm = make([]uint64, w)
 	sc.termRows = make([]int, 0, m)
+	sc.live = make([]int, 0, m)
 }
 
 // Reduce applies the terminal reduction sequence ξ (Algorithm 1) to mx in
@@ -120,30 +124,47 @@ func ReduceInto(sc *Scratch, mx *rag.Matrix) (k int, stats Stats) {
 	return k, stats
 }
 
-// reduce is the word-parallel terminal reduction core.  Stats mirrors the
-// abstract per-cell software model exactly: a row scan reads N cells, the
-// column scan reads M·N cells, each cleared row writes N cells and each
-// cleared column M cells — counted, not performed, so the cost model is
-// independent of the engine (pinned against the per-cell engine by
-// TestStatsMatchCellModel).
+// reduce is the word-parallel terminal reduction core.  It sweeps only the
+// rows that still hold an edge: the live list starts as every row, each
+// step's row scan drops the rows it finds empty, and the column summaries
+// and the column clear run over the rows that remain.  On return sc.live
+// lists exactly the non-empty rows of the irreducible matrix.
+//
+// Stats mirrors the abstract per-cell software model, which scans the whole
+// matrix whatever it holds: a row scan reads N cells, the column scan reads
+// M·N cells, each cleared row writes N cells and each cleared column M
+// cells — counted, not performed, so the cost model is independent of the
+// engine and of how many rows are live (pinned against the closed form by
+// TestStatsMatchAcrossPaths).
 func reduce(mx *rag.Matrix, sc *Scratch, traced bool) (int, Stats, []StepTrace) {
 	var stats Stats
 	var trace []StepTrace
 	words := mx.Words()
+	live := sc.live[:0]
+	for s := 0; s < mx.M; s++ {
+		live = append(live, s)
+	}
 	k := 0
 	for {
 		// Lines 5–6 of Algorithm 1: compute T_r and T_c.  The software
-		// implementation scans every cell once per direction.
+		// model scans every cell once per direction.
 		termRows := sc.termRows[:0]
-		for s := 0; s < mx.M; s++ {
+		n := 0
+		for _, s := range live {
 			anyReq, anyGrant := mx.RowSummary(s)
-			stats.CellReads += mx.N // row scan
-			stats.Ops += 2
+			if !anyReq && !anyGrant {
+				continue // an empty row stays empty: drop it
+			}
+			live[n] = s
+			n++
 			if anyReq != anyGrant { // τ_rs = α^r ⊕ α^g (Equation 4)
 				termRows = append(termRows, s)
 			}
 		}
-		mx.ColumnSummariesInto(sc.colReq, sc.colGrant)
+		live = live[:n]
+		stats.CellReads += mx.M * mx.N // row scans
+		stats.Ops += 2 * mx.M
+		mx.ColumnSummariesInto(live, sc.colReq, sc.colGrant)
 		stats.CellReads += mx.M * mx.N // column scan
 		stats.Ops += 2 * mx.N          // τ_ct per column (Equation 4)
 		termColCount := 0
@@ -161,7 +182,7 @@ func reduce(mx *rag.Matrix, sc *Scratch, traced bool) (int, Stats, []StepTrace) 
 			stats.CellWrites += mx.N
 		}
 		if termColCount > 0 {
-			mx.ClearColumns(sc.colTerm)
+			mx.ClearColumns(live, sc.colTerm)
 			stats.CellWrites += mx.M * termColCount
 		}
 		k++
@@ -183,6 +204,7 @@ func reduce(mx *rag.Matrix, sc *Scratch, traced bool) (int, Stats, []StepTrace) 
 		}
 	}
 	sc.termRows = sc.termRows[:0]
+	sc.live = live
 	return k, stats, trace
 }
 
@@ -219,14 +241,14 @@ func DetectGraphInto(sc *Scratch, g *rag.Graph) (deadlock bool, stats Stats) {
 
 // DetectWork is Algorithm 2 on the scratch working matrix as the caller
 // left it (see Work): it reduces the matrix in place and reports deadlock
-// iff the irreducible matrix is non-empty.  stats.Iterations is the number
-// of reduction steps k.
+// iff the irreducible matrix is non-empty, i.e. iff a row is still live
+// after the last step.  stats.Iterations is the number of reduction steps k.
 func DetectWork(sc *Scratch) (deadlock bool, stats Stats) {
 	mx := sc.work
 	stats.CellWrites += mx.M * mx.N // lines 2–6: construct M_ij
 	_, rs, _ := reduce(mx, sc, false)
 	stats.Add(rs)
-	deadlock = !mx.Empty()
+	deadlock = len(sc.live) > 0
 	stats.CellReads += mx.M * mx.N // lines 8–12: test M_{i,j+k} == [0]
 	return deadlock, stats
 }
@@ -236,13 +258,18 @@ func DetectWork(sc *Scratch) (deadlock bool, stats Stats) {
 // PDDA's deadlock answer (matrix non-empty) and the connect-node decision
 // agree on every irreducible matrix; the property test pins that equivalence.
 func ConnectDecision(mx *rag.Matrix) bool {
+	var live []int
 	for s := 0; s < mx.M; s++ {
 		anyReq, anyGrant := mx.RowSummary(s)
 		if anyReq && anyGrant {
 			return true
 		}
+		if anyReq || anyGrant {
+			live = append(live, s)
+		}
 	}
-	colReq, colGrant := mx.ColumnSummaries()
+	colReq, colGrant := make([]uint64, mx.Words()), make([]uint64, mx.Words())
+	mx.ColumnSummariesInto(live, colReq, colGrant)
 	for w := 0; w < mx.Words(); w++ {
 		if colReq[w]&colGrant[w] != 0 {
 			return true

@@ -202,17 +202,17 @@ func (mx *Matrix) Edges() (requests, grants int) {
 
 // ClearRow zeroes every cell in row s.
 func (mx *Matrix) ClearRow(s int) {
-	for w := 0; w < mx.words; w++ {
-		mx.req[s][w] = 0
-		mx.grant[s][w] = 0
-	}
+	clear(mx.req[s])
+	clear(mx.grant[s])
 }
 
-// ClearColumns zeroes every cell in every column whose bit is set in mask (a
-// packed column set, Words() words): one word-wide AND-NOT sweep per row,
-// the software mirror of the DDU clearing all terminal columns in parallel.
-func (mx *Matrix) ClearColumns(mask []uint64) {
-	for s := 0; s < mx.M; s++ {
+// ClearColumns zeroes, in each listed row, every cell whose column bit is set
+// in mask (a packed column set, Words() words): one word-wide AND-NOT sweep
+// per row, the software mirror of the DDU clearing all terminal columns in
+// parallel.  Rows left out of the list must already be empty in the masked
+// columns (the reduction passes the rows that still hold an edge).
+func (mx *Matrix) ClearColumns(rows []int, mask []uint64) {
+	for _, s := range rows {
 		req, grant := mx.req[s], mx.grant[s]
 		for w := range mask {
 			req[w] &^= mask[w]
@@ -224,36 +224,26 @@ func (mx *Matrix) ClearColumns(mask []uint64) {
 // RowSummary returns the row BWO pair (α^r, α^g) of Equation 3 for row s:
 // whether the row contains any request and any grant edge.
 func (mx *Matrix) RowSummary(s int) (anyReq, anyGrant bool) {
-	for w := 0; w < mx.words; w++ {
-		if mx.req[s][w] != 0 {
-			anyReq = true
-		}
-		if mx.grant[s][w] != 0 {
-			anyGrant = true
-		}
+	req, grant := mx.req[s], mx.grant[s]
+	var r, g uint64
+	for w := range req {
+		r |= req[w]
+		g |= grant[w]
 	}
-	return
+	return r != 0, g != 0
 }
 
-// ColumnSummaries returns, for all columns at once, the packed column BWO
-// planes of Equation 3: bit t of anyReq is set iff column t contains a
-// request edge, likewise for anyGrant.
-func (mx *Matrix) ColumnSummaries() (anyReq, anyGrant []uint64) {
-	anyReq = make([]uint64, mx.words)
-	anyGrant = make([]uint64, mx.words)
-	mx.ColumnSummariesInto(anyReq, anyGrant)
-	return
-}
-
-// ColumnSummariesInto computes the packed column BWO planes into
-// caller-owned buffers of Words() words each — the allocation-free flavor of
-// ColumnSummaries used by the scratch-based detection path.
-func (mx *Matrix) ColumnSummariesInto(anyReq, anyGrant []uint64) {
+// ColumnSummariesInto computes, over the listed rows, the packed column BWO
+// planes of Equation 3 into caller-owned buffers of Words() words each: bit
+// t of anyReq is set iff column t holds a request edge in one of the rows,
+// likewise for anyGrant.  Listing every row that holds an edge gives the
+// planes of the whole matrix.
+func (mx *Matrix) ColumnSummariesInto(rows []int, anyReq, anyGrant []uint64) {
 	for w := 0; w < mx.words; w++ {
 		anyReq[w] = 0
 		anyGrant[w] = 0
 	}
-	for s := 0; s < mx.M; s++ {
+	for _, s := range rows {
 		req, grant := mx.req[s], mx.grant[s]
 		for w := 0; w < mx.words; w++ {
 			anyReq[w] |= req[w]
@@ -814,6 +804,29 @@ func Random(rng *det.RNG, m, n int, pGrant, pReq float64) *Graph {
 		for t := 0; t < n; t++ {
 			if g.grantTo[s] != t && rng.Float64() < pReq {
 				g.AddRequest(s, t)
+			}
+		}
+	}
+	return g
+}
+
+// BlockDiagonal returns a (tiles·m)×(tiles·n) RAG of independent m×n
+// tiles on the diagonal, each drawn as Random draws a whole graph: tile i
+// owns resources [i·m, (i+1)·m) and processes [i·n, (i+1)·n), and no edge
+// crosses tiles.  Most of each row is empty, the shape of a large system
+// whose processes contend in small groups.
+func BlockDiagonal(rng *det.RNG, tiles, m, n int, pGrant, pReq float64) *Graph {
+	g := NewGraph(tiles*m, tiles*n)
+	for i := 0; i < tiles; i++ {
+		tile := Random(rng, m, n, pGrant, pReq)
+		for s := 0; s < m; s++ {
+			if h := tile.grantTo[s]; h != -1 {
+				if err := g.SetGrant(i*m+s, i*n+h); err != nil {
+					panic(err) // unreachable: fresh resource
+				}
+			}
+			for _, t := range tile.Requesters(s) {
+				g.AddRequest(i*m+s, i*n+t)
 			}
 		}
 	}

@@ -125,12 +125,16 @@ func TestClearRowColumn(t *testing.T) {
 		t.Error("ClearRow touched other rows")
 	}
 	mx.Set(1, 1, Grant)
-	mx.ClearColumns([]uint64{1 << 2})
+	mx.Set(2, 2, Request)
+	mx.ClearColumns([]int{1}, []uint64{1 << 2})
 	if mx.Get(1, 2) != None {
 		t.Error("ClearColumns left edges")
 	}
 	if mx.Get(1, 1) != Grant {
 		t.Error("ClearColumns touched other columns")
+	}
+	if mx.Get(2, 2) != Request {
+		t.Error("ClearColumns touched an unlisted row")
 	}
 }
 
@@ -147,7 +151,12 @@ func TestRowColumnSummaries(t *testing.T) {
 	if !ar || ag {
 		t.Error("row 1 should have request only")
 	}
-	colReq, colGrant := mx.ColumnSummaries()
+	colReq, colGrant := make([]uint64, 1), make([]uint64, 1)
+	mx.ColumnSummariesInto([]int{1}, colReq, colGrant)
+	if colReq[0] != 1<<2 || colGrant[0] != 0 {
+		t.Errorf("row 1 only: colReq=%b colGrant=%b, want 100 and 0", colReq[0], colGrant[0])
+	}
+	mx.ColumnSummariesInto([]int{0, 1}, colReq, colGrant)
 	if colGrant[0]&1 == 0 {
 		t.Error("column 0 should have a grant")
 	}
@@ -409,6 +418,25 @@ func TestRandomRespectsInvariant(t *testing.T) {
 		if err := g.Matrix().Validate(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// BlockDiagonal places tile i, drawn as the same-seeded Random draws it, at
+// rows i·m and columns i·n, and leaves every cell outside the tiles empty.
+func TestBlockDiagonalKeepsEdgesInTiles(t *testing.T) {
+	const tiles, m, n = 5, 16, 12
+	rng := det.New(4)
+	want := NewMatrix(tiles*m, tiles*n)
+	for i := 0; i < tiles; i++ {
+		tile := Random(rng, m, n, 0.6, 0.15).Matrix()
+		for s := 0; s < m; s++ {
+			for t2 := 0; t2 < n; t2++ {
+				want.Set(i*m+s, i*n+t2, tile.Get(s, t2))
+			}
+		}
+	}
+	if got := BlockDiagonal(det.New(4), tiles, m, n, 0.6, 0.15).Matrix(); !got.Equal(want) {
+		t.Fatalf("BlockDiagonal:\n%s\nwant\n%s", got, want)
 	}
 }
 
