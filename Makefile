@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-detect bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc
+.PHONY: tier1 build test vet lint lint-json race bench bench-detect bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc fuzz-targets
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -69,6 +69,13 @@ bench-fuzz-ipc:
 # breaks an invariant (PDDA vs oracle, static ⊇ runtime, lint round-trip).
 fuzz:
 	$(GO) run -race ./cmd/deltasim -fuzz -fuzz-seeds 250 -parallel 4
+
+# fuzz-targets runs each native Go fuzz target for a fixed time: FuzzReduce
+# checks the word-parallel PDDA kernel against the per-cell engine on graphs
+# of 1–130 processes.  Plain `go test ./...` replays only the seed corpus, so
+# tier-1 does not depend on machine speed.
+fuzz-targets:
+	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 15s ./internal/pdda
 
 # fuzz-ipc is the IPC-topology smoke: random lossy message topologies under
 # the race detector, every seed re-checking that the statically flagged task

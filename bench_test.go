@@ -284,31 +284,14 @@ func BenchmarkDetectorBaselines(b *testing.B) {
 	})
 }
 
-// ---- Ablation: packed bit-plane reduction vs naive cell-by-cell ----
-
-func BenchmarkAblationPackedVsNaive(b *testing.B) {
-	g := rag.Random(det.New(3), 50, 50, 0.7, 0.3)
-	b.Run("packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mx := g.Matrix()
-			pdda.Reduce(mx)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mx := g.Matrix()
-			pdda.ReduceCells(mx)
-		}
-	})
-}
-
 // ---- Bitset engine vs per-cell engine across geometries ----
 //
 // The word-parallel reduction against the per-cell reference engine at
 // 64x64, 1kx1k and 16kx16k, plus the zero-allocation graph-detect path.
 // Request density scales down with n so per-row request degree stays
 // realistic at 16k; the cell engine scans every cell per pass regardless of
-// density.  At grant density 0.7 about 70% of the rows hold an edge.  The
+// density, and holds one byte per cell, so the 16kx16k /cell point
+// allocates about 268 MB per op (skipped under -short).  At grant density 0.7 about 70% of the rows hold an edge.  The
 // tiles point is the detect_churn shape instead: 64 independent 16x12 tiles
 // on the diagonal of a 1024x768 matrix, about a fifth of the rows live and
 // k = 2, where the live-row kernel skips most of the matrix.

@@ -10,8 +10,10 @@
 //     runs pdda's one reduction kernel on a copy of its cells (with any
 //     stuck-at faults applied) and converts the iteration count k into
 //     clock steps with HardwareSteps.
-//   - RTLModel: a cell-accurate model of the generated hardware, sharing no
-//     code with pdda; it is the Unit's independent oracle
+//   - NewRTL: a cell-accurate model of the generated hardware — pdda's
+//     per-cell engine, which evaluates Equations 3–7 register by register
+//     on its own cell array and shares no storage or code with the
+//     word-parallel kernel; it is the Unit's independent oracle
 //     (TestRTLEquivalence) and drives the VCD waveform dump.
 //   - Generate: a Verilog generator emitting the structural description the
 //     δ framework's GUI tool would produce (one instance line per matrix

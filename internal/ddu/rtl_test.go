@@ -26,7 +26,8 @@ func TestRTLSimpleCycle(t *testing.T) {
 	if err := m.Load(g.Matrix()); err != nil {
 		t.Fatal(err)
 	}
-	dead, k, steps := m.Run()
+	dead, k := m.Run()
+	steps := HardwareSteps(k)
 	if !dead {
 		t.Error("RTL missed the cycle")
 	}
@@ -43,7 +44,8 @@ func TestRTLChainReduces(t *testing.T) {
 	if err := m.Load(rag.Chain(5, 5).Matrix()); err != nil {
 		t.Fatal(err)
 	}
-	dead, k, steps := m.Run()
+	dead, k := m.Run()
+	steps := HardwareSteps(k)
 	if dead {
 		t.Error("chain falsely deadlocked")
 	}
@@ -86,7 +88,8 @@ func TestRTLEquivalence(t *testing.T) {
 		if err := rtl.Load(g.Matrix()); err != nil {
 			t.Fatal(err)
 		}
-		dead, k, steps := rtl.Run()
+		dead, k := rtl.Run()
+		steps := HardwareSteps(k)
 
 		if dead != fast.Deadlock || k != fast.Iterations || steps != fast.Steps {
 			t.Fatalf("case %d: RTL (%v,%d,%d) != Unit (%v,%d,%d)\n%s",
@@ -122,19 +125,36 @@ func TestRTLWeightNets(t *testing.T) {
 	}
 }
 
-func TestRTLSnapshotBits(t *testing.T) {
-	m, _ := NewRTL(Config{Procs: 2, Resources: 2})
+func TestRTLLoadCells(t *testing.T) {
+	m, _ := NewRTL(Config{Procs: 3, Resources: 3})
+	full := rag.NewMatrix(3, 3)
+	for s := 0; s < 3; s++ {
+		for c := 0; c < 3; c++ {
+			full.Set(s, c, rag.Request)
+		}
+	}
+	if err := m.Load(full); err != nil {
+		t.Fatal(err)
+	}
+	// A smaller matrix lands top-left and clears every spare cell.
 	mx := rag.NewMatrix(2, 2)
 	mx.Set(0, 1, rag.Request)
 	mx.Set(1, 0, rag.Grant)
 	if err := m.Load(mx); err != nil {
 		t.Fatal(err)
 	}
-	req, grant := m.SnapshotBits()
-	if len(req) != 4 || len(grant) != 4 {
-		t.Fatalf("snapshot lengths: %d/%d", len(req), len(grant))
-	}
-	if !req[1] || !grant[2] {
-		t.Errorf("snapshot bits wrong: req=%v grant=%v", req, grant)
+	for s := 0; s < 3; s++ {
+		for c := 0; c < 3; c++ {
+			want := rag.None
+			switch {
+			case s == 0 && c == 1:
+				want = rag.Request
+			case s == 1 && c == 0:
+				want = rag.Grant
+			}
+			if got := m.Cell(s, c); got != want {
+				t.Errorf("cell (%d,%d) = %v, want %v", s, c, got, want)
+			}
+		}
 	}
 }

@@ -3,9 +3,20 @@ package ddu
 import (
 	"io"
 
+	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
 	"deltartos/internal/vcd"
 )
+
+// NewRTL returns the cell-accurate model of the generated hardware for cfg:
+// pdda's per-cell engine, one 2-bit register per matrix cell with the weight
+// and decide nets of Equations 3–7, all cells clear.
+func NewRTL(cfg Config) (*pdda.Cells, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return pdda.NewCells(cfg.Resources, cfg.Procs), nil
+}
 
 // DumpDetectionVCD runs a detection on the RTL cell model and writes a
 // waveform of the run — the request/grant planes per resource row, the
@@ -67,7 +78,7 @@ func DumpDetectionVCD(cfg Config, mx *rag.Matrix, w io.Writer) (Result, error) {
 	k := 0
 	dump(0)
 	for m.TIter {
-		m.ClockReduce()
+		m.Clock()
 		k++
 		dump(uint64(k))
 	}

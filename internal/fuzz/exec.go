@@ -128,6 +128,17 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 			res.MismatchAt = fmt.Sprintf("seed %d: ", sc.Seed) + fmt.Sprintf(format, args...)
 		}
 	}
+	// detect maps g into the scratch's work matrix, validates that matrix
+	// (the one the fast engine reduces) when asked, and runs PDDA on it.
+	detect := func(validate bool) (deadlock bool, invalid error) {
+		mx := es.det.Work(g.Size())
+		g.MatrixInto(mx)
+		if validate {
+			invalid = mx.Validate()
+		}
+		deadlock, _ = pdda.DetectWork(&es.det)
+		return deadlock, invalid
+	}
 
 	// The claims audit: the runtime held-union per task must stay inside
 	// the statically derived claim set.  Acquisition order is audited at
@@ -208,7 +219,7 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 
 		scan := round%cfg.DetectEvery == 0
 		if scan && res.DetectRound < 0 {
-			deadlock, _ := pdda.DetectGraphInto(&es.det, g)
+			deadlock, invalid := detect(oracleAll)
 			if oracleAll {
 				if want := g.HasCycle(); deadlock != want {
 					mismatch("round %d: PDDA=%v, HasCycle oracle=%v", round, deadlock, want)
@@ -216,8 +227,8 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 				if want := pdda.DetectGraphCells(g); deadlock != want {
 					mismatch("round %d: bitset engine=%v, cell engine=%v", round, deadlock, want)
 				}
-				if err := g.Matrix().Validate(); err != nil {
-					mismatch("round %d: %v", round, err)
+				if invalid != nil {
+					mismatch("round %d: %v", round, invalid)
 				}
 			}
 			if deadlock {
@@ -244,7 +255,7 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 	// word-parallel engines must agree with the per-cell reference engines —
 	// identical PDDA verdicts, identical cycle witnesses, identical
 	// deadlocked-process sets.
-	deadlock, _ := pdda.DetectGraphInto(&es.det, g)
+	deadlock, invalid := detect(true)
 	if want := g.HasCycle(); deadlock != want {
 		mismatch("terminal: PDDA=%v, HasCycle oracle=%v", deadlock, want)
 	}
@@ -260,8 +271,8 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 	if got, want := g.DeadlockedProcesses(), g.DeadlockedProcessesRef(); !intSliceEq(got, want) {
 		mismatch("terminal: deadlocked set %v, per-cell ref %v", got, want)
 	}
-	if err := g.Matrix().Validate(); err != nil {
-		mismatch("terminal: %v", err)
+	if invalid != nil {
+		mismatch("terminal: %v", invalid)
 	}
 	res.Rounds = round
 	switch {

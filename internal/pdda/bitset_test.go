@@ -46,6 +46,73 @@ func TestBitsetEngineMatchesCellEngine(t *testing.T) {
 	}
 }
 
+// FuzzReduce checks every word-parallel entry point against the per-cell
+// engine (checkAgainstCells) on graphs decoded from bytes by decodeGraph.
+// The seed corpus spans dense, sparse and block-diagonal geometries on both
+// sides of the 64/65 word edge, so plain `go test` replays exactly those.
+func FuzzReduce(f *testing.F) {
+	rng := det.New(11)
+	for _, g := range []*rag.Graph{
+		rag.Random(rng, 1, 1, 0.5, 0.5),
+		rag.Random(rng, 5, 5, 0.7, 0.35),
+		rag.Random(rng, 64, 64, 0.6, 0.15),
+		rag.Random(rng, 65, 64, 0.6, 0.15),
+		rag.Random(rng, 64, 65, 0.6, 0.15),
+		rag.Random(rng, 100, 129, 0.2, 0.02),
+		rag.Random(rng, 130, 63, 0.3, 0.02),
+		rag.BlockDiagonal(rng, 8, 16, 12, 0.6, 0.15),
+		rag.CycleGraph(3, 3, 3),
+		rag.Chain(30, 30),
+	} {
+		f.Add(encodeGraph(g))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc Scratch
+		checkAgainstCells(t, &sc, "fuzz input", decodeGraph(data))
+	})
+}
+
+// decodeGraph reads a graph of 1–130 resources and 1–130 processes from
+// bytes: data[0] and data[1] give the size, then each 3-byte op (kind,
+// resource, process) adds a grant (odd kind) or a request (even kind).  A
+// grant of a held resource, or a request by the resource's holder, is
+// skipped, so every decoded graph is a legal single-unit RAG.
+func decodeGraph(data []byte) *rag.Graph {
+	m, n := 1, 1
+	if len(data) >= 2 {
+		m, n = 1+int(data[0])%130, 1+int(data[1])%130
+		data = data[2:]
+	}
+	g := rag.NewGraph(m, n)
+	for ; len(data) >= 3; data = data[3:] {
+		s, p := int(data[1])%m, int(data[2])%n
+		switch {
+		case data[0]%2 == 1 && g.Holder(s) == -1:
+			if err := g.SetGrant(s, p); err != nil {
+				panic(err) // unreachable: the resource is free
+			}
+		case data[0]%2 == 0 && g.Holder(s) != p:
+			g.AddRequest(s, p)
+		}
+	}
+	return g
+}
+
+// encodeGraph is decodeGraph's inverse for graphs of at most 130×130.
+func encodeGraph(g *rag.Graph) []byte {
+	m, n := g.Size()
+	data := []byte{byte(m - 1), byte(n - 1)}
+	for s := 0; s < m; s++ {
+		if h := g.Holder(s); h != -1 {
+			data = append(data, 1, byte(s), byte(h))
+		}
+		for _, p := range g.Requesters(s) {
+			data = append(data, 0, byte(s), byte(p))
+		}
+	}
+	return data
+}
+
 // checkAgainstCells runs every word-parallel entry point on g and fails the
 // test unless k, the irreducible matrix and the verdicts equal the per-cell
 // engine's and ReduceTraced's trace ends at the reduced matrix after k

@@ -17,11 +17,12 @@
 // allocations per detection scan.  It is the one reduction core of the
 // repository: software PDDA, the DDU model (ddu.Unit, which fills
 // Scratch.Work with its cells and calls DetectWork) and, through the DDU,
-// the DAU all run it.  The per-cell engine (cells.go)
-// walks the matrix one Get/Set at a time and serves as the differential
-// oracle.  Stats counts the ABSTRACT cell operations of the paper's
-// software model in both engines (counted, not performed), so packing words
-// never changes the simulated cost — only the host wall clock.
+// the DAU all run it.  The per-cell engine (cells.go, Cells) evaluates the
+// weight and decide cells of Equations 3–7 on its own cell array and serves
+// as the differential oracle of this kernel and of the DDU.  Stats counts
+// the ABSTRACT cell operations of the paper's software model (counted, not
+// performed), so packing words never changes the simulated cost — only the
+// host wall clock.
 package pdda
 
 import (
@@ -251,31 +252,6 @@ func DetectWork(sc *Scratch) (deadlock bool, stats Stats) {
 	deadlock = len(sc.live) > 0
 	stats.CellReads += mx.M * mx.N // lines 8–12: test M_{i,j+k} == [0]
 	return deadlock, stats
-}
-
-// ConnectDecision evaluates the hardware decide condition of Equations 6–7 on
-// an irreducible matrix: D = OR over rows and columns of φ = α^r ∧ α^g.
-// PDDA's deadlock answer (matrix non-empty) and the connect-node decision
-// agree on every irreducible matrix; the property test pins that equivalence.
-func ConnectDecision(mx *rag.Matrix) bool {
-	var live []int
-	for s := 0; s < mx.M; s++ {
-		anyReq, anyGrant := mx.RowSummary(s)
-		if anyReq && anyGrant {
-			return true
-		}
-		if anyReq || anyGrant {
-			live = append(live, s)
-		}
-	}
-	colReq, colGrant := make([]uint64, mx.Words()), make([]uint64, mx.Words())
-	mx.ColumnSummariesInto(live, colReq, colGrant)
-	for w := 0; w < mx.Words(); w++ {
-		if colReq[w]&colGrant[w] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // WorstCaseBound returns the proven upper bound on the number of terminal

@@ -141,20 +141,6 @@ func TestPDDAMatchesOracleRandom(t *testing.T) {
 	}
 }
 
-// On every irreducible matrix, the connect-node decision (Equations 6-7) must
-// equal the emptiness test of Algorithm 2.
-func TestConnectDecisionEquivalence(t *testing.T) {
-	rng := det.New(5)
-	for i := 0; i < 300; i++ {
-		g := rag.Random(rng, 1+rng.Intn(7), 1+rng.Intn(7), 0.7, 0.35)
-		mx := g.Matrix()
-		Reduce(mx)
-		if ConnectDecision(mx) != !mx.Empty() {
-			t.Fatalf("case %d: connect=%v empty=%v\n%s", i, ConnectDecision(mx), mx.Empty(), mx)
-		}
-	}
-}
-
 func TestWorstCaseBound(t *testing.T) {
 	cases := []struct{ m, n, want int }{
 		{2, 3, 1},

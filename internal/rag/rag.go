@@ -29,6 +29,7 @@ package rag
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"deltartos/internal/det"
@@ -65,10 +66,12 @@ func (c Cell) Valid() bool { return c == None || c == Grant || c == Request }
 // uint64 word group per row, so that the DDU's bit-wise row/column reductions
 // (Equations 3–7) are literal word operations.
 type Matrix struct {
-	M, N  int // resources, processes
-	words int // uint64 words per row
-	req   [][]uint64
-	grant [][]uint64
+	M, N      int // resources, processes
+	words     int // uint64 words per row
+	req       [][]uint64
+	grant     [][]uint64
+	reqFlat   []uint64 // every req row back to back (req aliases it)
+	grantFlat []uint64 // likewise for grant
 }
 
 // NewMatrix returns an empty m×n state matrix.
@@ -78,20 +81,21 @@ func NewMatrix(m, n int) *Matrix {
 	}
 	w := (n + 63) / 64
 	mx := &Matrix{M: m, N: n, words: w}
-	mx.req = newPlane(m, w)
-	mx.grant = newPlane(m, w)
+	mx.reqFlat, mx.req = newPlane(m, w)
+	mx.grantFlat, mx.grant = newPlane(m, w)
 	return mx
 }
 
 // newPlane allocates rows word-rows backed by one flat slice, so a plane is
-// a single contiguous allocation and row clears/copies stay cache-friendly.
-func newPlane(rows, words int) [][]uint64 {
-	flat := make([]uint64, rows*words)
-	p := make([][]uint64, rows)
+// a single contiguous allocation: row clears/copies stay cache-friendly, and
+// a whole-plane copy or clear is one call on the returned flat slice.
+func newPlane(rows, words int) (flat []uint64, p [][]uint64) {
+	flat = make([]uint64, rows*words)
+	p = make([][]uint64, rows)
 	for i := range p {
 		p[i] = flat[i*words : (i+1)*words : (i+1)*words]
 	}
-	return p
+	return flat, p
 }
 
 func (mx *Matrix) check(s, t int) {
@@ -156,34 +160,21 @@ func (mx *Matrix) CopyFrom(src *Matrix) {
 	if mx.M != src.M || mx.N != src.N {
 		panic(fmt.Sprintf("rag: CopyFrom %dx%d into %dx%d matrix", src.M, src.N, mx.M, mx.N))
 	}
-	for s := 0; s < mx.M; s++ {
-		copy(mx.req[s], src.req[s])
-		copy(mx.grant[s], src.grant[s])
-	}
+	copy(mx.reqFlat, src.reqFlat)
+	copy(mx.grantFlat, src.grantFlat)
 }
 
 // Equal reports whether two matrices have identical dimensions and cells.
 func (mx *Matrix) Equal(o *Matrix) bool {
-	if mx.M != o.M || mx.N != o.N {
-		return false
-	}
-	for s := 0; s < mx.M; s++ {
-		for w := 0; w < mx.words; w++ {
-			if mx.req[s][w] != o.req[s][w] || mx.grant[s][w] != o.grant[s][w] {
-				return false
-			}
-		}
-	}
-	return true
+	return mx.M == o.M && mx.N == o.N &&
+		slices.Equal(mx.reqFlat, o.reqFlat) && slices.Equal(mx.grantFlat, o.grantFlat)
 }
 
 // Empty reports whether the matrix has no edges (complete reduction).
 func (mx *Matrix) Empty() bool {
-	for s := 0; s < mx.M; s++ {
-		for w := 0; w < mx.words; w++ {
-			if mx.req[s][w]|mx.grant[s][w] != 0 {
-				return false
-			}
+	for w := range mx.reqFlat {
+		if mx.reqFlat[w]|mx.grantFlat[w] != 0 {
+			return false
 		}
 	}
 	return true
@@ -191,11 +182,9 @@ func (mx *Matrix) Empty() bool {
 
 // Edges returns the number of request and grant edges.
 func (mx *Matrix) Edges() (requests, grants int) {
-	for s := 0; s < mx.M; s++ {
-		for w := 0; w < mx.words; w++ {
-			requests += bits.OnesCount64(mx.req[s][w])
-			grants += bits.OnesCount64(mx.grant[s][w])
-		}
+	for w := range mx.reqFlat {
+		requests += bits.OnesCount64(mx.reqFlat[w])
+		grants += bits.OnesCount64(mx.grantFlat[w])
 	}
 	return
 }
@@ -309,6 +298,7 @@ type Graph struct {
 
 	grantTo []int      // grantTo[s] = process holding q_s, or -1
 	reqRows [][]uint64 // bit t of reqRows[s]: p_t requests q_s
+	reqFlat []uint64   // every reqRows row back to back
 	reqCols [][]uint64 // bit s of reqCols[t]: p_t requests q_s
 	held    [][]uint64 // bit s of held[t]: q_s granted to p_t
 	heldAny []uint64   // bit s: q_s held by some process
@@ -350,19 +340,20 @@ func NewGraph(m, n int) *Graph {
 	for s := range g.grantTo {
 		g.grantTo[s] = -1
 	}
-	g.reqRows = newPlane(m, g.nw)
-	g.reqCols = newPlane(n, g.mw)
-	g.held = newPlane(n, g.mw)
+	g.reqFlat, g.reqRows = newPlane(m, g.nw)
+	_, g.reqCols = newPlane(n, g.mw)
+	_, g.held = newPlane(n, g.mw)
 	g.heldAny = make([]uint64, g.mw)
 	return g
 }
 
 func (g *Graph) ensureScratch() *graphScratch {
 	if g.scratch == nil {
+		_, wReq := newPlane(g.m, g.nw)
 		g.scratch = &graphScratch{
 			color:  make([]uint8, g.n),
 			stack:  make([]dfsFrame, 0, g.n),
-			wReq:   newPlane(g.m, g.nw),
+			wReq:   wReq,
 			wGrant: make([]int, g.m),
 			colAny: make([]uint64, g.nw),
 		}
@@ -512,25 +503,32 @@ func (g *Graph) Matrix() *Matrix {
 }
 
 // MatrixInto writes the graph's state matrix into a caller-owned matrix —
-// word copies of the packed request rows plus one grant bit per held
-// resource, no allocation.  This is the scratch-reuse path the periodic
-// detection scan runs on.  A matrix larger than the graph receives the
-// graph in its top-left corner with every spare cell cleared (the paper's
-// experiments run 4-process systems on a 5x5 DDU); a smaller one panics.
+// a copy of the packed request plane plus one grant bit per held resource,
+// no allocation.  This is the scratch-reuse path the periodic detection
+// scan runs on.  A matrix larger than the graph receives the graph in its
+// top-left corner with every spare cell cleared (the paper's experiments
+// run 4-process systems on a 5x5 DDU); a smaller one panics.  When the rows
+// have the same word width the request plane is one copy; a wider matrix
+// takes it row by row.
 func (g *Graph) MatrixInto(mx *Matrix) {
 	if mx.M < g.m || mx.N < g.n {
 		panic(fmt.Sprintf("rag: MatrixInto %dx%d graph into %dx%d matrix", g.m, g.n, mx.M, mx.N))
 	}
-	for s := 0; s < mx.M; s++ {
-		req, grant := mx.req[s], mx.grant[s]
-		clear(grant)
-		if s >= g.m {
-			clear(req)
-			continue
+	clear(mx.grantFlat)
+	if mx.words == g.nw {
+		clear(mx.reqFlat[copy(mx.reqFlat, g.reqFlat):])
+	} else {
+		for s, req := range mx.req {
+			if s >= g.m {
+				clear(req)
+				continue
+			}
+			clear(req[copy(req, g.reqRows[s]):])
 		}
-		clear(req[copy(req, g.reqRows[s]):])
-		if h := g.grantTo[s]; h != -1 {
-			grant[h/64] |= 1 << (uint(h) % 64)
+	}
+	for s, h := range g.grantTo {
+		if h != -1 {
+			mx.grant[s][h/64] |= 1 << (uint(h) % 64)
 		}
 	}
 }
@@ -609,46 +607,11 @@ func (g *Graph) nextWaitHolder(f *dfsFrame) int {
 // HasCycle is the deadlock test: it reports whether the RAG contains a
 // directed cycle.  For the paper's single-unit resource model, deadlock
 // exists iff a cycle exists (the theorem PDDA is proven against in
-// GIT-CC-03-41).
-//
-// The search runs on the process-only wait-for projection (p_a → p_b iff
-// p_a requests a resource p_b holds), which preserves cycles exactly: every
-// bipartite cycle alternates process/resource nodes and each resource has at
-// most one outgoing grant edge.  Successors are enumerated by word-wise
-// TrailingZeros iteration over the packed per-process request rows, and the
-// DFS stack/coloring live in reusable scratch — zero allocations per call.
-// HasCycleRef (ref.go) is the per-cell differential oracle.
+// GIT-CC-03-41).  Zero allocations per call; HasCycleRef (ref.go) is the
+// per-cell differential oracle.
 func (g *Graph) HasCycle() bool {
-	sc := g.ensureScratch()
-	color := sc.color
-	for i := range color {
-		color[i] = dfsWhite
-	}
-	stack := sc.stack[:0]
-	for start := 0; start < g.n; start++ {
-		if color[start] != dfsWhite {
-			continue
-		}
-		color[start] = dfsGray
-		stack = append(stack, dfsFrame{proc: int32(start)})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			w := g.nextWaitHolder(f)
-			if w < 0 {
-				color[f.proc] = dfsBlack
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			switch color[w] {
-			case dfsGray:
-				return true
-			case dfsWhite:
-				color[w] = dfsGray
-				stack = append(stack, dfsFrame{proc: int32(w)})
-			}
-		}
-	}
-	return false
+	_, back := g.waitCycle()
+	return back >= 0
 }
 
 // Cycle returns a witness cycle as the ordered list of processes on it
@@ -660,12 +623,34 @@ func (g *Graph) HasCycle() bool {
 // seed.  Only the returned witness allocates; the acyclic path is
 // allocation-free.
 func (g *Graph) Cycle() []int {
+	stack, back := g.waitCycle()
+	if back < 0 {
+		return nil
+	}
+	out := make([]int, len(stack)-back)
+	for i := range out {
+		out[i] = int(stack[back+i].proc)
+	}
+	return out
+}
+
+// waitCycle is the DFS behind HasCycle and Cycle.  It searches the
+// process-only wait-for projection (p_a → p_b iff p_a requests a resource
+// p_b holds), which preserves cycles exactly: every bipartite cycle
+// alternates process/resource nodes and each resource has at most one
+// outgoing grant edge.  Successors are enumerated by word-wise
+// TrailingZeros iteration over the packed per-process request rows, and the
+// DFS stack/coloring live in reusable scratch.  At the first back edge it
+// returns the DFS stack and the index of the frame the edge returns to, so
+// stack[back:] is the cycle (the DFS path from that process back to the
+// requester); on an acyclic graph back is -1.
+func (g *Graph) waitCycle() (stack []dfsFrame, back int) {
 	sc := g.ensureScratch()
 	color := sc.color
 	for i := range color {
 		color[i] = dfsWhite
 	}
-	stack := sc.stack[:0]
+	stack = sc.stack[:0]
 	for start := 0; start < g.n; start++ {
 		if color[start] != dfsWhite {
 			continue
@@ -682,15 +667,9 @@ func (g *Graph) Cycle() []int {
 			}
 			switch color[w] {
 			case dfsGray:
-				// Back edge: the witness is the stack suffix starting at w's
-				// frame (the DFS path from w back to the requester).
 				for i := range stack {
 					if int(stack[i].proc) == w {
-						out := make([]int, len(stack)-i)
-						for j := i; j < len(stack); j++ {
-							out[j-i] = int(stack[j].proc)
-						}
-						return out
+						return stack, i
 					}
 				}
 			case dfsWhite:
@@ -699,7 +678,7 @@ func (g *Graph) Cycle() []int {
 			}
 		}
 	}
-	return nil
+	return stack, -1
 }
 
 // DeadlockedProcesses returns the set of processes on or reachable into a
