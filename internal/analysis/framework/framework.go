@@ -9,7 +9,9 @@
 //
 // The deliberate API mirroring means the passes port to the real
 // go/analysis multichecker by changing imports only, should a vendored
-// x/tools ever become available.
+// x/tools ever become available.  Results are shared the go/analysis way,
+// through Analyzer.Requires and Pass.ResultOf; RunAnalyzer computes each
+// required result once per Package.
 package framework
 
 import (
@@ -29,6 +31,9 @@ type Analyzer struct {
 	// Run executes the pass over one package and may return a
 	// pass-specific result value (used by cross-check tests).
 	Run func(*Pass) (any, error)
+	// Requires lists the analyzers whose results Run reads from
+	// Pass.ResultOf.  They must not form a cycle.
+	Requires []*Analyzer
 }
 
 // Pass is the per-package unit of work handed to an Analyzer.
@@ -39,6 +44,9 @@ type Pass struct {
 	Pkg       *types.Package
 	PkgPath   string
 	TypesInfo *types.Info
+	// ResultOf holds the result of each analyzer in Analyzer.Requires,
+	// shared with every other analyzer requiring it: treat it as read-only.
+	ResultOf map[*Analyzer]any
 	// Report records one diagnostic.
 	Report func(Diagnostic)
 }
@@ -56,9 +64,30 @@ type Diagnostic struct {
 	Analyzer string // filled by the driver
 }
 
+// memoResult is a required analyzer's outcome on one package.
+type memoResult struct {
+	res any
+	err error
+}
+
 // RunAnalyzer executes one analyzer over one loaded package and returns its
-// diagnostics (sorted by position) plus the analyzer's result value.
+// diagnostics (sorted by position) plus the analyzer's result value.  Each
+// required analyzer runs at most once per Package, its result and error
+// memoized on pkg and its diagnostics dropped, as in go/analysis; so a
+// Package must be analyzed by one goroutine at a time.
 func RunAnalyzer(pkg *Package, a *Analyzer) ([]Diagnostic, any, error) {
+	resultOf := make(map[*Analyzer]any, len(a.Requires))
+	for _, req := range a.Requires {
+		m, ok := pkg.memo[req]
+		if !ok {
+			_, m.res, m.err = RunAnalyzer(pkg, req)
+			pkg.memo[req] = m
+		}
+		if m.err != nil {
+			return nil, nil, m.err
+		}
+		resultOf[req] = m.res
+	}
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
@@ -67,6 +96,7 @@ func RunAnalyzer(pkg *Package, a *Analyzer) ([]Diagnostic, any, error) {
 		Pkg:       pkg.Types,
 		PkgPath:   pkg.PkgPath,
 		TypesInfo: pkg.TypesInfo,
+		ResultOf:  resultOf,
 		Report: func(d Diagnostic) {
 			d.Analyzer = a.Name
 			diags = append(diags, d)

@@ -24,6 +24,10 @@ type Package struct {
 	// partially-checked package, mirroring go/analysis behaviour, but the
 	// driver treats them as fatal.
 	TypeErrors []error
+
+	// memo holds the results of required analyzers (see RunAnalyzer), so
+	// a shared analysis runs once per package.
+	memo map[*Analyzer]memoResult
 }
 
 // Config directs a Load.
@@ -311,7 +315,7 @@ func (ld *loader) check(path, dir string) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	pkg := &Package{PkgPath: path, Dir: dir, Fset: ld.fset, TypesInfo: info}
+	pkg := &Package{PkgPath: path, Dir: dir, Fset: ld.fset, TypesInfo: info, memo: map[*Analyzer]memoResult{}}
 	conf := types.Config{
 		Importer: ld,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },

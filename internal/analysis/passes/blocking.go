@@ -62,7 +62,8 @@ func Blocking() *Analyzer {
 			"push-through, transitive chain and overhead terms).  No\n" +
 			"diagnostics; the result feeds `deltalint -blocking` and the\n" +
 			"static/dynamic cross-check against the runtime block.* counters.",
-		Run: runBlocking,
+		Requires: []*Analyzer{lockFlowAnalyzer, summariesAnalyzer},
+		Run:      runBlocking,
 	}
 }
 
@@ -134,17 +135,17 @@ func (tw *taskWork) absorb(sub *taskWork, mult int64) {
 
 // workWalker constant-folds task-body work through the summary call graph.
 type workWalker struct {
-	w *lockWalker
+	pass *Pass
+	sums *summaries
 }
 
 func runBlocking(pass *Pass) (any, error) {
-	w := newLockWalker(pass)
-	flow := runLockFlowWith(w)
+	flow := pass.ResultOf[lockFlowAnalyzer].(*flowReport)
 	sets, _ := scanCeilings(pass)
 	ceil, programmed := foldCeilings(sets)
 	lockIDs, byLock := indexLongAcquires(flow)
 
-	ww := &workWalker{w: w}
+	ww := &workWalker{pass: pass, sums: pass.ResultOf[summariesAnalyzer].(*summaries)}
 	res := &BlockingResult{}
 	for _, scope := range flow.scopes {
 		var tasks []*taskInfo
@@ -198,9 +199,7 @@ func runBlocking(pass *Pass) (any, error) {
 			}
 
 			// Ceiling: IPCP push-through from programmed ceilings.
-			if tb := ipcpBlocking(scope, t, lockIDs, byLock, ceil, programmed); tb.Bound > b.Ceiling {
-				b.Ceiling = tb.Bound
-			}
+			b.Ceiling = ipcpBlocking(scope, t, lockIDs, byLock, ceil, programmed)
 
 			// Chain: every other task's whole budget plus start delays.
 			for _, o := range tasks {
@@ -267,10 +266,9 @@ func indexLongAcquires(rep *flowReport) ([]int64, map[int64][]lockAcq) {
 
 // ipcpBlocking computes the classic one-critical-section IPCP blocking term
 // for task t: the longest CS a lower-priority task of the same scope runs
-// under a lock whose programmed ceiling can block t.  Shared with the
-// ceiling pass, which publishes it as TaskBlocking.
-func ipcpBlocking(scope *flowScope, t *taskInfo, lockIDs []int64, byLock map[int64][]lockAcq, ceil map[int64]int64, programmed map[int64]bool) TaskBlocking {
-	tb := TaskBlocking{Scenario: scope.fn, Task: t.name, Prio: int(t.prio), Lock: -1}
+// under a lock whose programmed ceiling can block t (0 when none can).
+func ipcpBlocking(scope *flowScope, t *taskInfo, lockIDs []int64, byLock map[int64][]lockAcq, ceil map[int64]int64, programmed map[int64]bool) int64 {
+	var bound int64
 	for _, id := range lockIDs {
 		if !programmed[id] || ceil[id] > t.prio {
 			continue // this lock's ceiling cannot block the task
@@ -279,14 +277,12 @@ func ipcpBlocking(scope *flowScope, t *taskInfo, lockIDs []int64, byLock map[int
 			if a.scope != scope || !a.task.hasPrio || a.task.prio <= t.prio {
 				continue
 			}
-			if a.acq.maxCS > tb.Bound {
-				tb.Bound = a.acq.maxCS
-				tb.Lock = int(id)
-				tb.By = a.task.name
+			if a.acq.maxCS > bound {
+				bound = a.acq.maxCS
 			}
 		}
 	}
-	return tb
+	return bound
 }
 
 // dependencyComponents unions tasks sharing a wait edge (lock key, resource
@@ -404,7 +400,7 @@ func (ww *workWalker) walkLoop(body *ast.BlockStmt, tc loopTripCount, pos token.
 		if sub.work > 0 && sub.blockOps == 0 && !loopCanExit(body) {
 			sub.reasons = append(sub.reasons, fmt.Sprintf(
 				"unbounded non-blocking loop with %d cycles of work per iteration at %v",
-				sub.work, ww.w.pass.Fset.Position(pos)))
+				sub.work, ww.pass.Fset.Position(pos)))
 		}
 	}
 	tw.absorb(sub, mult*eff)
@@ -449,7 +445,7 @@ func (ww *workWalker) loopTrips(v *ast.ForStmt, env map[types.Object]int64) loop
 		return loopTripCount{}
 	}
 	cv, ok := ast.Unparen(cond.X).(*ast.Ident)
-	if !ok || ww.w.pass.TypesInfo.Uses[cv] != ww.w.pass.TypesInfo.Defs[iv] {
+	if !ok || ww.pass.TypesInfo.Uses[cv] != ww.pass.TypesInfo.Defs[iv] {
 		return loopTripCount{}
 	}
 	limit, ok := ww.constVal(cond.Y, env)
@@ -473,11 +469,11 @@ func (ww *workWalker) loopTrips(v *ast.ForStmt, env map[types.Object]int64) loop
 // constVal resolves e to a constant: folded by the type checker, or a
 // parameter bound to a constant argument at the inlining call site.
 func (ww *workWalker) constVal(e ast.Expr, env map[types.Object]int64) (int64, bool) {
-	if v, _, ok := constIntOf(ww.w.pass, e); ok {
+	if v, _, ok := constIntOf(ww.pass, e); ok {
 		return v, true
 	}
 	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if obj := ww.w.pass.TypesInfo.Uses[id]; obj != nil {
+		if obj := ww.pass.TypesInfo.Uses[id]; obj != nil {
 			if v, ok := env[obj]; ok {
 				return v, true
 			}
@@ -499,7 +495,7 @@ var blockingMethods = map[string]bool{
 // counts, blocking edges, and interprocedural inlining through the summary
 // call graph with constant-parameter substitution.
 func (ww *workWalker) call(call *ast.CallExpr, mult int64, env map[types.Object]int64, active map[types.Object]bool, depth int, tw *taskWork) {
-	pass := ww.w.pass
+	pass := ww.pass
 	tw.ops += mult
 
 	if cyc, ok := ww.constCycles(call, env); ok {
@@ -545,7 +541,7 @@ func (ww *workWalker) call(call *ast.CallExpr, mult int64, env map[types.Object]
 	// Inline the callee body (declared function, method or bound literal)
 	// through the call graph, binding constant arguments to parameters.
 	if obj != nil && depth < 20 {
-		if node := ww.w.sums.graph.Resolve(obj); node != nil && node.Body() != nil {
+		if node := ww.sums.graph.Resolve(obj); node != nil && node.Body() != nil {
 			if active[node.Obj] {
 				tw.reasons = append(tw.reasons, fmt.Sprintf(
 					"recursive call to %s at %v", name, pass.Fset.Position(call.Pos())))
@@ -606,7 +602,7 @@ func (ww *workWalker) bindConstParams(node *framework.CGNode, call *ast.CallExpr
 		for _, pname := range field.Names {
 			if idx < len(call.Args) {
 				if v, ok := ww.constVal(call.Args[idx], env); ok {
-					if pobj := ww.w.pass.TypesInfo.Defs[pname]; pobj != nil {
+					if pobj := ww.pass.TypesInfo.Defs[pname]; pobj != nil {
 						if child == nil {
 							child = map[types.Object]int64{}
 						}

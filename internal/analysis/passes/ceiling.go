@@ -14,10 +14,8 @@ import (
 // non-preemptible one (the footgun called out at the LockCache
 // constructor).  The pass activates in packages that build a LockCache (or
 // program ceilings) and checks the package's static long-lock acquirer
-// sets against every constant-folded SetCeiling call.  It also computes a
-// static worst-case IPCP blocking bound per task — the longest
-// constant-cycle critical section of any lower-priority task under a lock
-// whose ceiling can block the task — published in the *CeilingResult.
+// sets against every constant-folded SetCeiling call.  The per-task IPCP
+// blocking bound those ceilings imply is the blocking pass's Ceiling term.
 func Ceiling() *Analyzer {
 	return &Analyzer{
 		Name: "ceiling",
@@ -27,9 +25,9 @@ func Ceiling() *Analyzer {
 			"(numerically smallest) priority among the lock's static acquirers;\n" +
 			"locks acquired with no programmed ceiling are flagged (the default\n" +
 			"is 0 = highest priority).  Intentional sites are annotated\n" +
-			"//deltalint:ceiling <why>.  The result reports per-lock ceilings\n" +
-			"and a static worst-case blocking bound per task.",
-		Run: runCeiling,
+			"//deltalint:ceiling <why>.  The result reports per-lock ceilings.",
+		Requires: []*Analyzer{lockFlowAnalyzer},
+		Run:      runCeiling,
 	}
 }
 
@@ -45,22 +43,9 @@ type LockCeiling struct {
 	Acquirers       []string // task names, sorted
 }
 
-// TaskBlocking is the static worst-case IPCP blocking bound of one task:
-// the longest constant-cycle critical section any lower-priority task of
-// the same scenario executes under a lock whose ceiling can block it.
-type TaskBlocking struct {
-	Scenario string
-	Task     string
-	Prio     int
-	Bound    int64  // cycles; 0 when nothing can block the task
-	Lock     int    // lock id producing the bound; -1 when Bound is 0
-	By       string // the blocking task
-}
-
 // CeilingResult is the ceiling analyzer's result.
 type CeilingResult struct {
-	Locks    []LockCeiling
-	Blocking []TaskBlocking
+	Locks []LockCeiling
 }
 
 type ceilCall struct {
@@ -116,7 +101,7 @@ func runCeiling(pass *Pass) (any, error) {
 		return res, nil
 	}
 
-	rep := runLockFlow(pass)
+	rep := pass.ResultOf[lockFlowAnalyzer].(*flowReport)
 
 	// Package-wide static acquirer sets per long lock id (shared with the
 	// blocking engine).
@@ -179,19 +164,6 @@ func runCeiling(pass *Pass) (any, error) {
 				s.id, s.ceil, lc.MinAcquirerPrio, lc.MinAcquirerPrio)
 		}
 	}
-
-	// Static worst-case blocking bound per task: the blocking engine's IPCP
-	// push-through term (the longest critical section a lower-priority task
-	// of the same scenario can run under a lock whose ceiling blocks this
-	// task) — derived, not hand-maintained.
-	for _, scope := range rep.scopes {
-		for _, t := range scope.tasks {
-			if !t.hasPrio {
-				continue
-			}
-			res.Blocking = append(res.Blocking, ipcpBlocking(scope, t, lockIDs, byLock, ceil, programmed))
-		}
-	}
 	return res, nil
 }
 
@@ -208,10 +180,6 @@ func calleeName(call *ast.CallExpr) string {
 // hasLineDirective reports a //deltalint:<name> directive on pos's line or
 // the line above, locating the enclosing file first.
 func hasLineDirective(pass *Pass, pos token.Pos, directive string) bool {
-	for _, file := range pass.Files {
-		if file.Pos() <= pos && pos <= file.End() {
-			return directiveAt(pass.Fset, file, pos, directive)
-		}
-	}
-	return false
+	file := fileFor(pass, pos)
+	return file != nil && directiveAt(pass.Fset, file, pos, directive)
 }

@@ -28,12 +28,13 @@ func Claims() *Analyzer {
 			"Banker.DeclareClaim with constant arguments are additionally checked:\n" +
 			"each statically inferred resource request must be covered by a\n" +
 			"declaration, or the Banker's safety precondition fails at runtime.",
-		Run: runClaims,
+		Requires: []*Analyzer{lockFlowAnalyzer},
+		Run:      runClaims,
 	}
 }
 
 func runClaims(pass *Pass) (any, error) {
-	rep := runLockFlow(pass)
+	rep := pass.ResultOf[lockFlowAnalyzer].(*flowReport)
 	manifest := &claims.Manifest{Module: pass.PkgPath}
 	for _, scope := range rep.scopes {
 		real := 0

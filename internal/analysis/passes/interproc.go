@@ -17,10 +17,10 @@ import (
 // machinery: index `name := func(...){...}` bindings, recognize wrapper
 // helpers, and propagate effects through calls.  That machinery now lives
 // here, built on the framework call graph: one `summaries` value per
-// analyzer run holds the package's locally-bound literals (alias- and
-// method-value-resolved), a bottom-up fixpoint of per-function lock-effect
-// summaries, SoCDMMU alloc/free effect summaries, and function-level
-// //deltalint: directives.
+// package (summariesAnalyzer, shared read-only) holds the package's
+// locally-bound literals (alias- and method-value-resolved), a bottom-up
+// fixpoint of per-function lock-effect summaries, SoCDMMU alloc/free
+// effect summaries, and function-level //deltalint: directives.
 //
 // The fixpoint runs over the call graph's SCC condensation
 // (framework.BuildCallGraph), so a helper that only calls other summarized
@@ -49,6 +49,14 @@ type summaries struct {
 	// funcDirectives records //deltalint: directives written on function
 	// doc comments, keyed by the function object.
 	funcDirectives map[types.Object][]string
+}
+
+// summariesAnalyzer builds the package's summary set once for every pass
+// that requires it; it is not in All().
+var summariesAnalyzer = &Analyzer{
+	Name: "summaries",
+	Doc:  "build the interprocedural call graph and effect summaries once per package",
+	Run:  func(pass *Pass) (any, error) { return newSummaries(pass), nil },
 }
 
 // newSummaries builds the summary set for one package: call graph, SCC

@@ -76,7 +76,8 @@ func IPC() *Analyzer {
 			"between tasks, blocking ops with no counterparty at all, and\n" +
 			"tasks waiting only on already-flagged tasks.  Intentionally\n" +
 			"fragile scenarios are annotated //deltalint:ipc-expected.",
-		Run: runIPC,
+		Requires: []*Analyzer{summariesAnalyzer},
+		Run:      runIPC,
 	}
 }
 
@@ -126,7 +127,7 @@ type ipcWalker struct {
 func runIPC(pass *Pass) (any, error) {
 	w := &ipcWalker{
 		pass:      pass,
-		sums:      newSummaries(pass),
+		sums:      pass.ResultOf[summariesAnalyzer].(*summaries),
 		queueCaps: map[types.Object]int64{},
 		epNames:   map[types.Object]string{},
 	}

@@ -36,10 +36,13 @@ import (
 // forward dataflow problem tracks the held-lock set along every path.  The
 // engine records, per top-level function (tasks synchronize only with tasks
 // of the same scenario): the lock-order edges of the lockorder pass, the
-// lockpair diagnostics, and the per-task facts the claims and ceiling passes
-// consume — which locks/resources each task can hold (its maximal claim set)
-// and the longest constant-cycle critical section it executes under each
-// lock.
+// lockpair diagnostics, the per-task facts the claims, ceiling and blocking
+// passes consume — which locks/resources each task can hold (its maximal
+// claim set) and the longest constant-cycle critical section it executes
+// under each lock — and, for the races pass, every shared-location access
+// of a task closure with the locks held on all paths to it.
+// The six lock passes share one *flowReport per package (lockFlowAnalyzer)
+// and read it without editing it.
 //
 // Interprocedural propagation uses the summary engine in interproc.go:
 // wrapper helpers resolve to the wrapped operation, locally-bound literals
@@ -82,18 +85,9 @@ type lockEdge struct {
 // pieces (bound-literal bodies, wrapper summaries) come from the shared
 // summary engine in interproc.go.
 type lockWalker struct {
-	pass *Pass
-	sums *summaries
-	// onNode, when set, observes every CFG node with the fact in effect
-	// before the node's calls are interpreted — the races pass's
-	// access-recording hook.  Inlined bound literals are observed under the
-	// calling task, so accesses through the telemetry/withFrame idiom
-	// attribute to the task that runs them.
-	onNode func(task *taskInfo, n ast.Node, f *flowFact)
-}
-
-func newLockWalker(pass *Pass) *lockWalker {
-	return &lockWalker{pass: pass, sums: newSummaries(pass)}
+	pass   *Pass
+	sums   *summaries
+	shared *framework.SharedIndex // classifies the accesses races consumes
 }
 
 // pairFinding is one lockpair diagnostic.
@@ -139,28 +133,37 @@ type declareClaim struct {
 // flowScope is the engine's product for one top-level function.
 type flowScope struct {
 	fn       string
-	pos      token.Pos
+	decl     *ast.FuncDecl
 	expected bool       // //deltalint:deadlock-expected
 	edges    []lockEdge // lock-order graph, one witness per from->to pair
 	findings []pairFinding
 	tasks    []*taskInfo
 	declares []declareClaim
+	locs     []*raceLoc // shared locations in first-access order
 }
 
 type flowReport struct {
 	scopes []*flowScope
 }
 
-// runLockFlow analyzes every top-level function of the package.
-func runLockFlow(pass *Pass) *flowReport {
-	return runLockFlowWith(newLockWalker(pass))
+// lockFlowAnalyzer is the analyzer behind the six lock passes: one solve per
+// package, shared through Pass.ResultOf.  It is not in All().
+var lockFlowAnalyzer = &Analyzer{
+	Name:     "lockflow",
+	Doc:      "solve the held-lock dataflow of every top-level function once per package",
+	Requires: []*Analyzer{summariesAnalyzer},
+	Run:      runLockFlow,
 }
 
-// runLockFlowWith is runLockFlow on an existing walker, letting the blocking
-// pass reuse its summary build for the work walk.
-func runLockFlowWith(w *lockWalker) *flowReport {
+// runLockFlow analyzes every top-level function of the package.
+func runLockFlow(pass *Pass) (any, error) {
+	w := &lockWalker{
+		pass:   pass,
+		sums:   pass.ResultOf[summariesAnalyzer].(*summaries),
+		shared: framework.NewSharedIndex(pass.TypesInfo, pass.Pkg),
+	}
 	rep := &flowReport{}
-	for _, file := range w.pass.Files {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil && !w.sums.isLockWrapper(fd) {
@@ -168,7 +171,7 @@ func runLockFlowWith(w *lockWalker) *flowReport {
 			}
 		}
 	}
-	return rep
+	return rep, nil
 }
 
 // flowHeld is one held lock on a path, with its acquire site and the
@@ -280,6 +283,10 @@ type scopeFlow struct {
 	cfgs    map[*ast.BlockStmt]*framework.CFG
 	findSet map[string]pairFinding
 	edgeSet map[string]bool
+
+	lits     []*ast.FuncLit // every literal of the scope, for recordAccesses
+	accesses map[accessKey]*raceAccess
+	locs     map[string]*raceLoc
 }
 
 func newTaskInfo(name string, pos token.Pos) *taskInfo {
@@ -289,19 +296,27 @@ func newTaskInfo(name string, pos token.Pos) *taskInfo {
 func flowScopeOf(w *lockWalker, fd *ast.FuncDecl) *flowScope {
 	scope := &flowScope{
 		fn:       fd.Name.Name,
-		pos:      fd.Pos(),
+		decl:     fd,
 		expected: hasDirective(fd.Doc, "deltalint:deadlock-expected"),
 	}
 	sf := &scopeFlow{
-		w:       w,
-		scope:   scope,
-		active:  map[*ast.FuncLit]bool{},
-		seen:    map[*ast.FuncLit]bool{},
-		queued:  map[*ast.FuncLit]bool{},
-		cfgs:    map[*ast.BlockStmt]*framework.CFG{},
-		findSet: map[string]pairFinding{},
-		edgeSet: map[string]bool{},
+		w:        w,
+		scope:    scope,
+		active:   map[*ast.FuncLit]bool{},
+		seen:     map[*ast.FuncLit]bool{},
+		queued:   map[*ast.FuncLit]bool{},
+		cfgs:     map[*ast.BlockStmt]*framework.CFG{},
+		findSet:  map[string]pairFinding{},
+		edgeSet:  map[string]bool{},
+		accesses: map[accessKey]*raceAccess{},
+		locs:     map[string]*raceLoc{},
 	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			sf.lits = append(sf.lits, lit)
+		}
+		return true
+	})
 	pseudo := newTaskInfo(fd.Name.Name, fd.Pos())
 	pseudo.pseudo = true
 	sf.analyzeRoot(fd.Body, fd.Name.Name, pseudo)
@@ -323,6 +338,9 @@ func flowScopeOf(w *lockWalker, fd *ast.FuncDecl) *flowScope {
 		scope.tasks = append(scope.tasks, pseudo)
 	}
 	scope.findings = sf.sortedFindings()
+	for _, rl := range scope.locs {
+		sort.Slice(rl.accesses, func(i, j int) bool { return rl.accesses[i].pos < rl.accesses[j].pos })
+	}
 	return scope
 }
 
@@ -413,9 +431,7 @@ func (p *bodyProblem) Equal(a, b any) bool { return equalFacts(a.(*flowFact), b.
 func (p *bodyProblem) Transfer(b *framework.Block, in any) any {
 	f := in.(*flowFact).clone()
 	for _, n := range b.Nodes {
-		if p.sf.w.onNode != nil {
-			p.sf.w.onNode(p.sf.task, n, f)
-		}
+		p.sf.recordAccesses(n, f)
 		f = p.sf.processNode(n, f)
 	}
 	return f

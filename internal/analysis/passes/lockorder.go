@@ -42,12 +42,13 @@ func LockOrder() *Analyzer {
 			"holding lock A.  A cycle means tasks can block each other forever\n" +
 			"(the static mirror of the runtime DDU/PDDA).  Intentional deadlock\n" +
 			"experiments are annotated //deltalint:deadlock-expected.",
-		Run: runLockOrder,
+		Requires: []*Analyzer{lockFlowAnalyzer},
+		Run:      runLockOrder,
 	}
 }
 
 func runLockOrder(pass *Pass) (any, error) {
-	rep := runLockFlow(pass)
+	rep := pass.ResultOf[lockFlowAnalyzer].(*flowReport)
 	res := &LockOrderResult{}
 	for _, scope := range rep.scopes {
 		cycles := findCycles(scope)
@@ -120,7 +121,7 @@ func findCycles(scope *flowScope) []LockCycle {
 		first := edgeAt[canon[0]+"->"+canon[1%len(canon)]]
 		pos := first.pos
 		if pos == token.NoPos {
-			pos = scope.pos
+			pos = scope.decl.Pos()
 		}
 		out = append(out, LockCycle{
 			Scope:    scope.fn,

@@ -16,12 +16,13 @@ func LockPair() *Analyzer {
 			"defer-aware).  Scenarios that hold locks intentionally (deadlock\n" +
 			"experiments) are annotated //deltalint:deadlock-expected on the\n" +
 			"scenario function.",
-		Run: runLockPair,
+		Requires: []*Analyzer{lockFlowAnalyzer},
+		Run:      runLockPair,
 	}
 }
 
 func runLockPair(pass *Pass) (any, error) {
-	rep := runLockFlow(pass)
+	rep := pass.ResultOf[lockFlowAnalyzer].(*flowReport)
 	for _, scope := range rep.scopes {
 		if scope.expected {
 			// Deadlock experiments end with tasks blocked while holding

@@ -41,7 +41,8 @@ func MemLife() *Analyzer {
 			"escape (stored, returned, captured, passed on) transfer ownership\n" +
 			"and leave the analysis.  Intentional sites are annotated\n" +
 			"//deltalint:memlife <why> at the allocation.",
-		Run: runMemLife,
+		Requires: []*Analyzer{summariesAnalyzer},
+		Run:      runMemLife,
 	}
 }
 
@@ -133,7 +134,7 @@ type memWalker struct {
 func runMemLife(pass *Pass) (any, error) {
 	mw := &memWalker{
 		pass:    pass,
-		sums:    newSummaries(pass),
+		sums:    pass.ResultOf[summariesAnalyzer].(*summaries),
 		findSet: map[string]memFinding{},
 	}
 	for _, file := range pass.Files {

@@ -10,8 +10,7 @@
 //     machine-readable claims manifest; checks Banker DeclareClaim
 //     coverage against the inferred claims.
 //   - ceiling: validates IPCP SetCeiling values against static acquirer
-//     priorities and flags locks acquired with no programmed ceiling;
-//     computes static worst-case blocking bounds.
+//     priorities and flags locks acquired with no programmed ceiling.
 //   - memlife: checks SoCDMMU alloc/free pairing, double free,
 //     use-after-free of block handles and leak-on-task-exit.
 //   - determinism: enforces the byte-identical-runs contract in simulation
@@ -37,6 +36,9 @@
 //     goes empty; emits the guard manifest for deltalint -races and is
 //     cross-checked against the runtime shadow-lockset auditor (see
 //     DESIGN.md §14).
+//
+// The passes share one lock-flow solve and one summary build per package
+// through two analyzers outside All(), lockflow and summaries (Requires).
 //
 // Findings can be acknowledged in source with comment directives:
 //

@@ -1,14 +1,18 @@
 package passes
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"deltartos/internal/analysis/analysistest"
+	"deltartos/internal/analysis/framework"
 	"deltartos/internal/races"
 )
 
@@ -339,6 +343,47 @@ func TestLockOrderResultKeepsExpectedCycles(t *testing.T) {
 	for _, scope := range []string{"ConsistentOrder", "SeparateScenarios", "SeparateScenariosReversed"} {
 		if n := len(byScope[scope]); n != 0 {
 			t.Errorf("%s: got %d cycles, want 0", scope, n)
+		}
+	}
+}
+
+// The lock passes share one lockflow report and one summary set per
+// package, so no pass may edit them: running every pass in reverse order on
+// a second load of the same package must reproduce each pass's diagnostics
+// and result exactly.
+func TestSharedResultsIndependentOfPassOrder(t *testing.T) {
+	outputs := func(reverse bool) map[string]string {
+		pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
+		if err != nil {
+			t.Fatalf("load internal/app: %v", err)
+		}
+		analyzers := All()
+		if reverse {
+			slices.Reverse(analyzers)
+		}
+		out := map[string]string{}
+		for _, a := range analyzers {
+			diags, res, err := framework.RunAnalyzer(pkgs[0], a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, d := range diags {
+				fmt.Fprintf(&b, "%s: %s\n", pkgs[0].Fset.Position(d.Pos), d.Message)
+			}
+			js, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("%s: marshal result: %v", a.Name, err)
+			}
+			out[a.Name] = b.String() + string(js)
+		}
+		return out
+	}
+	forward, backward := outputs(false), outputs(true)
+	for _, a := range All() {
+		if forward[a.Name] != backward[a.Name] {
+			t.Errorf("%s: output depends on which passes ran first\nin order:\n%s\nreversed:\n%s",
+				a.Name, forward[a.Name], backward[a.Name])
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // The races pass: Eraser-style lockset analysis over scenario task closures.
 //
-// The lock-flow engine already walks every task body (and the bound helper
-// literals it calls, inlined with the caller's held-set), so the pass rides
-// its CFG dataflow via the walker's onNode hook: every shared-location
-// access is recorded with the lock set held on all paths to it.  Per
+// The one lockflow solve per package walks every task body (and the bound
+// helper literals it calls, inlined with the caller's held-set) and records
+// each shared-location access with the lock set held on all paths to it
+// (recordAccesses); the pass reads them from the shared *flowReport.  Per
 // location the candidate lockset is the intersection of the held sets of
 // every access; a location written and touched by ≥2 task closures whose
 // candidate set is empty is a potential data race.  A
@@ -38,46 +38,22 @@ func Races() *Analyzer {
 			"checking and //deltalint:race-expected acknowledges an intentional race.\n" +
 			"Emits the guard manifest for deltalint -races, cross-checked against\n" +
 			"the runtime shadow-lockset auditor (DESIGN.md §14).",
-		Run: runRaces,
+		Requires: []*Analyzer{lockFlowAnalyzer},
+		Run:      runRaces,
 	}
 }
 
 // raceAccess is one (task, site) access with the locks held on all paths.
 type raceAccess struct {
-	unit  *taskInfo
-	pos   token.Pos
-	write bool
-	held  map[string]bool // intersected over dataflow visits
+	accessKey
+	held map[string]bool // intersected over dataflow visits
 }
 
-// raceLoc aggregates the accesses of one abstract location within a scope.
+// raceLoc aggregates the accesses of one abstract location within a scope,
+// sorted by position once the scope's solve ends.
 type raceLoc struct {
 	loc      framework.SharedLoc
 	accesses []*raceAccess
-}
-
-// raceScope is the per-top-level-function accumulation.
-type raceScope struct {
-	fn   *ast.FuncDecl
-	file *ast.File
-	lits []*ast.FuncLit
-	locs map[string]*raceLoc
-	keys []string // insertion order, for deterministic reporting
-}
-
-// innermostLit returns the smallest function literal of the scope
-// containing pos, or nil for scope-level positions.
-func (rs *raceScope) innermostLit(pos token.Pos) *ast.FuncLit {
-	var best *ast.FuncLit
-	for _, lit := range rs.lits {
-		if pos < lit.Pos() || pos >= lit.End() {
-			continue
-		}
-		if best == nil || lit.End()-lit.Pos() < best.End()-best.Pos() {
-			best = lit
-		}
-	}
-	return best
 }
 
 type accessKey struct {
@@ -86,71 +62,64 @@ type accessKey struct {
 	write bool
 }
 
-func runRaces(pass *Pass) (any, error) {
-	w := newLockWalker(pass)
-	ix := framework.NewSharedIndex(pass.TypesInfo, pass.Pkg)
-
-	var cur *raceScope
-	index := map[accessKey]*raceAccess{}
-	w.onNode = func(task *taskInfo, n ast.Node, f *flowFact) {
-		if cur == nil || task == nil || task.pseudo {
-			return
+// recordAccesses books the shared-location accesses of CFG node n with the
+// fact in effect before the node's calls are interpreted.  Inlined bound
+// literals run under the calling task, so accesses through the
+// telemetry/withFrame idiom attribute to the task that runs them;
+// scope-level code (pseudo tasks) is not a task closure and is skipped.
+func (sf *scopeFlow) recordAccesses(n ast.Node, f *flowFact) {
+	if sf.task.pseudo {
+		return
+	}
+	for _, a := range sf.w.shared.AccessesIn(n) {
+		// State declared inside the innermost literal containing the
+		// access is per-invocation (helper locals, loop variables), not
+		// shared.
+		if lit := sf.innermostLit(a.Pos); lit != nil &&
+			a.Loc.Root.Pos() >= lit.Pos() && a.Loc.Root.Pos() < lit.End() {
+			continue
 		}
-		for _, a := range ix.AccessesIn(n) {
-			// State declared inside the innermost literal containing the
-			// access is per-invocation (helper locals, loop variables), not
-			// shared.
-			if lit := cur.innermostLit(a.Pos); lit != nil &&
-				a.Loc.Root.Pos() >= lit.Pos() && a.Loc.Root.Pos() < lit.End() {
-				continue
-			}
-			key := accessKey{unit: task, pos: a.Pos, write: a.Write}
-			acc, ok := index[key]
+		key := accessKey{unit: sf.task, pos: a.Pos, write: a.Write}
+		acc, ok := sf.accesses[key]
+		if !ok {
+			acc = &raceAccess{accessKey: key, held: heldKeys(f)}
+			sf.accesses[key] = acc
+			rl, ok := sf.locs[a.Loc.Key]
 			if !ok {
-				acc = &raceAccess{unit: task, pos: a.Pos, write: a.Write, held: heldKeys(f)}
-				index[key] = acc
-				rl, ok := cur.locs[a.Loc.Key]
-				if !ok {
-					rl = &raceLoc{loc: a.Loc}
-					cur.locs[a.Loc.Key] = rl
-					cur.keys = append(cur.keys, a.Loc.Key)
-				}
-				rl.accesses = append(rl.accesses, acc)
-				continue
+				rl = &raceLoc{loc: a.Loc}
+				sf.locs[a.Loc.Key] = rl
+				sf.scope.locs = append(sf.scope.locs, rl)
 			}
-			// Re-visited site (loop fixpoint, another path): keep only locks
-			// held on every path to the access.
-			now := heldKeys(f)
-			for k := range acc.held {
-				if !now[k] {
-					delete(acc.held, k)
-				}
+			rl.accesses = append(rl.accesses, acc)
+			continue
+		}
+		// Re-visited site (loop fixpoint, another path): keep only locks
+		// held on every path to the access.
+		for k := range acc.held {
+			if f.holds(k) < 0 {
+				delete(acc.held, k)
 			}
 		}
 	}
+}
 
+// innermostLit returns the smallest function literal of the scope
+// containing pos, or nil for scope-level positions: sf.lits is in preorder,
+// so that is the last literal containing pos.
+func (sf *scopeFlow) innermostLit(pos token.Pos) (best *ast.FuncLit) {
+	for _, lit := range sf.lits {
+		if pos >= lit.Pos() && pos < lit.End() {
+			best = lit
+		}
+	}
+	return best
+}
+
+func runRaces(pass *Pass) (any, error) {
 	manifest := &races.Manifest{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || w.sums.isLockWrapper(fd) {
-				continue
-			}
-			cur = &raceScope{fn: fd, file: file, locs: map[string]*raceLoc{}}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					cur.lits = append(cur.lits, lit)
-				}
-				return true
-			})
-			for k := range index {
-				delete(index, k)
-			}
-			flowScopeOf(w, fd)
-			if sc := reportRaceScope(pass, cur); len(sc.Locations) > 0 {
-				manifest.Scenarios = append(manifest.Scenarios, sc)
-			}
-			cur = nil
+	for _, scope := range pass.ResultOf[lockFlowAnalyzer].(*flowReport).scopes {
+		if sc := reportRaceScope(pass, scope); len(sc.Locations) > 0 {
+			manifest.Scenarios = append(manifest.Scenarios, sc)
 		}
 	}
 	manifest.Normalize()
@@ -167,12 +136,10 @@ func heldKeys(f *flowFact) map[string]bool {
 
 // reportRaceScope runs guard inference over one scope's accesses, reports
 // the races and builds the scope's manifest entry.
-func reportRaceScope(pass *Pass, rs *raceScope) races.Scenario {
-	sc := races.Scenario{Name: rs.fn.Name.Name}
-	for _, key := range rs.keys {
-		rl := rs.locs[key]
-		sort.Slice(rl.accesses, func(i, j int) bool { return rl.accesses[i].pos < rl.accesses[j].pos })
-
+func reportRaceScope(pass *Pass, scope *flowScope) races.Scenario {
+	sc := races.Scenario{Name: scope.fn}
+	for _, rl := range scope.locs {
+		key := rl.loc.Key
 		units := map[*taskInfo]bool{}
 		taskNames := map[string]bool{}
 		reads, writes := 0, 0
@@ -212,7 +179,7 @@ func reportRaceScope(pass *Pass, rs *raceScope) races.Scenario {
 		}
 		sort.Strings(loc.Tasks)
 
-		expected := raceExpected(pass, rs, rl)
+		expected := raceExpected(pass, scope, rl)
 		var diag func()
 		if len(declared) > 0 {
 			// Declared guard: inference becomes checking.
@@ -392,25 +359,21 @@ func guardsDeclaredAt(pass *Pass, pos token.Pos) []string {
 // raceExpected reports whether the location's race is acknowledged: a
 // //deltalint:race-expected on the scope function's doc, on the location's
 // declaration (base variable or struct field), or on any access line.
-func raceExpected(pass *Pass, rs *raceScope, rl *raceLoc) bool {
-	if hasDirective(rs.fn.Doc, "deltalint:race-expected") {
+func raceExpected(pass *Pass, scope *flowScope, rl *raceLoc) bool {
+	if hasDirective(scope.decl.Doc, "deltalint:race-expected") {
 		return true
 	}
-	if expectedAt(pass, rl.loc.Root.Pos()) {
+	const directive = "deltalint:race-expected"
+	if hasLineDirective(pass, rl.loc.Root.Pos(), directive) {
 		return true
 	}
-	if rl.loc.Fld != nil && expectedAt(pass, rl.loc.Fld.Pos()) {
+	if rl.loc.Fld != nil && hasLineDirective(pass, rl.loc.Fld.Pos(), directive) {
 		return true
 	}
 	for _, a := range rl.accesses {
-		if expectedAt(pass, a.pos) {
+		if hasLineDirective(pass, a.pos, directive) {
 			return true
 		}
 	}
 	return false
-}
-
-func expectedAt(pass *Pass, pos token.Pos) bool {
-	file := fileFor(pass, pos)
-	return file != nil && directiveAt(pass.Fset, file, pos, "deltalint:race-expected")
 }

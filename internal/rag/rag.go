@@ -244,11 +244,16 @@ func (mx *Matrix) ColumnSummariesInto(rows []int, anyReq, anyGrant []uint64) {
 }
 
 // Validate checks the single-unit resource invariant (at most one grant per
-// row) and returns a non-nil error describing the first violation.
+// row, and no cell that both requests and holds — the illegal 11 of
+// Definition 6) and returns a non-nil error describing the first violation.
 func (mx *Matrix) Validate() error {
 	for s := 0; s < mx.M; s++ {
 		grants := 0
 		for w := 0; w < mx.words; w++ {
+			if both := mx.req[s][w] & mx.grant[s][w]; both != 0 {
+				return fmt.Errorf("rag: process p%d both requests and holds resource q%d",
+					w*64+bits.TrailingZeros64(both)+1, s+1)
+			}
 			grants += bits.OnesCount64(mx.grant[s][w])
 		}
 		if grants > 1 {

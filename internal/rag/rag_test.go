@@ -178,6 +178,17 @@ func TestValidateSingleGrant(t *testing.T) {
 	if err := mx.Validate(); err == nil {
 		t.Error("double grant not detected")
 	}
+
+	// p1 holds q1 and requests it again: MatrixInto sets both bits.
+	g := NewGraph(2, 2)
+	if err := g.SetGrant(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	g.AddRequest(0, 0)
+	err := g.Matrix().Validate()
+	if err == nil || !strings.Contains(err.Error(), "p1") || !strings.Contains(err.Error(), "q1") {
+		t.Errorf("request from the holder: Validate = %v, want an error naming p1 and q1", err)
+	}
 }
 
 func TestMatrixString(t *testing.T) {
