@@ -123,31 +123,13 @@ func deltalint(args []string) (code int) {
 		}
 		analyzers = picked
 	}
-	if *blockingOut != "" {
-		// The bounds come from the blocking pass; make sure it is selected.
-		found := false
-		for _, a := range analyzers {
-			if a.Name == "blocking" {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "deltalint: -blocking requires the blocking pass (add it to -run)\n")
-			return 2
-		}
-	}
-	if *racesOut != "" {
-		// The guard manifest comes from the races pass; make sure it is selected.
-		found := false
-		for _, a := range analyzers {
-			if a.Name == "races" {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "deltalint: -races requires the races pass (add it to -run)\n")
+	// Each manifest flag writes the result of the pass of the same name;
+	// refuse to write an empty manifest when -run leaves that pass out.
+	for _, out := range []struct{ pass, file string }{
+		{"claims", *claimsOut}, {"blocking", *blockingOut}, {"races", *racesOut},
+	} {
+		if out.file != "" && !slices.ContainsFunc(analyzers, func(a *passes.Analyzer) bool { return a.Name == out.pass }) {
+			fmt.Fprintf(os.Stderr, "deltalint: -%s requires the %s pass (add it to -run)\n", out.pass, out.pass)
 			return 2
 		}
 	}

@@ -26,6 +26,20 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 	}
 }
 
+// A manifest flag whose pass -run leaves out exits 2 before loading
+// anything and writes no file, rather than an empty manifest.
+func TestManifestFlagRequiresItsPass(t *testing.T) {
+	for _, flag := range []string{"claims", "blocking", "races"} {
+		out := filepath.Join(t.TempDir(), flag+".json")
+		if code := deltalint([]string{"-run", "lockorder", "-" + flag, out, "./internal/app"}); code != 2 {
+			t.Errorf("-%s without the %s pass: exit status %d, want 2", flag, flag, code)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("-%s without the %s pass wrote %s (stat: %v)", flag, flag, filepath.Base(out), err)
+		}
+	}
+}
+
 // Bounds that tie on scenario and task name must still sort into one
 // order: every shuffle of the input gives the same -blocking JSON.  Each
 // bound differs from the first in one field only, so leaving any field out

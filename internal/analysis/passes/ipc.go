@@ -11,16 +11,16 @@ import (
 )
 
 // The ipc pass: MPI-style send/recv matching over the message-passing
-// endpoints (rtos.Mailbox, rtos.Queue, rtos.EventFlags) of each scenario's
-// tasks.  Its model is the classic buffered-send analysis:
+// endpoints (rtos.Queue, rtos.EventFlags) of each scenario's tasks.  Its
+// model is the classic buffered-send analysis:
 //
 //   - a blocking Recv/Wait always needs a counterparty, so it is a wait-edge
 //     source: task -> every other task that sends on (sets) the endpoint;
 //   - a Send to a capacity-0 queue is a rendezvous and needs a counterparty
 //     too: task -> every other task that receives on the queue;
-//   - a Send to a buffered endpoint (mailbox, capacity>0 queue) is assumed
-//     eventually drained and is NOT an edge source — otherwise every matched
-//     producer/consumer pipeline in the tree would be flagged;
+//   - a Send to a buffered queue (capacity>0, the mailbox included) is
+//     assumed eventually drained and is NOT an edge source — otherwise every
+//     matched producer/consumer pipeline in the tree would be flagged;
 //   - the bounded variants (RecvTimeout/SendTimeout/WaitTimeout, the *Retry
 //     family, TryRecv) never block forever and are never edge sources, but
 //     they DO satisfy the counterparty side.
@@ -82,7 +82,7 @@ func IPC() *Analyzer {
 }
 
 // ipcEndpointTypes names the rtos endpoint types the pass recognizes.
-var ipcEndpointTypes = map[string]bool{"Mailbox": true, "Queue": true, "EventFlags": true}
+var ipcEndpointTypes = map[string]bool{"Queue": true, "EventFlags": true}
 
 // ipcOps is one task's operation summary for one endpoint.
 type ipcOps struct {
@@ -180,7 +180,7 @@ func (w *ipcWalker) collectBindings() {
 		if len(call.Args) >= 1 {
 			if tv, ok := w.pass.TypesInfo.Types[call.Args[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
 				switch name {
-				case "NewQueue", "NewMailbox", "NewEventFlags":
+				case "NewQueue", "NewEventFlags":
 					w.epNames[obj] = constant.StringVal(tv.Value)
 				}
 			}

@@ -284,7 +284,6 @@ type scopeFlow struct {
 	findSet map[string]pairFinding
 	edgeSet map[string]bool
 
-	lits     []*ast.FuncLit // every literal of the scope, for recordAccesses
 	accesses map[accessKey]*raceAccess
 	locs     map[string]*raceLoc
 }
@@ -311,15 +310,9 @@ func flowScopeOf(w *lockWalker, fd *ast.FuncDecl) *flowScope {
 		accesses: map[accessKey]*raceAccess{},
 		locs:     map[string]*raceLoc{},
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			sf.lits = append(sf.lits, lit)
-		}
-		return true
-	})
 	pseudo := newTaskInfo(fd.Name.Name, fd.Pos())
 	pseudo.pseudo = true
-	sf.analyzeRoot(fd.Body, fd.Name.Name, pseudo)
+	sf.analyzeRoot(fd, fd.Body, fd.Name.Name, pseudo)
 	sf.drainTasks()
 	// Literals never reached by a call or task creation still describe code
 	// that can run: analyze them as standalone roots.
@@ -327,7 +320,7 @@ func flowScopeOf(w *lockWalker, fd *ast.FuncDecl) *flowScope {
 		if lit, ok := n.(*ast.FuncLit); ok {
 			if !sf.seen[lit] {
 				sf.seen[lit] = true
-				sf.analyzeRoot(lit.Body, fd.Name.Name+" (closure)", pseudo)
+				sf.analyzeRoot(lit, lit.Body, fd.Name.Name+" (closure)", pseudo)
 				sf.drainTasks()
 			}
 			return false
@@ -353,16 +346,16 @@ func (sf *scopeFlow) drainTasks() {
 		ti.delay = req.delay
 		ti.lit = req.lit
 		sf.scope.tasks = append(sf.scope.tasks, ti)
-		sf.analyzeRoot(req.lit.Body, req.label, ti)
+		sf.analyzeRoot(req.lit, req.lit.Body, req.label, ti)
 	}
 }
 
-// analyzeRoot solves one body from an empty fact, reporting balance at its
-// exits and accumulating lock facts into task.
-func (sf *scopeFlow) analyzeRoot(body *ast.BlockStmt, where string, task *taskInfo) {
+// analyzeRoot solves the body of fn from an empty fact, reporting balance at
+// its exits and accumulating lock facts into task.
+func (sf *scopeFlow) analyzeRoot(fn ast.Node, body *ast.BlockStmt, where string, task *taskInfo) {
 	prevW, prevT := sf.where, sf.task
 	sf.where, sf.task = where, task
-	p := &bodyProblem{sf: sf, body: body, boundary: &flowFact{}}
+	p := &bodyProblem{sf: sf, fn: fn, body: body, boundary: &flowFact{}}
 	framework.Solve(sf.cfgFor(body), p)
 	sf.where, sf.task = prevW, prevT
 }
@@ -372,7 +365,7 @@ func (sf *scopeFlow) analyzeRoot(body *ast.BlockStmt, where string, task *taskIn
 // balance is not checked here: locks may intentionally stay held or be
 // released across the helper boundary.
 func (sf *scopeFlow) analyzeInline(lit *ast.FuncLit, in *flowFact) *flowFact {
-	p := &bodyProblem{sf: sf, body: lit.Body, inline: true, boundary: in}
+	p := &bodyProblem{sf: sf, fn: lit, body: lit.Body, inline: true, boundary: in}
 	framework.Solve(sf.cfgFor(lit.Body), p)
 	if p.exit == nil {
 		// No path reaches the literal's end (e.g. an infinite loop): keep
@@ -415,6 +408,7 @@ func (sf *scopeFlow) sortedFindings() []pairFinding {
 // bodyProblem adapts one body's lock analysis to the framework solver.
 type bodyProblem struct {
 	sf       *scopeFlow
+	fn       ast.Node // the declaration or literal whose body is solved
 	body     *ast.BlockStmt
 	inline   bool
 	boundary *flowFact
@@ -431,7 +425,7 @@ func (p *bodyProblem) Equal(a, b any) bool { return equalFacts(a.(*flowFact), b.
 func (p *bodyProblem) Transfer(b *framework.Block, in any) any {
 	f := in.(*flowFact).clone()
 	for _, n := range b.Nodes {
-		p.sf.recordAccesses(n, f)
+		p.sf.recordAccesses(p.fn, n, f)
 		f = p.sf.processNode(n, f)
 	}
 	return f

@@ -62,21 +62,21 @@ type accessKey struct {
 	write bool
 }
 
-// recordAccesses books the shared-location accesses of CFG node n with the
-// fact in effect before the node's calls are interpreted.  Inlined bound
-// literals run under the calling task, so accesses through the
-// telemetry/withFrame idiom attribute to the task that runs them;
-// scope-level code (pseudo tasks) is not a task closure and is skipped.
-func (sf *scopeFlow) recordAccesses(n ast.Node, f *flowFact) {
+// recordAccesses books the shared-location accesses of CFG node n, a node
+// of fn's body, with the fact in effect before the node's calls are
+// interpreted.  Inlined bound literals run under the calling task, so
+// accesses through the telemetry/withFrame idiom attribute to the task that
+// runs them; scope-level code (pseudo tasks) is not a task closure and is
+// skipped.
+func (sf *scopeFlow) recordAccesses(fn, n ast.Node, f *flowFact) {
 	if sf.task.pseudo {
 		return
 	}
 	for _, a := range sf.w.shared.AccessesIn(n) {
-		// State declared inside the innermost literal containing the
-		// access is per-invocation (helper locals, loop variables), not
-		// shared.
-		if lit := sf.innermostLit(a.Pos); lit != nil &&
-			a.Loc.Root.Pos() >= lit.Pos() && a.Loc.Root.Pos() < lit.End() {
+		// State declared inside fn — its parameters and locals — is
+		// per-invocation, not shared.  AccessesIn does not descend into
+		// nested literals, so fn is the innermost literal of the access.
+		if root := a.Loc.Root.Pos(); root >= fn.Pos() && root < fn.End() {
 			continue
 		}
 		key := accessKey{unit: sf.task, pos: a.Pos, write: a.Write}
@@ -101,18 +101,6 @@ func (sf *scopeFlow) recordAccesses(n ast.Node, f *flowFact) {
 			}
 		}
 	}
-}
-
-// innermostLit returns the smallest function literal of the scope
-// containing pos, or nil for scope-level positions: sf.lits is in preorder,
-// so that is the last literal containing pos.
-func (sf *scopeFlow) innermostLit(pos token.Pos) (best *ast.FuncLit) {
-	for _, lit := range sf.lits {
-		if pos >= lit.Pos() && pos < lit.End() {
-			best = lit
-		}
-	}
-	return best
 }
 
 func runRaces(pass *Pass) (any, error) {

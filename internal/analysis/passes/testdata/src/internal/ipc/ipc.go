@@ -11,33 +11,25 @@ type Kernel struct{}
 
 func (k *Kernel) CreateTask(name string, pe, prio, delay int, fn func(c *TaskCtx)) {}
 func (k *Kernel) NewQueue(name string, capacity int) *Queue                        { return nil }
-func (k *Kernel) NewMailbox(name string) *Mailbox                                  { return nil }
 func (k *Kernel) NewEventFlags(name string) *EventFlags                            { return nil }
 
 type RetryPolicy struct{ Attempts, Timeout, Backoff int }
 
 type Queue struct{}
 
-func (q *Queue) Send(c *TaskCtx, v int)                              {}
-func (q *Queue) SendTimeout(c *TaskCtx, v, d int) bool               { return true }
-func (q *Queue) SendRetry(c *TaskCtx, v int, p RetryPolicy) bool     { return true }
-func (q *Queue) Recv(c *TaskCtx) int                                 { return 0 }
-func (q *Queue) RecvTimeout(c *TaskCtx, d int) (int, bool)           { return 0, true }
-func (q *Queue) RecvRetry(c *TaskCtx, p RetryPolicy) (int, bool)     { return 0, true }
-func (q *Queue) TryRecv(c *TaskCtx) (int, bool)                      { return 0, true }
-
-type Mailbox struct{}
-
-func (m *Mailbox) Send(c *TaskCtx, v int)                          {}
-func (m *Mailbox) Recv(c *TaskCtx) int                             { return 0 }
-func (m *Mailbox) RecvTimeout(c *TaskCtx, d int) (int, bool)       { return 0, true }
-func (m *Mailbox) RecvRetry(c *TaskCtx, p RetryPolicy) (int, bool) { return 0, true }
+func (q *Queue) Send(c *TaskCtx, v int)                          {}
+func (q *Queue) SendTimeout(c *TaskCtx, v, d int) bool           { return true }
+func (q *Queue) SendRetry(c *TaskCtx, v int, p RetryPolicy) bool { return true }
+func (q *Queue) Recv(c *TaskCtx) int                             { return 0 }
+func (q *Queue) RecvTimeout(c *TaskCtx, d int) (int, bool)       { return 0, true }
+func (q *Queue) RecvRetry(c *TaskCtx, p RetryPolicy) (int, bool) { return 0, true }
+func (q *Queue) TryRecv(c *TaskCtx) (int, bool)                  { return 0, true }
 
 type EventFlags struct{}
 
-func (e *EventFlags) Set(c *TaskCtx, bits uint32)                                  {}
-func (e *EventFlags) Wait(c *TaskCtx, bits uint32, all bool) uint32                { return 0 }
-func (e *EventFlags) WaitTimeout(c *TaskCtx, bits uint32, all bool, d int) bool    { return true }
+func (e *EventFlags) Set(c *TaskCtx, bits uint32)                               {}
+func (e *EventFlags) Wait(c *TaskCtx, bits uint32, all bool) uint32             { return 0 }
+func (e *EventFlags) WaitTimeout(c *TaskCtx, bits uint32, all bool, d int) bool { return true }
 func (e *EventFlags) WaitRetry(c *TaskCtx, bits uint32, all bool, p RetryPolicy) bool {
 	return true
 }
@@ -45,8 +37,8 @@ func (e *EventFlags) WaitRetry(c *TaskCtx, bits uint32, all bool, p RetryPolicy)
 // CrossRecvCycle's two tasks each block receiving the message the other
 // would only send afterwards: the classic head-to-head IPC deadlock.
 func CrossRecvCycle(k *Kernel) {
-	ma := k.NewMailbox("ma")
-	mb := k.NewMailbox("mb")
+	ma := k.NewQueue("ma", 1)
+	mb := k.NewQueue("mb", 1)
 	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
 		ma.Recv(c) // want `potential IPC deadlock: tasks of CrossRecvCycle form a blocking send/recv cycle: a -> b -> a`
 		mb.Send(c, 1)
@@ -108,8 +100,8 @@ func RendezvousCycle(k *Kernel) {
 // CascadeMonitor waits on an event only flagged tasks would set: the wedge
 // propagates to it even though its own topology is sound.
 func CascadeMonitor(k *Kernel) {
-	ma := k.NewMailbox("cma")
-	mb := k.NewMailbox("cmb")
+	ma := k.NewQueue("cma", 1)
+	mb := k.NewQueue("cmb", 1)
 	done := k.NewEventFlags("cdone")
 	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
 		ma.Recv(c) // want `potential IPC deadlock: tasks of CascadeMonitor form a blocking send/recv cycle: a -> b -> a`
@@ -129,8 +121,8 @@ func CascadeMonitor(k *Kernel) {
 // BoundedVariants uses only timeout/retry/try operations, which can never
 // block forever: no edges, no reports, even on the cross topology.
 func BoundedVariants(k *Kernel) {
-	ma := k.NewMailbox("bma")
-	mb := k.NewMailbox("bmb")
+	ma := k.NewQueue("bma", 1)
+	mb := k.NewQueue("bmb", 1)
 	pol := RetryPolicy{Attempts: 3, Timeout: 1000, Backoff: 100}
 	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
 		ma.RecvTimeout(c, 1000)
@@ -157,9 +149,9 @@ func MatchedEvents(k *Kernel) {
 // HelperInlining routes the blocking ops through a locally-bound closure:
 // the walker must inline it to see the cycle.
 func HelperInlining(k *Kernel) {
-	ma := k.NewMailbox("hma")
-	mb := k.NewMailbox("hmb")
-	swap := func(c *TaskCtx, in, out *Mailbox) {
+	ma := k.NewQueue("hma", 1)
+	mb := k.NewQueue("hmb", 1)
+	swap := func(c *TaskCtx, in, out *Queue) {
 		in.Recv(c) // want `potential IPC deadlock: tasks of HelperInlining form a blocking send/recv cycle: ha -> hb -> ha`
 		out.Send(c, 1)
 	}
@@ -177,8 +169,8 @@ func HelperInlining(k *Kernel) {
 //
 //deltalint:ipc-expected golden test of the suppression directive
 func ExpectedFragile(k *Kernel) {
-	ma := k.NewMailbox("ema")
-	mb := k.NewMailbox("emb")
+	ma := k.NewQueue("ema", 1)
+	mb := k.NewQueue("emb", 1)
 	k.CreateTask("ea", 0, 1, 0, func(c *TaskCtx) {
 		ma.Recv(c)
 		mb.Send(c, 1)

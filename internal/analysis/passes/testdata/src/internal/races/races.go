@@ -187,3 +187,23 @@ func SingleTask(k *Kernel, m *Manager) {
 		sink(private)
 	})
 }
+
+// tally is a helper literal bound at package level: n is declared inside
+// it, so every invocation gets its own n and two tasks calling tally share
+// nothing.
+var tally = func(c *TaskCtx) {
+	n := 0
+	n++
+	sink(n)
+}
+
+// PackageHelperLocal: both tasks call the package-level helper bare — its
+// local is per-invocation, so nothing is reported.
+func PackageHelperLocal(k *Kernel, m *Manager) {
+	k.CreateTask("t1", 0, 1, 0, func(c *TaskCtx) {
+		tally(c)
+	})
+	k.CreateTask("t2", 0, 2, 0, func(c *TaskCtx) {
+		tally(c)
+	})
+}

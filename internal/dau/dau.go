@@ -272,8 +272,8 @@ func Synthesize(cfg Config) (SynthResult, error) {
 func othersNetlist(cfg Config) *gates.Netlist {
 	n, m := cfg.Procs, cfg.Resources
 	prioBits := 4
-	idBits := bitsFor(n)
-	resBits := bitsFor(m)
+	idBits := verilog.BitsFor(n)
+	resBits := verilog.BitsFor(m)
 
 	var cmdReg gates.Netlist
 	cmdReg.AddRegister(2 + idBits + resBits) // op + proc + res fields
@@ -304,12 +304,4 @@ func othersNetlist(cfg Config) *gates.Netlist {
 	top.AddSub("prio_table", &prioTable, n)
 	top.AddSub("daa_fsm", &fsm, 1)
 	return &top
-}
-
-func bitsFor(v int) int {
-	b := 1
-	for (1 << b) < v {
-		b++
-	}
-	return b
 }

@@ -22,8 +22,8 @@ func Generate(cfg Config) (*verilog.File, error) {
 	f.Header = fmt.Sprintf(
 		"DAU %dx%d (processes x resources) generated by the delta framework\nDeadlock Avoidance Unit (Lee & Mooney, DATE 2003): embedded DDU +\ncommand/status registers + DAA FSM (Algorithm 3)", n, m)
 
-	idBits := bitsFor(n)
-	resBits := bitsFor(m)
+	idBits := verilog.BitsFor(n)
+	resBits := verilog.BitsFor(m)
 
 	creg := f.Add(&verilog.Module{
 		Name:    "dau_cmd_reg",

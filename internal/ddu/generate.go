@@ -49,8 +49,8 @@ func Generate(cfg Config) (*verilog.File, error) {
 	top.AddPort("cmd_set_r", verilog.Input, 1)
 	top.AddPort("cmd_set_g", verilog.Input, 1)
 	top.AddPort("cmd_clr", verilog.Input, 1)
-	top.AddPort("cmd_row", verilog.Input, bitsFor(m))
-	top.AddPort("cmd_col", verilog.Input, bitsFor(n))
+	top.AddPort("cmd_row", verilog.Input, verilog.BitsFor(m))
+	top.AddPort("cmd_col", verilog.Input, verilog.BitsFor(n))
 	top.AddPort("start", verilog.Input, 1)
 	top.AddPort("busy", verilog.Output, 1)
 	top.AddPort("deadlock", verilog.Output, 1)
@@ -114,12 +114,4 @@ func colConcat(plane string, t, m, n int) string {
 		}
 	}
 	return s + "}"
-}
-
-func bitsFor(v int) int {
-	b := 1
-	for (1 << b) < v {
-		b++
-	}
-	return b
 }

@@ -106,7 +106,7 @@ func busArbiterModule(masters int) *verilog.Module {
 	m.AddPort("rst_n", verilog.Input, 1)
 	m.AddPort("req", verilog.Input, masters)
 	m.AddOutputReg("gnt", masters)
-	m.AddReg("last", bitsFor(masters))
+	m.AddReg("last", verilog.BitsFor(masters))
 	body := []string{
 		"if (!rst_n) begin gnt <= 0; last <= 0; end",
 		"else begin",
@@ -121,14 +121,6 @@ func busArbiterModule(masters int) *verilog.Module {
 	body = append(body, "end")
 	m.AddAlways("posedge clk or negedge rst_n", body...)
 	return m
-}
-
-func bitsFor(v int) int {
-	b := 1
-	for (1 << b) < v {
-		b++
-	}
-	return b
 }
 
 func peModule(t PEType) string {

@@ -283,8 +283,4 @@ func TestDetectDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { acyclic.Cycle() }); allocs > 0 {
 		t.Errorf("Graph.Cycle (acyclic) allocated %.0f times per query, want 0", allocs)
 	}
-	acyclic.DeadlockedProcesses()
-	if allocs := testing.AllocsPerRun(10, func() { acyclic.DeadlockedProcesses() }); allocs > 0 {
-		t.Errorf("Graph.DeadlockedProcesses (clear) allocated %.0f times per query, want 0", allocs)
-	}
 }

@@ -290,23 +290,25 @@ func (mx *Matrix) String() string {
 // request bits of process t over resource rows, and held[t]/heldAny mirror
 // the grant relation as per-process and summary resource planes.  grantTo
 // remains the single-holder index (the invariant makes a full grant plane
-// per resource redundant).  Queries that walk the graph — HasCycle, Cycle,
-// DeadlockedProcesses — iterate set bits with TrailingZeros and sweep whole
-// word groups, and reuse per-graph scratch buffers so the steady-state query
-// path performs zero allocations.  Graph methods are not safe for concurrent
-// use (true of the mutation API since the seed; the scratch reuse extends
-// that contract to the query methods).
+// per resource redundant).  The cycle queries HasCycle and Cycle iterate set
+// bits with TrailingZeros and sweep whole word groups, and reuse per-graph
+// scratch buffers so the steady-state query path performs zero allocations.
+// Graph methods are not safe for concurrent use (true of the mutation API
+// since the seed; the scratch reuse extends that contract to the query
+// methods).
 type Graph struct {
 	m, n int
 	nw   int // words per resource row (over process columns)
 	mw   int // words per process plane (over resource rows)
 
-	grantTo []int      // grantTo[s] = process holding q_s, or -1
-	reqRows [][]uint64 // bit t of reqRows[s]: p_t requests q_s
-	reqFlat []uint64   // every reqRows row back to back
-	reqCols [][]uint64 // bit s of reqCols[t]: p_t requests q_s
-	held    [][]uint64 // bit s of held[t]: q_s granted to p_t
-	heldAny []uint64   // bit s: q_s held by some process
+	grantTo  []int      // grantTo[s] = process holding q_s, or -1
+	reqRows  [][]uint64 // bit t of reqRows[s]: p_t requests q_s
+	reqFlat  []uint64   // every reqRows row back to back
+	reqCols  [][]uint64 // bit s of reqCols[t]: p_t requests q_s
+	colFlat  []uint64   // every reqCols row back to back
+	held     [][]uint64 // bit s of held[t]: q_s granted to p_t
+	heldFlat []uint64   // every held row back to back
+	heldAny  []uint64   // bit s: q_s held by some process
 
 	scratch *graphScratch
 }
@@ -322,11 +324,8 @@ type dfsFrame struct {
 // graphScratch holds the reusable query-path buffers, allocated once on
 // first use and sized to the graph.
 type graphScratch struct {
-	color  []uint8    // DFS three-coloring over processes
-	stack  []dfsFrame // DFS stack (depth ≤ n: every process pushed once)
-	wReq   [][]uint64 // working request rows for terminal reduction
-	wGrant []int      // working holder index
-	colAny []uint64   // OR of working rows: bit t set iff p_t is blocked
+	color []uint8    // DFS three-coloring over processes
+	stack []dfsFrame // DFS stack (depth ≤ n: every process pushed once)
 }
 
 const (
@@ -346,21 +345,17 @@ func NewGraph(m, n int) *Graph {
 		g.grantTo[s] = -1
 	}
 	g.reqFlat, g.reqRows = newPlane(m, g.nw)
-	_, g.reqCols = newPlane(n, g.mw)
-	_, g.held = newPlane(n, g.mw)
+	g.colFlat, g.reqCols = newPlane(n, g.mw)
+	g.heldFlat, g.held = newPlane(n, g.mw)
 	g.heldAny = make([]uint64, g.mw)
 	return g
 }
 
 func (g *Graph) ensureScratch() *graphScratch {
 	if g.scratch == nil {
-		_, wReq := newPlane(g.m, g.nw)
 		g.scratch = &graphScratch{
-			color:  make([]uint8, g.n),
-			stack:  make([]dfsFrame, 0, g.n),
-			wReq:   wReq,
-			wGrant: make([]int, g.m),
-			colAny: make([]uint64, g.nw),
+			color: make([]uint8, g.n),
+			stack: make([]dfsFrame, 0, g.n),
 		}
 	}
 	return g.scratch
@@ -571,18 +566,15 @@ func (g *Graph) Clone() *Graph {
 
 // CopyFrom overwrites g with src's edges.  Dimensions must match; this is
 // the allocation-free alternative to Clone for trial-grant scratch graphs.
+// Each plane is one flat allocation, so it copies in one call.
 func (g *Graph) CopyFrom(src *Graph) {
 	if g.m != src.m || g.n != src.n {
 		panic(fmt.Sprintf("rag: CopyFrom %dx%d into %dx%d graph", src.m, src.n, g.m, g.n))
 	}
 	copy(g.grantTo, src.grantTo)
-	for s := 0; s < g.m; s++ {
-		copy(g.reqRows[s], src.reqRows[s])
-	}
-	for t := 0; t < g.n; t++ {
-		copy(g.reqCols[t], src.reqCols[t])
-		copy(g.held[t], src.held[t])
-	}
+	copy(g.reqFlat, src.reqFlat)
+	copy(g.colFlat, src.colFlat)
+	copy(g.heldFlat, src.heldFlat)
 	copy(g.heldAny, src.heldAny)
 }
 
@@ -690,85 +682,66 @@ func (g *Graph) waitCycle() (stack []dfsFrame, back int) {
 // cycle, i.e. processes whose wait can never be satisfied.  Computed by
 // repeatedly discarding processes that are not blocked, and resources whose
 // holders are discarded — the graph-side equivalent of terminal reduction —
-// entirely on packed scratch planes: blockedness of ALL processes is one
-// OR-sweep of the working request rows, and discarding a resource's requests
-// is one word-wide row clear.  Result ascending; allocation-free except for
-// the returned slice.  DeadlockedProcessesRef (ref.go) is the per-cell
-// differential oracle.
+// on boolean working copies of the edges.  Result ascending.  No caller is
+// on a hot path: the resource manager latches the set once per deadlock,
+// and the examples and Figure 15 query it once.
 func (g *Graph) DeadlockedProcesses() []int {
-	sc := g.ensureScratch()
-	for s := 0; s < g.m; s++ {
-		copy(sc.wReq[s], g.reqRows[s])
+	reqs := make([][]bool, g.m)
+	grantTo := slices.Clone(g.grantTo)
+	for s := range reqs {
+		reqs[s] = make([]bool, g.n)
+		for t := range reqs[s] {
+			reqs[s][t] = g.Requesting(s, t)
+		}
 	}
-	copy(sc.wGrant, g.grantTo)
 	for {
 		removed := false
-		// colAny: bit t set iff p_t still has an outstanding request.
-		for w := range sc.colAny {
-			sc.colAny[w] = 0
-		}
 		for s := 0; s < g.m; s++ {
-			row := sc.wReq[s]
-			for w := range row {
-				sc.colAny[w] |= row[w]
-			}
-		}
-		for s := 0; s < g.m; s++ {
-			if sc.wGrant[s] == -1 {
-				continue
-			}
 			// A granted resource with no requesters does not block anyone:
 			// drop the grant edge.
-			anyReq := uint64(0)
-			for _, w := range sc.wReq[s] {
-				anyReq |= w
-			}
-			if anyReq == 0 {
-				sc.wGrant[s] = -1
+			if grantTo[s] != -1 && !slices.Contains(reqs[s], true) {
+				grantTo[s] = -1
 				removed = true
-				continue
 			}
-			// An unblocked process can eventually release everything it
-			// holds and withdraw: drop its grant edges.
-			h := sc.wGrant[s]
-			if sc.colAny[h/64]>>(uint(h)%64)&1 == 0 {
-				sc.wGrant[s] = -1
-				removed = true
+		}
+		for t := 0; t < g.n; t++ {
+			blocked := false
+			for s := 0; s < g.m; s++ {
+				if reqs[s][t] {
+					blocked = true
+					break
+				}
+			}
+			if !blocked {
+				// An unblocked process can eventually release everything it
+				// holds and withdraw: drop its grant edges.
+				for s := 0; s < g.m; s++ {
+					if grantTo[s] == t {
+						grantTo[s] = -1
+						removed = true
+					}
+				}
 			}
 		}
 		// Requests to free resources can be satisfied once granted resources
 		// cycle back; drop request edges to resources held by nobody.
 		for s := 0; s < g.m; s++ {
-			if sc.wGrant[s] != -1 {
-				continue
-			}
-			row := sc.wReq[s]
-			for w := range row {
-				if row[w] != 0 {
-					row[w] = 0
-					removed = true
-				}
+			if grantTo[s] == -1 && slices.Contains(reqs[s], true) {
+				clear(reqs[s])
+				removed = true
 			}
 		}
 		if !removed {
 			break
 		}
 	}
-	// Survivors: processes with a remaining request edge, ascending.
-	for w := range sc.colAny {
-		sc.colAny[w] = 0
-	}
-	for s := 0; s < g.m; s++ {
-		row := sc.wReq[s]
-		for w := range row {
-			sc.colAny[w] |= row[w]
-		}
-	}
 	var out []int
-	for w, word := range sc.colAny {
-		for word != 0 {
-			out = append(out, w*64+bits.TrailingZeros64(word))
-			word &= word - 1
+	for t := 0; t < g.n; t++ {
+		for s := 0; s < g.m; s++ {
+			if reqs[s][t] {
+				out = append(out, t)
+				break
+			}
 		}
 	}
 	return out

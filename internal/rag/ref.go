@@ -133,81 +133,3 @@ func (g *Graph) CycleRef() []int {
 	}
 	return nil
 }
-
-// DeadlockedProcessesRef is the per-cell terminal reduction over boolean
-// working copies, the seed implementation of DeadlockedProcesses.  The
-// word-parallel version must return the identical ascending process set.
-func (g *Graph) DeadlockedProcessesRef() []int {
-	// Working copies built through the public per-cell API.
-	reqs := make([][]bool, g.m)
-	grantTo := make([]int, g.m)
-	for s := 0; s < g.m; s++ {
-		reqs[s] = make([]bool, g.n)
-		for t := 0; t < g.n; t++ {
-			reqs[s][t] = g.Requesting(s, t)
-		}
-		grantTo[s] = g.Holder(s)
-	}
-	for {
-		removed := false
-		for s := 0; s < g.m; s++ {
-			anyReq := false
-			for t := 0; t < g.n; t++ {
-				if reqs[s][t] {
-					anyReq = true
-					break
-				}
-			}
-			// A granted resource with no requesters does not block anyone:
-			// drop the grant edge.
-			if !anyReq && grantTo[s] != -1 {
-				grantTo[s] = -1
-				removed = true
-			}
-		}
-		for t := 0; t < g.n; t++ {
-			blocked := false
-			for s := 0; s < g.m; s++ {
-				if reqs[s][t] {
-					blocked = true
-					break
-				}
-			}
-			if !blocked {
-				// An unblocked process can eventually release everything it
-				// holds and withdraw: drop its grant edges.
-				for s := 0; s < g.m; s++ {
-					if grantTo[s] == t {
-						grantTo[s] = -1
-						removed = true
-					}
-				}
-			}
-		}
-		// Requests to free resources can be satisfied once granted resources
-		// cycle back; drop request edges to resources held by nobody.
-		for s := 0; s < g.m; s++ {
-			if grantTo[s] == -1 {
-				for t := 0; t < g.n; t++ {
-					if reqs[s][t] {
-						reqs[s][t] = false
-						removed = true
-					}
-				}
-			}
-		}
-		if !removed {
-			break
-		}
-	}
-	var out []int
-	for t := 0; t < g.n; t++ {
-		for s := 0; s < g.m; s++ {
-			if reqs[s][t] {
-				out = append(out, t)
-				break
-			}
-		}
-	}
-	return out
-}

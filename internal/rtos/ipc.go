@@ -1,8 +1,8 @@
 package rtos
 
-// IPC primitives of Atalanta v0.3 (Section 2.1): mailboxes (single-slot),
-// message queues (bounded FIFO, capacity 0 = synchronous rendezvous) and
-// event flag groups.
+// IPC primitives of Atalanta v0.3 (Section 2.1): message queues (bounded
+// FIFO; capacity 1 is the single-slot mailbox, capacity 0 a synchronous
+// rendezvous) and event flag groups.
 //
 // Every primitive participates in the kernel's wait-for graph (waitfor.go):
 // it remembers which tasks have used (or were declared on) each side of the
@@ -31,15 +31,14 @@ type IPCFault struct {
 	// Drop loses the message in flight: the sender continues as if it
 	// delivered, nothing arrives.
 	Drop bool
-	// Dup delivers the message twice (queues only; meaningless on a
-	// single-slot mailbox).
+	// Dup delivers the message twice.
 	Dup bool
 	// Delay holds the message in flight for this many cycles before
 	// delivering it from a non-task context.  The sender does not block.
 	Delay sim.Cycles
 }
 
-// IPCInjector is consulted once per message send on a mailbox or queue when
+// IPCInjector is consulted once per message send on a queue when
 // attached (fault campaigns).  Implementations must be deterministic
 // functions of their arguments and their own seeded state.
 type IPCInjector interface {
@@ -160,208 +159,6 @@ func (c *TaskCtx) armWakeup(deadline sim.Cycles) {
 	})
 }
 
-// endpoint is what Mailbox and Queue share: the reader and writer wait
-// queues, the peer sets of the wait-for graph, the fault-delayed deliveries
-// in flight, and the message counters.
-type endpoint struct {
-	k                *Kernel
-	Name             string
-	readers, writers WaitQueue
-	senders          peerSet // tasks observed/declared on the sending side
-	receivers        peerSet // tasks observed/declared on the receiving side
-	inFlight         int     // fault-delayed deliveries not yet landed
-	// Instrumentation.
-	Sends, Recvs, Timeouts, Dropped, Delayed int
-}
-
-// BindSender declares t a sender on this endpoint without an operation having
-// been observed yet (scenario topology declarations for the wait-for graph).
-func (e *endpoint) BindSender(t *Task) { e.senders.add(t) }
-
-// BindReceiver declares t a receiver on this endpoint.
-func (e *endpoint) BindReceiver(t *Task) { e.receivers.add(t) }
-
-// deliverer lands one message on an endpoint and wakes its best reader.
-type deliverer interface{ deliver(msg interface{}) }
-
-// faultedSend opens a send on the endpoint: it charges the service, records
-// the sender and consults the IPC fault injector.  A dropped message is lost
-// in flight and a delayed one is handed to a timer proc that lands it on d;
-// either way the sender believes it delivered, and sent reports the send
-// complete.  Otherwise the returned fault (a duplicate, at most) applies to
-// the caller's own delivery.
-func (e *endpoint) faultedSend(c *TaskCtx, msg interface{}, d deliverer) (f IPCFault, sent bool) {
-	c.serviceOverhead(4)
-	t := c.t
-	e.senders.add(t)
-	f = c.k.sendFault(e.Name, t)
-	if f.Drop {
-		e.Sends++
-		e.Dropped++
-		c.k.ipcTrace(t, "send", e.Name)
-		return f, true
-	}
-	if f.Delay > 0 {
-		e.Sends++
-		e.Delayed++
-		e.inFlight++
-		delay := f.Delay
-		c.k.S.Spawn(fmt.Sprintf("ipcdly.%s.%d", e.Name, e.Delayed), -1, func(tp *sim.Proc) {
-			tp.Delay(delay)
-			e.inFlight--
-			d.deliver(msg)
-		})
-		c.k.ipcTrace(t, "send", e.Name)
-		return f, true
-	}
-	return f, false
-}
-
-// readerPeers is the reader half of waitPeers: a blocked reader waits on the
-// endpoint's senders, unless a fault-delayed delivery is in flight — its
-// timer proc will wake a reader without any task's help.
-func (e *endpoint) readerPeers(t *Task, kind string) ([]*Task, string, bool) {
-	if e.inFlight > 0 {
-		return nil, "", false
-	}
-	return e.senders.others(t), kind + e.Name, true
-}
-
-// Mailbox is a single-slot message box: Send blocks while full, Recv blocks
-// while empty.
-type Mailbox struct {
-	endpoint
-	msg  interface{}
-	full bool
-}
-
-// NewMailbox creates an empty mailbox.
-func (k *Kernel) NewMailbox(name string) *Mailbox {
-	m := &Mailbox{endpoint: endpoint{k: k, Name: name}}
-	k.syncObjs = append(k.syncObjs, m)
-	return m
-}
-
-// purgeTask drops a killed task from both wait queues (Kernel.Kill).  If the
-// victim had already been chosen as the wakee of a hand-off (popped from a
-// wait queue, made ready, then killed before running), the message or the
-// free slot it was woken for would otherwise be stranded while the remaining
-// waiters sleep — so the wake is re-issued to the next eligible waiter.
-func (m *Mailbox) purgeTask(t *Task) {
-	m.readers.Remove(t)
-	m.writers.Remove(t)
-	if m.full {
-		m.k.wakeHead(&m.readers)
-	} else {
-		m.k.wakeHead(&m.writers)
-	}
-}
-
-// waitPeers implements waitNode: the tasks that could wake t out of this
-// mailbox, given which side it is blocked on.
-func (m *Mailbox) waitPeers(t *Task) ([]*Task, string, bool) {
-	if m.readers.Has(t) {
-		return m.readerPeers(t, "mbox:")
-	}
-	if m.writers.Has(t) {
-		return m.receivers.others(t), "mbox:" + m.Name, true
-	}
-	return nil, "", false
-}
-
-func (m *Mailbox) ipcEndpoint() bool { return true }
-
-// deliver lands a message into the slot and wakes the best reader.  Used by
-// the normal send path and by fault-delayed deliveries (which lose the
-// message if the slot refilled in the meantime — a delayed message has no
-// sender left to block).
-func (m *Mailbox) deliver(msg interface{}) {
-	if m.full {
-		return
-	}
-	m.msg = msg
-	m.full = true
-	m.k.wakeHead(&m.readers)
-}
-
-// Send deposits msg, blocking while the box is full.
-func (m *Mailbox) Send(c *TaskCtx, msg interface{}) {
-	m.sendCommon(c, msg, noDeadline)
-}
-
-// SendTimeout deposits msg, giving up (ok=false) if no slot frees within
-// wait cycles.
-func (m *Mailbox) SendTimeout(c *TaskCtx, msg interface{}, wait sim.Cycles) bool {
-	return m.sendCommon(c, msg, c.p.Now()+wait)
-}
-
-// sendCommon implements Send and SendTimeout; deadline == noDeadline blocks forever.
-func (m *Mailbox) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) bool {
-	if _, sent := m.faultedSend(c, msg, m); sent {
-		return true
-	}
-	w := timedWait{c: c, ep: m.Name, deadline: deadline}
-	for m.full {
-		if !w.park(&m.writers, "mbox-send:") {
-			w.timeout(&m.Timeouts)
-			return false
-		}
-	}
-	w.end()
-	m.deliver(msg)
-	m.Sends++
-	c.k.ipcTrace(c.t, "send", m.Name)
-	return true
-}
-
-// Recv takes the message, blocking while the box is empty.
-func (m *Mailbox) Recv(c *TaskCtx) interface{} {
-	msg, _ := m.recvCommon(c, noDeadline)
-	return msg
-}
-
-// RecvTimeout takes the message, giving up (ok=false) if none arrives within
-// wait cycles.
-func (m *Mailbox) RecvTimeout(c *TaskCtx, wait sim.Cycles) (interface{}, bool) {
-	return m.recvCommon(c, c.p.Now()+wait)
-}
-
-// recvCommon implements Recv and RecvTimeout; deadline == noDeadline blocks forever.
-func (m *Mailbox) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) {
-	c.serviceOverhead(4)
-	m.receivers.add(c.t)
-	w := timedWait{c: c, ep: m.Name, deadline: deadline}
-	for !m.full {
-		if !w.park(&m.readers, "mbox-recv:") {
-			w.timeout(&m.Timeouts)
-			return nil, false
-		}
-	}
-	w.end()
-	return m.take(c), true
-}
-
-// TryRecv takes the message without blocking; ok reports success.
-func (m *Mailbox) TryRecv(c *TaskCtx) (msg interface{}, ok bool) {
-	c.serviceOverhead(3)
-	m.receivers.add(c.t)
-	if !m.full {
-		return nil, false
-	}
-	return m.take(c), true
-}
-
-// take empties the full slot and wakes the best writer.
-func (m *Mailbox) take(c *TaskCtx) interface{} {
-	msg := m.msg
-	m.msg = nil
-	m.full = false
-	m.Recvs++
-	c.k.ipcTrace(c.t, "recv", m.Name)
-	c.k.wakeHead(&m.writers)
-	return msg
-}
-
 // rvItem is one pending rendezvous offer on a capacity-0 queue: the sender
 // parks beside its message until a receiver takes it.  A fault-duplicated or
 // fault-delayed copy has a nil sender (nobody waits on it).
@@ -373,15 +170,21 @@ type rvItem struct {
 
 // Queue is a bounded FIFO message queue.  Capacity 0 makes it a synchronous
 // rendezvous channel: Send blocks until a receiver takes the message.
+// Capacity 1 is Atalanta's single-slot mailbox.
 type Queue struct {
-	endpoint
-	cap      int
-	items    []interface{}
-	rv       []*rvItem  // pending rendezvous offers (capacity 0 only)
-	jamUntil sim.Cycles // stuck-full fault: report full until this cycle
+	k                *Kernel
+	Name             string
+	cap              int
+	items            []interface{}
+	rv               []*rvItem  // pending rendezvous offers (capacity 0 only)
+	jamUntil         sim.Cycles // stuck-full fault: report full until this cycle
+	readers, writers WaitQueue
+	senders          peerSet // tasks observed/declared on the sending side
+	receivers        peerSet // tasks observed/declared on the receiving side
+	inFlight         int     // fault-delayed deliveries not yet landed
 
 	// Instrumentation.
-	HighWater, Duped int
+	Sends, Recvs, Timeouts, Dropped, Delayed, HighWater, Duped int
 }
 
 // NewQueue creates a queue with the given capacity (0 = rendezvous).
@@ -389,7 +192,7 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 	if capacity < 0 {
 		panic("rtos: negative queue capacity")
 	}
-	q := &Queue{endpoint: endpoint{k: k, Name: name}, cap: capacity}
+	q := &Queue{k: k, Name: name, cap: capacity}
 	k.syncObjs = append(k.syncObjs, q)
 	return q
 }
@@ -400,10 +203,19 @@ func (q *Queue) Cap() int { return q.cap }
 // Len returns the number of queued messages.
 func (q *Queue) Len() int { return len(q.items) }
 
+// BindSender declares t a sender on this queue without an operation having
+// been observed yet (scenario topology declarations for the wait-for graph).
+func (q *Queue) BindSender(t *Task) { q.senders.add(t) }
+
+// BindReceiver declares t a receiver on this queue.
+func (q *Queue) BindReceiver(t *Task) { q.receivers.add(t) }
+
 // purgeTask drops a killed task from both wait queues and withdraws its
-// pending rendezvous offers (Kernel.Kill).  As with Mailbox.purgeTask, a
-// wake the victim had already consumed is re-issued to the next eligible
-// waiter so no message or slot is stranded.
+// pending rendezvous offers (Kernel.Kill).  If the victim had already been
+// chosen as the wakee of a hand-off (popped from a wait queue, made ready,
+// then killed before running), the message or the free slot it was woken
+// for would otherwise be stranded while the remaining waiters sleep — so the
+// wake is re-issued to the next eligible waiter.
 func (q *Queue) purgeTask(t *Task) {
 	q.readers.Remove(t)
 	q.writers.Remove(t)
@@ -427,7 +239,10 @@ func (q *Queue) purgeTask(t *Task) {
 // writer waiting for space, rendezvous sender waiting for a taker.
 func (q *Queue) waitPeers(t *Task) ([]*Task, string, bool) {
 	if q.readers.Has(t) {
-		return q.readerPeers(t, "queue:")
+		if q.inFlight > 0 {
+			return nil, "", false // a fault-delayed delivery will wake a reader
+		}
+		return q.senders.others(t), "queue:" + q.Name, true
 	}
 	if q.writers.Has(t) {
 		if q.k.S.Now() < q.jamUntil {
@@ -510,6 +325,39 @@ func (q *Queue) deliver(msg interface{}) {
 	q.k.wakeHead(&q.readers)
 }
 
+// faultedSend opens a send: it charges the service, records the sender and
+// consults the IPC fault injector.  A dropped message is lost in flight and
+// a delayed one is handed to a timer proc that delivers it later; either
+// way the sender believes it delivered, and sent reports the send complete.
+// Otherwise the returned fault (a duplicate, at most) applies to the
+// caller's own delivery.
+func (q *Queue) faultedSend(c *TaskCtx, msg interface{}) (f IPCFault, sent bool) {
+	c.serviceOverhead(4)
+	t := c.t
+	q.senders.add(t)
+	f = c.k.sendFault(q.Name, t)
+	if f.Drop {
+		q.Sends++
+		q.Dropped++
+		c.k.ipcTrace(t, "send", q.Name)
+		return f, true
+	}
+	if f.Delay > 0 {
+		q.Sends++
+		q.Delayed++
+		q.inFlight++
+		delay := f.Delay
+		c.k.S.Spawn(fmt.Sprintf("ipcdly.%s.%d", q.Name, q.Delayed), -1, func(tp *sim.Proc) {
+			tp.Delay(delay)
+			q.inFlight--
+			q.deliver(msg)
+		})
+		c.k.ipcTrace(t, "send", q.Name)
+		return f, true
+	}
+	return f, false
+}
+
 // Send enqueues msg, blocking while the queue is full (capacity 0: until a
 // receiver takes it).
 func (q *Queue) Send(c *TaskCtx, msg interface{}) {
@@ -525,7 +373,7 @@ func (q *Queue) SendTimeout(c *TaskCtx, msg interface{}, wait sim.Cycles) bool {
 
 // sendCommon implements Send and SendTimeout; deadline == noDeadline blocks forever.
 func (q *Queue) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) bool {
-	f, sent := q.faultedSend(c, msg, q)
+	f, sent := q.faultedSend(c, msg)
 	if sent {
 		return true
 	}
@@ -594,6 +442,24 @@ func (q *Queue) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) 
 		}
 	}
 	w.end()
+	return q.take(c), true
+}
+
+// TryRecv dequeues a message without blocking; ok reports success.  On a
+// rendezvous queue it takes a pending offer, releasing its sender.
+func (q *Queue) TryRecv(c *TaskCtx) (msg interface{}, ok bool) {
+	c.serviceOverhead(3)
+	q.receivers.add(c.t)
+	if !q.recvReady() {
+		return nil, false
+	}
+	return q.take(c), true
+}
+
+// take dequeues the oldest message of a ready queue: a buffered item (waking
+// the best writer if space freed), or else the oldest pending rendezvous
+// offer, whose sender it releases.
+func (q *Queue) take(c *TaskCtx) interface{} {
 	var msg interface{}
 	if len(q.items) > 0 {
 		msg = q.items[0]
@@ -602,7 +468,6 @@ func (q *Queue) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) 
 			q.k.wakeHead(&q.writers)
 		}
 	} else {
-		// Rendezvous: take the oldest pending offer and release its sender.
 		for i, it := range q.rv {
 			if it.taken {
 				continue
@@ -618,7 +483,7 @@ func (q *Queue) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) 
 	}
 	q.Recvs++
 	c.k.ipcTrace(c.t, "recv", q.Name)
-	return msg, true
+	return msg
 }
 
 // EventFlags is a group of 32 event bits with wait-any/wait-all semantics.

@@ -12,10 +12,10 @@ import (
 	"deltartos/internal/trace"
 )
 
-func TestMailboxRecvTimeout(t *testing.T) {
+func TestQueueRecvTimeout(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
-	m := k.NewMailbox("m")
+	m := k.NewQueue("m", 1)
 	var gotFirst, gotSecond bool
 	var firstElapsed sim.Cycles
 	k.CreateTask("rx", 0, 1, 0, func(c *TaskCtx) {
@@ -41,21 +41,6 @@ func TestMailboxRecvTimeout(t *testing.T) {
 	}
 	if m.Timeouts != 1 {
 		t.Errorf("Timeouts = %d, want 1", m.Timeouts)
-	}
-}
-
-func TestMailboxSendTimeoutWhenFull(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	m := k.NewMailbox("m")
-	var ok1, ok2 bool
-	k.CreateTask("tx", 0, 1, 0, func(c *TaskCtx) {
-		ok1 = m.SendTimeout(c, 1, 1000)
-		ok2 = m.SendTimeout(c, 2, 1000) // box still full, nobody drains
-	})
-	s.Run()
-	if !ok1 || ok2 {
-		t.Errorf("ok1=%v ok2=%v, want true/false", ok1, ok2)
 	}
 }
 
@@ -207,10 +192,10 @@ func TestQueueReaderFIFOWithinPriority(t *testing.T) {
 // A reader that was already woken for a hand-off and then killed before
 // running must not strand the message: the purge re-issues the wake to the
 // next blocked reader.
-func TestMailboxKillWokenReaderRewakes(t *testing.T) {
+func TestQueueKillWokenReaderRewakes(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 3)
-	m := k.NewMailbox("m")
+	m := k.NewQueue("m", 1)
 	var r2got interface{}
 	r1 := k.CreateTask("r1", 0, 4, 0, func(c *TaskCtx) {
 		m.Recv(c)
@@ -336,13 +321,13 @@ func TestEventKillWaiterNoLeak(t *testing.T) {
 	}
 }
 
-// Two tasks cross-blocked on each other's mailboxes form an IPC deadlock
-// core; WaitPeers exposes the cycle.
-func TestIPCDeadlockCoreMailboxCycle(t *testing.T) {
+// Two tasks cross-blocked on each other's single-slot queues form an IPC
+// deadlock core; WaitPeers exposes the cycle.
+func TestIPCDeadlockCoreQueueCycle(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
-	ma := k.NewMailbox("ma")
-	mb := k.NewMailbox("mb")
+	ma := k.NewQueue("ma", 1)
+	mb := k.NewQueue("mb", 1)
 	ta := k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
 		ma.Recv(c)
 		mb.Send(c, 1)
@@ -364,7 +349,7 @@ func TestIPCDeadlockCoreMailboxCycle(t *testing.T) {
 	if len(peers) != 1 || peers[0] != tb {
 		t.Errorf("WaitPeers(a) = %v, want [b]", names(peers))
 	}
-	if got := k.IPCWaitsOn(ta); got != "mbox:ma" {
+	if got := k.IPCWaitsOn(ta); got != "queue:ma" {
 		t.Errorf("IPCWaitsOn(a) = %q", got)
 	}
 }

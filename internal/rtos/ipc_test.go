@@ -6,77 +6,47 @@ import (
 	"deltartos/internal/sim"
 )
 
-func TestMailboxSendRecv(t *testing.T) {
+// TryRecv never blocks: it fails on an empty queue, takes a buffered item,
+// and on a rendezvous queue takes the pending offer and releases its sender.
+func TestQueueTryRecv(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
-	mb := k.NewMailbox("mb")
-	var got interface{}
-	var at sim.Cycles
-	k.CreateTask("rx", 0, 1, 0, func(c *TaskCtx) {
-		got = mb.Recv(c)
-		at = c.Now()
+	q := k.NewQueue("q", 1)
+	rv := k.NewQueue("rv", 0)
+	var emptyOK, fullOK, rvEmptyOK, rvOK bool
+	var val, rvVal interface{}
+	var sentAt sim.Cycles
+	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
+		_, emptyOK = q.TryRecv(c)
+		q.Send(c, 9)
+		val, fullOK = q.TryRecv(c)
+		_, rvEmptyOK = rv.TryRecv(c) // tx has not offered yet
+		c.Compute(3000)
+		rvVal, rvOK = rv.TryRecv(c)
 	})
 	k.CreateTask("tx", 1, 1, 0, func(c *TaskCtx) {
-		c.Compute(1500)
-		mb.Send(c, "frame-7")
-	})
-	s.Run()
-	if got != "frame-7" {
-		t.Errorf("got %v", got)
-	}
-	if at < 1500 {
-		t.Errorf("received at %d", at)
-	}
-	if mb.Sends != 1 || mb.Recvs != 1 {
-		t.Errorf("counters: %d/%d", mb.Sends, mb.Recvs)
-	}
-}
-
-func TestMailboxSendBlocksWhenFull(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 2)
-	mb := k.NewMailbox("mb")
-	var secondSendAt sim.Cycles
-	k.CreateTask("tx", 0, 1, 0, func(c *TaskCtx) {
-		mb.Send(c, 1)
-		mb.Send(c, 2) // blocks until rx drains
-		secondSendAt = c.Now()
-	})
-	k.CreateTask("rx", 1, 1, 0, func(c *TaskCtx) {
-		c.Compute(5000)
-		if v := mb.Recv(c); v != 1 {
-			t.Errorf("first recv = %v", v)
-		}
-		if v := mb.Recv(c); v != 2 {
-			t.Errorf("second recv = %v", v)
-		}
-	})
-	s.Run()
-	if secondSendAt < 5000 {
-		t.Errorf("second send completed at %d (did not block)", secondSendAt)
-	}
-	if !s.AllDone() {
-		t.Errorf("blocked: %v", s.Blocked())
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	mb := k.NewMailbox("mb")
-	var emptyOK, fullOK bool
-	var val interface{}
-	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
-		_, emptyOK = mb.TryRecv(c)
-		mb.Send(c, 9)
-		val, fullOK = mb.TryRecv(c)
+		c.Compute(1000)
+		rv.Send(c, "offer")
+		sentAt = c.Now()
 	})
 	s.Run()
 	if emptyOK {
-		t.Error("TryRecv on empty box succeeded")
+		t.Error("TryRecv on empty queue succeeded")
 	}
 	if !fullOK || val != 9 {
-		t.Errorf("TryRecv on full box: %v %v", val, fullOK)
+		t.Errorf("TryRecv on full queue: %v %v", val, fullOK)
+	}
+	if rvEmptyOK {
+		t.Error("TryRecv on a rendezvous queue with no offer succeeded")
+	}
+	if !rvOK || rvVal != "offer" {
+		t.Errorf("TryRecv on a pending offer: %v %v", rvVal, rvOK)
+	}
+	if sentAt < 3000 {
+		t.Errorf("rendezvous sender released at %d, before the TryRecv took its offer", sentAt)
+	}
+	if !s.AllDone() {
+		t.Errorf("blocked: %v", s.Blocked())
 	}
 }
 

@@ -8,7 +8,8 @@
 // Supported services mirror the paper's Section 2.1 list: task management
 // (create/suspend/resume), priority scheduling with priority inheritance as
 // well as round-robin within a priority level, semaphores, mutexes,
-// mailboxes, message queues, event flags, and interrupt-driven device waits.
+// message queues (a capacity-1 queue is the mailbox), event flags, and
+// interrupt-driven device waits.
 //
 // Priorities: smaller number = more important ("task_1 has priority 1, the
 // highest" in Section 5.5).

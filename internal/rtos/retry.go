@@ -55,24 +55,6 @@ func (q *Queue) RecvRetry(c *TaskCtx, pol RetryPolicy) (interface{}, bool) {
 	return msg, ok
 }
 
-// SendRetry sends with per-attempt timeouts and backoff; reports delivery.
-func (m *Mailbox) SendRetry(c *TaskCtx, msg interface{}, pol RetryPolicy) bool {
-	return pol.Do(c, func(to sim.Cycles) bool { return m.SendTimeout(c, msg, to) })
-}
-
-// RecvRetry receives with per-attempt timeouts and backoff.
-func (m *Mailbox) RecvRetry(c *TaskCtx, pol RetryPolicy) (interface{}, bool) {
-	var msg interface{}
-	ok := pol.Do(c, func(to sim.Cycles) bool {
-		v, got := m.RecvTimeout(c, to)
-		if got {
-			msg = v
-		}
-		return got
-	})
-	return msg, ok
-}
-
 // WaitRetry waits for the mask condition with per-attempt timeouts and
 // backoff; reports whether it was met.
 func (e *EventFlags) WaitRetry(c *TaskCtx, mask uint32, all bool, pol RetryPolicy) (uint32, bool) {

@@ -16,7 +16,7 @@ type waitNode interface {
 	// release it without any task's help).
 	waitPeers(t *Task) (peers []*Task, what string, ok bool)
 	// ipcEndpoint reports whether the object is a message-passing endpoint
-	// (mailbox, queue, event group) as opposed to a lock.
+	// (queue, event group) as opposed to a lock.
 	ipcEndpoint() bool
 }
 
@@ -64,7 +64,7 @@ func (k *Kernel) WaitPeers(t *Task) []*Task {
 }
 
 // IPCWaitsOn names the IPC endpoint t is currently blocked on ("" when t is
-// not blocked on a mailbox/queue/event group).
+// not blocked on a queue or event group).
 func (k *Kernel) IPCWaitsOn(t *Task) string {
 	_, what, ipc, known := k.waitInfo(t)
 	if !known || !ipc {

@@ -473,7 +473,7 @@ func Synthesize(cfg Config) (SynthResult, error) {
 // the command interface.
 func Netlist(cfg Config) *gates.Netlist {
 	blocks := cfg.Blocks()
-	peBits := bitsFor(cfg.PEs) + 1 // owner id + valid
+	peBits := verilog.BitsFor(cfg.PEs) + 1 // owner id + valid
 
 	var table gates.Netlist
 	table.AddRegister(peBits)
@@ -484,9 +484,9 @@ func Netlist(cfg Config) *gates.Netlist {
 	scan.Add(gates.OR2, blocks/2)
 
 	var xlate gates.Netlist
-	xlate.AddRegister(bitsFor(blocks)) // base register per PE
-	xlate.AddComparator(bitsFor(blocks))
-	xlate.AddMux(2, bitsFor(blocks))
+	xlate.AddRegister(verilog.BitsFor(blocks)) // base register per PE
+	xlate.AddComparator(verilog.BitsFor(blocks))
+	xlate.AddMux(2, verilog.BitsFor(blocks))
 
 	var iface gates.Netlist
 	iface.AddRegister(32) // command register
@@ -517,15 +517,15 @@ func Generate(cfg Config) (*verilog.File, error) {
 	top.AddPort("rst_n", verilog.Input, 1)
 	top.AddPort("cmd", verilog.Input, 32)
 	top.AddPort("cmd_valid", verilog.Input, 1)
-	top.AddPort("pe", verilog.Input, bitsFor(cfg.PEs))
+	top.AddPort("pe", verilog.Input, verilog.BitsFor(cfg.PEs))
 	top.AddOutputReg("result", 32)
 	top.AddOutputReg("done", 1)
-	top.AddReg("owner", blocks*(bitsFor(cfg.PEs)+1))
+	top.AddReg("owner", blocks*(verilog.BitsFor(cfg.PEs)+1))
 	top.AddReg("state", 3)
 	top.AddWire("free_vec", blocks)
 	for b := 0; b < blocks; b++ {
 		top.AddAssign(fmt.Sprintf("free_vec[%d]", b),
-			fmt.Sprintf("~owner[%d]", b*(bitsFor(cfg.PEs)+1)))
+			fmt.Sprintf("~owner[%d]", b*(verilog.BitsFor(cfg.PEs)+1)))
 	}
 	top.AddAlways("posedge clk or negedge rst_n",
 		"if (!rst_n) begin state <= 3'd0; done <= 1'b0; end",
@@ -537,14 +537,6 @@ func Generate(cfg Config) (*verilog.File, error) {
 		"  default: state <= 3'd0;",
 		"endcase")
 	return &f, nil
-}
-
-func bitsFor(v int) int {
-	b := 1
-	for (1 << b) < v {
-		b++
-	}
-	return b
 }
 
 // Bind installs an allocator as kernel k's memory-management service, so

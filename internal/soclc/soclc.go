@@ -432,7 +432,7 @@ func Generate(cfg Config) (*verilog.File, error) {
 	top.AddPort("rst_n", verilog.Input, 1)
 	top.AddPort("addr", verilog.Input, 6)
 	top.AddPort("wr", verilog.Input, 1)
-	top.AddPort("pe", verilog.Input, bitsFor(cfg.PEs))
+	top.AddPort("pe", verilog.Input, verilog.BitsFor(cfg.PEs))
 	top.AddPort("irq", verilog.Output, cfg.PEs)
 	total := cfg.ShortLocks + cfg.LongLocks
 	top.AddWire("held_all", total)
@@ -444,12 +444,4 @@ func Generate(cfg Config) (*verilog.File, error) {
 	}
 	top.AddAssign("irq", fmt.Sprintf("grant_all[%d:0]", cfg.PEs-1))
 	return &f, nil
-}
-
-func bitsFor(v int) int {
-	b := 1
-	for (1 << b) < v {
-		b++
-	}
-	return b
 }

@@ -284,6 +284,16 @@ func CountLines(text string) int {
 	return n
 }
 
+// BitsFor returns the width of a bus that indexes v distinct values: the
+// smallest b ≥ 1 with 2^b ≥ v.
+func BitsFor(v int) int {
+	b := 1
+	for (1 << b) < v {
+		b++
+	}
+	return b
+}
+
 // ModuleNames returns the sorted names of all modules in the file.
 func (f *File) ModuleNames() []string {
 	names := make([]string, 0, len(f.Modules))

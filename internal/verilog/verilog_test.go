@@ -103,6 +103,16 @@ func TestCountLines(t *testing.T) {
 	}
 }
 
+func TestBitsFor(t *testing.T) {
+	for _, c := range []struct{ v, want int }{
+		{0, 1}, {1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {16, 4}, {17, 5}, {1024, 10},
+	} {
+		if got := BitsFor(c.v); got != c.want {
+			t.Errorf("BitsFor(%d) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
 func TestFileEmitAndNames(t *testing.T) {
 	var f File
 	f.Header = "generated by test"
