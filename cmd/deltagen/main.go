@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -59,7 +60,7 @@ func main() {
 		fmt.Print(gen.Top.Emit())
 		return
 	}
-	if err := writeFiles(cfg, gen, *out); err != nil {
+	if err := writeFiles(os.Stdout, cfg, gen, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "deltagen:", err)
 		os.Exit(1)
 	}
@@ -107,7 +108,10 @@ func loadConfig(preset, config string) (*delta.Config, error) {
 	return nil, fmt.Errorf("need -preset or -config")
 }
 
-func writeFiles(cfg *delta.Config, gen *delta.GeneratedSystem, dir string) error {
+// writeFiles writes the generated system into dir — Top.v, one file per
+// hardware component in the configuration's order, the Atalanta header and
+// the configuration itself — and reports each path on w.
+func writeFiles(w io.Writer, cfg *delta.Config, gen *delta.GeneratedSystem, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -116,13 +120,17 @@ func writeFiles(cfg *delta.Config, gen *delta.GeneratedSystem, dir string) error
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(w, "wrote", path)
 		return nil
 	}
 	if err := write("Top.v", gen.Top.Emit()); err != nil {
 		return err
 	}
-	for comp, f := range gen.Components {
+	for _, comp := range cfg.Components {
+		f := gen.Components[comp]
+		if f == nil {
+			continue // a software component: no Verilog
+		}
 		if err := write(string(comp)+".v", f.Emit()); err != nil {
 			return err
 		}

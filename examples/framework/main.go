@@ -47,20 +47,20 @@ func main() {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	files := map[string]string{
-		"Top.v":          gen.Top.Emit(),
-		"atalanta_cfg.h": gen.RTOSHeader,
-	}
-	for comp, f := range gen.Components {
-		files[string(comp)+".v"] = f.Emit()
-	}
-	for name, content := range files {
+	write := func(name, content string) {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  wrote %-28s (%d lines)\n", path, verilog.CountLines(content))
 	}
+	write("Top.v", gen.Top.Emit())
+	for _, comp := range cfg.Components {
+		if f := gen.Components[comp]; f != nil {
+			write(string(comp)+".v", f.Emit())
+		}
+	}
+	write("atalanta_cfg.h", gen.RTOSHeader)
 }
 
 // hardwareFootprint sums the synthesized area/lines of a preset's hardware

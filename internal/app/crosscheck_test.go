@@ -22,9 +22,9 @@ func TestKernelAndDDUAgreeOnDeadlockSet(t *testing.T) {
 	k := rtos.NewKernel(s, 3)
 	names := []string{"pA", "pB", "pC"}
 	ms := []*rtos.Mutex{
-		k.NewMutex("m0", rtos.ProtoNone, 0),
-		k.NewMutex("m1", rtos.ProtoNone, 0),
-		k.NewMutex("m2", rtos.ProtoNone, 0),
+		k.NewMutex("m0"),
+		k.NewMutex("m1"),
+		k.NewMutex("m2"),
 	}
 
 	// Ring: pI holds m_I and then wants m_{I+1}.  The compute phase lets all
@@ -97,7 +97,7 @@ func TestKernelAndDDUAgreeOnDeadlockSet(t *testing.T) {
 func TestKernelAndDDUAgreeOnNoDeadlock(t *testing.T) {
 	s := sim.New()
 	k := rtos.NewKernel(s, 3)
-	m := k.NewMutex("m0", rtos.ProtoNone, 0)
+	m := k.NewMutex("m0")
 	for i, name := range []string{"pA", "pB", "pC"} {
 		k.CreateTask(name, i, 1, 0, func(c *rtos.TaskCtx) {
 			m.Lock(c)

@@ -70,8 +70,6 @@ func RunDetectionScenario(det Detector, opts ...Option) DetectionResult {
 	devices := sim.StandardDevices(s)
 	rm := NewResourceManager(k, det, 4, devices)
 	rm.Audit = claims.NewAudit()
-	lock := k.NewMutex("alloc-svc", rtos.ProtoNone, 0)
-	rm.Serialize(lock)
 	for p := 0; p < 4; p++ {
 		rm.SetPriority(p, p+1) // p1 highest .. p4 lowest
 	}

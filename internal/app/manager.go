@@ -155,7 +155,10 @@ type ResourceManager struct {
 	prio    []int // process priority (lower = higher)
 	waiters map[int][]*waiter
 	devices []*sim.Device
-	mu      *rtos.Mutex
+	// mu is the global allocation-service lock of the shared-memory RTOS:
+	// operations from different PEs serialize, and software detection runs
+	// inside the critical section (what stretches Table 5's software column).
+	mu *rtos.Mutex
 	// DeadlockAt is the time detection first reported a deadlock (0 if
 	// never); DeadlockSeen reports whether it fired.
 	DeadlockAt   sim.Cycles
@@ -179,37 +182,23 @@ type waiter struct {
 	t    *rtos.Task
 }
 
-// Serialize guards every manager operation with the given kernel mutex,
-// modelling the global allocation-service lock of the shared-memory RTOS
-// (operations from different PEs serialize, and software detection runs
-// inside the critical section — the behaviour that stretches the software
-// column of Table 5).
-func (rm *ResourceManager) Serialize(m *rtos.Mutex) { rm.mu = m }
+// lock and unlock bracket every manager operation with the service lock.
+func (rm *ResourceManager) lock(c *rtos.TaskCtx) { rm.mu.Lock(c) }
 
-func (rm *ResourceManager) lock(c *rtos.TaskCtx) {
-	if rm.mu != nil {
-		rm.mu.Lock(c)
-	}
-}
-
-func (rm *ResourceManager) unlock(c *rtos.TaskCtx) {
-	if rm.mu != nil {
-		rm.mu.Unlock(c)
-	}
-}
+func (rm *ResourceManager) unlock(c *rtos.TaskCtx) { rm.mu.Unlock(c) }
 
 // NewResourceManager builds the service for n processes and the given
 // resource devices.
 func NewResourceManager(k *rtos.Kernel, det Detector, procs int, devices []*sim.Device) *ResourceManager {
-	rm := &ResourceManager{
+	return &ResourceManager{
 		k:       k,
 		det:     det,
 		g:       rag.NewGraph(len(devices), procs),
 		prio:    make([]int, procs),
 		waiters: map[int][]*waiter{},
 		devices: devices,
+		mu:      k.NewMutex("alloc-svc"),
 	}
-	return rm
 }
 
 // SetPriority assigns process p's priority.

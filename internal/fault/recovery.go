@@ -5,8 +5,6 @@ package fault
 // system degrade instead of dying.
 
 import (
-	"sort"
-
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
@@ -240,37 +238,6 @@ func (r *Recovery) finish(pr *sim.Proc, base sim.Cycles) {
 		r.plan.ackFired(pr.Now())
 	}
 	r.Latencies = append(r.Latencies, pr.Now()-base)
-}
-
-// RecoverDeadlocked is the detection-triggered entry point (DDU/DAU): it
-// recovers against the highest-priority blocked task, whose wait-for chain
-// covers the deadlock cycle.  Reports whether anything was blocked.
-func (r *Recovery) RecoverDeadlocked(pr *sim.Proc) bool {
-	names := r.k.Deadlocked()
-	if len(names) == 0 {
-		return false
-	}
-	sort.Strings(names)
-	var suspect *rtos.Task
-	for _, t := range r.k.Tasks() {
-		for _, n := range names {
-			if t.Name == n && (suspect == nil || t.CurPrio < suspect.CurPrio) {
-				suspect = t
-			}
-		}
-	}
-	if suspect == nil {
-		return false
-	}
-	r.Recover(pr, suspect)
-	return true
-}
-
-// StopAll disarms every watchdog (end of campaign teardown).
-func (r *Recovery) StopAll() {
-	for _, wd := range r.watchdogs {
-		wd.Stop()
-	}
 }
 
 // MeanLatency returns the average fault-to-reclaimed latency in cycles.

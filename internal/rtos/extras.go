@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the remaining Atalanta v0.3 services: time-sliced
-// round-robin scheduling, barriers, and interrupt-service attachment.
+// round-robin scheduling and barriers.
 
 // EnableTimeSlice turns on round-robin time slicing for pe: a running task
 // that exhausts `quantum` cycles while an equal-priority task is ready is
@@ -20,10 +20,6 @@ func (k *Kernel) EnableTimeSlice(pe int, quantum sim.Cycles) {
 	if quantum == 0 {
 		panic("rtos: zero quantum")
 	}
-	if k.quantum == nil {
-		k.quantum = make([]sim.Cycles, k.numPE)
-	}
-	k.quantum[pe] = quantum
 	k.S.Spawn(fmt.Sprintf("slicer.pe%d", pe), -1, func(p *sim.Proc) {
 		for {
 			p.Delay(quantum)
@@ -139,20 +135,6 @@ func (b *Barrier) Wait(c *TaskCtx) {
 		t.sig.Wait(c.p)
 	}
 	c.ensureRunning()
-}
-
-// AttachISR registers an interrupt service routine for a device: whenever
-// the device raises its IRQ, the handler runs in interrupt context after
-// the interrupt entry latency.  Typical handlers post a semaphore or set
-// event flags for a waiting task.
-func (k *Kernel) AttachISR(dev *sim.Device, handler func()) {
-	k.S.Spawn("isr."+dev.Name, -1, func(p *sim.Proc) {
-		for {
-			dev.IRQ.Wait(p)
-			p.Delay(sim.InterruptEntryCycles)
-			handler()
-		}
-	})
 }
 
 // TaskReport is one row of the kernel's CPU accounting summary.

@@ -156,28 +156,6 @@ func TestBarrierPanicsOnZero(t *testing.T) {
 	mustPanicExtras(t, func() { NewKernel(sim.New(), 1).NewBarrier("x", 0) })
 }
 
-func TestAttachISRPostsSemaphore(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	dev := s.NewDevice("VI")
-	frames := k.NewSemaphore("frames", 0)
-	k.AttachISR(dev, frames.PostFromISR)
-	var got int
-	k.CreateTask("consumer", 0, 1, 0, func(c *TaskCtx) {
-		// Kick two device jobs, consume two completion interrupts.
-		dev.Start(c.Proc(), 500)
-		frames.Pend(c)
-		got++
-		dev.Start(c.Proc(), 500)
-		frames.Pend(c)
-		got++
-	})
-	s.Run()
-	if got != 2 {
-		t.Errorf("got %d interrupts", got)
-	}
-}
-
 func TestCPUReport(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)

@@ -401,7 +401,7 @@ func TestIPCDeadlockCoreRescuable(t *testing.T) {
 func TestIPCDeadlockCoreMixedLockIPC(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
-	mu := k.NewMutex("mu", ProtoNone, 0)
+	mu := k.NewMutex("mu")
 	q := k.NewQueue("q", 1)
 	var ta, tb *Task
 	ta = k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {

@@ -6,10 +6,12 @@
 // shared L2 memory: every processing element executes the same kernel and
 // every kernel service pays for its shared-memory accesses over the bus.
 // Supported services mirror the paper's Section 2.1 list: task management
-// (create/suspend/resume), priority scheduling with priority inheritance as
-// well as round-robin within a priority level, semaphores, mutexes,
-// message queues (a capacity-1 queue is the mailbox), event flags, and
-// interrupt-driven device waits.
+// (create/suspend/resume), priority scheduling with round-robin within a
+// priority level, semaphores, plain mutexes, message queues (a capacity-1
+// queue is the mailbox), event flags, and interrupt-driven device waits.
+// The lock priority protocols (software priority inheritance and the
+// SoCLC's IPCP) live in package soclc and re-rank tasks through
+// Kernel.SetTaskPriority.
 //
 // Priorities: smaller number = more important ("task_1 has priority 1, the
 // highest" in Section 5.5).
@@ -71,18 +73,17 @@ type Task struct {
 	Name     string
 	PE       int
 	BasePrio int
-	CurPrio  int // may be raised by priority inheritance / ceiling
+	CurPrio  int // may be raised by the soclc lock protocols (SetTaskPriority)
 	state    TaskState
 
-	proc      *sim.Proc
-	sig       *sim.Signal // the task's private wake channel
-	body      func(c *TaskCtx)
-	startAt   sim.Cycles
-	gen       uint64 // sleep-timer generation guard
-	sleeping  bool   // parked inside an interruptible Compute chunk
-	needCtx   bool   // charge a context switch on next resume
-	waitingOn *Mutex // PI mutex the task is blocked on (inheritance chains)
-	killed    bool   // unwind at the next scheduling point (Kernel.Kill)
+	proc     *sim.Proc
+	sig      *sim.Signal // the task's private wake channel
+	body     func(c *TaskCtx)
+	startAt  sim.Cycles
+	gen      uint64 // sleep-timer generation guard
+	sleeping bool   // parked inside an interruptible Compute chunk
+	needCtx  bool   // charge a context switch on next resume
+	killed   bool   // unwind at the next scheduling point (Kernel.Kill)
 
 	// Instrumentation.
 	CPUCycles     sim.Cycles
@@ -113,7 +114,6 @@ type Kernel struct {
 	current []*Task   // per-PE running task
 	ready   [][]*Task // per-PE ready queue, priority order then FIFO
 	tasks   []*Task
-	quantum []sim.Cycles // per-PE round-robin time slice (0 = disabled)
 
 	memAlloc MemAllocFn
 	memFree  MemFreeFn
@@ -375,8 +375,8 @@ func (k *Kernel) endBlockEpisode(t *Task) {
 }
 
 // setPriority changes a task's effective priority, repositioning it in the
-// ready queue or triggering preemption as needed (priority inheritance and
-// ceiling protocols use this).
+// ready queue or triggering preemption as needed (the soclc priority
+// inheritance and ceiling protocols use this through SetTaskPriority).
 func (k *Kernel) setPriority(t *Task, prio int) {
 	if t.CurPrio == prio {
 		return
@@ -495,7 +495,6 @@ func (k *Kernel) finishKill(t *Task) {
 	k.endBlockEpisode(t)
 	t.state = StateKilled
 	t.blockedOn = ""
-	t.waitingOn = nil
 	t.sleeping = false
 	t.KilledAt = k.S.Now()
 	k.trace(t.PE, t.Name, "killed")
@@ -518,7 +517,6 @@ func (k *Kernel) Restart(t *Task) error {
 	t.finishedValid = false
 	t.needCtx = false
 	t.sleeping = false
-	t.waitingOn = nil
 	t.blockedOn = ""
 	t.blockAttrib = false
 	t.CurPrio = t.BasePrio

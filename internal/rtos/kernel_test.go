@@ -308,8 +308,8 @@ func TestRunOnDeviceFreesPE(t *testing.T) {
 func TestDeadlockedReporting(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
-	m1 := k.NewMutex("m1", ProtoNone, 0)
-	m2 := k.NewMutex("m2", ProtoNone, 0)
+	m1 := k.NewMutex("m1")
+	m2 := k.NewMutex("m2")
 	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
 		m1.Lock(c)
 		c.Compute(1000)

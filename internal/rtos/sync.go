@@ -3,8 +3,6 @@ package rtos
 import (
 	"errors"
 	"fmt"
-
-	"deltartos/internal/sim"
 )
 
 // Typed misuse errors.  With a misuse policy installed (fault-injection
@@ -137,40 +135,20 @@ func (s *Semaphore) PostFromISR() {
 	s.k.wakeHead(&s.waiters)
 }
 
-// Mutex is a binary lock with optional priority protocols: plain, priority
-// inheritance (Atalanta's long-lock behaviour, RTOS5), or immediate priority
-// ceiling (the protocol the SoCLC implements in hardware, RTOS6 — exposed
-// here so the software baseline of the protocol can be measured too).
+// Mutex is a plain binary lock: exclusion with priority-ordered hand-off.
+// It never changes a task's priority; the paper's two lock priority
+// protocols (software priority inheritance, RTOS5, and the SoCLC's IPCP,
+// RTOS6) are the soclc managers, which Table 10 measures.
 type Mutex struct {
-	k         *Kernel
-	Name      string
-	Proto     LockProtocol
-	Ceiling   int // used by IPCP
-	owner     *Task
-	waiters   WaitQueue
-	savedPrio int
-	// Instrumentation.
-	Acquires, Contended int
-	// Lock latency: acquisition time when uncontended; lock delay: time from
-	// requesting a held lock to acquiring it.
-	TotalLatency sim.Cycles
-	TotalDelay   sim.Cycles
+	k       *Kernel
+	Name    string
+	owner   *Task
+	waiters WaitQueue
 }
 
-// LockProtocol selects the mutex priority protocol.
-type LockProtocol int
-
-// Protocols.
-const (
-	ProtoNone LockProtocol = iota
-	ProtoInherit
-	ProtoCeiling
-)
-
-// NewMutex creates a mutex.  For ProtoCeiling the ceiling must be set to the
-// highest priority (lowest number) of any task that uses the lock.
-func (k *Kernel) NewMutex(name string, proto LockProtocol, ceiling int) *Mutex {
-	m := &Mutex{k: k, Name: name, Proto: proto, Ceiling: ceiling}
+// NewMutex creates a mutex.
+func (k *Kernel) NewMutex(name string) *Mutex {
+	m := &Mutex{k: k, Name: name}
 	k.syncObjs = append(k.syncObjs, m)
 	return m
 }
@@ -204,16 +182,13 @@ func (m *Mutex) waitPeers(t *Task) ([]*Task, string, bool) {
 
 func (m *Mutex) ipcEndpoint() bool { return false }
 
-// Lock acquires the mutex, applying the configured priority protocol.
+// Lock acquires the mutex, queueing behind the owner by priority.
 func (m *Mutex) Lock(c *TaskCtx) {
-	start := c.p.Now()
 	c.serviceOverhead(6)
 	t := c.t
 	if m.owner == nil {
-		m.grant(t)
+		m.owner = t
 		m.k.Races.Acquire(t.Name, "mutex:"+m.Name)
-		m.Acquires++
-		m.TotalLatency += c.p.Now() - start
 		return
 	}
 	if m.owner == t {
@@ -224,64 +199,26 @@ func (m *Mutex) Lock(c *TaskCtx) {
 		c.k.trace(t.PE, t.Name, "misuse:relock")
 		return // tolerated: already held, treat as a no-op
 	}
-	m.Contended++
-	if m.Proto == ProtoInherit {
-		// Priority inheritance, propagated transitively: if the owner is
-		// itself blocked on another PI mutex, ITS owner inherits too, and so
-		// on down the chain (the classic chained-blocking case).
-		prio := t.CurPrio
-		for hop, owner := 0, m.owner; owner != nil && hop < 32; hop++ {
-			if prio >= owner.CurPrio {
-				break
-			}
-			c.k.setPriority(owner, prio)
-			next := owner.waitingOn
-			if next == nil || next.Proto != ProtoInherit {
-				break
-			}
-			owner = next.owner
-		}
-	}
 	m.waiters.Push(t)
-	t.waitingOn = m
 	c.k.blockCurrent(t, "mutex:"+m.Name)
 	for m.owner != t && !t.killed {
 		t.sig.Wait(c.p)
 	}
-	t.waitingOn = nil
 	c.ensureRunning() // unwinds the task if it was killed while waiting
 	m.k.Races.Acquire(t.Name, "mutex:"+m.Name)
-	m.Acquires++
-	m.TotalDelay += c.p.Now() - start
 }
 
-// grant makes t the owner, raising it to the ceiling under IPCP.
-func (m *Mutex) grant(t *Task) {
-	m.owner = t
-	m.savedPrio = t.CurPrio
-	if m.Proto == ProtoCeiling && m.Ceiling < t.CurPrio {
-		// Immediate priority ceiling: raise on acquisition.
-		m.k.setPriority(t, m.Ceiling)
-	}
-}
-
-// handOff takes the lock from its departing owner t — restoring the priority
-// the acquisition may have boosted or raised, and dropping t's shadow-lockset
-// entry — and grants it to the best waiter, or frees it.
+// handOff takes the lock from its departing owner t — dropping t's
+// shadow-lockset entry — and grants it to the best waiter, or frees it.
 func (m *Mutex) handOff(t *Task) {
 	m.k.Races.Release(t.Name, "mutex:"+m.Name)
-	m.k.setPriority(t, m.savedPrio)
-	next := m.waiters.Pop()
-	if next == nil {
-		m.owner = nil
-		return
+	m.owner = m.waiters.Pop()
+	if m.owner != nil {
+		m.k.makeReady(m.owner)
 	}
-	m.grant(next)
-	m.k.makeReady(next)
 }
 
-// Unlock releases the mutex, restoring the owner's priority and handing the
-// lock to the highest-priority waiter.
+// Unlock releases the mutex, handing it to the highest-priority waiter.
 func (m *Mutex) Unlock(c *TaskCtx) {
 	c.serviceOverhead(6)
 	t := c.t
@@ -298,21 +235,4 @@ func (m *Mutex) Unlock(c *TaskCtx) {
 		return // tolerated: the lock keeps its true owner
 	}
 	m.handOff(t)
-}
-
-// AvgLatency returns the mean uncontended acquisition cost in cycles.
-func (m *Mutex) AvgLatency() float64 {
-	n := m.Acquires - m.Contended
-	if n <= 0 {
-		return 0
-	}
-	return float64(m.TotalLatency) / float64(n)
-}
-
-// AvgDelay returns the mean contended hand-off cost in cycles.
-func (m *Mutex) AvgDelay() float64 {
-	if m.Contended == 0 {
-		return 0
-	}
-	return float64(m.TotalDelay) / float64(m.Contended)
 }

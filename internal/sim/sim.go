@@ -387,9 +387,9 @@ func (p *Proc) wake() {
 	p.sim.schedule(p, p.sim.now)
 }
 
-// Signal is a broadcast/wake-one condition used to model interrupt lines,
-// lock hand-offs and mailbox arrivals.  The zero value is not usable; create
-// with NewSignal.
+// Signal is a broadcast condition used to model interrupt lines, lock
+// hand-offs and mailbox arrivals.  The zero value is not usable; create with
+// NewSignal.
 type Signal struct {
 	sim     *Sim
 	Name    string
@@ -407,22 +407,6 @@ func (s *Sim) NewSignal(name string) *Signal {
 func (sig *Signal) Wait(p *Proc) {
 	sig.waiters = append(sig.waiters, p)
 	p.block()
-}
-
-// WakeOne wakes the longest-waiting proc, returning whether one was woken.
-// The vacated slot is nilled out so a completed Proc stays GC-able through
-// long chaos campaigns.
-func (sig *Signal) WakeOne() bool {
-	if len(sig.waiters) == 0 {
-		return false
-	}
-	p := sig.waiters[0]
-	n := len(sig.waiters)
-	copy(sig.waiters, sig.waiters[1:])
-	sig.waiters[n-1] = nil
-	sig.waiters = sig.waiters[:n-1]
-	p.wake()
-	return true
 }
 
 // WakeAll wakes every waiter in FIFO order and returns how many were woken.

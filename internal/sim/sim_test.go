@@ -86,7 +86,7 @@ func TestSignalWaitWake(t *testing.T) {
 		if n := sig.Waiters(); n != 1 {
 			t.Errorf("Waiters = %d", n)
 		}
-		sig.WakeOne()
+		sig.WakeAll()
 	})
 	s.Run()
 	if wokenAt != 42 {
@@ -122,14 +122,6 @@ func TestSignalWakeAllFIFO(t *testing.T) {
 	}
 }
 
-func TestSignalWakeOneEmpty(t *testing.T) {
-	s := New()
-	sig := s.NewSignal("cond")
-	if sig.WakeOne() {
-		t.Error("WakeOne on empty signal returned true")
-	}
-}
-
 func TestSignalRemove(t *testing.T) {
 	s := New()
 	sig := s.NewSignal("cond")
@@ -152,7 +144,7 @@ func TestSignalRemove(t *testing.T) {
 		// a is now unreachable through sig; park it on other and wake it so
 		// the sim can drain.
 		other.waiters = append(other.waiters, pa)
-		other.WakeOne()
+		other.WakeAll()
 	})
 	s.Run()
 	if !aRan {
@@ -332,7 +324,7 @@ func TestProcBusyCycles(t *testing.T) {
 	})
 	s.Spawn("b", 1, func(p *Proc) {
 		p.Delay(100)
-		sig.WakeOne()
+		sig.WakeAll()
 	})
 	s.Run()
 	// Blocked time (93 cycles) must not count as busy.

@@ -181,6 +181,39 @@ func TestCeilingRestoredAfterRelease(t *testing.T) {
 	}
 }
 
+// A kernel mutex never touches priorities, so unlocking one inside a
+// SoftwareLocks critical section keeps the inheritance boost the owner got
+// from a blocked higher-priority waiter.
+func TestMutexUnlockKeepsInheritedPriority(t *testing.T) {
+	s, k := newWorld(t, 2)
+	sl := NewSoftwareLocks(k, 1)
+	mu := k.NewMutex("mu")
+	var boosted, afterUnlock int
+	k.CreateTask("low", 0, 5, 0, func(c *rtos.TaskCtx) {
+		mu.Lock(c)
+		sl.Acquire(c, 0)
+		c.Compute(5000) // high blocks on lock 0 meanwhile
+		boosted = c.Task().CurPrio
+		mu.Unlock(c)
+		afterUnlock = c.Task().CurPrio
+		sl.Release(c, 0)
+	})
+	k.CreateTask("high", 1, 1, 1000, func(c *rtos.TaskCtx) {
+		sl.Acquire(c, 0)
+		sl.Release(c, 0)
+	})
+	s.Run()
+	if boosted != 1 {
+		t.Fatalf("priority while high waits = %d, want the inherited 1", boosted)
+	}
+	if afterUnlock != 1 {
+		t.Errorf("priority after releasing the mutex = %d, want the inherited 1", afterUnlock)
+	}
+	if !s.AllDone() {
+		t.Errorf("blocked: %v", s.Blocked())
+	}
+}
+
 func TestReleaseByNonOwnerPanics(t *testing.T) {
 	s, k := newWorld(t, 1)
 	lc, _ := NewLockCache(k, Config{ShortLocks: 1, LongLocks: 1, PEs: 1})

@@ -18,8 +18,6 @@
 // so identical inputs yield identical streams — and byte-identical exports.
 package trace
 
-import "sort"
-
 // Kind classifies an event.
 type Kind uint8
 
@@ -158,16 +156,6 @@ func (r *Recorder) Counters() map[string]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Recorder) CounterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Events returns the recorded event stream (not a copy; do not mutate).
