@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-detect bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc fuzz-targets
+.PHONY: tier1 build test vet lint lint-json race bench bench-detect bench-fuzz-seed bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc fuzz-targets
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -48,18 +48,26 @@ bench:
 bench-detect:
 	$(GO) test -run '^$$' -bench 'BitsetReduce|BitsetDetectGraph|Fig13DDUDetect' -benchmem -count 3 -short .
 
+# bench-fuzz-seed runs the per-seed fuzz phase benchmarks — generate,
+# derive, exec and the Banker differential over the DefaultSweep points, and
+# generate, derive and exec over the DefaultIPCSweep points — three times
+# each with allocation counts.
+bench-fuzz-seed:
+	$(GO) test -run '^$$' -bench 'FuzzSeed' -benchmem -count 3 .
+
 # bench-fuzz runs the full-size generative sweep — 8 contention points x
 # 125000 seeds = 1e6 scenarios, every one checked against the standing
 # invariants including the engine differentials (bitset vs per-cell PDDA
 # verdicts, cycle witnesses, Banker grant/refuse decisions) — and writes the
-# deadlock-probability-vs-contention curve to BENCH_fuzz.json (uploaded as a
-# CI artifact).
+# deadlock-probability-vs-contention curve to BENCH_fuzz.json (CI checks it
+# matches the committed file byte for byte, then uploads it).
 bench-fuzz:
 	$(GO) run ./cmd/deltasim -fuzz -fuzz-seeds 125000 -fuzz-report BENCH_fuzz.json
 
 # bench-fuzz-ipc writes the wedge-probability-vs-message-loss curve — 5 drop
 # points x 12500 random message topologies, each seed re-checked for static
-# flags ⊇ runtime quiescence core — to BENCH_ipc_fuzz.json (CI artifact).
+# flags ⊇ runtime quiescence core — to BENCH_ipc_fuzz.json (CI checks it
+# matches the committed file byte for byte, then uploads it).
 bench-fuzz-ipc:
 	$(GO) run ./cmd/deltasim -fuzz-ipc -fuzz-seeds 12500 -fuzz-report BENCH_ipc_fuzz.json
 

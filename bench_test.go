@@ -19,6 +19,7 @@ import (
 	"deltartos/internal/ddu"
 	"deltartos/internal/delta"
 	"deltartos/internal/det"
+	"deltartos/internal/fuzz"
 	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
 	"deltartos/internal/sim"
@@ -513,6 +514,105 @@ func BenchmarkSimSpawn(b *testing.B) {
 	})
 	b.ResetTimer()
 	s.Run()
+}
+
+// ---- Fuzz sweep: per-seed phases ----
+
+// BenchmarkFuzzSeed times each per-seed phase of the lock and IPC fuzz
+// sweeps on its own.  One op is one seed: the phase cycles through 16
+// seeds at every DefaultSweep (m = 256…8) or DefaultIPCSweep (drop
+// 0…0.3) point, so ns/op and allocs/op are per-seed means over the whole
+// contention or message-loss axis.  A phase's inputs come from the phases
+// before it, built outside the timer; exec runs the deep per-scan oracle
+// on the seeds the sweep samples (every OracleEvery-th).
+func BenchmarkFuzzSeed(b *testing.B) {
+	const seedsPerPoint = 16
+	type lockSeed struct {
+		seed uint64
+		gen  fuzz.GenConfig
+		deep bool
+		sc   *fuzz.Scenario
+		st   *fuzz.Static
+	}
+	type ipcSeed struct {
+		seed uint64
+		gen  fuzz.IPCGenConfig
+		sc   *fuzz.IPCScenario
+		st   *fuzz.IPCStatic
+	}
+	var locks []lockSeed
+	sw := fuzz.DefaultSweep(seedsPerPoint, 1)
+	for p, pt := range sw.Points {
+		for k := 0; k < seedsPerPoint; k++ {
+			ls := lockSeed{seed: sw.BaseSeed + uint64(p*seedsPerPoint+k), gen: pt.Gen, deep: k%sw.OracleEvery == 0}
+			sc, err := fuzz.Generate(ls.seed, ls.gen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ls.sc, ls.st = sc, fuzz.Derive(sc)
+			locks = append(locks, ls)
+		}
+	}
+	var ipcs []ipcSeed
+	isw := fuzz.DefaultIPCSweep(seedsPerPoint, 1)
+	for p, pt := range isw.Points {
+		for k := 0; k < seedsPerPoint; k++ {
+			is := ipcSeed{seed: isw.BaseSeed + uint64(p*seedsPerPoint+k), gen: pt.Gen}
+			sc, err := fuzz.GenerateIPC(is.seed, is.gen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			is.sc, is.st = sc, fuzz.DeriveIPC(sc)
+			ipcs = append(ipcs, is)
+		}
+	}
+
+	var es fuzz.ExecScratch // shared by every seed, as in a sweep chunk
+	phases := []struct {
+		name string
+		run  func(b *testing.B, i int)
+	}{
+		{"generate", func(b *testing.B, i int) {
+			s := &locks[i%len(locks)]
+			if _, err := fuzz.Generate(s.seed, s.gen); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"derive", func(b *testing.B, i int) { fuzz.Derive(locks[i%len(locks)].sc) }},
+		{"exec", func(b *testing.B, i int) {
+			s := &locks[i%len(locks)]
+			if res := fuzz.ExecWith(&es, s.sc, s.st, s.deep); res.MismatchAt != "" {
+				b.Fatal(res.MismatchAt)
+			}
+		}},
+		{"banker_diff", func(b *testing.B, i int) {
+			s := &locks[i%len(locks)]
+			if bd := fuzz.BankerDiff(s.sc, s.st); bd.Mismatch != "" {
+				b.Fatal(bd.Mismatch)
+			}
+		}},
+		{"ipc_generate", func(b *testing.B, i int) {
+			s := &ipcs[i%len(ipcs)]
+			if _, err := fuzz.GenerateIPC(s.seed, s.gen); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"ipc_derive", func(b *testing.B, i int) { fuzz.DeriveIPC(ipcs[i%len(ipcs)].sc) }},
+		{"ipc_exec", func(b *testing.B, i int) {
+			s := &ipcs[i%len(ipcs)]
+			if res := fuzz.ExecIPC(s.sc, s.st); res.MismatchAt != "" {
+				b.Fatal(res.MismatchAt)
+			}
+		}},
+	}
+	for _, ph := range phases {
+		b.Run(ph.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ph.run(b, i)
+			}
+		})
+	}
 }
 
 // ---- Deltalint: full-module static analysis ----

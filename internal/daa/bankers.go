@@ -24,7 +24,7 @@ import (
 // claims[p] &^ (free | held[p]) is all-zero, where free is the complement
 // of the graph's held-any plane.  The scan reuses Banker-owned scratch, so
 // steady-state requests allocate nothing.  RefBanker (ref_banker.go) is the
-// per-cell oracle this engine is differentially tested against.
+// claim-list oracle this engine is differentially tested against.
 type Banker struct {
 	m, n   int
 	mw     int        // words per resource plane
@@ -124,7 +124,7 @@ func (b *Banker) Release(p, q int) error {
 // retires.  The retirement sweep is word-parallel — per candidate process
 // one AND-NOT pass over the claim plane — and the scan order (ascending
 // process id, free set updated as each process retires) is identical to
-// RefBanker's per-cell loop, so the two produce the same verdicts.
+// RefBanker's claim-list loop, so the two produce the same verdicts.
 func (b *Banker) safe() bool {
 	heldAny := b.g.HeldAnyWords()
 	for w := 0; w < b.mw; w++ {

@@ -1,14 +1,18 @@
 package daa
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"deltartos/internal/det"
 )
 
-// The word-parallel Banker and the per-cell RefBanker must make identical
+// The word-parallel Banker and the claim-list RefBanker must make identical
 // grant/refuse decisions on identical traffic — random claim sets and
-// request/release streams across word-boundary geometries.
+// request/release streams across word-boundary geometries, then sparse
+// geometries shaped like fuzz traffic: a few claims per process out of many
+// resources, some declared over several calls and some declared twice.
 func TestBankerMatchesRefBanker(t *testing.T) {
 	rng := det.New(41)
 	geometries := []struct{ procs, resources int }{
@@ -16,58 +20,165 @@ func TestBankerMatchesRefBanker(t *testing.T) {
 	}
 	for _, geo := range geometries {
 		for trial := 0; trial < 10; trial++ {
-			fast, err := NewBanker(geo.procs, geo.resources)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := NewRefBanker(geo.procs, geo.resources)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fast, ref := newBankerPair(t, geo.procs, geo.resources)
 			for p := 0; p < geo.procs; p++ {
 				for q := 0; q < geo.resources; q++ {
 					if rng.Float64() < 0.5 {
-						if err := fast.DeclareClaim(p, q); err != nil {
-							t.Fatal(err)
-						}
-						if err := ref.DeclareClaim(p, q); err != nil {
-							t.Fatal(err)
-						}
+						declareBoth(t, fast, ref, p, q)
 					}
 				}
 			}
-			for step := 0; step < 500; step++ {
-				p := rng.Intn(geo.procs)
-				q := rng.Intn(geo.resources)
-				if held := fast.Graph().HeldBy(p); len(held) > 0 && rng.Float64() < 0.4 {
-					q = held[rng.Intn(len(held))]
-					if err := fast.Release(p, q); err != nil {
-						t.Fatalf("%d procs x %d res trial %d step %d: fast release: %v",
-							geo.procs, geo.resources, trial, step, err)
-					}
-					if err := ref.Release(p, q); err != nil {
-						t.Fatalf("%d procs x %d res trial %d step %d: ref release: %v",
-							geo.procs, geo.resources, trial, step, err)
-					}
-					continue
-				}
-				fastGrant, fastErr := fast.Request(p, q)
-				refGrant, refErr := ref.Request(p, q)
-				if (fastErr == nil) != (refErr == nil) {
-					t.Fatalf("%d procs x %d res trial %d step %d: error divergence: fast=%v ref=%v",
-						geo.procs, geo.resources, trial, step, fastErr, refErr)
-				}
-				if fastGrant != refGrant {
-					t.Fatalf("%d procs x %d res trial %d step %d: p%d req q%d: fast granted=%v ref granted=%v",
-						geo.procs, geo.resources, trial, step, p, q, fastGrant, refGrant)
-				}
-			}
-			if fast.Refusals != ref.Refusals {
-				t.Fatalf("%d procs x %d res trial %d: refusal counts diverge: fast=%d ref=%d",
-					geo.procs, geo.resources, trial, fast.Refusals, ref.Refusals)
+			anyResource := func(int) int { return rng.Intn(geo.resources) }
+			if d := bankerDivergence(fast, ref, rng, anyResource, 500); d != "" {
+				t.Fatalf("%d procs x %d res trial %d: %s", geo.procs, geo.resources, trial, d)
 			}
 		}
 	}
+
+	for _, geo := range []struct{ procs, resources int }{{12, 256}, {12, 16}} {
+		for trial := 0; trial < 20; trial++ {
+			fast, ref := newBankerPair(t, geo.procs, geo.resources)
+			claims := sparseClaims(rng, geo.procs, geo.resources)
+			for p, cl := range claims {
+				switch trial % 3 {
+				case 0: // one call
+					declareBoth(t, fast, ref, p, cl...)
+				case 1: // one call per resource
+					for _, q := range cl {
+						declareBoth(t, fast, ref, p, q)
+					}
+				default: // two overlapping calls: the first claim twice
+					declareBoth(t, fast, ref, p, cl[:1+len(cl)/2]...)
+					declareBoth(t, fast, ref, p, append([]int{cl[0]}, cl[len(cl)/2:]...)...)
+				}
+			}
+			// Mostly claimed resources, so the safety scans run; now and
+			// then an unclaimed one, which both engines must reject.
+			pick := func(p int) int {
+				if rng.Float64() < 0.05 {
+					return rng.Intn(geo.resources)
+				}
+				return claims[p][rng.Intn(len(claims[p]))]
+			}
+			if d := bankerDivergence(fast, ref, rng, pick, 500); d != "" {
+				t.Fatalf("sparse %d procs x %d res trial %d: %s", geo.procs, geo.resources, trial, d)
+			}
+		}
+	}
+}
+
+// The Banker-ignores-one-resource mutant: the word-parallel Banker is
+// declared without one claimed resource per process and the traffic never
+// requests it, so only the safety scans can tell the two engines apart.  A
+// trial is a fresh sparse 12x16 claim set (1–6 claims per process, fuzz
+// traffic's shape) and 500 steps of traffic.  RefBanker must diverge within
+// 4 trials, 20 times over; 200 such searches took at most 2 trials (199 of
+// them 1).  An oracle that stays silent here does not check the scan.
+func TestRefBankerCatchesIgnoredResource(t *testing.T) {
+	const procs, resources, catches, maxTrials, steps = 12, 16, 20, 4, 500
+	rng := det.New(7)
+	for catch := 0; catch < catches; catch++ {
+		caught := false
+		for trial := 0; trial < maxTrials && !caught; trial++ {
+			fast, ref := newBankerPair(t, procs, resources)
+			claims := sparseClaims(rng, procs, resources)
+			for p, cl := range claims {
+				if err := ref.DeclareClaim(p, cl...); err != nil {
+					t.Fatal(err)
+				}
+				// The mutant forgets cl[0]; a process left with nothing
+				// to request sits idle.
+				if err := fast.DeclareClaim(p, cl[1:]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pick := func(p int) int {
+				if len(claims[p]) == 1 {
+					return -1
+				}
+				return claims[p][1+rng.Intn(len(claims[p])-1)]
+			}
+			caught = bankerDivergence(fast, ref, rng, pick, steps) != ""
+		}
+		if !caught {
+			t.Fatalf("search %d: %d trials of %d steps without a divergence from a Banker that ignores one resource per process",
+				catch, maxTrials, steps)
+		}
+	}
+}
+
+func newBankerPair(t *testing.T, procs, resources int) (*Banker, *RefBanker) {
+	t.Helper()
+	fast, err := NewBanker(procs, resources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRefBanker(procs, resources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fast, ref
+}
+
+func declareBoth(t *testing.T, fast *Banker, ref *RefBanker, p int, qs ...int) {
+	t.Helper()
+	if err := fast.DeclareClaim(p, qs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.DeclareClaim(p, qs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sparseClaims draws 1–6 distinct resources per process.
+func sparseClaims(rng *det.RNG, procs, resources int) [][]int {
+	claims := make([][]int, procs)
+	for p := range claims {
+		for k := 1 + rng.Intn(6); len(claims[p]) < k; {
+			if q := rng.Intn(resources); !slices.Contains(claims[p], q) {
+				claims[p] = append(claims[p], q)
+			}
+		}
+	}
+	return claims
+}
+
+// bankerDivergence drives both engines with the same random traffic — per
+// step a random process releases something it holds 40% of the time when
+// it holds anything, and otherwise requests pick(p), skipped when pick
+// returns -1 —
+// and describes the first difference in errors, grants or refusal totals
+// ("" = none).
+func bankerDivergence(fast *Banker, ref *RefBanker, rng *det.RNG, pick func(p int) int, steps int) string {
+	for step := 0; step < steps; step++ {
+		p := rng.Intn(fast.n)
+		q := pick(p)
+		if held := fast.Graph().HeldBy(p); len(held) > 0 && rng.Float64() < 0.4 {
+			q = held[rng.Intn(len(held))]
+			if err := fast.Release(p, q); err != nil {
+				return fmt.Sprintf("step %d: fast release: %v", step, err)
+			}
+			if err := ref.Release(p, q); err != nil {
+				return fmt.Sprintf("step %d: ref release: %v", step, err)
+			}
+			continue
+		}
+		if q < 0 {
+			continue
+		}
+		fastGrant, fastErr := fast.Request(p, q)
+		refGrant, refErr := ref.Request(p, q)
+		if (fastErr == nil) != (refErr == nil) {
+			return fmt.Sprintf("step %d: error divergence: fast=%v ref=%v", step, fastErr, refErr)
+		}
+		if fastGrant != refGrant {
+			return fmt.Sprintf("step %d: p%d req q%d: fast granted=%v ref granted=%v", step, p, q, fastGrant, refGrant)
+		}
+	}
+	if fast.Refusals != ref.Refusals {
+		return fmt.Sprintf("refusal counts diverge: fast=%d ref=%d", fast.Refusals, ref.Refusals)
+	}
+	return ""
 }
 
 // Warm Banker and Avoider must decide steady-state traffic without

@@ -1,25 +1,28 @@
-// RefBanker is the per-cell reference implementation of the Banker's
-// algorithm: boolean claim rows, a plain holder index per resource and the
-// original triple-loop safety scan.  It shares no state, claim storage or
-// scanning code with the word-parallel Banker (not even the rag.Graph the
-// Banker tracks allocations in), so the fuzz campaign can replay every
+// RefBanker is the reference Banker's algorithm: a claim list per process,
+// a plain holder index per resource and the textbook Work/Finish safety
+// scan over those lists, so a scan costs what the processes claim, not n·m.
+// It shares no state, claim storage or scanning code with the word-parallel
+// Banker (no rag.Graph, no bit plane), so the fuzz campaign can replay every
 // seed's traffic through both and flag any grant/refuse divergence.
 
 package daa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// RefBanker mirrors Banker's public behavior with per-cell internals.
+// RefBanker mirrors Banker's public behavior with claim-list internals.
 type RefBanker struct {
 	m, n     int
-	claims   [][]bool // claims[p][q]: p may ever need q
-	holder   []int    // holder[q]: process holding q, or -1
-	free     []bool   // safety-scan scratch, one per resource
-	done     []bool   // safety-scan scratch, one per process
+	claims   [][]int // claims[p]: every resource p may ever need, once each
+	holder   []int   // holder[q]: process holding q, or -1
+	free     []bool  // safety-scan Work, read only at claimed resources
+	done     []bool  // safety-scan Finish, one per process
 	Refusals int
 }
 
-// NewRefBanker creates the per-cell oracle.
+// NewRefBanker creates the reference oracle.
 func NewRefBanker(procs, resources int) (*RefBanker, error) {
 	if procs <= 0 || resources <= 0 {
 		return nil, fmt.Errorf("daa: invalid banker size %d x %d", procs, resources)
@@ -27,6 +30,7 @@ func NewRefBanker(procs, resources int) (*RefBanker, error) {
 	b := &RefBanker{
 		m:      resources,
 		n:      procs,
+		claims: make([][]int, procs),
 		holder: make([]int, resources),
 		free:   make([]bool, resources),
 		done:   make([]bool, procs),
@@ -34,34 +38,34 @@ func NewRefBanker(procs, resources int) (*RefBanker, error) {
 	for q := range b.holder {
 		b.holder[q] = -1
 	}
-	b.claims = make([][]bool, procs)
-	for p := range b.claims {
-		b.claims[p] = make([]bool, resources)
-	}
 	return b, nil
 }
 
-// DeclareClaim registers that process p may ever need resource q.
+// DeclareClaim registers that process p may ever need resource q.  The
+// resources are copied into p's own list, each once.
 func (b *RefBanker) DeclareClaim(p int, resources ...int) error {
 	if p < 0 || p >= b.n {
 		return fmt.Errorf("daa: process %d out of range", p)
 	}
+	b.claims[p] = slices.Grow(b.claims[p], len(resources))
 	for _, q := range resources {
 		if q < 0 || q >= b.m {
 			return fmt.Errorf("daa: resource %d out of range", q)
 		}
-		b.claims[p][q] = true
+		if !slices.Contains(b.claims[p], q) {
+			b.claims[p] = append(b.claims[p], q)
+		}
 	}
 	return nil
 }
 
 // Request grants q to p under the same rules as Banker.Request, deciding
-// safety with the per-cell scan.
+// safety with the list scan.
 func (b *RefBanker) Request(p, q int) (granted bool, err error) {
 	if p < 0 || p >= b.n || q < 0 || q >= b.m {
 		return false, fmt.Errorf("daa: request (%d,%d) out of range", p, q)
 	}
-	if !b.claims[p][q] {
+	if !slices.Contains(b.claims[p], q) {
 		return false, fmt.Errorf("daa: p%d requests unclaimed q%d", p+1, q+1)
 	}
 	if b.holder[q] != -1 {
@@ -89,15 +93,17 @@ func (b *RefBanker) Release(p, q int) error {
 	return nil
 }
 
-// safe is the seed triple-loop scan: one holder probe per (process,
-// resource) pair per pass.
+// safe is the textbook Work/Finish scan, processes in ascending order: a
+// process finishes once every resource it claims is free or its own, and
+// gives back what it holds.  Request grants only claimed resources, so a
+// process holds nothing off its list and both loops walk the list.
 func (b *RefBanker) safe() bool {
 	free, done := b.free, b.done
-	for q := 0; q < b.m; q++ {
-		free[q] = b.holder[q] == -1
-	}
-	for p := 0; p < b.n; p++ {
+	for p, claims := range b.claims {
 		done[p] = false
+		for _, q := range claims {
+			free[q] = b.holder[q] == -1
+		}
 	}
 	for retired := 0; retired < b.n; {
 		progress := false
@@ -106,8 +112,8 @@ func (b *RefBanker) safe() bool {
 				continue
 			}
 			ok := true
-			for q := 0; q < b.m; q++ {
-				if b.claims[p][q] && !free[q] && b.holder[q] != p {
+			for _, q := range b.claims[p] {
+				if !free[q] && b.holder[q] != p {
 					ok = false
 					break
 				}
@@ -115,7 +121,7 @@ func (b *RefBanker) safe() bool {
 			if !ok {
 				continue
 			}
-			for q := 0; q < b.m; q++ {
+			for _, q := range b.claims[p] {
 				if b.holder[q] == p {
 					free[q] = true
 				}

@@ -1,5 +1,5 @@
 // The Banker differential: every fuzz seed's traffic is replayed through
-// both Banker engines — the word-parallel bitset Banker and the per-cell
+// both Banker engines — the word-parallel bitset Banker and the claim-list
 // RefBanker — and every grant/refuse decision is compared.  The replay is a
 // deterministic round-robin over the scenario's task programs with claims
 // taken from the static derivation, so both engines see byte-identical
@@ -22,7 +22,7 @@ type BankerDiffResult struct {
 }
 
 // BankerDiff replays sc's traffic through the bitset Banker and the
-// per-cell RefBanker under st's claim sets and compares every decision.
+// claim-list RefBanker under st's claim sets and compares every decision.
 //
 // Replay semantics (identical for both engines, chosen so the stream stays
 // well-formed under refusals): an acquire of a resource the task already
@@ -56,11 +56,9 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 		}
 	}
 
+	m := cfg.Resources
 	pc := make([]int, cfg.Tasks)
-	held := make([][]bool, cfg.Tasks)
-	for t := range held {
-		held[t] = make([]bool, cfg.Resources)
-	}
+	held := make([]bool, cfg.Tasks*m) // held[t*m+q]: task t holds q in the replay
 	mismatch := func(format string, args ...any) {
 		if out.Mismatch == "" {
 			out.Mismatch = fmt.Sprintf("seed %d: banker-diff: ", sc.Seed) + fmt.Sprintf(format, args...)
@@ -85,7 +83,7 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 			pc[t]++
 			progress = true
 			if op.Acquire {
-				if held[t][op.Res] {
+				if held[t*m+op.Res] {
 					continue
 				}
 				fastGrant, fastErr := fast.Request(t, op.Res)
@@ -100,9 +98,9 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 					return out
 				}
 				if fastGrant {
-					held[t][op.Res] = true
+					held[t*m+op.Res] = true
 				}
-			} else if held[t][op.Res] {
+			} else if held[t*m+op.Res] {
 				if err := fast.Release(t, op.Res); err != nil {
 					mismatch("bitset release p%d q%d: %v", t, op.Res, err)
 					return out
@@ -111,7 +109,7 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 					mismatch("ref release p%d q%d: %v", t, op.Res, err)
 					return out
 				}
-				held[t][op.Res] = false
+				held[t*m+op.Res] = false
 			}
 		}
 		if !progress {

@@ -186,17 +186,18 @@ func (st *IPCStatic) FlagCount() int {
 	return n
 }
 
-// DeriveIPC computes the static flag set of a scenario.
+// DeriveIPC computes the static flag set of a scenario.  Every per-task
+// table is one flat plane indexed t*nC+c (task × channel) or t*nT+u (task ×
+// task).
 func DeriveIPC(sc *IPCScenario) *IPCStatic {
 	nT, nC := sc.Cfg.Tasks, sc.Cfg.Channels
-	recvs := make([]int, nC)    // total receive demands per channel
-	minSends := make([]int, nC) // guaranteed supply: non-dropped sends, dups excluded (a dup is lost when the buffer is full)
-	maxSends := make([]int, nC) // possible supply: non-dropped sends, dups counted twice
-	hasRecv := make([][]bool, nT)
-	hasEffSend := make([][]bool, nT)
+	counts := make([]int, 3*nC)
+	recvs := counts[:nC]          // total receive demands per channel
+	minSends := counts[nC : 2*nC] // guaranteed supply: non-dropped sends, dups excluded (a dup is lost when the buffer is full)
+	maxSends := counts[2*nC:]     // possible supply: non-dropped sends, dups counted twice
+	uses := make([]bool, 2*nT*nC)
+	hasRecv, hasEffSend := uses[:nT*nC], uses[nT*nC:]
 	for t := range sc.Ops {
-		hasRecv[t] = make([]bool, nC)
-		hasEffSend[t] = make([]bool, nC)
 		for _, op := range sc.Ops[t] {
 			if op.Send {
 				if !op.Dropped {
@@ -205,19 +206,20 @@ func DeriveIPC(sc *IPCScenario) *IPCStatic {
 					if op.Dup {
 						maxSends[op.Ch]++
 					}
-					hasEffSend[t][op.Ch] = true
+					hasEffSend[t*nC+op.Ch] = true
 				}
 			} else {
 				recvs[op.Ch]++
-				hasRecv[t][op.Ch] = true
+				hasRecv[t*nC+op.Ch] = true
 			}
 		}
 	}
 
+	flags := make([]bool, 3*nT)
 	st := &IPCStatic{
-		Flagged:      make([]bool, nT),
-		CountFlagged: make([]bool, nT),
-		Cyclic:       make([]bool, nT),
+		Flagged:      flags[:nT:nT],
+		CountFlagged: flags[nT : 2*nT : 2*nT],
+		Cyclic:       flags[2*nT:],
 	}
 
 	// Count rules: a channel with more blocking demands than supply starves
@@ -229,7 +231,7 @@ func DeriveIPC(sc *IPCScenario) *IPCStatic {
 	for c := 0; c < nC; c++ {
 		if recvs[c] > minSends[c] {
 			for t := 0; t < nT; t++ {
-				if hasRecv[t][c] {
+				if hasRecv[t*nC+c] {
 					st.CountFlagged[t] = true
 				}
 			}
@@ -237,7 +239,7 @@ func DeriveIPC(sc *IPCScenario) *IPCStatic {
 		surplus := maxSends[c] - recvs[c]
 		if surplus > sc.Caps[c] {
 			for t := 0; t < nT; t++ {
-				if hasEffSend[t][c] {
+				if hasEffSend[t*nC+c] {
 					st.CountFlagged[t] = true
 				}
 			}
@@ -248,57 +250,51 @@ func DeriveIPC(sc *IPCScenario) *IPCStatic {
 	// on its own channel forever).  A receive always waits on the channel's
 	// effective senders; a send waits on the channel's receivers when it can
 	// block at all — any rendezvous send, or a buffered send on a channel
-	// whose possible supply (dups included) can overrun the capacity.
-	edge := make([][]bool, nT)
-	for t := range edge {
-		edge[t] = make([]bool, nT)
-	}
+	// whose possible supply (dups included) can overrun the capacity.  The
+	// edges are written straight into reach, whose closure starts from them.
+	reach := make([]bool, nT*nT)
 	for t := 0; t < nT; t++ {
 		for c := 0; c < nC; c++ {
-			if hasRecv[t][c] {
+			if hasRecv[t*nC+c] {
 				for u := 0; u < nT; u++ {
-					if hasEffSend[u][c] {
-						edge[t][u] = true
+					if hasEffSend[u*nC+c] {
+						reach[t*nT+u] = true
 					}
 				}
 			}
-			if hasEffSend[t][c] && maxSends[c] > sc.Caps[c] {
+			if hasEffSend[t*nC+c] && maxSends[c] > sc.Caps[c] {
 				for u := 0; u < nT; u++ {
-					if hasRecv[u][c] {
-						edge[t][u] = true
+					if hasRecv[u*nC+c] {
+						reach[t*nT+u] = true
 					}
 				}
 			}
 		}
 	}
 
-	// reach[t][u]: u is reachable from t over >= 1 edge (Floyd-Warshall;
+	// reach[t*nT+u]: u is reachable from t over >= 1 edge (Floyd-Warshall;
 	// task counts are single digits).
-	reach := make([][]bool, nT)
-	for t := range reach {
-		reach[t] = append([]bool(nil), edge[t]...)
-	}
 	for k := 0; k < nT; k++ {
 		for i := 0; i < nT; i++ {
-			if !reach[i][k] {
+			if !reach[i*nT+k] {
 				continue
 			}
 			for j := 0; j < nT; j++ {
-				if reach[k][j] {
-					reach[i][j] = true
+				if reach[k*nT+j] {
+					reach[i*nT+j] = true
 				}
 			}
 		}
 	}
 	for t := 0; t < nT; t++ {
-		st.Cyclic[t] = reach[t][t]
+		st.Cyclic[t] = reach[t*nT+t]
 	}
 
 	// Flag = seed sets plus anything that can reach a seed along wait edges.
 	for t := 0; t < nT; t++ {
 		st.Flagged[t] = st.CountFlagged[t] || st.Cyclic[t]
 		for u := 0; u < nT && !st.Flagged[t]; u++ {
-			if reach[t][u] && (st.CountFlagged[u] || st.Cyclic[u]) {
+			if reach[t*nT+u] && (st.CountFlagged[u] || st.Cyclic[u]) {
 				st.Flagged[t] = true
 			}
 		}

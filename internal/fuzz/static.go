@@ -7,11 +7,15 @@
 
 package fuzz
 
+import "slices"
+
 // Static is the scenario's compile-time view.
 type Static struct {
-	// order[a][b] records the lock-order edge a→b: some task acquires b
-	// while holding a.
-	order [][]bool
+	// off/succ is the lock-order graph in CSR form: succ[off[a]:off[a+1]]
+	// lists, ascending and without duplicates, every b with an edge a→b —
+	// some task acquires b while holding a.  A task names a handful of
+	// locks, so the graph is sparse however many resources the system has.
+	off, succ []int
 	// claims[t] is task t's maximal claim set: every resource its program
 	// may acquire, ascending (crash points do not shrink it — static
 	// analysis over-approximates).
@@ -25,39 +29,51 @@ type Static struct {
 // Derive computes the static view of a scenario.
 func Derive(sc *Scenario) *Static {
 	m := sc.Cfg.Resources
-	st := &Static{order: make([][]bool, m), claims: make([][]int, len(sc.Progs))}
-	for a := range st.order {
-		st.order[a] = make([]bool, m)
+	st := &Static{claims: make([][]int, len(sc.Progs))}
+	ops := 0
+	for _, prog := range sc.Progs {
+		ops += len(prog.Ops)
 	}
-	held := make([]bool, m)
-	touched := make([]bool, m)
+	// One backing array holds every task's claim list, and edges collects
+	// each lock-order edge a→b as a*m+b, duplicates included.
+	flat := make([]int, 0, ops)
+	edges := make([]int, 0, 2*ops)
+	var held []int
 	for t, prog := range sc.Progs {
-		for r := range held {
-			held[r] = false
-			touched[r] = false
-		}
+		held = held[:0]
+		start := len(flat)
 		// The static walk follows the program linearly — exactly the
 		// held-set dataflow the lockorder pass runs over task closures.
+		// Re-acquiring a held lock records the self-edge a→a.
 		for _, op := range prog.Ops {
 			if op.Acquire {
-				for a := 0; a < m; a++ {
-					if held[a] {
-						st.order[a][op.Res] = true
-					}
+				for _, a := range held {
+					edges = append(edges, a*m+op.Res)
 				}
-				held[op.Res] = true
-				touched[op.Res] = true
-			} else {
-				held[op.Res] = false
+				if !slices.Contains(held, op.Res) {
+					held = append(held, op.Res)
+				}
+				flat = append(flat, op.Res)
+			} else if i := slices.Index(held, op.Res); i >= 0 {
+				held = slices.Delete(held, i, i+1)
 			}
 		}
-		for r := 0; r < m; r++ {
-			if touched[r] {
-				st.claims[t] = append(st.claims[t], r)
-			}
+		if cl := flat[start:]; len(cl) > 0 {
+			slices.Sort(cl)
+			st.claims[t] = slices.Clip(slices.Compact(cl))
 		}
 	}
-	st.hasCycle = orderCycle(st.order)
+	slices.Sort(edges)
+	st.succ = slices.Compact(edges)
+	st.off = make([]int, m+1)
+	for i, e := range st.succ {
+		st.off[e/m+1]++
+		st.succ[i] = e % m
+	}
+	for a := 0; a < m; a++ {
+		st.off[a+1] += st.off[a]
+	}
+	st.hasCycle = orderCycle(st.off, st.succ)
 	return st
 }
 
@@ -68,57 +84,40 @@ func (st *Static) HasCycle() bool { return st.hasCycle }
 func (st *Static) Claims(t int) []int { return st.claims[t] }
 
 // Edges counts the lock-order edges.
-func (st *Static) Edges() int {
-	n := 0
-	for _, row := range st.order {
-		for _, e := range row {
-			if e {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (st *Static) Edges() int { return len(st.succ) }
 
-// orderCycle is an iterative three-color DFS over the lock-order graph.
-func orderCycle(order [][]bool) bool {
-	m := len(order)
+// orderCycle is an iterative three-color DFS over the CSR lock-order graph;
+// every start vertex reuses one frame stack.
+func orderCycle(off, succ []int) bool {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]int, m)
-	type frame struct{ v, next int }
-	for start := 0; start < m; start++ {
+	color := make([]uint8, len(off)-1)
+	type frame struct{ v, next int } // next indexes succ
+	var stack []frame
+	for start := range color {
 		if color[start] != white {
 			continue
 		}
-		stack := []frame{{start, 0}}
+		stack = append(stack[:0], frame{start, off[start]})
 		color[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			advanced := false
-			for w := f.next; w < m; w++ {
-				if !order[f.v][w] {
-					continue
-				}
-				f.next = w + 1
-				switch color[w] {
-				case gray:
-					return true
-				case white:
-					color[w] = gray
-					stack = append(stack, frame{w, 0})
-				default: // black: already explored
-					continue
-				}
-				advanced = true
-				break
-			}
-			if !advanced {
+			if f.next == off[f.v+1] {
 				color[f.v] = black
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			w := succ[f.next]
+			f.next++
+			switch color[w] {
+			case gray:
+				return true
+			case white:
+				color[w] = gray
+				stack = append(stack, frame{w, off[w]})
 			}
 		}
 	}

@@ -200,7 +200,7 @@ func RunSweep(sw Sweep, workers int) (*Report, error) {
 				res := ExecWith(&es, sc, st, deep)
 				agg.fold(sc, st, res, deep)
 				// The Banker differential: replay the seed's traffic through
-				// the bitset Banker and the per-cell RefBanker, comparing
+				// the bitset Banker and the claim-list RefBanker, comparing
 				// every grant/refuse decision.
 				bd := BankerDiff(sc, st)
 				agg.BankerChecked++
