@@ -7,24 +7,45 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 )
 
 // stdImporter type-checks standard-library packages from GOROOT source —
-// exported API only, function bodies skipped — and memoizes them by import
-// path.  It does the work of go/importer's "source" importer, which
-// re-resolves the package directory (reading the header of every file in
-// it, tests included) on each import request, even for packages it has
-// already checked.  Over this module that re-resolution cost more than the
-// type-checking itself; here each package is resolved once.
+// exported API only — and memoizes them by import path.  It does the work
+// of go/importer's "source" importer, which re-resolves the package
+// directory (reading the header of every file in it, tests included) on
+// each import request, even for packages it has already checked.  Over
+// this module that re-resolution cost more than the type-checking itself;
+// here each package is resolved once.  Function bodies are blanked before parsing
+// (purgeFuncBodies), since the check ignores them anyway, and a package is
+// checked as soon as its imports are, so independent packages are checked
+// concurrently.  It is safe for concurrent use.
 type stdImporter struct {
 	ctxt  *build.Context
 	fset  *token.FileSet
 	sizes types.Sizes
-	// pkgs maps an import path to its package; nil while it is being
-	// checked, so a revisit is an import cycle.
-	pkgs map[string]*types.Package
+	// slots bounds the packages being parsed and checked at once.
+	slots chan struct{}
+
+	mu sync.Mutex
+	// pkgs maps an import path, as first requested, to its package.
+	pkgs map[string]*stdPackage
+}
+
+// stdPackage is one standard-library package: resolved and linked to its
+// imports under stdImporter.mu, then checked by a goroutine of its own.
+type stdPackage struct {
+	bp      *build.Package
+	imports map[string]*stdPackage // by import path as written in bp
+	// resolving is set while the package's imports are being resolved, so
+	// reaching it again then is an import cycle.
+	resolving bool
+	done      chan struct{} // closed once pkg or err is final
+	pkg       *types.Package
+	err       error
 }
 
 func newStdImporter(fset *token.FileSet) *stdImporter {
@@ -33,7 +54,8 @@ func newStdImporter(fset *token.FileSet) *stdImporter {
 		ctxt:  ctxt,
 		fset:  fset,
 		sizes: types.SizesFor(ctxt.Compiler, ctxt.GOARCH),
-		pkgs:  map[string]*types.Package{},
+		slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		pkgs:  map[string]*stdPackage{},
 	}
 }
 
@@ -48,30 +70,61 @@ func (im *stdImporter) ImportFrom(path, dir string, _ types.ImportMode) (*types.
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if pkg, ok := im.pkgs[path]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("import cycle through package %q", path)
-		}
-		return pkg, nil
-	}
-	bp, err := im.ctxt.Import(path, dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	im.pkgs[path] = nil
-	pkg, err := im.check(bp)
-	if err != nil {
-		delete(im.pkgs, path)
-		return nil, err
-	}
-	im.pkgs[path] = pkg
-	return pkg, nil
+	im.mu.Lock()
+	p := im.resolve(path, dir)
+	im.mu.Unlock()
+	<-p.done
+	return p.pkg, p.err
 }
 
-// check parses and type-checks one resolved package.  Cgo files are checked
-// against a fake "C" package (the generated cgo bindings are not built), so
-// C-typed declarations come out invalid while the Go API stays intact.
-func (im *stdImporter) check(bp *build.Package) (*types.Package, error) {
+// resolve returns the package for path, first resolving it and every
+// import it reaches that no earlier call resolved, and starting the check
+// of each.  A package is fully linked to its imports before its check
+// starts, so a package resolved by an earlier call never leads back to
+// one this call is resolving: every import cycle is found here, and no
+// check waits on itself.  Called with im.mu held.
+func (im *stdImporter) resolve(path, dir string) *stdPackage {
+	if p, ok := im.pkgs[path]; ok {
+		if p.resolving {
+			p.err = fmt.Errorf("import cycle through package %q", path)
+		}
+		return p
+	}
+	p := &stdPackage{done: make(chan struct{}), resolving: true}
+	im.pkgs[path] = p
+	p.bp, p.err = im.ctxt.Import(path, dir, 0)
+	if p.err == nil {
+		p.imports = map[string]*stdPackage{}
+		for _, imp := range p.bp.Imports {
+			if imp != "C" && imp != "unsafe" {
+				p.imports[imp] = im.resolve(imp, p.bp.Dir)
+			}
+		}
+	}
+	p.resolving = false
+	if p.err != nil {
+		close(p.done)
+		return p
+	}
+	go im.check(p)
+	return p
+}
+
+// check waits for p's imports, then parses and type-checks it.  Cgo files
+// are checked against a fake "C" package (the generated cgo bindings are
+// not built), so C-typed declarations come out invalid while the Go API
+// stays intact.
+func (im *stdImporter) check(p *stdPackage) {
+	defer close(p.done)
+	for _, path := range p.bp.Imports {
+		if dep := p.imports[path]; dep != nil {
+			<-dep.done
+		}
+	}
+	im.slots <- struct{}{}
+	defer func() { <-im.slots }()
+
+	bp := p.bp
 	names := append(append([]string(nil), bp.GoFiles...), bp.CgoFiles...)
 	files := make([]*ast.File, len(names))
 	errs := make([]error, len(names))
@@ -80,20 +133,21 @@ func (im *stdImporter) check(bp *build.Package) (*types.Package, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			files[i], errs[i] = parser.ParseFile(im.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+			files[i], errs[i] = im.parse(filepath.Join(bp.Dir, name))
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			p.err = err
+			return
 		}
 	}
 	var hardErr error
 	conf := types.Config{
 		IgnoreFuncBodies: true,
 		FakeImportC:      len(bp.CgoFiles) > 0,
-		Importer:         im,
+		Importer:         p,
 		Sizes:            im.sizes,
 		Error: func(err error) {
 			if hardErr == nil && !err.(types.Error).Soft {
@@ -106,7 +160,31 @@ func (im *stdImporter) check(bp *build.Package) (*types.Package, error) {
 		err = hardErr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
+		p.err = fmt.Errorf("type-checking package %q failed (%v)", bp.ImportPath, err)
+		return
 	}
-	return pkg, nil
+	p.pkg = pkg
+}
+
+// parse reads one file, blanks its function bodies and parses it.
+func (im *stdImporter) parse(filename string) (*ast.File, error) {
+	src, err := os.ReadFile(filename)
+	if err != nil {
+		return nil, err
+	}
+	purgeFuncBodies(src)
+	return parser.ParseFile(im.fset, filename, src, parser.SkipObjectResolution)
+}
+
+// Import implements types.Importer for the check of p: every import is one
+// p was linked to and is checked by now.
+func (p *stdPackage) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	dep, ok := p.imports[path]
+	if !ok {
+		return nil, fmt.Errorf("package %q does not list import %q", p.bp.ImportPath, path)
+	}
+	return dep.pkg, dep.err
 }

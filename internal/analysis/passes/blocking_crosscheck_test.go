@@ -14,11 +14,7 @@ import (
 // indexes the per-task worst-case bounds by (scenario, task).
 func loadAppBounds(t *testing.T) map[string]map[string]BlockingBound {
 	t.Helper()
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	_, res, err := framework.RunAnalyzer(pkgs[0], Blocking())
+	_, res, err := framework.RunAnalyzer(appPackage(t), Blocking())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,7 @@ import (
 // and returns its cycle report grouped by scenario function.
 func loadAppCycles(t *testing.T) map[string][]LockCycle {
 	t.Helper()
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	for _, terr := range pkgs[0].TypeErrors {
-		t.Fatalf("internal/app: type error: %v", terr)
-	}
-	_, res, err := framework.RunAnalyzer(pkgs[0], LockOrder())
+	_, res, err := framework.RunAnalyzer(appPackage(t), LockOrder())
 	if err != nil {
 		t.Fatal(err)
 	}

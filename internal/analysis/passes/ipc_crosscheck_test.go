@@ -12,17 +12,7 @@ import (
 // returns the BuildRingScenario scope report.
 func loadRingReport(t *testing.T) IPCScopeReport {
 	t.Helper()
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	for _, terr := range pkgs[0].TypeErrors {
-		t.Fatalf("internal/app: type error: %v", terr)
-	}
-	_, res, err := framework.RunAnalyzer(pkgs[0], IPC())
+	_, res, err := framework.RunAnalyzer(appPackage(t), IPC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +82,7 @@ func TestStaticIPCFlagsCoverRuntimeDeadlockCore(t *testing.T) {
 // is bounded, so a finding there would be a pass bug (bounded variants are
 // never edge sources).
 func TestStaticIPCCleanOnTimeoutRing(t *testing.T) {
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	_, res, err := framework.RunAnalyzer(pkgs[0], IPC())
+	_, res, err := framework.RunAnalyzer(appPackage(t), IPC())
 	if err != nil {
 		t.Fatal(err)
 	}

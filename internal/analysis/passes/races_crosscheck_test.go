@@ -15,17 +15,7 @@ import (
 // pass emits no diagnostics.
 func loadRaceManifest(t *testing.T) *races.Manifest {
 	t.Helper()
-	pkgs, err := framework.LoadModule(".", "deltartos/internal/app")
-	if err != nil {
-		t.Fatalf("load internal/app: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	for _, terr := range pkgs[0].TypeErrors {
-		t.Fatalf("internal/app: type error: %v", terr)
-	}
-	diags, res, err := framework.RunAnalyzer(pkgs[0], Races())
+	diags, res, err := framework.RunAnalyzer(appPackage(t), Races())
 	if err != nil {
 		t.Fatal(err)
 	}

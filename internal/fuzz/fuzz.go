@@ -34,6 +34,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"deltartos/internal/det"
@@ -147,35 +148,34 @@ func Generate(seed uint64, cfg GenConfig) (*Scenario, error) {
 	}
 	rng := det.New(seed)
 	sc := &Scenario{Seed: seed, Cfg: cfg, Progs: make([]TaskProg, cfg.Tasks)}
-	held := make([]bool, cfg.Resources)
-	candidates := make([]int, 0, cfg.Resources)
+	// held lists the resources the task holds in ascending order,
+	// lost-release locks included (they stay held off-stack); the
+	// acquire candidates are the unheld ones.
+	held := make([]int, 0, min(cfg.MaxDepth, cfg.Resources))
 	for t := 0; t < cfg.Tasks; t++ {
 		prog := TaskProg{Name: fmt.Sprintf("p%d", t), CrashAt: -1}
-		for i := range held {
-			held[i] = false
-		}
+		held = held[:0]
 		var stack []int
 		acquires := 0
-		heldCount := 0 // includes lost-release locks, which stay held off-stack
 		for acquires < cfg.Ops || len(stack) > 0 {
-			candidates = candidates[:0]
-			if acquires < cfg.Ops && heldCount < cfg.MaxDepth {
-				for r := 0; r < cfg.Resources; r++ {
-					if !held[r] {
-						candidates = append(candidates, r)
-					}
-				}
+			free := 0
+			if acquires < cfg.Ops && len(held) < cfg.MaxDepth {
+				free = cfg.Resources - len(held)
 			}
-			canAcquire := len(candidates) > 0
+			canAcquire := free > 0
 			canRelease := len(stack) > 0
 			if canAcquire && (!canRelease || rng.Float64() < cfg.PAcquire) {
-				idx := pick(rng, len(candidates), cfg.Hotspot)
-				r := candidates[idx]
+				// The pick-th unheld resource: step over every held one
+				// at or below it.
+				r := pick(rng, free, cfg.Hotspot)
+				i := 0
+				for ; i < len(held) && held[i] <= r; i++ {
+					r++
+				}
+				held = slices.Insert(held, i, r)
 				prog.Ops = append(prog.Ops, Op{Acquire: true, Res: r})
-				held[r] = true
 				stack = append(stack, r)
 				acquires++
-				heldCount++
 				continue
 			}
 			if !canRelease {
@@ -192,8 +192,8 @@ func Generate(seed uint64, cfg GenConfig) (*Scenario, error) {
 				continue
 			}
 			prog.Ops = append(prog.Ops, Op{Acquire: false, Res: r})
-			held[r] = false
-			heldCount--
+			i := slices.Index(held, r)
+			held = slices.Delete(held, i, i+1)
 		}
 		if rng.Float64() < cfg.PCrash && len(prog.Ops) > 0 {
 			prog.CrashAt = rng.Intn(len(prog.Ops))
