@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 build test vet lint lint-json race bench bench-detect bench-fuzz-seed bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc fuzz-targets
+.PHONY: tier1 build test vet lint lint-json race bench bench-detect prod-lines bench-fuzz-seed bench-fuzz bench-fuzz-ipc chaos ipc-chaos fuzz fuzz-ipc fuzz-targets
 
 # tier1 is the merge gate: everything must build, vet and deltalint clean,
 # and pass the test suite under the race detector.
@@ -40,6 +40,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# prod-lines prints the production line count the ROADMAP tracks: every
+# tracked non-test Go file outside _perfbench/ and testdata/.
+prod-lines:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^_perfbench/' | grep -v '/testdata/' | xargs cat | wc -l
 
 # bench-detect runs the detection-layer benchmarks — the PDDA reduction and
 # graph-detect scans on dense and block-diagonal geometries, and the DDU

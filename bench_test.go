@@ -250,41 +250,6 @@ func BenchmarkFig13DDUDetect(b *testing.B) {
 	b.ReportMetric(float64(res.Steps), "hw-steps")
 }
 
-// ---- Prior-work baseline comparison (Section 3.3.2 complexity ladder) ----
-
-func BenchmarkDetectorBaselines(b *testing.B) {
-	rng := det.New(11)
-	graphs := make([]*rag.Graph, 32)
-	for i := range graphs {
-		graphs[i] = rag.Random(rng, 10, 10, 0.7, 0.3)
-	}
-	b.Run("PDDA", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pdda.DetectGraph(graphs[i%len(graphs)])
-		}
-	})
-	b.Run("Holt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pdda.DetectHolt(graphs[i%len(graphs)])
-		}
-	})
-	b.Run("Shoshani", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pdda.DetectShoshani(graphs[i%len(graphs)])
-		}
-	})
-	b.Run("Leibfried", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pdda.DetectLeibfried(graphs[i%len(graphs)])
-		}
-	})
-	b.Run("DFS-oracle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graphs[i%len(graphs)].HasCycle()
-		}
-	})
-}
-
 // ---- Bitset engine vs per-cell engine across geometries ----
 //
 // The word-parallel reduction against the per-cell reference engine at
@@ -398,40 +363,6 @@ func driveContention(b *testing.B, u *dau.Unit) {
 			}
 		}
 	}
-}
-
-// ---- Ablation: bus arbitration policy under contention ----
-
-func BenchmarkAblationBusArbitration(b *testing.B) {
-	run := func(policy sim.Arbitration) (end sim.Cycles, stall sim.Cycles) {
-		s := sim.New()
-		s.Bus.SetArbitration(policy)
-		for pe := 0; pe < 4; pe++ {
-			s.Spawn("pe", pe, func(p *sim.Proc) {
-				for i := 0; i < 200; i++ {
-					s.Bus.Transact(p, 4)
-					p.Delay(2)
-				}
-			})
-		}
-		return s.Run(), s.Bus.StallCycles
-	}
-	b.Run("FCFS", func(b *testing.B) {
-		var end, stall sim.Cycles
-		for i := 0; i < b.N; i++ {
-			end, stall = run(sim.ArbFCFS)
-		}
-		b.ReportMetric(float64(end), "sim-cycles")
-		b.ReportMetric(float64(stall), "stall-cycles")
-	})
-	b.Run("priority", func(b *testing.B) {
-		var end, stall sim.Cycles
-		for i := 0; i < b.N; i++ {
-			end, stall = run(sim.ArbPriority)
-		}
-		b.ReportMetric(float64(end), "sim-cycles")
-		b.ReportMetric(float64(stall), "stall-cycles")
-	})
 }
 
 // ---- helpers ----

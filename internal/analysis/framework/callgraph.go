@@ -391,24 +391,6 @@ func (g *CallGraph) condense() {
 	}
 }
 
-// Recursive reports whether obj's function can (transitively) call itself:
-// it sits in a multi-node component, or calls itself directly.
-func (g *CallGraph) Recursive(obj types.Object) bool {
-	n, ok := g.Nodes[obj]
-	if !ok {
-		return false
-	}
-	if len(g.SCCs[n.SCC]) > 1 {
-		return true
-	}
-	for _, c := range n.Callees {
-		if c == obj {
-			return true
-		}
-	}
-	return false
-}
-
 // FixpointBottomUp drives a summary computation over the condensation:
 // components are visited callees-first, and within each component the
 // transfer function fn is re-applied to every member until none reports a

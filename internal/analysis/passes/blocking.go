@@ -487,7 +487,7 @@ var blockingMethods = map[string]bool{
 	"Park": true, "Recv": true, "Send": true, "Wait": true,
 	"RecvRetry": true, "SendRetry": true, "WaitRetry": true,
 	"RecvTimeout": true, "SendTimeout": true, "WaitTimeout": true,
-	"Sleep": true, "SleepUntil": true, "Suspend": true, "Arrive": true,
+	"Sleep": true, "SleepUntil": true, "Arrive": true,
 	"WaitRegranted": true, "RunOn": true,
 }
 

@@ -187,9 +187,7 @@ func TestDAAGrantsMoreThanBanker(t *testing.T) {
 			case Granted:
 				daaGrants++
 			case Pending, PendingOwnerAsked:
-				if cerr := av.CancelRequest(o.p, o.q); cerr != nil {
-					t.Fatal(cerr)
-				}
+				av.g.RemoveRequest(o.q, o.p) // the process withdraws its request
 			}
 		}
 	}

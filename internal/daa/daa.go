@@ -167,9 +167,6 @@ func (a *Avoider) SetPriority(p int, prio Priority) {
 	a.prio[p] = prio
 }
 
-// PriorityOf returns process p's priority.
-func (a *Avoider) PriorityOf(p int) Priority { return a.prio[p] }
-
 // Graph exposes the tracked RAG for inspection.
 func (a *Avoider) Graph() *rag.Graph { return a.g }
 
@@ -337,15 +334,6 @@ func (a *Avoider) GiveUp(p int) ([]ReleaseResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// CancelRequest withdraws a pending request (used when a process gives up).
-func (a *Avoider) CancelRequest(p, q int) error {
-	if err := a.checkIDs(p, q); err != nil {
-		return err
-	}
-	a.g.RemoveRequest(q, p)
-	return nil
 }
 
 // Deadlocked runs detection on the tracked graph (for verification: an

@@ -119,9 +119,6 @@ func TestIDRangeErrors(t *testing.T) {
 	if _, err := a.Release(-1, 0); err == nil {
 		t.Error("negative process accepted")
 	}
-	if err := a.CancelRequest(0, 9); err == nil {
-		t.Error("cancel out-of-range accepted")
-	}
 	if _, err := a.GiveUp(7); err == nil {
 		t.Error("give-up out-of-range accepted")
 	}
@@ -280,19 +277,6 @@ func TestGiveUpReleasesEverything(t *testing.T) {
 	}
 }
 
-func TestCancelRequest(t *testing.T) {
-	a := mustAvoider(t, 2, 1)
-	req(t, a, 0, 0)
-	req(t, a, 1, 0)
-	if err := a.CancelRequest(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	r := rel(t, a, 0, 0)
-	if r.GrantedTo != -1 {
-		t.Errorf("cancelled request still serviced: %+v", r)
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	a := mustAvoider(t, 2, 2)
 	req(t, a, 0, 0)
@@ -365,9 +349,7 @@ func TestAvoiderNeverCommitsDeadlockRandom(t *testing.T) {
 			case GiveUpRequested:
 				// Comply immediately: release held resources, withdraw waits.
 				for _, qq := range a.Graph().RequestedBy(p) {
-					if err := a.CancelRequest(p, qq); err != nil {
-						t.Fatal(err)
-					}
+					a.g.RemoveRequest(qq, p)
 				}
 				if _, err := a.GiveUp(p); err != nil {
 					t.Fatal(err)

@@ -209,14 +209,6 @@ func (u *Unit) Release(p, q int) (Status, int, error) {
 	return u.Exec(Command{Op: OpRelease, Process: p, Res: q})
 }
 
-// AverageSteps returns the mean steps per executed command.
-func (u *Unit) AverageSteps() float64 {
-	if u.Commands == 0 {
-		return 0
-	}
-	return float64(u.TotalSteps) / float64(u.Commands)
-}
-
 // WorstCaseSteps returns the analytic worst case of Table 2: a release whose
 // grant scan runs the embedded DDU once per process, plus full FSM overhead.
 func WorstCaseSteps(cfg Config) int {

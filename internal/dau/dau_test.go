@@ -260,20 +260,6 @@ func TestWorstCaseStepsTable2(t *testing.T) {
 	}
 }
 
-func TestAverageSteps(t *testing.T) {
-	u := mustUnit(t, 5, 5)
-	if u.AverageSteps() != 0 {
-		t.Error("average of zero commands should be 0")
-	}
-	u.Request(0, 0)
-	u.Request(1, 1)
-	if avg := u.AverageSteps(); avg <= 0 {
-		t.Errorf("AverageSteps = %v", avg)
-	}
-}
-
-// The DAU and pure-software DAA must take identical decisions on identical
-// traffic (the hardware only changes WHERE detection runs).
 func TestDAUMatchesSoftwareDAA(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 40; trial++ {

@@ -7,9 +7,8 @@
 //
 //   - Unit: a functional, step-counted model used inside the MPSoC
 //     simulation.  The DDU is PDDA in hardware (Section 4.2), so the Unit
-//     runs pdda's one reduction kernel on a copy of its cells (with any
-//     stuck-at faults applied) and converts the iteration count k into
-//     clock steps with HardwareSteps.
+//     runs pdda's one reduction kernel on a copy of its cells and converts
+//     the iteration count k into clock steps with HardwareSteps.
 //   - NewRTL: a cell-accurate model of the generated hardware — pdda's
 //     per-cell engine, which evaluates Equations 3–7 register by register
 //     on its own cell array and shares no storage or code with the
@@ -56,10 +55,9 @@ type Result struct {
 // surrounding system (RTOS or DAU) writes cells through the command
 // interface, mirroring how PEs program the real unit over the bus.
 type Unit struct {
-	cfg    Config
-	mx     *rag.Matrix  // the true cells
-	sc     pdda.Scratch // detection working copy, faults applied
-	faults []Fault
+	cfg Config
+	mx  *rag.Matrix  // the cells
+	sc  pdda.Scratch // detection working copy
 
 	// cumulative instrumentation
 	Detections int
@@ -106,10 +104,7 @@ func (u *Unit) Load(g *rag.Graph) error {
 // also keeps its cells, re-evaluating weights combinationally.  The
 // snapshot lives in the unit's scratch, so a warm unit does not allocate.
 func (u *Unit) Detect() Result {
-	work := u.sc.Work(u.cfg.Resources, u.cfg.Procs)
-	work.CopyFrom(u.mx)
-	u.applyFaults(work)
-	dead, st := pdda.DetectWork(&u.sc)
+	dead, st := pdda.DetectInto(&u.sc, u.mx)
 	res := Result{
 		Deadlock:   dead,
 		Iterations: st.Iterations,

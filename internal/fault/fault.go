@@ -423,17 +423,6 @@ func (p *Plan) Pending() int {
 	return n
 }
 
-// LeaksPlanned reports whether any LeakedBlock fault fired — the end-of-run
-// leak check uses it to separate planned leaks from recovery bugs.
-func (p *Plan) LeaksPlanned() bool {
-	for _, f := range p.faults {
-		if f.Kind == LeakedBlock && f.fired {
-			return true
-		}
-	}
-	return false
-}
-
 // oldestUnacked returns the firing time of the earliest fault no recovery
 // has accounted for yet.
 func (p *Plan) oldestUnacked() (sim.Cycles, bool) {

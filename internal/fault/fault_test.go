@@ -165,7 +165,7 @@ func TestLeakedBlockReclaim(t *testing.T) {
 	plan := NewPlan(3).Add(Fault{Kind: LeakedBlock, Task: "a", At: 0})
 	plan.Attach(k, nil, u, nil)
 	s.Run()
-	if !plan.LeaksPlanned() {
+	if plan.Pending() != 0 {
 		t.Fatal("leak fault did not fire")
 	}
 	live := u.Live()

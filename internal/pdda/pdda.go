@@ -1,8 +1,8 @@
 // Package pdda implements the Parallel Deadlock Detection Algorithm of Lee &
 // Mooney (Section 4.2.1): Algorithm 1 (the terminal reduction sequence ξ) and
-// Algorithm 2 (PDDA itself), together with the classic software deadlock
-// detectors the paper cites as prior work (Holt, Shoshani–Coffman, Leibfried,
-// Kim–Koh), which serve as baselines.
+// Algorithm 2 (PDDA itself).  The classic software detectors the paper cites
+// as prior work (Holt, Shoshani–Coffman, Leibfried) are test-only baselines
+// in baselines_test.go.
 //
 // All detectors are instrumented: Stats counts the abstract memory operations
 // the software implementation performs, which the MPSoC simulator converts to
@@ -15,11 +15,11 @@
 // clearing via one AND-NOT sweep per row — over only the rows that still
 // hold an edge, and, through a caller-owned Scratch, performs zero
 // allocations per detection scan.  It is the one reduction core of the
-// repository: software PDDA, the DDU model (ddu.Unit, which fills
-// Scratch.Work with its cells and calls DetectWork) and, through the DDU,
-// the DAU all run it.  The per-cell engine (cells.go, Cells) evaluates the
-// weight and decide cells of Equations 3–7 on its own cell array and serves
-// as the differential oracle of this kernel and of the DDU.  Stats counts
+// repository: software PDDA, the DDU model (ddu.Unit, which runs DetectInto
+// on its cells) and, through the DDU, the DAU all run it.  The per-cell
+// engine (cells.go, Cells) evaluates the weight and decide cells of
+// Equations 3–7 on its own cell array and serves as the differential oracle
+// of this kernel and of the DDU.  Stats counts
 // the ABSTRACT cell operations of the paper's software model (counted, not
 // performed), so packing words never changes the simulated cost — only the
 // host wall clock.
@@ -108,8 +108,8 @@ func ReduceTraced(mx *rag.Matrix) (k int, stats Stats, trace []StepTrace) {
 }
 
 // Work sizes the scratch for an m×n system and returns its working matrix,
-// for a caller that fills the cells itself (a DDU copying its latches and
-// applying stuck-at faults, a detector embedding a smaller graph) before
+// for a caller that fills the cells itself (a detector embedding a smaller
+// graph, the fuzz executor validating the matrix it reduces) before
 // DetectWork.  The matrix stays owned by the scratch.
 func (sc *Scratch) Work(m, n int) *rag.Matrix {
 	sc.ensure(m, n)

@@ -180,7 +180,7 @@ type Queue struct {
 	jamUntil         sim.Cycles // stuck-full fault: report full until this cycle
 	readers, writers WaitQueue
 	senders          peerSet // tasks observed/declared on the sending side
-	receivers        peerSet // tasks observed/declared on the receiving side
+	receivers        peerSet // tasks observed on the receiving side
 	inFlight         int     // fault-delayed deliveries not yet landed
 
 	// Instrumentation.
@@ -197,18 +197,12 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 	return q
 }
 
-// Cap returns the queue capacity (0 = rendezvous).
-func (q *Queue) Cap() int { return q.cap }
-
 // Len returns the number of queued messages.
 func (q *Queue) Len() int { return len(q.items) }
 
 // BindSender declares t a sender on this queue without an operation having
 // been observed yet (scenario topology declarations for the wait-for graph).
 func (q *Queue) BindSender(t *Task) { q.senders.add(t) }
-
-// BindReceiver declares t a receiver on this queue.
-func (q *Queue) BindReceiver(t *Task) { q.receivers.add(t) }
 
 // purgeTask drops a killed task from both wait queues and withdraws its
 // pending rendezvous offers (Kernel.Kill).  If the victim had already been
@@ -559,9 +553,6 @@ func (e *EventFlags) waitPeers(t *Task) ([]*Task, string, bool) {
 
 func (e *EventFlags) ipcEndpoint() bool { return true }
 
-// Bits returns the current flag bits.
-func (e *EventFlags) Bits() uint32 { return e.bits }
-
 func (w *eventWait) satisfied(bits uint32) bool {
 	if w.all {
 		return bits&w.mask == w.mask
@@ -585,12 +576,6 @@ func (e *EventFlags) Set(c *TaskCtx, mask uint32) {
 		}
 	}
 	e.waits = remaining
-}
-
-// Clear deasserts the bits in mask.
-func (e *EventFlags) Clear(c *TaskCtx, mask uint32) {
-	c.serviceOverhead(3)
-	e.bits &^= mask
 }
 
 // Wait blocks until the mask condition is met (any bit when all is false,

@@ -171,22 +171,6 @@ func TestEventFlagsWaitAll(t *testing.T) {
 	}
 }
 
-func TestEventFlagsClear(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	e := k.NewEventFlags("ev")
-	var bitsAfter uint32
-	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
-		e.Set(c, 0b111)
-		e.Clear(c, 0b010)
-		bitsAfter = e.Bits()
-	})
-	s.Run()
-	if bitsAfter != 0b101 {
-		t.Errorf("bits = %03b", bitsAfter)
-	}
-}
-
 func TestEventFlagsAlreadySatisfied(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 1)

@@ -5,10 +5,11 @@
 // Like Atalanta v0.3, the kernel code and all kernel structures live in
 // shared L2 memory: every processing element executes the same kernel and
 // every kernel service pays for its shared-memory accesses over the bus.
-// Supported services mirror the paper's Section 2.1 list: task management
-// (create/suspend/resume), priority scheduling with round-robin within a
-// priority level, semaphores, plain mutexes, message queues (a capacity-1
-// queue is the mailbox), event flags, and interrupt-driven device waits.
+// Supported services are the part of the paper's Section 2.1 list that its
+// experiments use: task creation, preemptive priority scheduling (FIFO
+// within a priority level), plain mutexes, message queues (a capacity-1
+// queue is the mailbox), event flags, barriers, and interrupt-driven device
+// waits.
 // The lock priority protocols (software priority inheritance and the
 // SoCLC's IPCP) live in package soclc and re-rank tasks through
 // Kernel.SetTaskPriority.
@@ -36,7 +37,6 @@ const (
 	StateRunning
 	StateBlocked
 	StateSleeping
-	StateSuspended
 	StateDone
 	// StateKilled is a task terminated by Kernel.Kill (watchdog or deadlock
 	// recovery) before its body completed.  A killed task can be revived
@@ -56,8 +56,6 @@ func (st TaskState) String() string {
 		return "blocked"
 	case StateSleeping:
 		return "sleeping"
-	case StateSuspended:
-		return "suspended"
 	case StateDone:
 		return "done"
 	case StateKilled:
@@ -115,9 +113,6 @@ type Kernel struct {
 	ready   [][]*Task // per-PE ready queue, priority order then FIFO
 	tasks   []*Task
 
-	memAlloc MemAllocFn
-	memFree  MemFreeFn
-
 	misuseFn func(error) bool
 	finj     FaultInjector
 	ipcInj   IPCInjector
@@ -155,9 +150,6 @@ func NewKernel(s *sim.Sim, numPE int) *Kernel {
 		ready:   make([][]*Task, numPE),
 	}
 }
-
-// NumPE returns the number of processing elements.
-func (k *Kernel) NumPE() int { return k.numPE }
 
 // Tasks returns all created tasks.
 func (k *Kernel) Tasks() []*Task { return k.tasks }
@@ -221,8 +213,8 @@ func (k *Kernel) spawnTaskProc(t *Task, delay sim.Cycles) {
 }
 
 // readyInsert places t into its PE's ready queue in priority order, FIFO
-// within equal priority (round-robin order).  front inserts ahead of equal
-// priorities (used for preempted tasks, which keep their slice position).
+// within equal priority.  front inserts ahead of equal priorities (used for
+// preempted tasks, which resume before their equals).
 func (k *Kernel) readyInsert(t *Task, front bool) {
 	q := k.ready[t.PE]
 	i := 0
@@ -460,7 +452,7 @@ type waitPurger interface {
 
 // Kill terminates a task from outside its own context (watchdog expiry or
 // deadlock recovery).  The task unwinds at its next scheduling point: it is
-// woken if blocked, sleeping or suspended, removed from kernel sync-object
+// woken if blocked or sleeping, removed from kernel sync-object
 // wait queues, and its state becomes StateKilled.  Resources held through
 // external managers (SoCLC locks, SoCDMMU blocks) are NOT released here —
 // recovery reclaims them explicitly.  Reports whether the task was alive.
@@ -479,7 +471,7 @@ func (k *Kernel) Kill(t *Task) bool {
 	}
 	//deltalint:partial dormant and ready tasks unwind when next dispatched
 	switch t.state {
-	case StateBlocked, StateSleeping, StateSuspended:
+	case StateBlocked, StateSleeping:
 		k.makeReady(t) // wake it so the unwind can run
 	case StateRunning:
 		if t.sleeping {
@@ -665,44 +657,6 @@ func (c *TaskCtx) SleepUntil(deadline sim.Cycles) {
 		return
 	}
 	c.Sleep(deadline - now)
-}
-
-// Yield voluntarily rotates the task to the back of its priority class
-// (round-robin scheduling within a priority level).
-func (c *TaskCtx) Yield() {
-	c.serviceOverhead(2)
-	t := c.t
-	q := c.k.ready[t.PE]
-	if len(q) == 0 || q[0].CurPrio > t.CurPrio {
-		return // nothing of equal or better priority to rotate to
-	}
-	next := q[0]
-	c.k.ready[t.PE] = q[1:]
-	t.state = StateReady
-	c.k.readyInsert(t, false)
-	c.k.trace(t.PE, t.Name, "yield")
-	c.k.dispatch(t.PE, next)
-	c.ensureRunning()
-}
-
-// Suspend parks the task until another task resumes it.
-func (c *TaskCtx) Suspend() {
-	c.serviceOverhead(2)
-	t := c.t
-	c.k.vacate(t, StateSuspended, "suspend")
-	for t.state == StateSuspended {
-		t.sig.Wait(c.p)
-	}
-	c.ensureRunning()
-}
-
-// Resume moves a suspended task back to ready.
-func (c *TaskCtx) Resume(t *Task) {
-	c.serviceOverhead(2)
-	if t.state != StateSuspended {
-		return
-	}
-	c.k.makeReady(t)
 }
 
 // serviceOverhead charges the fixed cost of a kernel service: trap entry,

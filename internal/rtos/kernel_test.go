@@ -119,33 +119,6 @@ func TestEqualPriorityFIFONoPreemption(t *testing.T) {
 	}
 }
 
-func TestYieldRoundRobin(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	var order []string
-	mk := func(name string) {
-		k.CreateTask(name, 0, 3, 0, func(c *TaskCtx) {
-			for i := 0; i < 2; i++ {
-				c.Compute(10)
-				order = append(order, name)
-				c.Yield()
-			}
-		})
-	}
-	mk("a")
-	mk("b")
-	s.Run()
-	want := []string{"a", "b", "a", "b"}
-	if len(order) != 4 {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("round-robin order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestSleepFreesPE(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 1)
@@ -183,27 +156,6 @@ func TestSleepUntil(t *testing.T) {
 	}
 }
 
-func TestSuspendResume(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 2)
-	var resumedAt sim.Cycles
-	victim := k.CreateTask("victim", 0, 1, 0, func(c *TaskCtx) {
-		c.Suspend()
-		resumedAt = c.Now()
-	})
-	k.CreateTask("controller", 1, 1, 0, func(c *TaskCtx) {
-		c.Compute(3000)
-		c.Resume(victim)
-	})
-	s.Run()
-	if resumedAt < 3000 {
-		t.Errorf("resumed at %d", resumedAt)
-	}
-	if !s.AllDone() {
-		t.Errorf("blocked procs remain: %v", s.Blocked())
-	}
-}
-
 func TestTwoPEsRunInParallel(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
@@ -222,14 +174,14 @@ func TestDeterministicSchedule(t *testing.T) {
 	run := func() sim.Cycles {
 		s := sim.New()
 		k := NewKernel(s, 2)
-		sem := k.NewSemaphore("s", 0)
+		q := k.NewQueue("s", 1)
 		k.CreateTask("a", 0, 2, 0, func(c *TaskCtx) {
 			c.Compute(100)
-			sem.Post(c)
+			q.Send(c, 1)
 			c.Compute(50)
 		})
 		k.CreateTask("b", 1, 1, 0, func(c *TaskCtx) {
-			sem.Pend(c)
+			q.Recv(c)
 			c.Compute(400)
 		})
 		k.CreateTask("d", 0, 1, 120, func(c *TaskCtx) {
@@ -335,7 +287,7 @@ func TestTaskStateString(t *testing.T) {
 	for st, want := range map[TaskState]string{
 		StateDormant: "dormant", StateReady: "ready", StateRunning: "running",
 		StateBlocked: "blocked", StateSleeping: "sleeping",
-		StateSuspended: "suspended", StateDone: "done",
+		StateDone: "done", StateKilled: "killed",
 	} {
 		if st.String() != want {
 			t.Errorf("%d.String() = %q", int(st), st.String())

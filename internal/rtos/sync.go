@@ -73,68 +73,6 @@ func (k *Kernel) wakeHead(q *WaitQueue) {
 	}
 }
 
-// Semaphore is a counting semaphore with priority-ordered wakeup.
-type Semaphore struct {
-	k       *Kernel
-	Name    string
-	count   int
-	waiters WaitQueue
-	// Instrumentation.
-	Pends, Posts, Blocks int
-}
-
-// NewSemaphore creates a semaphore with an initial count.
-func (k *Kernel) NewSemaphore(name string, initial int) *Semaphore {
-	if initial < 0 {
-		panic("rtos: negative semaphore count")
-	}
-	s := &Semaphore{k: k, Name: name, count: initial}
-	k.syncObjs = append(k.syncObjs, s)
-	return s
-}
-
-// purgeTask drops a killed task from the wait queue (Kernel.Kill).
-func (s *Semaphore) purgeTask(t *Task) { s.waiters.Remove(t) }
-
-// Count returns the current count.
-func (s *Semaphore) Count() int { return s.count }
-
-// Pend decrements the count, blocking while it is zero.
-func (s *Semaphore) Pend(c *TaskCtx) {
-	c.serviceOverhead(4)
-	s.Pends++
-	for s.count == 0 {
-		s.Blocks++
-		s.waiters.Push(c.t)
-		c.Park("sem:" + s.Name)
-	}
-	s.count--
-}
-
-// TryPend decrements without blocking; reports success.
-func (s *Semaphore) TryPend(c *TaskCtx) bool {
-	c.serviceOverhead(3)
-	s.Pends++
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	return true
-}
-
-// Post increments the count and wakes the best waiter, if any.
-func (s *Semaphore) Post(c *TaskCtx) {
-	c.serviceOverhead(4)
-	s.PostFromISR()
-}
-
-// PostFromISR increments from a non-task context (device ISR path).
-func (s *Semaphore) PostFromISR() {
-	s.Posts++
-	s.count++
-	s.k.wakeHead(&s.waiters)
-}
-
 // Mutex is a plain binary lock: exclusion with priority-ordered hand-off.
 // It never changes a task's priority; the paper's two lock priority
 // protocols (software priority inheritance, RTOS5, and the SoCLC's IPCP,

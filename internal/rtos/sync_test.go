@@ -7,99 +7,6 @@ import (
 	"deltartos/internal/sim"
 )
 
-func TestSemaphorePendPost(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 2)
-	sem := k.NewSemaphore("s", 0)
-	var gotAt sim.Cycles
-	k.CreateTask("consumer", 0, 1, 0, func(c *TaskCtx) {
-		sem.Pend(c)
-		gotAt = c.Now()
-	})
-	k.CreateTask("producer", 1, 1, 0, func(c *TaskCtx) {
-		c.Compute(2000)
-		sem.Post(c)
-	})
-	s.Run()
-	if gotAt < 2000 {
-		t.Errorf("consumer unblocked at %d", gotAt)
-	}
-	if sem.Count() != 0 {
-		t.Errorf("count = %d", sem.Count())
-	}
-	if sem.Blocks != 1 {
-		t.Errorf("Blocks = %d", sem.Blocks)
-	}
-}
-
-func TestSemaphoreInitialCount(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	sem := k.NewSemaphore("s", 2)
-	var blocked bool
-	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
-		sem.Pend(c)
-		sem.Pend(c)
-		blocked = sem.TryPend(c)
-	})
-	s.Run()
-	if blocked {
-		t.Error("TryPend on empty semaphore succeeded")
-	}
-}
-
-func TestSemaphoreNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewKernel(sim.New(), 1).NewSemaphore("x", -1)
-}
-
-func TestSemaphoreWakesHighestPriority(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 3)
-	sem := k.NewSemaphore("s", 0)
-	var order []string
-	mk := func(name string, pe, prio int) {
-		k.CreateTask(name, pe, prio, 0, func(c *TaskCtx) {
-			sem.Pend(c)
-			order = append(order, name)
-		})
-	}
-	mk("low", 0, 5)
-	mk("high", 1, 1)
-	k.CreateTask("poster", 2, 3, 1000, func(c *TaskCtx) {
-		sem.Post(c)
-		c.Compute(500)
-		sem.Post(c)
-	})
-	s.Run()
-	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
-		t.Errorf("wake order = %v", order)
-	}
-}
-
-func TestSemaphorePostFromISR(t *testing.T) {
-	s := sim.New()
-	k := NewKernel(s, 1)
-	sem := k.NewSemaphore("irq", 0)
-	var gotAt sim.Cycles
-	k.CreateTask("handler", 0, 1, 0, func(c *TaskCtx) {
-		sem.Pend(c)
-		gotAt = c.Now()
-	})
-	s.Spawn("device", -1, func(p *sim.Proc) {
-		p.Delay(1234)
-		sem.PostFromISR()
-	})
-	s.Run()
-	if gotAt < 1234 {
-		t.Errorf("handler woke at %d", gotAt)
-	}
-}
-
 func TestMutexBasicExclusion(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)

@@ -65,13 +65,7 @@ func WriteScheduleVCD(w io.Writer, trace []TraceEvent, numPE int) error {
 			curOnPE[ev.PE] = ti
 			vw.SetBit(running[ti], true)
 			vw.SetVec(peVars[ev.PE], uint64(ti+1))
-		case "preempt", "exit", "sleep", "suspend", "yield", "timeslice":
-			if curOnPE[ev.PE] == ti {
-				curOnPE[ev.PE] = -1
-				vw.SetBit(running[ti], false)
-				vw.SetVec(peVars[ev.PE], 0)
-			}
-		default: // block:<what> and friends
+		default: // preempt, exit, sleep, block:<what> and friends
 			if curOnPE[ev.PE] == ti {
 				curOnPE[ev.PE] = -1
 				vw.SetBit(running[ti], false)

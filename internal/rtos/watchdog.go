@@ -38,9 +38,6 @@ func (k *Kernel) Watch(t *Task, deadline sim.Cycles, onExpire func(w *Watchdog, 
 // Task returns the watched task.
 func (w *Watchdog) Task() *Task { return w.t }
 
-// Deadline returns the current absolute expiry time.
-func (w *Watchdog) Deadline() sim.Cycles { return w.deadline }
-
 func (w *Watchdog) arm() {
 	w.gen++
 	g := w.gen

@@ -10,31 +10,14 @@ import "deltartos/internal/trace"
 // is a single shared resource: a transaction issued while another is in
 // flight waits until the bus frees (FCFS — the arbiter's round-robin and the
 // deterministic scheduler give the same order for our workloads).
-// Arbitration selects the bus arbiter's policy, one of the δ framework's
-// bus-configurator knobs.
-type Arbitration int
-
-// Arbitration policies.
-const (
-	// ArbFCFS grants in arrival order (the default; the paper's base
-	// system behaves this way under light contention).
-	ArbFCFS Arbitration = iota
-	// ArbPriority favours lower-numbered PEs when several masters contend
-	// for the same grant slot: each retry costs a PE-indexed skew, so PE0
-	// always wins a tie.  Device/unit contexts (PE -1) win over all PEs.
-	ArbPriority
-)
-
 type Bus struct {
 	sim       *Sim
 	busyUntil Cycles
-	policy    Arbitration
 
 	// Instrumentation.
 	Transactions Cycles
 	WordsMoved   Cycles
 	StallCycles  Cycles // cycles procs spent waiting for a busy bus
-	Retries      Cycles // re-arbitration rounds under ArbPriority
 	HoldCycles   Cycles // cycles the bus was held by injected stalls (Hold)
 	// OccupiedCycles is the total time the bus was actually driven,
 	// tracked directly per transaction (a Transact word stream and a
@@ -42,12 +25,6 @@ type Bus struct {
 	// reconstructed from Transactions and WordsMoved alone).
 	OccupiedCycles Cycles
 }
-
-// SetArbitration selects the arbiter policy (call before simulation).
-func (b *Bus) SetArbitration(a Arbitration) { b.policy = a }
-
-// Policy returns the configured arbitration policy.
-func (b *Bus) Policy() Arbitration { return b.policy }
 
 // Timing constants of the base MPSoC.
 const (
@@ -92,10 +69,6 @@ func (b *Bus) Transact(p *Proc, words int) {
 		return
 	}
 	cost := TransactionCycles(words)
-	if b.policy == ArbPriority {
-		b.transactPriority(p, cost, words)
-		return
-	}
 	now := b.sim.now
 	start := now
 	if b.busyUntil > start {
@@ -105,35 +78,6 @@ func (b *Bus) Transact(p *Proc, words int) {
 	b.busyUntil = start + cost
 	b.complete(p, "bus.transact", start, cost, wait, words)
 	p.Delay(wait + cost)
-}
-
-// transactPriority resolves contention with PE-indexed skew: a contender
-// waits until the current transfer ends plus a penalty of one cycle per
-// priority level below the top, so when several masters re-arbitrate for
-// the same slot the highest-priority master claims first and the others
-// loop.  Device/unit contexts (PE -1) re-arbitrate with no skew at all and
-// therefore win over every PE, including PE0.  The skew is an artifact of
-// the retry model, not bus traffic: only the time spent waiting for a busy
-// bus counts toward StallCycles.
-func (b *Bus) transactPriority(p *Proc, cost Cycles, words int) {
-	skew := Cycles(0)
-	if p.PE >= 0 {
-		skew = Cycles(p.PE) + 1
-	}
-	var stalled Cycles
-	for {
-		now := b.sim.now
-		if b.busyUntil <= now {
-			b.busyUntil = now + cost
-			b.complete(p, "bus.transact", now, cost, stalled, words)
-			p.Delay(cost)
-			return
-		}
-		busWait := b.busyUntil - now
-		stalled += busWait
-		b.Retries++
-		p.Delay(busWait + skew)
-	}
 }
 
 // TransactFast performs a transfer to a fast bus slave (the SoCLC lock

@@ -2,54 +2,6 @@ package sim
 
 import "testing"
 
-func TestArbitrationDefaultFCFS(t *testing.T) {
-	s := New()
-	if s.Bus.Policy() != ArbFCFS {
-		t.Error("default policy should be FCFS")
-	}
-}
-
-func TestPriorityArbitrationFavorsLowPE(t *testing.T) {
-	// Three PEs contend for the bus the instant a long transfer ends.
-	// Under priority arbitration PE0 must win, then PE1, then PE2.
-	s := New()
-	s.Bus.SetArbitration(ArbPriority)
-	var order []int
-	// A device context occupies the bus first.
-	s.Spawn("dma", -1, func(p *Proc) {
-		s.Bus.Transact(p, 30) // 32 cycles
-	})
-	for pe := 2; pe >= 0; pe-- { // spawn in reverse so arrival order != priority
-		pe := pe
-		s.Spawn("pe", pe, func(p *Proc) {
-			p.Delay(1) // all contend at t=1, mid-transfer
-			s.Bus.Transact(p, 8)
-			order = append(order, pe)
-		})
-	}
-	s.Run()
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("grant order = %v, want [0 1 2]", order)
-	}
-	if s.Bus.Retries == 0 {
-		t.Error("no re-arbitration recorded")
-	}
-}
-
-func TestPriorityArbitrationUncontendedCost(t *testing.T) {
-	s := New()
-	s.Bus.SetArbitration(ArbPriority)
-	var end Cycles
-	s.Spawn("a", 3, func(p *Proc) {
-		s.Bus.Transact(p, 8)
-		end = p.Now()
-	})
-	s.Run()
-	if end != 10 {
-		t.Errorf("uncontended priority transfer ended at %d, want 10", end)
-	}
-}
-
 func TestFCFSKeepsArrivalOrder(t *testing.T) {
 	s := New()
 	var order []int
@@ -121,50 +73,6 @@ func TestUtilizationNeverExceedsOneWithFastTraffic(t *testing.T) {
 	s.Run()
 	if u := s.Bus.Utilization(); u != 1.0 {
 		t.Errorf("Utilization = %v, want exactly 1.0", u)
-	}
-}
-
-func TestPriorityDeviceBeatsPE0(t *testing.T) {
-	// A device context (PE -1) and PE0 contend for the same grant slot.
-	// The documented policy says device/unit contexts win over all PEs.
-	s := New()
-	s.Bus.SetArbitration(ArbPriority)
-	var order []string
-	s.Spawn("hold", -1, func(p *Proc) { s.Bus.Transact(p, 30) })
-	s.Spawn("pe0", 0, func(p *Proc) {
-		p.Delay(1)
-		s.Bus.Transact(p, 8)
-		order = append(order, "pe0")
-	})
-	s.Spawn("dma", -1, func(p *Proc) {
-		p.Delay(1)
-		s.Bus.Transact(p, 8)
-		order = append(order, "dma")
-	})
-	s.Run()
-	if len(order) != 2 || order[0] != "dma" || order[1] != "pe0" {
-		t.Errorf("grant order = %v, want [dma pe0]", order)
-	}
-}
-
-func TestPriorityStallExcludesSkew(t *testing.T) {
-	// The retry skew is a modelling artifact, not bus traffic: only the time
-	// spent waiting for a busy bus may count toward StallCycles.
-	s := New()
-	s.Bus.SetArbitration(ArbPriority)
-	s.Spawn("hold", -1, func(p *Proc) { s.Bus.Transact(p, 30) }) // busy until 32
-	s.Spawn("pe2", 2, func(p *Proc) {
-		p.Delay(1)
-		s.Bus.Transact(p, 8)
-	})
-	s.Run()
-	// pe2 contends at t=1 against a bus busy until 32: 31 cycles of genuine
-	// stall; its skew of 3 must not be booked.
-	if s.Bus.StallCycles != 31 {
-		t.Errorf("StallCycles = %d, want 31 (busy wait only, no skew)", s.Bus.StallCycles)
-	}
-	if s.Bus.Retries == 0 {
-		t.Error("no re-arbitration recorded")
 	}
 }
 

@@ -405,9 +405,6 @@ func (a *SoftwareAllocator) Free(c *rtos.TaskCtx, addr Addr) (err error) {
 // Stats implements Allocator.
 func (a *SoftwareAllocator) Stats() Stats { return a.stats }
 
-// FreeSpans returns the number of free-list nodes (fragmentation probe).
-func (a *SoftwareAllocator) FreeSpans() int { return len(a.free) }
-
 // CheckInvariants verifies the free list is sorted, non-overlapping, fully
 // coalesced and within the heap.  Used by property tests.
 func (a *SoftwareAllocator) CheckInvariants() error {
@@ -537,20 +534,4 @@ func Generate(cfg Config) (*verilog.File, error) {
 		"  default: state <= 3'd0;",
 		"endcase")
 	return &f, nil
-}
-
-// Bind installs an allocator as kernel k's memory-management service, so
-// tasks can call TaskCtx.Alloc/Free (the "porting SoCDMMU functionality to
-// an RTOS" integration of Section 2.3.2 — the same kernel API serves both
-// the SoCDMMU and the software allocator).
-func Bind(k *rtos.Kernel, a Allocator) {
-	k.SetMemoryManager(
-		func(c *rtos.TaskCtx, bytes int) (uint32, error) {
-			addr, err := a.Alloc(c, bytes)
-			return uint32(addr), err
-		},
-		func(c *rtos.TaskCtx, addr uint32) error {
-			return a.Free(c, Addr(addr))
-		},
-	)
 }

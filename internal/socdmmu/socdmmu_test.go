@@ -155,8 +155,8 @@ func TestSoftwareAllocatorBasics(t *testing.T) {
 		if err := a.Free(c, p2); err != nil {
 			t.Fatal(err)
 		}
-		if a.FreeSpans() != 1 {
-			t.Errorf("coalescing failed: %d spans", a.FreeSpans())
+		if len(a.free) != 1 {
+			t.Errorf("coalescing failed: %d spans", len(a.free))
 		}
 	})
 	if err := a.CheckInvariants(); err != nil {
