@@ -455,7 +455,9 @@ func BenchmarkSimSpawn(b *testing.B) {
 // 0…0.3) point, so ns/op and allocs/op are per-seed means over the whole
 // contention or message-loss axis.  A phase's inputs come from the phases
 // before it, built outside the timer; exec runs the deep per-scan oracle
-// on the seeds the sweep samples (every OracleEvery-th).
+// on the seeds the sweep samples (every OracleEvery-th), and lint_check
+// round-trips every seed through the lockorder and claims passes (a sweep
+// lint-checks only the first LintSample seeds of each point).
 func BenchmarkFuzzSeed(b *testing.B) {
 	const seedsPerPoint = 16
 	type lockSeed struct {
@@ -520,6 +522,12 @@ func BenchmarkFuzzSeed(b *testing.B) {
 			s := &locks[i%len(locks)]
 			if bd := fuzz.BankerDiff(s.sc, s.st); bd.Mismatch != "" {
 				b.Fatal(bd.Mismatch)
+			}
+		}},
+		{"lint_check", func(b *testing.B, i int) {
+			s := &locks[i%len(locks)]
+			if mismatch, err := fuzz.LintCheck(s.sc, s.st); err != nil || mismatch != "" {
+				b.Fatal(err, mismatch)
 			}
 		}},
 		{"ipc_generate", func(b *testing.B, i int) {

@@ -13,9 +13,9 @@ import (
 // blocking) all need the same skeleton: which package-level functions and
 // locally-bound function literals exist, who calls whom, and a bottom-up
 // order so callee effect summaries are available before their callers are
-// summarized.  This file provides that skeleton — nodes, edges, Tarjan SCC
-// condensation and a fixpoint driver — with no knowledge of what a
-// "summary" is; the passes layer supplies the transfer function.
+// summarized.  This file provides that skeleton — nodes, edges, the SCC
+// condensation (through Digraph) and a fixpoint driver — with no knowledge
+// of what a "summary" is; the passes layer supplies the transfer function.
 
 // CGNode is one function in the call graph: either a *ast.FuncDecl or a
 // *ast.FuncLit that is bound to a named local (`f := func(...) {...}`).
@@ -32,12 +32,6 @@ type CGNode struct {
 	// position of first call for determinism.  Calls to functions outside
 	// the graph (other packages, builtins) are not recorded.
 	Callees []types.Object
-
-	// SCC is the index of this node's strongly connected component in
-	// CallGraph.SCCs (filled by condense).  Components are numbered in
-	// bottom-up (reverse topological) order: every callee outside the
-	// node's own component belongs to a lower-numbered component.
-	SCC int
 }
 
 // Body returns the function body irrespective of node kind.
@@ -73,7 +67,7 @@ type CallGraph struct {
 
 // BuildCallGraph constructs the call graph for one package: one node per
 // package-level FuncDecl and per locally-bound FuncLit, edges from the
-// syntax via the type checker's Uses map, then Tarjan condensation.
+// syntax via the type checker's Uses map, then the SCC condensation.
 func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 	g := &CallGraph{
 		Nodes:    map[types.Object]*CGNode{},
@@ -305,89 +299,32 @@ func (g *CallGraph) collectEdges(n *CGNode) {
 	})
 }
 
-// condense runs Tarjan's SCC algorithm (iterative) and numbers components
-// bottom-up: Tarjan emits each component only after all components it can
-// reach, so emission order is already reverse-topological.
+// condense numbers the nodes by position and lists the components of the
+// resulting Digraph bottom-up (callees before callers), members sorted by
+// position.
 func (g *CallGraph) condense() {
-	// Deterministic node order: by position.
 	nodes := make([]*CGNode, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		nodes = append(nodes, n)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Pos < nodes[j].Pos })
-
-	index := map[*CGNode]int{}
-	lowlink := map[*CGNode]int{}
-	onStack := map[*CGNode]bool{}
-	var stack []*CGNode
-	next := 0
-
-	type frame struct {
-		n  *CGNode
-		ci int // next callee index to visit
+	id := make(map[types.Object]int, len(nodes))
+	for i, n := range nodes {
+		id[n.Obj] = i
 	}
-	var visit func(root *CGNode)
-	visit = func(root *CGNode) {
-		work := []frame{{n: root}}
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			n := f.n
-			if f.ci == 0 {
-				index[n] = next
-				lowlink[n] = next
-				next++
-				stack = append(stack, n)
-				onStack[n] = true
-			}
-			advanced := false
-			for f.ci < len(n.Callees) {
-				callee := g.Nodes[n.Callees[f.ci]]
-				f.ci++
-				if callee == nil {
-					continue
-				}
-				if _, visited := index[callee]; !visited {
-					work = append(work, frame{n: callee})
-					advanced = true
-					break
-				}
-				if onStack[callee] && index[callee] < lowlink[n] {
-					lowlink[n] = index[callee]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// n is finished: pop a component if n is a root.
-			if lowlink[n] == index[n] {
-				var comp []*CGNode
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					top.SCC = len(g.SCCs)
-					comp = append(comp, top)
-					if top == n {
-						break
-					}
-				}
-				// Stable member order within the component.
-				sort.Slice(comp, func(i, j int) bool { return comp[i].Pos < comp[j].Pos })
-				g.SCCs = append(g.SCCs, comp)
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				p := work[len(work)-1].n
-				if lowlink[n] < lowlink[p] {
-					lowlink[p] = lowlink[n]
-				}
-			}
+	adj := make([][]int, len(nodes))
+	for i, n := range nodes {
+		for _, c := range n.Callees {
+			adj[i] = append(adj[i], id[c])
 		}
 	}
-	for _, n := range nodes {
-		if _, visited := index[n]; !visited {
-			visit(n)
+	for _, comp := range NewDigraph(adj).SCCs() {
+		members := make([]*CGNode, len(comp))
+		for k, i := range comp {
+			members[k] = nodes[i]
 		}
+		sort.Slice(members, func(i, j int) bool { return members[i].Pos < members[j].Pos })
+		g.SCCs = append(g.SCCs, members)
 	}
 }
 

@@ -170,7 +170,7 @@ func runBlocking(pass *Pass) (any, error) {
 				scenarioReasons = append(scenarioReasons, fmt.Sprintf("task %s: %s", t.name, r))
 			}
 		}
-		if len(scope.declares) == 0 && !scope.expected && len(findCycles(scope)) > 0 {
+		if len(scope.declares) == 0 && !scope.expected && hasLockCycle(scope) {
 			scenarioReasons = append(scenarioReasons, fmt.Sprintf(
 				"scenario %s: unsupervised cyclic lock-order graph (no Banker claims, no deadlock-expected annotation)", scope.fn))
 		}

@@ -8,6 +8,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"deltartos/internal/analysis/framework"
 )
 
 // The ipc pass: MPI-style send/recv matching over the message-passing
@@ -473,35 +475,17 @@ func analyzeIPCScope(scope *ipcScope) IPCScopeReport {
 		}
 	}
 
-	// Elementary cycles over the wait edges, canonicalized by rotation.
-	seen := map[string]bool{}
-	var path []int
-	onPath := make([]bool, n)
-	record := func(cycle []int) {
-		min := 0
-		for i := range cycle {
-			if cycle[i] < cycle[min] {
-				min = i
-			}
-		}
-		canon := append(append([]int(nil), cycle[min:]...), cycle[:min]...)
-		var keys []string
-		for _, i := range canon {
-			keys = append(keys, fmt.Sprint(i))
-		}
-		id := strings.Join(keys, "->")
-		if seen[id] {
-			return
-		}
-		seen[id] = true
+	// Elementary cycles over the wait edges, each once, starting at its
+	// smallest task.
+	for cycle := range framework.NewDigraph(adj).Cycles() {
 		var labels []string
-		for _, i := range canon {
+		for _, i := range cycle {
 			flagged[i] = true
 			labels = append(labels, scope.tasks[i].label)
 		}
 		witness := token.NoPos
 		for _, s := range sites {
-			if s.task == canon[0] {
+			if s.task == cycle[0] {
 				witness = s.pos
 				break
 			}
@@ -511,30 +495,6 @@ func analyzeIPCScope(scope *ipcScope) IPCScopeReport {
 			Detail: fmt.Sprintf("potential IPC deadlock: tasks of %s form a blocking send/recv cycle: %s -> %s",
 				scope.fn, strings.Join(labels, " -> "), labels[0]),
 		})
-	}
-	var dfs func(start, cur int)
-	dfs = func(start, cur int) {
-		for _, next := range adj[cur] {
-			if next == start {
-				record(append([]int(nil), path...))
-				continue
-			}
-			if next < start || onPath[next] {
-				continue
-			}
-			onPath[next] = true
-			path = append(path, next)
-			dfs(start, next)
-			path = path[:len(path)-1]
-			onPath[next] = false
-		}
-	}
-	for i := 0; i < n; i++ {
-		onPath[i] = true
-		path = append(path[:0], i)
-		dfs(i, i)
-		path = path[:0]
-		onPath[i] = false
 	}
 
 	// Cascade closure: a task whose blocking op waits only on flagged tasks

@@ -4,6 +4,8 @@ import (
 	"go/token"
 	"sort"
 	"strings"
+
+	"deltartos/internal/analysis/framework"
 )
 
 // LockCycle is one potential-deadlock cycle in a scenario's static
@@ -71,102 +73,64 @@ func runLockOrder(pass *Pass) (any, error) {
 	return res, nil
 }
 
-// findCycles enumerates the distinct simple cycles of a scope's lock-order
-// graph.  Cycles are canonicalized (rotated to start at the smallest node)
-// and deduplicated, so each set of conflicting locks is reported once.
-func findCycles(scope *flowScope) []LockCycle {
-	// Adjacency over canonical keys; remember a witness edge per pair.
-	adj := map[string][]string{}
-	edgeAt := map[string]lockEdge{}
-	display := map[string]string{}
+// lockGraph interns a scope's lock keys in sorted order, so ID order is key
+// order, and builds its lock-order Digraph with every successor list in
+// ascending order.
+func lockGraph(scope *flowScope) (*framework.Digraph, []string) {
+	id := map[string]int{}
 	for _, e := range scope.edges {
-		adj[e.from.key] = append(adj[e.from.key], e.to.key)
-		edgeAt[e.from.key+"->"+e.to.key] = e
+		id[e.from.key], id[e.to.key] = 0, 0
+	}
+	keys := make([]string, 0, len(id))
+	for k := range id {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i, k := range keys {
+		id[k] = i
+	}
+	adj := make([][]int, len(keys))
+	for _, e := range scope.edges {
+		from := id[e.from.key]
+		adj[from] = append(adj[from], id[e.to.key])
+	}
+	for _, succ := range adj {
+		sort.Ints(succ)
+	}
+	return framework.NewDigraph(adj), keys
+}
+
+// hasLockCycle reports whether a scope's lock-order graph has a cycle.
+func hasLockCycle(scope *flowScope) bool {
+	g, _ := lockGraph(scope)
+	return g.HasCycle()
+}
+
+// findCycles lists the elementary cycles of a scope's lock-order graph, each
+// once, starting at its smallest key.
+func findCycles(scope *flowScope) []LockCycle {
+	g, keys := lockGraph(scope)
+	// The last display seen for a key wins; addEdge keeps one witness edge
+	// per from->to pair.
+	display := map[string]string{}
+	witness := map[[2]string]token.Pos{}
+	for _, e := range scope.edges {
 		display[e.from.key] = e.from.display
 		display[e.to.key] = e.to.display
+		witness[[2]string{e.from.key, e.to.key}] = e.pos
 	}
-	var nodes []string
-	for n := range adj {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		sort.Strings(adj[n])
-	}
-
-	seen := map[string]bool{}
 	var out []LockCycle
-	var path []string
-	onPath := map[string]bool{}
-
-	record := func(cycle []string) {
-		// Rotate to smallest node for a canonical form.
-		min := 0
-		for i := range cycle {
-			if cycle[i] < cycle[min] {
-				min = i
-			}
+	for cycle := range g.Cycles() {
+		c := LockCycle{Scope: scope.fn, Expected: scope.expected, Nodes: make([]string, len(cycle))}
+		parts := make([]string, len(cycle), len(cycle)+1)
+		for i, v := range cycle {
+			c.Nodes[i], parts[i] = keys[v], display[keys[v]]
 		}
-		canon := append(append([]string(nil), cycle[min:]...), cycle[:min]...)
-		id := strings.Join(canon, "->")
-		if seen[id] {
-			return
+		c.Path = strings.Join(append(parts, parts[0]), " -> ")
+		if c.Pos = witness[[2]string{c.Nodes[0], c.Nodes[1%len(c.Nodes)]}]; c.Pos == token.NoPos {
+			c.Pos = scope.decl.Pos()
 		}
-		seen[id] = true
-		var parts []string
-		for _, k := range canon {
-			parts = append(parts, display[k])
-		}
-		parts = append(parts, display[canon[0]])
-		first := edgeAt[canon[0]+"->"+canon[1%len(canon)]]
-		pos := first.pos
-		if pos == token.NoPos {
-			pos = scope.decl.Pos()
-		}
-		out = append(out, LockCycle{
-			Scope:    scope.fn,
-			Expected: scope.expected,
-			Nodes:    canon,
-			Path:     strings.Join(parts, " -> "),
-			Pos:      pos,
-		})
+		out = append(out, c)
 	}
-
-	var dfs func(start, cur string)
-	dfs = func(start, cur string) {
-		for _, next := range adj[cur] {
-			if next == start {
-				record(append([]string(nil), path...))
-				continue
-			}
-			// Only extend through nodes >= start so each cycle is found
-			// from its smallest node exactly once.
-			if next < start || onPath[next] {
-				continue
-			}
-			onPath[next] = true
-			path = append(path, next)
-			dfs(start, next)
-			path = path[:len(path)-1]
-			delete(onPath, next)
-		}
-	}
-	for _, n := range nodes {
-		onPath[n] = true
-		path = append(path, n)
-		dfs(n, n)
-		path = path[:0]
-		delete(onPath, n)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].Nodes, ",") < strings.Join(out[j].Nodes, ",")
-	})
-	// Self-edges cannot exist (addEdge drops them), but guard anyway.
-	var filtered []LockCycle
-	for _, c := range out {
-		if len(c.Nodes) > 1 {
-			filtered = append(filtered, c)
-		}
-	}
-	return filtered
+	return out
 }

@@ -193,3 +193,22 @@ func SelfFeeder(k *Kernel) {
 		}
 	})
 }
+
+// DuplicateWaitEdges: a blocks on two queues only b feeds, so it has two
+// wait edges to b, and b blocks on a's queue.  The one ring a -> b -> a is
+// reported once, not once per parallel edge.
+func DuplicateWaitEdges(k *Kernel) {
+	q1 := k.NewQueue("dq1", 1)
+	q2 := k.NewQueue("dq2", 1)
+	back := k.NewQueue("dback", 1)
+	k.CreateTask("a", 0, 1, 0, func(c *TaskCtx) {
+		q1.Recv(c) // want `potential IPC deadlock: tasks of DuplicateWaitEdges form a blocking send/recv cycle: a -> b -> a`
+		q2.Recv(c)
+		back.Send(c, 1)
+	})
+	k.CreateTask("b", 1, 1, 0, func(c *TaskCtx) {
+		back.Recv(c)
+		q1.Send(c, 1)
+		q2.Send(c, 2)
+	})
+}

@@ -84,8 +84,6 @@ type Task struct {
 	killed   bool   // unwind at the next scheduling point (Kernel.Kill)
 
 	// Instrumentation.
-	CPUCycles     sim.Cycles
-	Preemptions   int
 	FinishedAt    sim.Cycles
 	finishedValid bool
 	blockedOn     string
@@ -276,7 +274,6 @@ func (k *Kernel) dispatch(pe int, t *Task) {
 func (k *Kernel) preempt(pe int, t *Task) {
 	old := k.current[pe]
 	old.state = StateReady
-	old.Preemptions++
 	k.readyInsert(old, true)
 	k.trace(pe, old.Name, "preempt")
 	k.current[pe] = t
@@ -554,7 +551,6 @@ func (c *TaskCtx) ensureRunning() {
 			}
 			t.needCtx = false
 			c.p.Delay(sim.ContextSwitchCycles)
-			t.CPUCycles += sim.ContextSwitchCycles
 			continue
 		}
 		t.sig.Wait(c.p)
@@ -586,7 +582,6 @@ func (c *TaskCtx) Compute(n sim.Cycles) {
 		if elapsed > remaining {
 			elapsed = remaining
 		}
-		t.CPUCycles += elapsed
 		remaining -= elapsed
 	}
 }
@@ -624,14 +619,12 @@ func (c *TaskCtx) checkFaults(n sim.Cycles) sim.Cycles {
 func (c *TaskCtx) BusRead(words int) {
 	c.ensureRunning()
 	c.k.S.Bus.Read(c.p, words)
-	c.t.CPUCycles += sim.TransactionCycles(words)
 }
 
 // BusWrite performs a words-long write over the shared bus.
 func (c *TaskCtx) BusWrite(words int) {
 	c.ensureRunning()
 	c.k.S.Bus.Write(c.p, words)
-	c.t.CPUCycles += sim.TransactionCycles(words)
 }
 
 // Sleep blocks the task for dt cycles, freeing the PE.
@@ -668,13 +661,10 @@ func (c *TaskCtx) serviceOverhead(words int) {
 	entry := c.p.Now()
 	cost := sim.Cycles(sim.KernelEntryCycles + sim.KernelExitCycles + sim.SpinLockProbeCycles)
 	c.p.Delay(cost)
-	c.t.CPUCycles += cost
 	c.k.S.Bus.Transact(c.p, 1) // kernel spin-lock RMW
 	if words > 0 {
 		c.k.S.Bus.Transact(c.p, words)
 	}
-	busC := sim.TransactionCycles(1) + sim.TransactionCycles(words)
-	c.t.CPUCycles += busC
 	if r := c.k.S.Rec; r != nil {
 		r.Record(trace.Event{
 			Cycle: entry, Dur: c.p.Now() - entry,
@@ -757,8 +747,6 @@ func (c *TaskCtx) ChargeSharedAccesses(n int) {
 		c.p.Delay(sim.SWAccessOverheadCycles)
 		c.k.S.Bus.Transact(c.p, 1)
 	}
-	cost := sim.Cycles(n) * (sim.SWAccessOverheadCycles + sim.TransactionCycles(1))
-	c.t.CPUCycles += cost
 }
 
 // ChargeCompute charges raw CPU cycles without preemption windows (short
@@ -766,7 +754,6 @@ func (c *TaskCtx) ChargeSharedAccesses(n int) {
 func (c *TaskCtx) ChargeCompute(n sim.Cycles) {
 	c.ensureRunning()
 	c.p.Delay(n)
-	c.t.CPUCycles += n
 }
 
 // RunOn runs a device job of the given duration, blocking the task (and
