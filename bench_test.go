@@ -457,7 +457,9 @@ func BenchmarkSimSpawn(b *testing.B) {
 // before it, built outside the timer; exec runs the deep per-scan oracle
 // on the seeds the sweep samples (every OracleEvery-th), and lint_check
 // round-trips every seed through the lockorder and claims passes (a sweep
-// lint-checks only the first LintSample seeds of each point).
+// lint-checks only the first LintSample seeds of each point).  As in a
+// sweep chunk, exec shares one ExecScratch and the ipc_* phases one
+// IPCScratch across all seeds.
 func BenchmarkFuzzSeed(b *testing.B) {
 	const seedsPerPoint = 16
 	type lockSeed struct {
@@ -500,7 +502,8 @@ func BenchmarkFuzzSeed(b *testing.B) {
 		}
 	}
 
-	var es fuzz.ExecScratch // shared by every seed, as in a sweep chunk
+	var es fuzz.ExecScratch
+	var is fuzz.IPCScratch
 	phases := []struct {
 		name string
 		run  func(b *testing.B, i int)
@@ -532,14 +535,14 @@ func BenchmarkFuzzSeed(b *testing.B) {
 		}},
 		{"ipc_generate", func(b *testing.B, i int) {
 			s := &ipcs[i%len(ipcs)]
-			if _, err := fuzz.GenerateIPC(s.seed, s.gen); err != nil {
+			if _, err := fuzz.GenerateIPCWith(&is, s.seed, s.gen); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"ipc_derive", func(b *testing.B, i int) { fuzz.DeriveIPC(ipcs[i%len(ipcs)].sc) }},
+		{"ipc_derive", func(b *testing.B, i int) { fuzz.DeriveIPCWith(&is, ipcs[i%len(ipcs)].sc) }},
 		{"ipc_exec", func(b *testing.B, i int) {
 			s := &ipcs[i%len(ipcs)]
-			if res := fuzz.ExecIPC(s.sc, s.st); res.MismatchAt != "" {
+			if res := fuzz.ExecIPCWith(&is, s.sc, s.st); res.MismatchAt != "" {
 				b.Fatal(res.MismatchAt)
 			}
 		}},

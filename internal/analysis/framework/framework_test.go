@@ -86,3 +86,68 @@ func TestRunAnalyzerMemoizesRequires(t *testing.T) {
 		t.Errorf("a failing shared analyzer ran %d times, want 3 (once per load)", runs)
 	}
 }
+
+// Config.Overlay stands in for the disk: an overlay-only package tree under
+// a root that does not exist loads, imports within the overlay resolve, and
+// positions name the overlay files.  Beside a real directory, an overlay
+// file replaces the disk file of the same name and the other disk files
+// stay in the package.
+func TestLoadOverlay(t *testing.T) {
+	t.Run("missing root", func(t *testing.T) {
+		root := filepath.Join(t.TempDir(), "missing")
+		aGo, bGo := filepath.Join(root, "a", "a.go"), filepath.Join(root, "b", "b.go")
+		pkgs, err := Load(Config{RootDir: root, Overlay: map[string][]byte{
+			aGo: []byte("package a\n\nimport \"b\"\n\n// F calls into b.\nfunc F() int { return b.G() }\n"),
+			bGo: []byte("package b\n\nfunc G() int { return 1 }\n"),
+		}}, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) != 1 || pkgs[0].PkgPath != "a" {
+			t.Fatalf("loaded %d packages, want a alone", len(pkgs))
+		}
+		pkg := pkgs[0]
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("type errors: %v", pkg.TypeErrors)
+		}
+		if pkg.Types.Scope().Lookup("F") == nil || pkg.Types.Imports()[0].Scope().Lookup("G") == nil {
+			t.Errorf("a.F or b.G missing from the checked packages")
+		}
+		fn := pkg.Syntax[0].Decls[1]
+		if pos := pkg.Fset.Position(fn.Pos()); pos.Filename != aGo || pos.Line != 6 {
+			t.Errorf("F is at %s:%d, want %s:6", pos.Filename, pos.Line, aGo)
+		}
+		if _, err := os.Stat(root); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("loading created the root: %v", err)
+		}
+	})
+
+	t.Run("shadows disk", func(t *testing.T) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "p")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range map[string]string{
+			"p.go": "package p\n\nfunc OnDisk() {}\n",
+			"q.go": "package p\n\nfunc Beside() {}\n",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pkgs, err := Load(Config{RootDir: root, Overlay: map[string][]byte{
+			filepath.Join(dir, "p.go"): []byte("package p\n\nfunc InOverlay() {}\n"),
+		}}, "p")
+		if err != nil || len(pkgs) != 1 || len(pkgs[0].TypeErrors) > 0 {
+			t.Fatalf("load: %v (%d packages)", err, len(pkgs))
+		}
+		scope := pkgs[0].Types.Scope()
+		if scope.Lookup("InOverlay") == nil || scope.Lookup("Beside") == nil || scope.Lookup("OnDisk") != nil {
+			t.Errorf("package scope %v, want InOverlay from the overlay and Beside from disk, not OnDisk", scope.Names())
+		}
+		if n := len(pkgs[0].Syntax); n != 2 {
+			t.Errorf("%d files parsed, want 2", n)
+		}
+	})
+}

@@ -1,13 +1,16 @@
 package framework
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -42,6 +45,12 @@ type Config struct {
 	// IncludeTests parses _test.go files of the target packages too.
 	// In-package test files only; external _test packages are not loaded.
 	IncludeTests bool
+	// Overlay maps absolute file paths to contents, as in go/packages: a
+	// package directory lists its overlay files beside (and in place of)
+	// the files on disk, and an overlay file is parsed from its contents.
+	// A directory may exist only in the overlay, under a RootDir that does
+	// not exist.  The `...` patterns walk the disk only.
+	Overlay map[string][]byte
 }
 
 // loader resolves and type-checks packages on demand.  Module-internal
@@ -54,17 +63,29 @@ type loader struct {
 	std      *stdImporter
 	pkgs     map[string]*Package
 	checking map[string]bool
+	overlay  map[string][]byte   // Config.Overlay under clean paths
+	dirFiles map[string][]string // directory -> its overlay file names
 }
 
 func newLoader(cfg Config) *loader {
 	fset := token.NewFileSet()
-	return &loader{
+	ld := &loader{
 		cfg:      cfg,
 		fset:     fset,
 		std:      newStdImporter(fset),
 		pkgs:     map[string]*Package{},
 		checking: map[string]bool{},
+		overlay:  map[string][]byte{},
+		dirFiles: map[string][]string{},
 	}
+	//deltalint:ordered goFiles sorts each directory's names
+	for file, src := range cfg.Overlay {
+		file = filepath.Clean(file)
+		ld.overlay[file] = src
+		dir := filepath.Dir(file)
+		ld.dirFiles[dir] = append(ld.dirFiles[dir], filepath.Base(file))
+	}
+	return ld
 }
 
 // ModuleRoot walks up from dir to the enclosing go.mod and returns the
@@ -157,7 +178,7 @@ func (ld *loader) expand(patterns []string) ([]string, error) {
 				}
 				continue
 			}
-			if !hasGoFiles(dir) {
+			if !ld.hasGoFiles(dir) {
 				return nil, fmt.Errorf("no Go files in %s", dir)
 			}
 			add(ld.pathForDir(dir))
@@ -184,7 +205,7 @@ func (ld *loader) walkDirs(root string) ([]string, error) {
 		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if hasGoFiles(path) {
+		if ld.hasGoFiles(path) {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -192,17 +213,32 @@ func (ld *loader) walkDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+func (ld *loader) hasGoFiles(dir string) bool {
+	names, _ := ld.goFiles(dir)
+	for _, n := range names {
+		if !strings.HasSuffix(n, "_test.go") {
 			return true
 		}
 	}
 	return false
+}
+
+// goFiles lists the sorted names of the .go files in dir: those on disk
+// and those of the overlay, each once.  A directory only the overlay has
+// is no error.
+func (ld *loader) goFiles(dir string) ([]string, error) {
+	names := slices.Clone(ld.dirFiles[filepath.Clean(dir)])
+	ents, err := os.ReadDir(dir)
+	if err != nil && (len(names) == 0 || !errors.Is(err, fs.ErrNotExist)) {
+		return nil, err
+	}
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
+		}
+	}
+	slices.Sort(names)
+	return slices.Compact(names), nil
 }
 
 // pathForDir maps a directory under RootDir to its import path.
@@ -231,7 +267,7 @@ func (ld *loader) dirForPath(path string) string {
 		return ""
 	}
 	dir := filepath.Join(ld.cfg.RootDir, filepath.FromSlash(path))
-	if hasGoFiles(dir) {
+	if ld.hasGoFiles(dir) {
 		return dir
 	}
 	return ""
@@ -272,26 +308,23 @@ func (ld *loader) importPath(path string) (*types.Package, error) {
 
 // check parses and type-checks one directory as one package.
 func (ld *loader) check(path, dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
+	all, err := ld.goFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		if strings.HasSuffix(n, "_test.go") && !ld.cfg.IncludeTests {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var files []*ast.File
 	pkgName := ""
-	for _, n := range names {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, n), nil, parser.ParseComments)
+	for _, n := range all {
+		if strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") ||
+			strings.HasSuffix(n, "_test.go") && !ld.cfg.IncludeTests {
+			continue
+		}
+		name := filepath.Join(dir, n)
+		var src any // nil: the parser reads the file from disk
+		if data, ok := ld.overlay[name]; ok {
+			src = data
+		}
+		f, err := parser.ParseFile(ld.fset, name, src, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,7 @@ func loadAppCycles(t *testing.T) map[string][]LockCycle {
 		t.Fatal(err)
 	}
 	byScope := map[string][]LockCycle{}
-	for _, c := range res.(*LockOrderResult).Cycles {
+	for _, c := range res.(*LockOrderResult).Cycles() {
 		byScope[c.Scope] = append(byScope[c.Scope], c)
 	}
 	return byScope

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"encoding/json"
 	"go/token"
 	"sort"
 	"strings"
@@ -25,10 +26,60 @@ type LockCycle struct {
 }
 
 // LockOrderResult is the lockorder pass result, consumed by the
-// static-vs-runtime cross-check tests.  It includes cycles suppressed by
-// //deltalint:deadlock-expected.
+// static-vs-runtime cross-check tests and the fuzz lint round-trip.  It
+// keeps every scope's lock-order graph, including the scopes marked
+// //deltalint:deadlock-expected, and lists cycles only when asked.
 type LockOrderResult struct {
-	Cycles []LockCycle
+	scopes []lockScope
+}
+
+// lockScope is one scope's lock-order graph with its keys in ID order.
+type lockScope struct {
+	flow *flowScope
+	g    *framework.Digraph
+	keys []string
+}
+
+// HasCycle reports whether the lock-order graph of the named scope has a
+// cycle, without listing any.
+func (r *LockOrderResult) HasCycle(scope string) bool {
+	for _, ls := range r.scopes {
+		if ls.flow.fn == scope && ls.g.HasCycle() {
+			return true
+		}
+	}
+	return false
+}
+
+// Cycles lists every elementary cycle of every scope, sorted by scope and
+// then by node keys.
+func (r *LockOrderResult) Cycles() []LockCycle {
+	type keyed struct {
+		key string // the cycle's nodes, joined once
+		c   LockCycle
+	}
+	var all []keyed
+	for _, ls := range r.scopes {
+		for _, c := range ls.cycles() {
+			all = append(all, keyed{strings.Join(c.Nodes, ","), c})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].c.Scope != all[j].c.Scope {
+			return all[i].c.Scope < all[j].c.Scope
+		}
+		return all[i].key < all[j].key
+	})
+	out := make([]LockCycle, len(all))
+	for i := range all {
+		out[i] = all[i].c
+	}
+	return out
+}
+
+// MarshalJSON encodes the result as its cycle list.
+func (r *LockOrderResult) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct{ Cycles []LockCycle }{r.Cycles()})
 }
 
 // LockOrder returns the lockorder analyzer: it builds a per-scenario
@@ -49,27 +100,24 @@ func LockOrder() *Analyzer {
 	}
 }
 
+// runLockOrder builds every scope's graph but lists the cycles only of the
+// scopes it reports: the ones not marked deadlock-expected.
 func runLockOrder(pass *Pass) (any, error) {
 	rep := pass.ResultOf[lockFlowAnalyzer].(*flowReport)
 	res := &LockOrderResult{}
 	for _, scope := range rep.scopes {
-		cycles := findCycles(scope)
-		res.Cycles = append(res.Cycles, cycles...)
+		g, keys := lockGraph(scope)
+		ls := lockScope{scope, g, keys}
+		res.scopes = append(res.scopes, ls)
 		if scope.expected {
 			continue
 		}
-		for _, c := range cycles {
+		for _, c := range ls.cycles() {
 			pass.Reportf(c.Pos,
 				"potential deadlock: tasks of %s acquire locks in conflicting orders: %s (annotate the scenario //deltalint:deadlock-expected if intentional)",
 				c.Scope, c.Path)
 		}
 	}
-	sort.Slice(res.Cycles, func(i, j int) bool {
-		if res.Cycles[i].Scope != res.Cycles[j].Scope {
-			return res.Cycles[i].Scope < res.Cycles[j].Scope
-		}
-		return strings.Join(res.Cycles[i].Nodes, ",") < strings.Join(res.Cycles[j].Nodes, ",")
-	})
 	return res, nil
 }
 
@@ -106,10 +154,10 @@ func hasLockCycle(scope *flowScope) bool {
 	return g.HasCycle()
 }
 
-// findCycles lists the elementary cycles of a scope's lock-order graph, each
+// cycles lists the elementary cycles of the scope's lock-order graph, each
 // once, starting at its smallest key.
-func findCycles(scope *flowScope) []LockCycle {
-	g, keys := lockGraph(scope)
+func (ls lockScope) cycles() []LockCycle {
+	scope := ls.flow
 	// The last display seen for a key wins; addEdge keeps one witness edge
 	// per from->to pair.
 	display := map[string]string{}
@@ -120,11 +168,11 @@ func findCycles(scope *flowScope) []LockCycle {
 		witness[[2]string{e.from.key, e.to.key}] = e.pos
 	}
 	var out []LockCycle
-	for cycle := range g.Cycles() {
+	for cycle := range ls.g.Cycles() {
 		c := LockCycle{Scope: scope.fn, Expected: scope.expected, Nodes: make([]string, len(cycle))}
 		parts := make([]string, len(cycle), len(cycle)+1)
 		for i, v := range cycle {
-			c.Nodes[i], parts[i] = keys[v], display[keys[v]]
+			c.Nodes[i], parts[i] = ls.keys[v], display[ls.keys[v]]
 		}
 		c.Path = strings.Join(append(parts, parts[0]), " -> ")
 		if c.Pos = witness[[2]string{c.Nodes[0], c.Nodes[1%len(c.Nodes)]}]; c.Pos == token.NoPos {

@@ -324,7 +324,7 @@ func TestLockOrderResultKeepsExpectedCycles(t *testing.T) {
 		t.Fatalf("lockorder result has type %T, want *LockOrderResult", results["internal/lockorder"])
 	}
 	byScope := map[string][]LockCycle{}
-	for _, c := range res.Cycles {
+	for _, c := range res.Cycles() {
 		byScope[c.Scope] = append(byScope[c.Scope], c)
 	}
 	exp := byScope["ExpectedDeadlock"]
@@ -343,6 +343,34 @@ func TestLockOrderResultKeepsExpectedCycles(t *testing.T) {
 	for _, scope := range []string{"ConsistentOrder", "SeparateScenarios", "SeparateScenariosReversed"} {
 		if n := len(byScope[scope]); n != 0 {
 			t.Errorf("%s: got %d cycles, want 0", scope, n)
+		}
+	}
+}
+
+// HasCycle answers without listing cycles; it must agree with the listing
+// for every scope of the lockorder golden package and of internal/app.
+func TestLockOrderHasCycleMatchesCycles(t *testing.T) {
+	golden := analysistest.Run(t, testdata(), LockOrder(), "internal/lockorder")["internal/lockorder"]
+	_, app, err := framework.RunAnalyzer(appPackage(t), LockOrder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]any{"internal/lockorder": golden, "internal/app": app} {
+		r := res.(*LockOrderResult)
+		listed := map[string]int{}
+		for _, c := range r.Cycles() {
+			listed[c.Scope]++
+		}
+		verdicts := map[bool]int{}
+		for _, ls := range r.scopes {
+			scope := ls.flow.fn
+			if got, want := r.HasCycle(scope), listed[scope] > 0; got != want {
+				t.Errorf("%s: HasCycle(%s) = %v, but %d cycles are listed", name, scope, got, listed[scope])
+			}
+			verdicts[listed[scope] > 0]++
+		}
+		if verdicts[true] == 0 || verdicts[false] == 0 {
+			t.Errorf("%s: scopes with and without cycles: %v; the comparison is vacuous", name, verdicts)
 		}
 	}
 }

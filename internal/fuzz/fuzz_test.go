@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"deltartos/internal/det"
@@ -218,6 +219,20 @@ func TestPDDAMatchesOracle(t *testing.T) {
 // TestLintRoundTrip emits scenarios as Go source and checks deltalint's
 // real lockorder and claims passes agree with the direct derivation.
 func TestLintRoundTrip(t *testing.T) {
+	lintRoundTrip(t)
+}
+
+// LintCheck loads its emitted source through the loader's overlay, so it
+// works with TMPDIR pointing at a directory that does not exist.
+func TestLintCheckNeedsNoTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	lintRoundTrip(t)
+}
+
+// lintRoundTrip lint-checks five seeds each of a contended and a sparse
+// configuration, which between them give both verdicts.
+func lintRoundTrip(t *testing.T) {
+	t.Helper()
 	contended := DefaultGenConfig()
 	contended.Resources = 6
 	sparse := DefaultGenConfig()

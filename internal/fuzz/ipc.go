@@ -115,15 +115,69 @@ type IPCScenario struct {
 	Ops  [][]IPCOp // per-task straight-line programs
 }
 
-// GenerateIPC builds the IPC scenario for one (seed, config) pair.  Equal
-// inputs yield byte-identical scenarios: all randomness flows through one
-// seeded splitmix64 stream drawn in a fixed order.
+// IPCScratch holds the reusable buffers of the three IPC phases.  One
+// scratch serves any number of consecutive seeds of any geometry; the sweep
+// keeps one per chunk, so once the buffers have grown to the chunk's
+// largest seed, generating, deriving and executing a seed allocate
+// nothing.  The scenario, static set and result core returned by the
+// ...With functions live in the scratch: each is valid until the next call
+// of the same phase on it.
+type IPCScratch struct {
+	sc IPCScenario
+	st IPCStatic
+
+	flags  []bool // st's Flagged | CountFlagged | Cyclic
+	counts []int  // per channel: recvs | minSends | maxSends
+	uses   []bool // task × channel: hasRecv | hasEffSend
+	reach  []bool // task × task
+
+	fill, avail, pc []int
+	done            []bool
+	arrivals        [][]int // channels landing at round r, in send order, at r % len
+	core            []int
+}
+
+// zeroed returns buf resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// emptyRows returns buf resized to n empty rows.  Every row keeps its
+// array, including rows past n, so a later, larger resize reuses them too.
+func emptyRows[T any](buf [][]T, n int) [][]T {
+	if cap(buf) < n {
+		buf = append(buf[:cap(buf)], make([][]T, n-cap(buf))...)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = buf[i][:0]
+	}
+	return buf
+}
+
+// GenerateIPC builds the IPC scenario for one (seed, config) pair in a
+// scratch of its own.
 func GenerateIPC(seed uint64, cfg IPCGenConfig) (*IPCScenario, error) {
+	return GenerateIPCWith(new(IPCScratch), seed, cfg)
+}
+
+// GenerateIPCWith builds the IPC scenario for one (seed, config) pair in
+// is.  Equal inputs yield byte-identical scenarios: all randomness flows
+// through one seeded splitmix64 stream drawn in a fixed order.
+func GenerateIPCWith(is *IPCScratch, seed uint64, cfg IPCGenConfig) (*IPCScenario, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := det.New(seed)
-	sc := &IPCScenario{Seed: seed, Cfg: cfg, Caps: make([]int, cfg.Channels)}
+	sc := &is.sc
+	sc.Seed, sc.Cfg = seed, cfg
+	sc.Caps = zeroed(sc.Caps, cfg.Channels)
 	for c := range sc.Caps {
 		if rng.Float64() < cfg.PZeroCap {
 			sc.Caps[c] = 0
@@ -131,7 +185,7 @@ func GenerateIPC(seed uint64, cfg IPCGenConfig) (*IPCScenario, error) {
 			sc.Caps[c] = 1 + rng.Intn(cfg.MaxCap)
 		}
 	}
-	sc.Ops = make([][]IPCOp, cfg.Tasks)
+	sc.Ops = emptyRows(sc.Ops, cfg.Tasks)
 	msgs := cfg.Tasks * cfg.Ops / 2
 	if msgs < 1 {
 		msgs = 1
@@ -186,17 +240,23 @@ func (st *IPCStatic) FlagCount() int {
 	return n
 }
 
-// DeriveIPC computes the static flag set of a scenario.  Every per-task
-// table is one flat plane indexed t*nC+c (task × channel) or t*nT+u (task ×
-// task).
+// DeriveIPC computes the static flag set of a scenario in a scratch of its
+// own.
 func DeriveIPC(sc *IPCScenario) *IPCStatic {
+	return DeriveIPCWith(new(IPCScratch), sc)
+}
+
+// DeriveIPCWith computes the static flag set of a scenario in is.  Every
+// per-task table is one flat plane indexed t*nC+c (task × channel) or
+// t*nT+u (task × task).
+func DeriveIPCWith(is *IPCScratch, sc *IPCScenario) *IPCStatic {
 	nT, nC := sc.Cfg.Tasks, sc.Cfg.Channels
-	counts := make([]int, 3*nC)
-	recvs := counts[:nC]          // total receive demands per channel
-	minSends := counts[nC : 2*nC] // guaranteed supply: non-dropped sends, dups excluded (a dup is lost when the buffer is full)
-	maxSends := counts[2*nC:]     // possible supply: non-dropped sends, dups counted twice
-	uses := make([]bool, 2*nT*nC)
-	hasRecv, hasEffSend := uses[:nT*nC], uses[nT*nC:]
+	is.counts = zeroed(is.counts, 3*nC)
+	recvs := is.counts[:nC]          // total receive demands per channel
+	minSends := is.counts[nC : 2*nC] // guaranteed supply: non-dropped sends, dups excluded (a dup is lost when the buffer is full)
+	maxSends := is.counts[2*nC:]     // possible supply: non-dropped sends, dups counted twice
+	is.uses = zeroed(is.uses, 2*nT*nC)
+	hasRecv, hasEffSend := is.uses[:nT*nC], is.uses[nT*nC:]
 	for t := range sc.Ops {
 		for _, op := range sc.Ops[t] {
 			if op.Send {
@@ -215,12 +275,14 @@ func DeriveIPC(sc *IPCScenario) *IPCStatic {
 		}
 	}
 
-	flags := make([]bool, 3*nT)
-	st := &IPCStatic{
+	is.flags = zeroed(is.flags, 3*nT)
+	flags := is.flags
+	is.st = IPCStatic{
 		Flagged:      flags[:nT:nT],
 		CountFlagged: flags[nT : 2*nT : 2*nT],
 		Cyclic:       flags[2*nT:],
 	}
+	st := &is.st
 
 	// Count rules: a channel with more blocking demands than supply starves
 	// (or sticks) someone; which task loses depends on ordering, so every
@@ -252,7 +314,8 @@ func DeriveIPC(sc *IPCScenario) *IPCStatic {
 	// block at all — any rendezvous send, or a buffered send on a channel
 	// whose possible supply (dups included) can overrun the capacity.  The
 	// edges are written straight into reach, whose closure starts from them.
-	reach := make([]bool, nT*nT)
+	is.reach = zeroed(is.reach, nT*nT)
+	reach := is.reach
 	for t := 0; t < nT; t++ {
 		for c := 0; c < nC; c++ {
 			if hasRecv[t*nC+c] {
@@ -321,21 +384,37 @@ type IPCExecResult struct {
 	MismatchAt string
 }
 
-// ExecIPC runs a scenario round-robin to completion or quiescence and checks
-// the core-containment invariant against st.
+// ExecIPC runs a scenario round-robin to completion or quiescence in a
+// scratch of its own and checks the core-containment invariant against st.
 func ExecIPC(sc *IPCScenario, st *IPCStatic) IPCExecResult {
-	nT := sc.Cfg.Tasks
+	return ExecIPCWith(new(IPCScratch), sc, st)
+}
+
+// ExecIPCWith runs a scenario round-robin to completion or quiescence in is
+// and checks the core-containment invariant against st.  The result's Core
+// lives in is.
+func ExecIPCWith(is *IPCScratch, sc *IPCScenario, st *IPCStatic) IPCExecResult {
+	nT, nC := sc.Cfg.Tasks, sc.Cfg.Channels
 	// Two counters per buffered channel split occupancy from visibility:
 	// fill is the slots reserved (a send blocks on it, a delayed or
 	// duplicated message holds its slot from the moment the send completes)
 	// and avail is the messages receivers can actually take (incremented
 	// when the message arrives, op.Delay rounds after the send).
-	fill := make([]int, sc.Cfg.Channels)
-	avail := make([]int, sc.Cfg.Channels)
-	pending := map[int][]int{} // arrival round -> channels, in send order
+	is.fill, is.avail = zeroed(is.fill, nC), zeroed(is.avail, nC)
+	is.pc, is.done = zeroed(is.pc, nT), zeroed(is.done, nT)
+	fill, avail, pc, done := is.fill, is.avail, is.pc, is.done
+	// A message sent in round r with delay d lands in round r+d, so with
+	// delays of at most maxDelay a ring of maxDelay+1 rounds never holds
+	// the round being drained.
+	maxDelay := 0
+	for _, ops := range sc.Ops {
+		for _, op := range ops {
+			maxDelay = max(maxDelay, op.Delay)
+		}
+	}
+	is.arrivals = emptyRows(is.arrivals, maxDelay+1)
+	arrivals := is.arrivals
 	inFlight := 0
-	pc := make([]int, nT)
-	done := make([]bool, nT)
 	res := IPCExecResult{}
 
 	running := nT
@@ -343,12 +422,12 @@ func ExecIPC(sc *IPCScenario, st *IPCStatic) IPCExecResult {
 	for running > 0 && round < sc.Cfg.Fuse {
 		round++
 		progress := false
-		if chs, ok := pending[round]; ok {
-			for _, c := range chs {
+		if due := &arrivals[round%len(arrivals)]; len(*due) > 0 {
+			for _, c := range *due {
 				avail[c]++
 			}
-			inFlight -= len(chs)
-			delete(pending, round)
+			inFlight -= len(*due)
+			*due = (*due)[:0]
 			progress = true
 		}
 		deliver := func(c, delay int) {
@@ -357,7 +436,8 @@ func ExecIPC(sc *IPCScenario, st *IPCStatic) IPCExecResult {
 				return
 			}
 			res.Delayed++
-			pending[round+delay] = append(pending[round+delay], c)
+			due := &arrivals[(round+delay)%len(arrivals)]
+			*due = append(*due, c)
 			inFlight++
 		}
 		for t := 0; t < nT; t++ {
@@ -421,10 +501,14 @@ func ExecIPC(sc *IPCScenario, st *IPCStatic) IPCExecResult {
 	}
 
 	res.Rounds = round
+	is.core = is.core[:0]
 	for t := 0; t < nT; t++ {
 		if !done[t] && pc[t] < len(sc.Ops[t]) {
-			res.Core = append(res.Core, t)
+			is.core = append(is.core, t)
 		}
+	}
+	if len(is.core) > 0 {
+		res.Core = is.core
 	}
 	switch {
 	case len(res.Core) == 0:
@@ -600,13 +684,14 @@ func RunIPCSweep(sw IPCSweep, workers int) (*IPCReport, error) {
 	aggs, err := campaign.Sweep(len(sw.Points), sw.Seeds, sw.BaseSeed, sw.ChunkSize, workers,
 		func(c campaign.Chunk, agg *IPCAgg) error {
 			gen := sw.Points[c.Point].Gen
+			var is IPCScratch // every buffer of the chunk's seeds
 			for k := 0; k < c.Count; k++ {
-				sc, err := GenerateIPC(c.Seed+uint64(k), gen)
+				sc, err := GenerateIPCWith(&is, c.Seed+uint64(k), gen)
 				if err != nil {
 					return err
 				}
-				st := DeriveIPC(sc)
-				agg.fold(st, ExecIPC(sc, st))
+				st := DeriveIPCWith(&is, sc)
+				agg.fold(st, ExecIPCWith(&is, sc, st))
 			}
 			return nil
 		}, (*IPCAgg).merge)

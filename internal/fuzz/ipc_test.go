@@ -2,6 +2,8 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -323,5 +325,104 @@ func TestIPCFaultSweepContainmentAndParallelDeterminism(t *testing.T) {
 	}
 	if wedged == 0 {
 		t.Error("no run wedged under the fault overlay; the containment check proved nothing")
+	}
+}
+
+// One IPCScratch carried through alternating geometries — many tasks and
+// channels to few and back, transit faults on and off — must give every
+// seed the scenario, static set and result of the fresh-scratch wrappers,
+// and reusing it must not disturb what the wrappers returned earlier.
+func TestIPCScratchReuseMatchesFresh(t *testing.T) {
+	large := IPCGenConfig{Tasks: 12, Channels: 40, Ops: 6, PZeroCap: 0.25, MaxCap: 3, PDrop: 0.1,
+		PDelay: 0.3, MaxDelay: 4, PDup: 0.25, Fuse: 10_000}
+	small := IPCGenConfig{Tasks: 2, Channels: 1, Ops: 1, PZeroCap: 0.5, MaxCap: 1, Fuse: 10_000}
+	largePlain := large
+	largePlain.PDelay, largePlain.MaxDelay, largePlain.PDup = 0, 0, 0
+	smallFaulty := small
+	smallFaulty.PDelay, smallFaulty.MaxDelay, smallFaulty.PDup = 0.5, 2, 0.5
+	render := func(v any) string { return fmt.Sprintf("%+v", v) }
+
+	var is IPCScratch
+	var first []string // the first seed's fresh outputs, rendered
+	var firstSc *IPCScenario
+	var firstSt *IPCStatic
+	var firstRes IPCExecResult
+	wedged, delayed, duplicated := 0, 0, 0
+	for round, cfg := range []IPCGenConfig{large, small, largePlain, smallFaulty, large, DefaultIPCGenConfig(), large} {
+		for seed := uint64(0); seed < 64; seed++ {
+			fsc, err := GenerateIPC(seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fst := DeriveIPC(fsc)
+			fres := ExecIPC(fsc, fst)
+			if first == nil {
+				firstSc, firstSt, firstRes = fsc, fst, fres
+				first = []string{render(*fsc), render(*fst), render(fres)}
+			}
+
+			sc, err := GenerateIPCWith(&is, seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := DeriveIPCWith(&is, sc)
+			res := ExecIPCWith(&is, sc, st)
+			for _, c := range []struct{ what, fresh, reused string }{
+				{"scenario", render(*fsc), render(*sc)},
+				{"static set", render(*fst), render(*st)},
+				{"result", render(fres), render(res)},
+			} {
+				if c.fresh != c.reused {
+					t.Fatalf("round %d seed %d: %s with a reused scratch differs from a fresh one:\nreused %s\nfresh  %s",
+						round, seed, c.what, c.reused, c.fresh)
+				}
+			}
+			if res.Outcome == Wedged {
+				wedged++
+			}
+			delayed += res.Delayed
+			duplicated += res.Duplicated
+		}
+	}
+	if got := []string{render(*firstSc), render(*firstSt), render(firstRes)}; !slices.Equal(got, first) {
+		t.Errorf("later phases changed what the fresh wrappers returned:\nnow  %v\nthen %v", got, first)
+	}
+	if wedged == 0 || delayed == 0 || duplicated == 0 {
+		t.Errorf("%d wedged runs, %d delays, %d dups: the geometries do not exercise the executor", wedged, delayed, duplicated)
+	}
+}
+
+// Once a scratch has grown to the sweep's geometries, generating, deriving
+// and executing a seed allocate nothing.
+func TestIPCScratchPhasesDoNotAllocate(t *testing.T) {
+	type seed struct {
+		n   uint64
+		gen IPCGenConfig
+	}
+	var seeds []seed
+	for _, sw := range []IPCSweep{DefaultIPCSweep(16, 1), FaultIPCSweep(16, 1)} {
+		for p, pt := range sw.Points {
+			for k := 0; k < sw.Seeds; k++ {
+				seeds = append(seeds, seed{sw.BaseSeed + uint64(p*sw.Seeds+k), pt.Gen})
+			}
+		}
+	}
+	var is IPCScratch
+	var ran error
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, s := range seeds {
+			sc, err := GenerateIPCWith(&is, s.n, s.gen)
+			if err != nil {
+				ran = err
+				return
+			}
+			ExecIPCWith(&is, sc, DeriveIPCWith(&is, sc))
+		}
+	})
+	if ran != nil {
+		t.Fatal(ran)
+	}
+	if allocs > 0 {
+		t.Errorf("%v allocations per pass over %d warm seeds, want 0", allocs, len(seeds))
 	}
 }

@@ -10,7 +10,6 @@ package fuzz
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -74,25 +73,21 @@ func (b *Banker) DeclareClaim(p int, rs ...int) {}
 	return b.String()
 }
 
+// lintRoot is the directory LintCheck's emitted package sits under.  It
+// exists only in the loader's overlay: the round trip writes no file and
+// reads none.
+const lintRoot = "/deltafuzz-lint"
+
 // LintCheck round-trips one scenario through the lockorder and claims
 // passes and compares their verdicts against the direct derivation.  It
 // returns a non-empty mismatch description when they disagree (and an
-// error only for infrastructure failures: temp dir, type check).
+// error only for infrastructure failures: load, type check).
 func LintCheck(sc *Scenario, st *Static) (mismatch string, err error) {
-	dir, err := os.MkdirTemp("", "deltafuzz-lint")
-	if err != nil {
-		return "", err
-	}
-	defer os.RemoveAll(dir)
-	pkgDir := filepath.Join(dir, "scenario")
-	if err := os.MkdirAll(pkgDir, 0o755); err != nil {
-		return "", err
-	}
-	src := EmitGo(sc, st)
-	if err := os.WriteFile(filepath.Join(pkgDir, "scenario.go"), []byte(src), 0o644); err != nil {
-		return "", err
-	}
-	pkgs, err := framework.Load(framework.Config{RootDir: dir}, "scenario")
+	src := filepath.Join(lintRoot, "scenario", "scenario.go")
+	pkgs, err := framework.Load(framework.Config{
+		RootDir: lintRoot,
+		Overlay: map[string][]byte{src: []byte(EmitGo(sc, st))},
+	}, "scenario")
 	if err != nil {
 		return "", err
 	}
@@ -104,7 +99,7 @@ func LintCheck(sc *Scenario, st *Static) (mismatch string, err error) {
 		return "", fmt.Errorf("fuzz: emitted scenario does not type-check: %v", terr)
 	}
 
-	// Lockorder: the pass's cycle report must agree with the derived
+	// Lockorder: whether the pass sees a cycle must agree with the derived
 	// lock-order graph (both are may-analyses over the same programs).
 	_, res, err := framework.RunAnalyzer(pkg, passes.LockOrder())
 	if err != nil {
@@ -114,7 +109,7 @@ func LintCheck(sc *Scenario, st *Static) (mismatch string, err error) {
 	if !ok {
 		return "", fmt.Errorf("fuzz: lockorder returned %T", res)
 	}
-	if got, want := len(lockRes.Cycles) > 0, st.HasCycle(); got != want {
+	if got, want := lockRes.HasCycle("Scenario"), st.HasCycle(); got != want {
 		return fmt.Sprintf("seed %d: lockorder pass cycles=%v, derived static cycle=%v",
 			sc.Seed, got, want), nil
 	}

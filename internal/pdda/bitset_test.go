@@ -47,9 +47,9 @@ func TestBitsetEngineMatchesCellEngine(t *testing.T) {
 }
 
 // FuzzReduce checks every word-parallel entry point against the per-cell
-// engine (checkAgainstCells) on graphs decoded from bytes by decodeGraph.
-// The seed corpus spans dense, sparse and block-diagonal geometries on both
-// sides of the 64/65 word edge, so plain `go test` replays exactly those.
+// engine (checkLean) on graphs decoded from bytes by decodeGraph.  The seed
+// corpus spans dense, sparse and block-diagonal geometries on both sides of
+// the 64/65 word edge, so plain `go test` replays exactly those.
 func FuzzReduce(f *testing.F) {
 	rng := det.New(11)
 	for _, g := range []*rag.Graph{
@@ -68,8 +68,36 @@ func FuzzReduce(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc Scratch
-		checkAgainstCells(t, &sc, "fuzz input", decodeGraph(data))
+		checkLean(t, &sc, decodeGraph(data))
 	})
+}
+
+// checkLean is the fuzz target's check: the per-cell engine reduces g once,
+// and each word-parallel entry point runs once, untraced, against it.  The
+// unit tests run the full checkAgainstCells, which also walks ReduceTraced
+// step by step and runs the per-cell detectors.
+func checkLean(t *testing.T, sc *Scratch, g *rag.Graph) {
+	t.Helper()
+	mx := g.Matrix()
+	cells := mx.Clone()
+	k := ReduceCells(cells)
+	wantDead := !cells.Empty()
+	word := mx.Clone()
+	if wordK, _ := Reduce(word); wordK != k || !word.Equal(cells) {
+		t.Fatalf("Reduce k=%d or its matrix differs from ReduceCells (k=%d)", wordK, k)
+	}
+	if intoK, _ := ReduceInto(sc, mx); intoK != k || !sc.work.Equal(cells) {
+		t.Fatalf("ReduceInto k=%d or its matrix differs from ReduceCells (k=%d)", intoK, k)
+	}
+	if dead, _ := Detect(mx); dead != wantDead {
+		t.Fatalf("Detect=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
+	}
+	if dead, _ := DetectInto(sc, mx); dead != wantDead {
+		t.Fatalf("DetectInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
+	}
+	if dead, _ := DetectGraphInto(sc, g); dead != wantDead {
+		t.Fatalf("DetectGraphInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
+	}
 }
 
 // decodeGraph reads a graph of 1–130 resources and 1–130 processes from
