@@ -320,6 +320,103 @@ func BenchmarkBitsetDetectGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkAvoidRequest measures the avoidance layer on the detect_churn
+// shape: a daa.Avoider and a dau.Unit of the tiles64x16x12 size, holding
+// the grants and the requests of that graph as far as avoidance lets them,
+// run one hand-off cycle per op.  Idle p1 requests a resource idle p0
+// holds (pending), p0 releases it to p1, p1 releases it and p0 takes it
+// back: four commands and three detection probes on the whole tracked
+// graph.  The allocs/op column must read 0.
+func BenchmarkAvoidRequest(b *testing.B) {
+	for _, pt := range bitsetPoints {
+		if pt.label != "tiles64x16x12" {
+			continue
+		}
+		g := pt.graph()
+		m, n := g.Size()
+		b.Run(pt.label+"/daa", func(b *testing.B) {
+			a, err := daa.New(daa.Config{Procs: n, Resources: m})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchAvoidCycle(b, g, a.Graph(), func(p int) { a.SetPriority(p, daa.Priority(p)) },
+				func(p, q int) error { _, err := a.Request(p, q); return err },
+				func(p, q int) (int, error) { r, err := a.Release(p, q); return r.GrantedTo, err })
+		})
+		b.Run(pt.label+"/dau", func(b *testing.B) {
+			u, err := dau.New(dau.Config{Procs: n, Resources: m})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchAvoidCycle(b, g, u.Avoider().Graph(), func(p int) { u.SetPriority(p, daa.Priority(p)) },
+				func(p, q int) error { _, _, err := u.Request(p, q); return err },
+				func(p, q int) (int, error) { st, _, err := u.Release(p, q); return st.GrantedTo, err })
+		})
+	}
+}
+
+// benchAvoidCycle loads g's grants, then its requests, into an avoidance
+// front end whose tracked graph is tracked, and times the hand-off cycle
+// of BenchmarkAvoidRequest on the first free, unrequested resource and two
+// processes that hold and request nothing.
+func benchAvoidCycle(b *testing.B, g, tracked *rag.Graph, prio func(p int),
+	request func(p, q int) error, release func(p, q int) (int, error)) {
+	m, n := g.Size()
+	for p := 0; p < n; p++ {
+		prio(p)
+	}
+	for s := 0; s < m; s++ {
+		if h := g.Holder(s); h != -1 {
+			if err := request(h, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for s := 0; s < m; s++ {
+		for _, p := range g.Requesters(s) {
+			if tracked.Holder(s) != p {
+				if err := request(p, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	q := 0
+	for tracked.Holder(q) != -1 || len(tracked.Requesters(q)) > 0 {
+		q++
+	}
+	var idle []int
+	for p := 0; p < n && len(idle) < 2; p++ {
+		if len(tracked.HeldBy(p)) == 0 && len(tracked.RequestedBy(p)) == 0 {
+			idle = append(idle, p)
+		}
+	}
+	p0, p1 := idle[0], idle[1]
+	cycle := func() {
+		if err := request(p1, q); err != nil {
+			b.Fatal(err)
+		}
+		if to, err := release(p0, q); err != nil || to != p1 {
+			b.Fatalf("release by p%d handed q%d to p%d, %v; want p%d", p0+1, q+1, to+1, err, p1+1)
+		}
+		if _, err := release(p1, q); err != nil {
+			b.Fatal(err)
+		}
+		if err := request(p0, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := request(p0, q); err != nil {
+		b.Fatal(err)
+	}
+	cycle() // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 // ---- Ablation: DAU livelock threshold sensitivity ----
 
 func BenchmarkAblationDAULivelockThreshold(b *testing.B) {

@@ -182,8 +182,8 @@ func bankerDivergence(fast *Banker, ref *RefBanker, rng *det.RNG, pick func(p in
 }
 
 // Warm Banker and Avoider must decide steady-state traffic without
-// allocating: the safety scan runs in Banker-owned scratch and the avoider's
-// tentative edges land in a reused trial graph plus a pdda.Scratch.
+// allocating: the safety scan runs in Banker-owned scratch and the avoider
+// probes its tracked graph in place, detecting in a pdda.Scratch.
 func TestAvoidancePathsDoNotAllocate(t *testing.T) {
 	b, err := NewBanker(8, 16)
 	if err != nil {

@@ -9,6 +9,12 @@
 // ("DAA in software", RTOS3 of Table 3) whose instrumented operation counts
 // the simulator turns into bus cycles, and the hardware DAU (package dau)
 // which embeds it behind command/status registers.
+//
+// The avoider probes its tracked graph in place: it applies the tentative
+// edge to the graph, runs detection and, if the edge is refused, undoes it
+// exactly, so a probe copies nothing.  The undo restores what the edge
+// replaced: a waiter's request edge after a refused grant, and a request
+// edge the requester already had after a refused request.
 package daa
 
 import (
@@ -128,10 +134,9 @@ const DefaultLivelockThreshold = 3
 type Avoider struct {
 	cfg      Config
 	g        *rag.Graph
-	trial    *rag.Graph // scratch copy for tentative edges, reused per event
 	psc      pdda.Scratch
 	prio     []Priority
-	deny     map[[2]int]int // consecutive give-up answers per (proc, res)
+	deny     map[[2]int]int // consecutive give-up answers per (proc, res); absent is 0
 	waiters  []int          // Release's requester buffer, reused per event
 	stats    Stats
 	detector func(*rag.Graph) bool
@@ -139,7 +144,9 @@ type Avoider struct {
 
 // SetDetector overrides the deadlock detector used to vet edges.  The
 // default is software PDDA; the hardware DAU injects its embedded DDU here so
-// detection work is charged to the hardware step counter instead.
+// detection work is charged to the hardware step counter instead.  The
+// detector receives the tracked graph with the tentative edge applied, and
+// must not keep or modify it.
 func (a *Avoider) SetDetector(d func(*rag.Graph) bool) { a.detector = d }
 
 // New creates an avoider with all processes at equal priority 0.
@@ -154,11 +161,10 @@ func New(cfg Config) (*Avoider, error) {
 		return nil, fmt.Errorf("daa: negative livelock threshold")
 	}
 	return &Avoider{
-		cfg:   cfg,
-		g:     rag.NewGraph(cfg.Resources, cfg.Procs),
-		trial: rag.NewGraph(cfg.Resources, cfg.Procs),
-		prio:  make([]Priority, cfg.Procs),
-		deny:  make(map[[2]int]int),
+		cfg:  cfg,
+		g:    rag.NewGraph(cfg.Resources, cfg.Procs),
+		prio: make([]Priority, cfg.Procs),
+		deny: make(map[[2]int]int),
 	}, nil
 }
 
@@ -177,12 +183,12 @@ func (a *Avoider) Stats() Stats { return a.stats }
 func (a *Avoider) Holder(q int) int { return a.g.Holder(q) }
 
 // detect runs deadlock detection on the tracked graph, charging stats.
-func (a *Avoider) detect(g *rag.Graph) bool {
+func (a *Avoider) detect() bool {
 	a.stats.Detections++
 	if a.detector != nil {
-		return a.detector(g)
+		return a.detector(a.g)
 	}
-	dead, st := pdda.DetectGraphInto(&a.psc, g)
+	dead, st := pdda.DetectGraphInto(&a.psc, a.g)
 	a.stats.Detection.Add(st)
 	return dead
 }
@@ -205,40 +211,39 @@ func (a *Avoider) Request(p, q int) (RequestResult, error) {
 		// already has pending request edges and other processes wait on q,
 		// e.g. after a release left q free because every waiter was unsafe).
 		// The DAU always vets the edge on its internal matrix before
-		// committing it.
-		a.trial.CopyFrom(a.g)
-		if err := a.trial.SetGrant(q, p); err != nil {
+		// committing it.  The grant replaces any request edge p had for q.
+		if err := a.g.SetGrant(q, p); err != nil {
 			return res, err
 		}
-		if a.detect(a.trial) {
-			// Granting now would deadlock; park the request instead.  A
-			// request edge to a free resource can never close a cycle (the
-			// free resource has no outgoing grant edge).
+		if a.detect() {
+			// Granting now would deadlock; undo the grant and park the
+			// request instead, which also restores an edge p already had.
+			// A request edge to a free resource can never close a cycle
+			// (the free resource has no outgoing grant edge).
+			if err := a.g.Release(q, p); err != nil {
+				return res, err
+			}
 			a.stats.GdlEvents++
 			a.g.AddRequest(q, p)
 			res.Decision = Pending
 			return res, nil
 		}
-		if err := a.g.SetGrant(q, p); err != nil {
-			return res, err
-		}
-		a.deny[[2]int{p, q}] = 0
+		delete(a.deny, [2]int{p, q})
 		res.Decision = Granted
 		return res, nil
 	}
 
 	// Line 5: would the request cause R-dl?  Tentatively add the edge and
-	// run detection, exactly as the DAU does on its internal matrix.
-	a.trial.CopyFrom(a.g)
-	a.trial.AddRequest(q, p)
-	rdl := a.detect(a.trial)
-	if rdl {
+	// run detection, exactly as the DAU does on its internal matrix.  Every
+	// outcome but a give-up keeps the edge.
+	had := a.g.Requesting(q, p)
+	a.g.AddRequest(q, p)
+	if a.detect() {
 		a.stats.RdlEvents++
 		res.RDl = true
 		if a.prio[p].HigherThan(a.prio[owner]) {
 			// Lines 6-8: requester outranks owner — queue the request and
 			// ask the owner to release.
-			a.g.AddRequest(q, p)
 			res.Decision = PendingOwnerAsked
 			res.AskedProcess = owner
 			return res, nil
@@ -252,12 +257,14 @@ func (a *Avoider) Request(p, q int) (RequestResult, error) {
 			// asking the current owner to release instead, and queue the
 			// request so the release hands the resource over safely.
 			a.stats.LivelockEvents++
-			a.deny[key] = 0
-			a.g.AddRequest(q, p)
+			delete(a.deny, key)
 			res.Decision = PendingOwnerAsked
 			res.Livelock = true
 			res.AskedProcess = owner
 			return res, nil
+		}
+		if !had {
+			a.g.RemoveRequest(q, p)
 		}
 		res.Decision = GiveUpRequested
 		res.AskedProcess = p
@@ -265,7 +272,6 @@ func (a *Avoider) Request(p, q int) (RequestResult, error) {
 	}
 
 	// Lines 12-13: busy but safe — the request becomes pending.
-	a.g.AddRequest(q, p)
 	res.Decision = Pending
 	return res, nil
 }
@@ -289,19 +295,17 @@ func (a *Avoider) Release(p, q int) (ReleaseResult, error) {
 	}
 
 	// Lines 17-22: try waiters from highest priority down; the first whose
-	// tentative grant does not cause G-dl receives the resource.
+	// tentative grant does not cause G-dl receives the resource.  A refused
+	// grant is undone and the waiter's request edge, which the grant
+	// replaced, restored.
 	a.sortByPriority(a.waiters)
 	for i, w := range a.waiters {
 		a.stats.GrantScans++
-		a.trial.CopyFrom(a.g)
-		if err := a.trial.SetGrant(q, w); err != nil {
+		if err := a.g.SetGrant(q, w); err != nil {
 			return res, err
 		}
-		if !a.detect(a.trial) {
-			if err := a.g.SetGrant(q, w); err != nil {
-				return res, err
-			}
-			a.deny[[2]int{w, q}] = 0
+		if !a.detect() {
+			delete(a.deny, [2]int{w, q})
 			res.GrantedTo = w
 			if i > 0 {
 				a.stats.GdlEvents++
@@ -309,6 +313,10 @@ func (a *Avoider) Release(p, q int) (ReleaseResult, error) {
 			}
 			return res, nil
 		}
+		if err := a.g.Release(q, w); err != nil {
+			return res, err
+		}
+		a.g.AddRequest(q, w)
 		res.SkippedWaiters = append(res.SkippedWaiters, w)
 	}
 	// Every waiter would deadlock: leave the resource free.  (This can only

@@ -404,3 +404,149 @@ func TestCommittedGrantsAcyclic(t *testing.T) {
 		}
 	}
 }
+
+// A probe applies its tentative edge to the tracked graph and must undo it
+// exactly when the edge is refused: the graph afterwards is the graph
+// before plus only what the decision commits.
+func TestProbesLeaveNoTrace(t *testing.T) {
+	unchanged := func(t *testing.T, a *Avoider, before *rag.Matrix, what string) {
+		t.Helper()
+		if !a.Graph().Matrix().Equal(before) {
+			t.Fatalf("%s changed the tracked graph:\nbefore\n%s\nafter\n%s", what, before, a.Graph().Matrix())
+		}
+	}
+
+	t.Run("give-up", func(t *testing.T) {
+		a := mustAvoider(t, 2, 2)
+		a.SetPriority(0, 1)
+		a.SetPriority(1, 2)
+		req(t, a, 1, 1) // p2 holds q2
+		req(t, a, 0, 0) // p1 holds q1
+		req(t, a, 0, 1) // p1 -> q2 pending
+		before := a.Graph().Matrix()
+		if r := req(t, a, 1, 0); r.Decision != GiveUpRequested {
+			t.Fatalf("p2 -> q1 = %+v, want a give-up", r)
+		}
+		unchanged(t, a, before, "a give-up")
+
+		// A repeated request the requester already has an edge for keeps
+		// that edge through the give-up.
+		a.g.AddRequest(0, 1)
+		before = a.Graph().Matrix()
+		if r := req(t, a, 1, 0); r.Decision != GiveUpRequested {
+			t.Fatalf("repeated p2 -> q1 = %+v, want a give-up", r)
+		}
+		unchanged(t, a, before, "a give-up on an existing request edge")
+	})
+
+	t.Run("skipped-waiter", func(t *testing.T) {
+		// Table 6: granting q2 to p2 would G-dl, so p3 receives it and p2
+		// keeps waiting for q2 and q4.
+		a := mustAvoider(t, 4, 4)
+		for p := 0; p < 4; p++ {
+			a.SetPriority(p, Priority(p+1))
+		}
+		req(t, a, 0, 0)
+		req(t, a, 0, 1)
+		req(t, a, 2, 3)
+		req(t, a, 2, 1)
+		req(t, a, 1, 1)
+		req(t, a, 1, 3)
+		rel(t, a, 0, 0)
+		want := a.Graph().Clone()
+		if err := want.Release(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.SetGrant(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if rr := rel(t, a, 0, 1); rr.GrantedTo != 2 || len(rr.SkippedWaiters) != 1 {
+			t.Fatalf("p1 releases q2 = %+v, want p3 granted past p2", rr)
+		}
+		unchanged(t, a, want.Matrix(), "a G-dl-skipped waiter's probe")
+		if !a.Graph().Requesting(1, 1) {
+			t.Error("the skipped waiter lost its request edge")
+		}
+	})
+
+	t.Run("free-resource-pending", func(t *testing.T) {
+		// q1 is free and p1 already waits for it; p1 also waits for q2,
+		// held by p2, which waits for q1.  Granting q1 to p1 closes a
+		// cycle, so the request parks and the graph keeps p1's edge.
+		a := mustAvoider(t, 2, 2)
+		if err := a.g.SetGrant(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		a.g.AddRequest(1, 0)
+		a.g.AddRequest(0, 1)
+		a.g.AddRequest(0, 0)
+		before := a.Graph().Matrix()
+		if r := req(t, a, 0, 0); r.Decision != Pending {
+			t.Fatalf("p1 -> free q1 = %+v, want pending", r)
+		}
+		unchanged(t, a, before, "a refused grant of a free resource")
+	})
+}
+
+// The give-up counter map holds only pairs with a live denial count: a
+// grant, in Request or in a Release hand-off, and a livelock escalation
+// delete the pair's entry instead of zeroing it.
+func TestDenyHoldsOnlyLiveCounts(t *testing.T) {
+	live := func(t *testing.T, a *Avoider, want int) {
+		t.Helper()
+		for key, n := range a.deny {
+			if n <= 0 {
+				t.Errorf("deny[%v] = %d", key, n)
+			}
+		}
+		if len(a.deny) != want {
+			t.Fatalf("deny holds %d pairs, want %d: %v", len(a.deny), want, a.deny)
+		}
+	}
+	a := mustAvoider(t, 8, 16)
+	for p := 0; p < 8; p++ {
+		for q := 0; q < 16; q++ {
+			req(t, a, p, q)
+			rel(t, a, p, q)
+		}
+	}
+	live(t, a, 0)
+
+	a, err := New(Config{Procs: 2, Resources: 2, LivelockThreshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetPriority(0, 1)
+	a.SetPriority(1, 2)
+	req(t, a, 1, 1) // p2 holds q2
+	req(t, a, 0, 0) // p1 holds q1
+	req(t, a, 0, 1) // p1 -> q2 pending
+	req(t, a, 1, 0) // p2 -> q1: give-up
+	live(t, a, 1)
+	req(t, a, 1, 0) // second give-up
+	live(t, a, 1)
+	if r := req(t, a, 1, 0); !r.Livelock {
+		t.Fatalf("third denial = %+v, want a livelock escalation", r)
+	}
+	live(t, a, 0)
+
+	// A hand-off grant clears a live count: p2 is denied q1 once, then
+	// receives it when p1 releases it.
+	a, err = New(Config{Procs: 2, Resources: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetPriority(0, 1)
+	a.SetPriority(1, 2)
+	req(t, a, 1, 1)
+	req(t, a, 0, 0)
+	req(t, a, 0, 1)
+	req(t, a, 1, 0) // give-up
+	live(t, a, 1)
+	a.g.RemoveRequest(1, 0) // p1 withdraws its wait for q2
+	req(t, a, 1, 0)         // p2 -> q1 is now safe: pending
+	if rr := rel(t, a, 0, 0); rr.GrantedTo != 1 {
+		t.Fatalf("p1 releases q1 = %+v, want a hand-off to p2", rr)
+	}
+	live(t, a, 0)
+}

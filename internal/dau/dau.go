@@ -122,15 +122,15 @@ func New(cfg Config) (*Unit, error) {
 	return u, nil
 }
 
-// hardwareDetect loads the candidate graph into the embedded DDU and runs a
-// detection pass, charging its steps to the current command.  The graph maps
-// straight into the DDU's cells and the DDU reduces in its own scratch, so a
-// warm unit decides a command without allocating.
+// hardwareDetect runs the embedded DDU on the candidate graph, charging its
+// steps to the current command.  The graph maps straight into the DDU's
+// scratch, row by occupied row, so a warm unit decides a command without
+// allocating and without a full-width reload.
 func (u *Unit) hardwareDetect(g *rag.Graph) bool {
-	if err := u.dd.Load(g); err != nil {
+	res, err := u.dd.DetectGraph(g)
+	if err != nil {
 		panic("dau: internal ddu size mismatch: " + err.Error())
 	}
-	res := u.dd.Detect()
 	u.stepsThisCmd += res.Steps
 	return res.Deadlock
 }

@@ -105,6 +105,27 @@ func (u *Unit) Load(g *rag.Graph) error {
 // snapshot lives in the unit's scratch, so a warm unit does not allocate.
 func (u *Unit) Detect() Result {
 	dead, st := pdda.DetectInto(&u.sc, u.mx)
+	return u.count(dead, st)
+}
+
+// DetectGraph runs the hardware algorithm on the state matrix of g, a
+// graph of the unit's size, without writing the unit's cells: g maps
+// straight into the unit's scratch (pdda.DetectGraphInto), so a scan
+// touches only the rows g occupies.  The result and the instrumentation
+// are those of Load(g) followed by Detect.  This is the DAU's path, whose
+// avoider vets each tentative edge on its tracked graph.
+func (u *Unit) DetectGraph(g *rag.Graph) (Result, error) {
+	if m, n := g.Size(); m != u.cfg.Resources || n != u.cfg.Procs {
+		return Result{}, fmt.Errorf("ddu: graph %dx%d is not the unit's %dx%d",
+			m, n, u.cfg.Resources, u.cfg.Procs)
+	}
+	dead, st := pdda.DetectGraphInto(&u.sc, g)
+	return u.count(dead, st), nil
+}
+
+// count turns a detection's verdict and stats into a Result and charges it
+// to the unit's instrumentation.
+func (u *Unit) count(dead bool, st pdda.Stats) Result {
 	res := Result{
 		Deadlock:   dead,
 		Iterations: st.Iterations,

@@ -164,6 +164,77 @@ func TestUnitDetectDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// DetectGraph must return what Load followed by Detect returns and charge
+// the same instrumentation, without writing the unit's cells, on one unit
+// that alternates the two paths; a graph of another size is an error.
+func TestDetectGraphMatchesLoadDetect(t *testing.T) {
+	rng := det.New(53)
+	viaGraph, viaLoad := mustNew(t, 70, 66), mustNew(t, 70, 66)
+	if _, err := viaGraph.DetectGraph(rag.NewGraph(66, 69)); err == nil {
+		t.Error("DetectGraph accepted a smaller graph")
+	}
+	cells := rag.CycleGraph(66, 70, 4)
+	if err := viaGraph.Load(cells); err != nil {
+		t.Fatal(err)
+	}
+	cellSteps, cellDetects := 0, 0
+	for i := 0; i < 100; i++ {
+		g := rag.Random(rng, 66, 70, 0.6, 0.03)
+		if i%2 == 0 {
+			g = rag.BlockDiagonal(rng, 6, 11, 10, 0.6, 0.15)
+			g = padGraph(g, 66, 70)
+		}
+		got, err := viaGraph.DetectGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := viaLoad.Load(g); err != nil {
+			t.Fatal(err)
+		}
+		if want := viaLoad.Detect(); got != want || got.Deadlock != g.HasCycle() {
+			t.Fatalf("case %d: DetectGraph %+v, Load+Detect %+v, HasCycle %v", i, got, want, g.HasCycle())
+		}
+		if i%10 == 0 {
+			// The unit's own cells share the scratch with DetectGraph.
+			res := viaGraph.Detect()
+			if !res.Deadlock {
+				t.Fatalf("case %d: the unit's own cells lost their cycle", i)
+			}
+			cellSteps += res.Steps
+			cellDetects++
+		}
+	}
+	if !viaGraph.Matrix().Equal(cells.Matrix()) {
+		t.Error("DetectGraph wrote the unit's cells")
+	}
+	if viaGraph.Detections-cellDetects != viaLoad.Detections || viaGraph.TotalSteps-cellSteps != viaLoad.TotalSteps {
+		t.Errorf("DetectGraph unit counted %d detections, %d steps; Load+Detect unit %d, %d",
+			viaGraph.Detections-cellDetects, viaGraph.TotalSteps-cellSteps, viaLoad.Detections, viaLoad.TotalSteps)
+	}
+	g := rag.Random(rng, 66, 70, 0.6, 0.03)
+	viaGraph.DetectGraph(g) // warm
+	if allocs := testing.AllocsPerRun(10, func() { viaGraph.DetectGraph(g) }); allocs > 0 {
+		t.Errorf("Unit.DetectGraph allocated %.0f times per scan, want 0", allocs)
+	}
+}
+
+// padGraph copies g into the top-left corner of an empty m×n graph.
+func padGraph(g *rag.Graph, m, n int) *rag.Graph {
+	out := rag.NewGraph(m, n)
+	gm, _ := g.Size()
+	for s := 0; s < gm; s++ {
+		if h := g.Holder(s); h != -1 {
+			if err := out.SetGrant(s, h); err != nil {
+				panic(err) // unreachable: fresh resource
+			}
+		}
+		for _, p := range g.Requesters(s) {
+			out.AddRequest(s, p)
+		}
+	}
+	return out
+}
+
 // The DDU must agree with software PDDA and with the cycle oracle.
 func TestDDUMatchesPDDAAndOracle(t *testing.T) {
 	rng := det.New(31)

@@ -46,13 +46,111 @@ func TestBitsetEngineMatchesCellEngine(t *testing.T) {
 	}
 }
 
+// A Scratch reused across calls must answer exactly as a fresh one: the
+// same verdict, k and Stats, and the verdict of the per-cell engine.  One
+// scratch runs a seeded interleaving of every entry point over graphs of
+// three sizes, deadlocked and not, including a working matrix filled
+// through Work and abandoned before the next DetectGraphInto.  Rows left
+// over from an earlier scan, or from a caller's fill, would change a
+// verdict or k here.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	rng := det.New(41)
+	sizes := []struct{ m, n int }{{7, 13}, {64, 65}, {64, 48}}
+	type entry struct {
+		g    *rag.Graph
+		dead bool
+	}
+	pool := make([][]entry, len(sizes))
+	for i, sz := range sizes {
+		graphs := []*rag.Graph{rag.Chain(sz.m, sz.n), rag.CycleGraph(sz.m, sz.n, 3)}
+		for trial := 0; trial < 4; trial++ {
+			graphs = append(graphs,
+				rag.Random(rng, sz.m, sz.n, 0.6, 0.15),
+				rag.Random(rng, sz.m, sz.n, 0.3, 0.01))
+		}
+		if sz.m == 64 && sz.n == 48 {
+			for trial := 0; trial < 4; trial++ {
+				graphs = append(graphs, rag.BlockDiagonal(rng, 4, 16, 12, 0.6, 0.15))
+			}
+		}
+		deadlocked := 0
+		for _, g := range graphs {
+			e := entry{g, DetectGraphCells(g)}
+			if e.dead {
+				deadlocked++
+			}
+			pool[i] = append(pool[i], e)
+		}
+		if deadlocked == 0 || deadlocked == len(graphs) {
+			t.Fatalf("%dx%d: %d of %d graphs deadlocked, want some of each", sz.m, sz.n, deadlocked, len(graphs))
+		}
+	}
+	pick := func(i int, deadOnly bool) entry {
+		for {
+			e := pool[i][rng.Intn(len(pool[i]))]
+			if e.dead || !deadOnly {
+				return e
+			}
+		}
+	}
+
+	var sc Scratch
+	for step := 0; step < 600; step++ {
+		i := rng.Intn(len(sizes))
+		e := pick(i, false)
+		m, n := e.g.Size()
+		mx := e.g.Matrix()
+		var fresh Scratch
+		var dead, want bool
+		var got, wantSt Stats
+		op := rng.Intn(5)
+		switch op {
+		case 0:
+			dead, got = DetectGraphInto(&sc, e.g)
+			want, wantSt = DetectGraphInto(&fresh, e.g)
+		case 1:
+			dead, got = DetectInto(&sc, mx)
+			want, wantSt = DetectInto(&fresh, mx)
+		case 2:
+			var k, wantK int
+			k, got = ReduceInto(&sc, mx)
+			wantK, wantSt = ReduceInto(&fresh, mx)
+			if k != wantK || !sc.work.Equal(fresh.work) {
+				t.Fatalf("step %d: ReduceInto k=%d or its matrix differs from a fresh scratch's (k=%d)", step, k, wantK)
+			}
+			dead, want = len(sc.live) > 0, len(fresh.live) > 0
+		case 3:
+			e.g.MatrixInto(sc.Work(m, n))
+			dead, got = DetectWork(&sc)
+			e.g.MatrixInto(fresh.Work(m, n))
+			want, wantSt = DetectWork(&fresh)
+		case 4:
+			// A caller fills the working matrix with a deadlocked graph and
+			// abandons it; the next graph scan must not see those rows.
+			pick(i, true).g.MatrixInto(sc.Work(m, n))
+			dead, got = DetectGraphInto(&sc, e.g)
+			want, wantSt = DetectGraphInto(&fresh, e.g)
+		}
+		if dead != want || got != wantSt {
+			t.Fatalf("step %d op %d %dx%d: reused scratch says %v %+v, fresh says %v %+v",
+				step, op, m, n, dead, got, want, wantSt)
+		}
+		if dead != e.dead {
+			t.Fatalf("step %d op %d %dx%d: verdict %v, DetectGraphCells %v", step, op, m, n, dead, e.dead)
+		}
+	}
+}
+
 // FuzzReduce checks every word-parallel entry point against the per-cell
-// engine (checkLean) on graphs decoded from bytes by decodeGraph.  The seed
-// corpus spans dense, sparse and block-diagonal geometries on both sides of
-// the 64/65 word edge, so plain `go test` replays exactly those.
+// engine (checkLean) on two graphs decoded from bytes by decodeGraphs,
+// checking the first and then the second in one shared Scratch, so the
+// fuzzer also searches for rows a scan leaves behind for the next.  The
+// seed corpus spans dense, sparse and block-diagonal geometries on both
+// sides of the 64/65 word edge, paired with graphs of the same and of other
+// sizes, so plain `go test` replays exactly those.
 func FuzzReduce(f *testing.F) {
 	rng := det.New(11)
-	for _, g := range []*rag.Graph{
+	graphs := []*rag.Graph{
 		rag.Random(rng, 1, 1, 0.5, 0.5),
 		rag.Random(rng, 5, 5, 0.7, 0.35),
 		rag.Random(rng, 64, 64, 0.6, 0.15),
@@ -63,25 +161,35 @@ func FuzzReduce(f *testing.F) {
 		rag.BlockDiagonal(rng, 8, 16, 12, 0.6, 0.15),
 		rag.CycleGraph(3, 3, 3),
 		rag.Chain(30, 30),
-	} {
-		f.Add(encodeGraph(g))
 	}
+	for i, g := range graphs {
+		f.Add(encodeGraphs(g, graphs[(i+1)%len(graphs)]))
+	}
+	f.Add(encodeGraphs(rag.CycleGraph(5, 5, 5), rag.Random(rng, 5, 5, 0.3, 0.1)))
+	f.Add(encodeGraphs(rag.Random(rng, 64, 64, 0.7, 0.2), rag.Chain(64, 64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc Scratch
-		checkLean(t, &sc, decodeGraph(data))
+		first, second := decodeGraphs(data)
+		checkLean(t, &sc, first)
+		checkLean(t, &sc, second)
 	})
 }
 
 // checkLean is the fuzz target's check: the per-cell engine reduces g once,
-// and each word-parallel entry point runs once, untraced, against it.  The
-// unit tests run the full checkAgainstCells, which also walks ReduceTraced
-// step by step and runs the per-cell detectors.
+// and each word-parallel entry point runs once, untraced, against it.
+// DetectGraphInto runs first, so in a scratch shared with an earlier check
+// it scans whatever that check left.  The unit tests run the full
+// checkAgainstCells, which also walks ReduceTraced step by step and runs
+// the per-cell detectors.
 func checkLean(t *testing.T, sc *Scratch, g *rag.Graph) {
 	t.Helper()
 	mx := g.Matrix()
 	cells := mx.Clone()
 	k := ReduceCells(cells)
 	wantDead := !cells.Empty()
+	if dead, _ := DetectGraphInto(sc, g); dead != wantDead {
+		t.Fatalf("DetectGraphInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
+	}
 	word := mx.Clone()
 	if wordK, _ := Reduce(word); wordK != k || !word.Equal(cells) {
 		t.Fatalf("Reduce k=%d or its matrix differs from ReduceCells (k=%d)", wordK, k)
@@ -95,9 +203,24 @@ func checkLean(t *testing.T, sc *Scratch, g *rag.Graph) {
 	if dead, _ := DetectInto(sc, mx); dead != wantDead {
 		t.Fatalf("DetectInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
 	}
-	if dead, _ := DetectGraphInto(sc, g); dead != wantDead {
-		t.Fatalf("DetectGraphInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
+}
+
+// decodeGraphs reads two graphs from bytes: data[0] and data[1] give the
+// length L of the first graph's encoding (little-endian), the next L bytes
+// decode to the first graph and the rest to the second (see decodeGraph).
+func decodeGraphs(data []byte) (first, second *rag.Graph) {
+	if len(data) < 2 {
+		return decodeGraph(nil), decodeGraph(nil)
 	}
+	l := min(int(data[0])|int(data[1])<<8, len(data)-2)
+	return decodeGraph(data[2 : 2+l]), decodeGraph(data[2+l:])
+}
+
+// encodeGraphs is decodeGraphs' inverse.
+func encodeGraphs(first, second *rag.Graph) []byte {
+	a := encodeGraph(first)
+	data := append([]byte{byte(len(a)), byte(len(a) >> 8)}, a...)
+	return append(data, encodeGraph(second)...)
 }
 
 // decodeGraph reads a graph of 1–130 resources and 1–130 processes from

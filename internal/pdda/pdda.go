@@ -14,12 +14,14 @@
 // summaries, terminal columns via one XOR of the column BWO planes, column
 // clearing via one AND-NOT sweep per row — over only the rows that still
 // hold an edge, and, through a caller-owned Scratch, performs zero
-// allocations per detection scan.  It is the one reduction core of the
-// repository: software PDDA, the DDU model (ddu.Unit, which runs DetectInto
-// on its cells) and, through the DDU, the DAU all run it.  The per-cell
-// engine (cells.go, Cells) evaluates the weight and decide cells of
-// Equations 3–7 on its own cell array and serves as the differential oracle
-// of this kernel and of the DDU.  Stats counts
+// allocations per detection scan.  A scan of a rag.Graph (DetectGraphInto)
+// also starts from the graph's occupied rows, so it costs what the graph
+// holds.  It is the one reduction core of the repository: software PDDA,
+// the DDU model (ddu.Unit, which runs DetectInto on its cells and
+// DetectGraphInto on a graph) and, through the DDU, the DAU all run it.
+// The per-cell engine (cells.go, Cells) evaluates the weight and decide
+// cells of Equations 3–7 on its own cell array and serves as the
+// differential oracle of this kernel and of the DDU.  Stats counts
 // the ABSTRACT cell operations of the paper's software model (counted, not
 // performed), so packing words never changes the simulated cost — only the
 // host wall clock.
@@ -63,6 +65,12 @@ type StepTrace struct {
 // lazily to the largest system it has seen; reusing one across scans of the
 // same system performs zero allocations per scan (gated by
 // TestDetectDoesNotAllocate).
+//
+// A clean scratch's working matrix is zero outside the rows in live: a
+// reduction leaves exactly that, since live ends as the non-empty rows of
+// the irreducible matrix.  Work hands the matrix to a caller, who may write
+// any cell, so it marks the scratch dirty.  DetectGraphInto relies on the
+// invariant to clear only the previous live rows of a clean scratch.
 // A Scratch is owned by its caller and must not be shared across goroutines.
 type Scratch struct {
 	work     *rag.Matrix
@@ -71,9 +79,11 @@ type Scratch struct {
 	colTerm  []uint64
 	termRows []int
 	live     []int // rows that held an edge at the last row scan
+	dirty    bool  // work may hold an edge outside live
 }
 
-// ensure sizes the scratch for an m×n system.
+// ensure sizes the scratch for an m×n system.  A new working matrix is
+// zero, so a resized scratch is clean with no live rows.
 func (sc *Scratch) ensure(m, n int) {
 	if sc.work != nil && sc.work.M == m && sc.work.N == n {
 		return
@@ -85,6 +95,17 @@ func (sc *Scratch) ensure(m, n int) {
 	sc.colTerm = make([]uint64, w)
 	sc.termRows = make([]int, 0, m)
 	sc.live = make([]int, 0, m)
+	sc.dirty = false
+}
+
+// seedAll lists every row of the scratch's size as live, for a reduction
+// of a matrix whose occupied rows are unknown.
+func (sc *Scratch) seedAll() {
+	live := sc.live[:0]
+	for s := 0; s < sc.work.M; s++ {
+		live = append(live, s)
+	}
+	sc.live = live
 }
 
 // Reduce applies the terminal reduction sequence ξ (Algorithm 1) to mx in
@@ -96,6 +117,7 @@ func (sc *Scratch) ensure(m, n int) {
 func Reduce(mx *rag.Matrix) (k int, stats Stats) {
 	var sc Scratch
 	sc.ensure(mx.M, mx.N)
+	sc.seedAll()
 	k, stats, _ = reduce(mx, &sc, false)
 	return k, stats
 }
@@ -104,15 +126,18 @@ func Reduce(mx *rag.Matrix) (k int, stats Stats) {
 func ReduceTraced(mx *rag.Matrix) (k int, stats Stats, trace []StepTrace) {
 	var sc Scratch
 	sc.ensure(mx.M, mx.N)
+	sc.seedAll()
 	return reduce(mx, &sc, true)
 }
 
 // Work sizes the scratch for an m×n system and returns its working matrix,
 // for a caller that fills the cells itself (a detector embedding a smaller
 // graph, the fuzz executor validating the matrix it reduces) before
-// DetectWork.  The matrix stays owned by the scratch.
+// DetectWork.  The matrix stays owned by the scratch, which is dirty until
+// its next reduction.
 func (sc *Scratch) Work(m, n int) *rag.Matrix {
 	sc.ensure(m, n)
+	sc.dirty = true
 	return sc.work
 }
 
@@ -121,15 +146,19 @@ func (sc *Scratch) Work(m, n int) *rag.Matrix {
 // matrix stays in the scratch for inspection until the next call.
 func ReduceInto(sc *Scratch, mx *rag.Matrix) (k int, stats Stats) {
 	sc.Work(mx.M, mx.N).CopyFrom(mx)
+	sc.seedAll()
 	k, stats, _ = reduce(sc.work, sc, false)
 	return k, stats
 }
 
 // reduce is the word-parallel terminal reduction core.  It sweeps only the
-// rows that still hold an edge: the live list starts as every row, each
-// step's row scan drops the rows it finds empty, and the column summaries
-// and the column clear run over the rows that remain.  On return sc.live
-// lists exactly the non-empty rows of the irreducible matrix.
+// rows that still hold an edge: the live list starts as sc.live, which the
+// caller seeds with every row that may hold one (every row of a matrix it
+// knows nothing about, the occupied rows of a graph), each step's row scan
+// drops the rows it finds empty, and the column summaries and the column
+// clear run over the rows that remain.  On return sc.live lists exactly the
+// non-empty rows of the irreducible matrix, every other row is zero and the
+// scratch is clean.
 //
 // Stats mirrors the abstract per-cell software model, which scans the whole
 // matrix whatever it holds: a row scan reads N cells, the column scan reads
@@ -141,10 +170,7 @@ func reduce(mx *rag.Matrix, sc *Scratch, traced bool) (int, Stats, []StepTrace) 
 	var stats Stats
 	var trace []StepTrace
 	words := mx.Words()
-	live := sc.live[:0]
-	for s := 0; s < mx.M; s++ {
-		live = append(live, s)
-	}
+	live := sc.live
 	k := 0
 	for {
 		// Lines 5–6 of Algorithm 1: compute T_r and T_c.  The software
@@ -206,6 +232,7 @@ func reduce(mx *rag.Matrix, sc *Scratch, traced bool) (int, Stats, []StepTrace) 
 	}
 	sc.termRows = sc.termRows[:0]
 	sc.live = live
+	sc.dirty = false
 	return k, stats, trace
 }
 
@@ -231,13 +258,23 @@ func DetectGraph(g *rag.Graph) (bool, Stats) {
 	return Detect(g.Matrix())
 }
 
-// DetectGraphInto is DetectGraph on a caller-owned Scratch: the graph is
-// mapped straight into the scratch matrix (word copies of the packed request
-// rows) and reduced in place — the steady-state detection path of the fuzz
-// executor and the avoidance arbiters, zero allocations per scan.
+// DetectGraphInto is DetectGraph on a caller-owned Scratch: the graph's
+// occupied rows are mapped straight into the scratch matrix (word copies of
+// the packed request rows) and reduced in place — the steady-state
+// detection path of the avoidance arbiters (daa.Avoider, and the DAU
+// through ddu.Unit.DetectGraph), zero allocations per scan.  A
+// clean scratch clears only its previous live rows, and the reduction
+// starts from the graph's occupied rows, so a scan costs what the graph
+// holds rather than its size.
 func DetectGraphInto(sc *Scratch, g *rag.Graph) (deadlock bool, stats Stats) {
-	g.MatrixInto(sc.Work(g.Size()))
-	return DetectWork(sc)
+	sc.ensure(g.Size())
+	if sc.dirty {
+		sc.work.Clear()
+	} else {
+		sc.work.ClearRows(sc.live)
+	}
+	sc.live = g.OccupiedRowsInto(sc.work, sc.live[:0])
+	return detect(sc)
 }
 
 // DetectWork is Algorithm 2 on the scratch working matrix as the caller
@@ -245,6 +282,12 @@ func DetectGraphInto(sc *Scratch, g *rag.Graph) (deadlock bool, stats Stats) {
 // iff the irreducible matrix is non-empty, i.e. iff a row is still live
 // after the last step.  stats.Iterations is the number of reduction steps k.
 func DetectWork(sc *Scratch) (deadlock bool, stats Stats) {
+	sc.seedAll()
+	return detect(sc)
+}
+
+// detect is DetectWork from the live list the caller seeded.
+func detect(sc *Scratch) (deadlock bool, stats Stats) {
 	mx := sc.work
 	stats.CellWrites += mx.M * mx.N // lines 2–6: construct M_ij
 	_, rs, _ := reduce(mx, sc, false)

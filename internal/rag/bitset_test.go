@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,13 +39,16 @@ func TestBitsetQueriesMatchRefAcrossGeometries(t *testing.T) {
 // mutation sequences, and MatrixInto must agree with the per-cell Matrix
 // construction at every geometry — also into a larger matrix (one more row,
 // at least one more word of columns), where the graph embeds top-left and
-// stale spare cells are cleared.
+// stale spare cells are cleared.  The occupancy plane must name exactly the
+// rows with a request or a holder after every mutation, CopyFrom and Clone,
+// and OccupiedRowsInto must rebuild the state matrix from those rows alone.
 func TestBitsetPlanesConsistentUnderMutation(t *testing.T) {
 	rng := det.New(23)
 	for _, geo := range bitsetGeometries {
 		g := NewGraph(geo.m, geo.n)
 		mx := NewMatrix(geo.m, geo.n)
 		big := NewMatrix(geo.m+1, geo.n+64)
+		copied := NewGraph(geo.m, geo.n)
 		for step := 0; step < 400; step++ {
 			s := rng.Intn(geo.m)
 			p := rng.Intn(geo.n)
@@ -66,8 +70,22 @@ func TestBitsetPlanesConsistentUnderMutation(t *testing.T) {
 					}
 				}
 			}
+			checkOccupancy(t, fmt.Sprintf("%dx%d step %d", geo.m, geo.n, step), g)
 			if step%97 != 0 {
 				continue
+			}
+			copied.CopyFrom(g)
+			checkOccupancy(t, fmt.Sprintf("%dx%d step %d CopyFrom", geo.m, geo.n, step), copied)
+			checkOccupancy(t, fmt.Sprintf("%dx%d step %d Clone", geo.m, geo.n, step), g.Clone())
+			occ := NewMatrix(geo.m, geo.n)
+			rows := g.OccupiedRowsInto(occ, nil)
+			if !occ.Equal(g.Matrix()) {
+				t.Fatalf("%dx%d step %d: OccupiedRowsInto differs from Matrix", geo.m, geo.n, step)
+			}
+			for i, s2 := range rows {
+				if i > 0 && rows[i-1] >= s2 {
+					t.Fatalf("%dx%d step %d: OccupiedRowsInto rows %v not ascending", geo.m, geo.n, step, rows)
+				}
 			}
 			// Cross-check both orientations against the per-cell API.
 			for q := 0; q < geo.m; q++ {
@@ -104,6 +122,28 @@ func TestBitsetPlanesConsistentUnderMutation(t *testing.T) {
 							geo.m, geo.n, step, q, u, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkOccupancy fails the test unless reqAny and heldAny flag exactly the
+// resources with a requester and with a holder, and no bit past the last
+// resource is set.
+func checkOccupancy(t *testing.T, label string, g *Graph) {
+	t.Helper()
+	reqAny, heldAny := g.reqAny(), g.heldAny()
+	for w := range reqAny {
+		for b := 0; b < 64; b++ {
+			s := w*64 + b
+			req := reqAny[w]>>b&1 == 1
+			held := heldAny[w]>>b&1 == 1
+			wantReq, wantHeld := false, false
+			if s < g.m {
+				wantReq, wantHeld = len(g.Requesters(s)) > 0, g.Holder(s) != -1
+			}
+			if req != wantReq || held != wantHeld {
+				t.Fatalf("%s: q%d reqAny=%v heldAny=%v, want %v %v", label, s, req, held, wantReq, wantHeld)
 			}
 		}
 	}

@@ -91,11 +91,16 @@ func NewMatrix(m, n int) *Matrix {
 // a whole-plane copy or clear is one call on the returned flat slice.
 func newPlane(rows, words int) (flat []uint64, p [][]uint64) {
 	flat = make([]uint64, rows*words)
-	p = make([][]uint64, rows)
+	return flat, planeRows(flat, rows, words)
+}
+
+// planeRows slices the first rows word-rows of flat.
+func planeRows(flat []uint64, rows, words int) [][]uint64 {
+	p := make([][]uint64, rows)
 	for i := range p {
 		p[i] = flat[i*words : (i+1)*words : (i+1)*words]
 	}
-	return flat, p
+	return p
 }
 
 func (mx *Matrix) check(s, t int) {
@@ -187,6 +192,21 @@ func (mx *Matrix) Edges() (requests, grants int) {
 		grants += bits.OnesCount64(mx.grantFlat[w])
 	}
 	return
+}
+
+// Clear zeroes every cell.
+func (mx *Matrix) Clear() {
+	clear(mx.reqFlat)
+	clear(mx.grantFlat)
+}
+
+// ClearRows zeroes every cell in the listed rows, one clear per plane for
+// each run of consecutive rows.
+func (mx *Matrix) ClearRows(rows []int) {
+	forRuns(rows, func(lo, hi int) {
+		clear(mx.reqFlat[lo*mx.words : hi*mx.words])
+		clear(mx.grantFlat[lo*mx.words : hi*mx.words])
+	})
 }
 
 // ClearRow zeroes every cell in row s.
@@ -288,9 +308,11 @@ func (mx *Matrix) String() string {
 // Storage is bit-packed in both orientations: reqRows[s] holds the request
 // bits of resource row s over process columns, reqCols[t] the transposed
 // request bits of process t over resource rows, and held[t]/heldAny mirror
-// the grant relation as per-process and summary resource planes.  grantTo
-// remains the single-holder index (the invariant makes a full grant plane
-// per resource redundant).  The cycle queries HasCycle and Cycle iterate set
+// the grant relation as per-process and summary resource planes.  reqAny is
+// the request relation's summary plane (bit s: some process requests q_s),
+// so reqAny|heldAny names the rows of the state matrix that hold an edge.
+// grantTo remains the single-holder index (the invariant makes a full grant
+// plane per resource redundant).  The cycle queries HasCycle and Cycle iterate set
 // bits with TrailingZeros and sweep whole word groups, and reuse per-graph
 // scratch buffers so the steady-state query path performs zero allocations.
 // Graph methods are not safe for concurrent use (true of the mutation API
@@ -307,8 +329,7 @@ type Graph struct {
 	reqCols  [][]uint64 // bit s of reqCols[t]: p_t requests q_s
 	colFlat  []uint64   // every reqCols row back to back
 	held     [][]uint64 // bit s of held[t]: q_s granted to p_t
-	heldFlat []uint64   // every held row back to back
-	heldAny  []uint64   // bit s: q_s held by some process
+	heldFlat []uint64   // every held row back to back, then heldAny and reqAny
 
 	scratch *graphScratch
 }
@@ -346,9 +367,25 @@ func NewGraph(m, n int) *Graph {
 	}
 	g.reqFlat, g.reqRows = newPlane(m, g.nw)
 	g.colFlat, g.reqCols = newPlane(n, g.mw)
-	g.heldFlat, g.held = newPlane(n, g.mw)
-	g.heldAny = make([]uint64, g.mw)
+	// The two summary planes follow the held rows in one allocation, so
+	// they cost no allocation of their own and CopyFrom copies them with
+	// the held rows.
+	g.heldFlat = make([]uint64, (n+2)*g.mw)
+	g.held = planeRows(g.heldFlat, n, g.mw)
 	return g
+}
+
+// heldAny is the held plane's summary (bit s: q_s held by some process).
+func (g *Graph) heldAny() []uint64 {
+	o := g.n * g.mw
+	return g.heldFlat[o : o+g.mw : o+g.mw]
+}
+
+// reqAny is the request relation's summary (bit s: some process requests
+// q_s).
+func (g *Graph) reqAny() []uint64 {
+	o := (g.n + 1) * g.mw
+	return g.heldFlat[o : o+g.mw : o+g.mw]
 }
 
 func (g *Graph) ensureScratch() *graphScratch {
@@ -395,14 +432,28 @@ func (g *Graph) AddRequest(s, t int) {
 	g.checkProc(t)
 	g.reqRows[s][t/64] |= 1 << (uint(t) % 64)
 	g.reqCols[t][s/64] |= 1 << (uint(s) % 64)
+	g.reqAny()[s/64] |= 1 << (uint(s) % 64)
 }
 
 // RemoveRequest deletes the request edge (p_t, q_s) if present.
 func (g *Graph) RemoveRequest(s, t int) {
 	g.checkRes(s)
 	g.checkProc(t)
-	g.reqRows[s][t/64] &^= 1 << (uint(t) % 64)
+	g.clearRequest(s, t)
+}
+
+// clearRequest deletes request edge (p_t, q_s) from both orientations and
+// drops q_s from reqAny once its row holds no request.
+func (g *Graph) clearRequest(s, t int) {
+	row := g.reqRows[s]
+	row[t/64] &^= 1 << (uint(t) % 64)
 	g.reqCols[t][s/64] &^= 1 << (uint(s) % 64)
+	for _, w := range row {
+		if w != 0 {
+			return
+		}
+	}
+	g.reqAny()[s/64] &^= 1 << (uint(s) % 64)
 }
 
 // SetGrant grants q_s to p_t, clearing p_t's request edge for q_s.  It
@@ -415,9 +466,8 @@ func (g *Graph) SetGrant(s, t int) error {
 	}
 	g.grantTo[s] = t
 	g.held[t][s/64] |= 1 << (uint(s) % 64)
-	g.heldAny[s/64] |= 1 << (uint(s) % 64)
-	g.reqRows[s][t/64] &^= 1 << (uint(t) % 64)
-	g.reqCols[t][s/64] &^= 1 << (uint(s) % 64)
+	g.heldAny()[s/64] |= 1 << (uint(s) % 64)
+	g.clearRequest(s, t)
 	return nil
 }
 
@@ -431,7 +481,7 @@ func (g *Graph) Release(s, t int) error {
 	}
 	g.grantTo[s] = -1
 	g.held[t][s/64] &^= 1 << (uint(s) % 64)
-	g.heldAny[s/64] &^= 1 << (uint(s) % 64)
+	g.heldAny()[s/64] &^= 1 << (uint(s) % 64)
 	return nil
 }
 
@@ -487,7 +537,7 @@ func (g *Graph) HeldWords(t int) []uint64 {
 
 // HeldAnyWords exposes the packed held-resource summary plane (bit s: q_s is
 // held by some process).  Read-only alias, like HeldWords.
-func (g *Graph) HeldAnyWords() []uint64 { return g.heldAny }
+func (g *Graph) HeldAnyWords() []uint64 { return g.heldAny() }
 
 // ResWords returns the number of 64-bit words in a resource plane (the
 // length of HeldWords/HeldAnyWords slices).
@@ -533,6 +583,49 @@ func (g *Graph) MatrixInto(mx *Matrix) {
 	}
 }
 
+// OccupiedRowsInto writes the rows of g's state matrix that hold an edge —
+// the rows set in reqAny|heldAny — into mx, a clear matrix of g's size, and
+// appends their indices, ascending, to rows.  It is MatrixInto for a
+// caller that knows mx is clear: it copies only the request rows the graph
+// occupies, one copy per run of consecutive occupied rows, instead of both
+// whole planes, and hands back the row list a detection scan starts from.
+func (g *Graph) OccupiedRowsInto(mx *Matrix, rows []int) []int {
+	if mx.M != g.m || mx.N != g.n {
+		panic(fmt.Sprintf("rag: OccupiedRowsInto %dx%d graph into %dx%d matrix", g.m, g.n, mx.M, mx.N))
+	}
+	first := len(rows)
+	reqAny := g.reqAny()
+	for w, held := range g.heldAny() {
+		word := held | reqAny[w]
+		for word != 0 {
+			s := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if h := g.grantTo[s]; h != -1 {
+				mx.grant[s][h/64] |= 1 << (uint(h) % 64)
+			}
+			rows = append(rows, s)
+		}
+	}
+	forRuns(rows[first:], func(lo, hi int) {
+		copy(mx.reqFlat[lo*g.nw:hi*g.nw], g.reqFlat[lo*g.nw:hi*g.nw])
+	})
+	return rows
+}
+
+// forRuns calls fn(lo, hi) for each run lo, lo+1, …, hi−1 of consecutive
+// values in rows, so a plane operation over listed rows takes one call per
+// run instead of one per row.
+func forRuns(rows []int, fn func(lo, hi int)) {
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j] == rows[j-1]+1 {
+			j++
+		}
+		fn(rows[i], rows[j-1]+1)
+		i = j
+	}
+}
+
 // FromMatrix reconstructs a Graph from a matrix, enforcing the single-grant
 // invariant.
 func FromMatrix(mx *Matrix) (*Graph, error) {
@@ -565,8 +658,8 @@ func (g *Graph) Clone() *Graph {
 }
 
 // CopyFrom overwrites g with src's edges.  Dimensions must match; this is
-// the allocation-free alternative to Clone for trial-grant scratch graphs.
-// Each plane is one flat allocation, so it copies in one call.
+// the allocation-free alternative to Clone for scratch graphs.  Each plane
+// is one flat allocation, so it copies in one call.
 func (g *Graph) CopyFrom(src *Graph) {
 	if g.m != src.m || g.n != src.n {
 		panic(fmt.Sprintf("rag: CopyFrom %dx%d into %dx%d graph", src.m, src.n, g.m, g.n))
@@ -575,7 +668,6 @@ func (g *Graph) CopyFrom(src *Graph) {
 	copy(g.reqFlat, src.reqFlat)
 	copy(g.colFlat, src.colFlat)
 	copy(g.heldFlat, src.heldFlat)
-	copy(g.heldAny, src.heldAny)
 }
 
 // nextWaitHolder advances frame f's bit iterator over the packed request row
