@@ -555,8 +555,10 @@ func BenchmarkSimSpawn(b *testing.B) {
 // on the seeds the sweep samples (every OracleEvery-th), and lint_check
 // round-trips every seed through the lockorder and claims passes (a sweep
 // lint-checks only the first LintSample seeds of each point).  As in a
-// sweep chunk, exec shares one ExecScratch and the ipc_* phases one
-// IPCScratch across all seeds.
+// sweep chunk, the generate, derive, exec and banker_diff phases run on one
+// ExecScratch per point, warmed by a pass over the point's seeds before the
+// timer starts, and the ipc_* phases share one IPCScratch across all
+// seeds.
 func BenchmarkFuzzSeed(b *testing.B) {
 	const seedsPerPoint = 16
 	type lockSeed struct {
@@ -565,6 +567,7 @@ func BenchmarkFuzzSeed(b *testing.B) {
 		deep bool
 		sc   *fuzz.Scenario
 		st   *fuzz.Static
+		es   *fuzz.ExecScratch // the point's
 	}
 	type ipcSeed struct {
 		seed uint64
@@ -574,9 +577,10 @@ func BenchmarkFuzzSeed(b *testing.B) {
 	}
 	var locks []lockSeed
 	sw := fuzz.DefaultSweep(seedsPerPoint, 1)
+	scratch := make([]fuzz.ExecScratch, len(sw.Points))
 	for p, pt := range sw.Points {
 		for k := 0; k < seedsPerPoint; k++ {
-			ls := lockSeed{seed: sw.BaseSeed + uint64(p*seedsPerPoint+k), gen: pt.Gen, deep: k%sw.OracleEvery == 0}
+			ls := lockSeed{seed: sw.BaseSeed + uint64(p*seedsPerPoint+k), gen: pt.Gen, deep: k%sw.OracleEvery == 0, es: &scratch[p]}
 			sc, err := fuzz.Generate(ls.seed, ls.gen)
 			if err != nil {
 				b.Fatal(err)
@@ -599,45 +603,48 @@ func BenchmarkFuzzSeed(b *testing.B) {
 		}
 	}
 
-	var es fuzz.ExecScratch
 	var is fuzz.IPCScratch
 	phases := []struct {
 		name string
+		warm bool // one untimed pass over the seeds first, as a chunk's scratch is warm
 		run  func(b *testing.B, i int)
 	}{
-		{"generate", func(b *testing.B, i int) {
+		{"generate", true, func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
-			if _, err := fuzz.Generate(s.seed, s.gen); err != nil {
+			if _, err := fuzz.GenerateWith(s.es, s.seed, s.gen); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"derive", func(b *testing.B, i int) { fuzz.Derive(locks[i%len(locks)].sc) }},
-		{"exec", func(b *testing.B, i int) {
+		{"derive", true, func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
-			if res := fuzz.ExecWith(&es, s.sc, s.st, s.deep); res.MismatchAt != "" {
+			fuzz.DeriveWith(s.es, s.sc)
+		}},
+		{"exec", true, func(b *testing.B, i int) {
+			s := &locks[i%len(locks)]
+			if res := fuzz.ExecWith(s.es, s.sc, s.st, s.deep); res.MismatchAt != "" {
 				b.Fatal(res.MismatchAt)
 			}
 		}},
-		{"banker_diff", func(b *testing.B, i int) {
+		{"banker_diff", true, func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
-			if bd := fuzz.BankerDiff(s.sc, s.st); bd.Mismatch != "" {
+			if bd := fuzz.BankerDiffWith(s.es, s.sc, s.st); bd.Mismatch != "" {
 				b.Fatal(bd.Mismatch)
 			}
 		}},
-		{"lint_check", func(b *testing.B, i int) {
+		{"lint_check", false, func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
 			if mismatch, err := fuzz.LintCheck(s.sc, s.st); err != nil || mismatch != "" {
 				b.Fatal(err, mismatch)
 			}
 		}},
-		{"ipc_generate", func(b *testing.B, i int) {
+		{"ipc_generate", false, func(b *testing.B, i int) {
 			s := &ipcs[i%len(ipcs)]
 			if _, err := fuzz.GenerateIPCWith(&is, s.seed, s.gen); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"ipc_derive", func(b *testing.B, i int) { fuzz.DeriveIPCWith(&is, ipcs[i%len(ipcs)].sc) }},
-		{"ipc_exec", func(b *testing.B, i int) {
+		{"ipc_derive", false, func(b *testing.B, i int) { fuzz.DeriveIPCWith(&is, ipcs[i%len(ipcs)].sc) }},
+		{"ipc_exec", false, func(b *testing.B, i int) {
 			s := &ipcs[i%len(ipcs)]
 			if res := fuzz.ExecIPCWith(&is, s.sc, s.st); res.MismatchAt != "" {
 				b.Fatal(res.MismatchAt)
@@ -647,6 +654,12 @@ func BenchmarkFuzzSeed(b *testing.B) {
 	for _, ph := range phases {
 		b.Run(ph.name, func(b *testing.B) {
 			b.ReportAllocs()
+			if ph.warm {
+				for i := range locks {
+					ph.run(b, i)
+				}
+				b.ResetTimer()
+			}
 			for i := 0; i < b.N; i++ {
 				ph.run(b, i)
 			}

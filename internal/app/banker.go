@@ -32,9 +32,12 @@ type BankerAvoidance struct {
 }
 
 // bankerOpCycles is the deterministic software cost of one Banker
-// invocation: the safety check scans the full claims matrix (procs x
-// resources cells, ~7 cycles per cell: load, compare, branch on shared
-// memory) on top of the common software entry overhead.
+// invocation in the paper's baseline: its safety check scans the full
+// claims matrix (procs x resources cells, ~7 cycles per cell: load,
+// compare, branch on shared memory) on top of the common software entry
+// overhead.  It is the baseline's cost model, not the cost of daa.Banker,
+// whose claim-wait search visits only the processes reachable from the
+// requester; the simulated cycle counts keep the baseline's figure.
 func bankerOpCycles(procs, resources int) sim.Cycles {
 	return daaSoftwareOverhead + sim.Cycles(procs*resources*7)
 }

@@ -2,6 +2,8 @@ package daa
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"deltartos/internal/rag"
 )
@@ -19,23 +21,25 @@ import (
 // maximum claims may simply not be known in advance.  The DAA needs no
 // claims and grants strictly more often on the same traffic.
 //
-// Claims are packed one resource-indexed bit plane per process, and the
-// safety scan works a word at a time: a process can retire iff
-// claims[p] &^ (free | held[p]) is all-zero, where free is the complement
-// of the graph's held-any plane.  The scan reuses Banker-owned scratch, so
-// steady-state requests allocate nothing.  RefBanker (ref_banker.go) is the
-// claim-list oracle this engine is differentially tested against.
+// With single-unit resources safety is a graph property (Holt 1972): in
+// the claim-wait graph, x → holder(r) for each r that x claims, does not
+// hold, and another process holds, and a state is safe iff that graph is
+// acyclic.  Grants go only into safe states and releases only remove
+// edges, and granting the free q to p adds just the edges x → p from the
+// other claimants x of q.  So Request runs one DFS from p (safeAfter): the
+// grant is unsafe iff p reaches such an x.  Only a process that holds
+// something has incoming edges, so DeclareClaim refuses a claim from one.
+// RefBanker (ref_banker.go), the textbook Work/Finish scan, is the oracle
+// this engine is differentially tested against.
 type Banker struct {
 	m, n   int
-	mw     int        // words per resource plane
 	claims [][]uint64 // claims[p], bit q: p may ever need q
 	g      *rag.Graph
-	stats  Stats
 	// Refusals counts requests denied because the state would be unsafe.
 	Refusals int
-	// safety-scan scratch, reused across requests
-	free []uint64
-	done []bool
+	// safety-search scratch, reused across requests
+	seen  []bool
+	stack []int
 }
 
 // NewBanker creates a Banker's-algorithm avoider.  Claims start empty; a
@@ -45,23 +49,36 @@ func NewBanker(procs, resources int) (*Banker, error) {
 		return nil, fmt.Errorf("daa: invalid banker size %d x %d", procs, resources)
 	}
 	b := &Banker{m: resources, n: procs, g: rag.NewGraph(resources, procs)}
-	b.mw = b.g.ResWords()
+	mw := b.g.ResWords()
 	b.claims = make([][]uint64, procs)
-	flat := make([]uint64, procs*b.mw)
+	flat := make([]uint64, procs*mw)
 	for p := range b.claims {
-		b.claims[p] = flat[p*b.mw : (p+1)*b.mw : (p+1)*b.mw]
+		b.claims[p] = flat[p*mw : (p+1)*mw : (p+1)*mw]
 	}
-	b.free = make([]uint64, b.mw)
-	b.done = make([]bool, procs)
+	b.seen = make([]bool, procs)
+	b.stack = make([]int, 0, procs)
 	return b, nil
 }
 
-// DeclareClaim registers that process p may ever need resource q.  All
-// claims must be declared before the process first requests (the algorithm's
-// defining requirement).
+// Reset returns the Banker to its state after NewBanker, keeping its storage.
+func (b *Banker) Reset() {
+	for _, c := range b.claims {
+		clear(c)
+	}
+	b.g.Reset()
+	b.Refusals = 0
+}
+
+// DeclareClaim registers that process p may ever need resource q.  Claims
+// must be declared while p holds nothing (the algorithm's defining
+// requirement, and the precondition of safeAfter); a claim from a process
+// that holds a resource is an error and changes nothing.
 func (b *Banker) DeclareClaim(p int, resources ...int) error {
 	if p < 0 || p >= b.n {
 		return fmt.Errorf("daa: process %d out of range", p)
+	}
+	if slices.ContainsFunc(b.g.HeldWords(p), func(w uint64) bool { return w != 0 }) {
+		return fmt.Errorf("daa: p%d declares a claim while holding a resource", p+1)
 	}
 	for _, q := range resources {
 		if q < 0 || q >= b.m {
@@ -75,9 +92,6 @@ func (b *Banker) DeclareClaim(p int, resources ...int) error {
 // Graph exposes the tracked allocation state.
 func (b *Banker) Graph() *rag.Graph { return b.g }
 
-// Stats returns instrumentation.
-func (b *Banker) Stats() Stats { return b.stats }
-
 // Request grants q to p only if p claimed q, q is free, and the grant
 // leaves the system in a safe state.  Unsafe or busy requests return
 // granted=false (the caller may queue and retry after releases — Banker's
@@ -86,27 +100,17 @@ func (b *Banker) Request(p, q int) (granted bool, err error) {
 	if err := b.check(p, q); err != nil {
 		return false, err
 	}
-	b.stats.Requests++
 	if b.claims[p][q/64]&(1<<(uint(q)%64)) == 0 {
 		return false, fmt.Errorf("daa: p%d requests unclaimed q%d", p+1, q+1)
 	}
 	if b.g.Holder(q) != -1 {
 		return false, nil
 	}
-	// Tentatively grant and test safety.
-	if err := b.g.SetGrant(q, p); err != nil {
-		return false, err
+	if !b.safeAfter(p, q) {
+		b.Refusals++
+		return false, nil
 	}
-	b.stats.Detections++
-	if b.safe() {
-		return true, nil
-	}
-	// Unsafe: roll back.
-	if err := b.g.Release(q, p); err != nil {
-		return false, err
-	}
-	b.Refusals++
-	return false, nil
+	return true, b.g.SetGrant(q, p) // q is free, so this cannot fail
 }
 
 // Release frees q held by p.
@@ -114,54 +118,34 @@ func (b *Banker) Release(p, q int) error {
 	if err := b.check(p, q); err != nil {
 		return err
 	}
-	b.stats.Releases++
 	return b.g.Release(q, p)
 }
 
-// safe runs the Banker's safety check: repeatedly find a process whose full
-// remaining claim can be satisfied from the free resources plus what
-// finished processes would return, and retire it.  Safe iff every process
-// retires.  The retirement sweep is word-parallel — per candidate process
-// one AND-NOT pass over the claim plane — and the scan order (ascending
-// process id, free set updated as each process retires) is identical to
-// RefBanker's claim-list loop, so the two produce the same verdicts.
-func (b *Banker) safe() bool {
+// safeAfter reports whether granting the free q to p leaves the state
+// safe: whether no other claimant of q is reachable from p.  Out-edges come
+// a word at a time from the claim, held and held-any planes.
+func (b *Banker) safeAfter(p, q int) bool {
+	qw, qbit := q/64, uint64(1)<<(uint(q)%64)
 	heldAny := b.g.HeldAnyWords()
-	for w := 0; w < b.mw; w++ {
-		b.free[w] = ^heldAny[w]
-	}
-	for p := 0; p < b.n; p++ {
-		b.done[p] = false
-	}
-	for retired := 0; retired < b.n; {
-		progress := false
-		for p := 0; p < b.n; p++ {
-			if b.done[p] {
-				continue
-			}
-			held := b.g.HeldWords(p)
-			ok := true
-			for w := 0; w < b.mw; w++ {
-				// need = claimed minus (free or already held): any surviving
-				// bit is a resource p may still demand that nobody can supply.
-				if b.claims[p][w]&^(b.free[w]|held[w]) != 0 {
-					ok = false
-					break
+	clear(b.seen)
+	b.seen[p] = true
+	stack := append(b.stack[:0], p) // each process is pushed once: cap n suffices
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		held := b.g.HeldWords(x)
+		for w, c := range b.claims[x] {
+			for word := c &^ held[w] & heldAny[w]; word != 0; word &= word - 1 {
+				y := b.g.Holder(w*64 + bits.TrailingZeros64(word))
+				if b.seen[y] {
+					continue
 				}
+				if b.claims[y][qw]&qbit != 0 {
+					return false // y claims q: the grant closes y → p → … → y
+				}
+				b.seen[y] = true
+				stack = append(stack, y)
 			}
-			if !ok {
-				continue
-			}
-			// p can run to completion: it returns everything it holds.
-			for w := 0; w < b.mw; w++ {
-				b.free[w] |= held[w]
-			}
-			b.done[p] = true
-			retired++
-			progress = true
-		}
-		if !progress {
-			return false
 		}
 	}
 	return true

@@ -319,3 +319,63 @@ func TestRefBankerReleaseByNonHolderErrors(t *testing.T) {
 		t.Error("double release accepted")
 	}
 }
+
+// A claim declared while the process holds a resource is refused by both
+// engines and changes nothing.  Accepted, the two late claims here would
+// close the claim-wait cycle p1 → p2 → p1 (each holds what the other
+// claims) without any request, an unsafe state Banker.safeAfter assumes
+// cannot arise.  A process that holds nothing may still add claims.
+func TestBankersRefuseLateClaim(t *testing.T) {
+	fast, ref := newBankerPair(t, 3, 3)
+	declareBoth(t, fast, ref, 0, 0)
+	declareBoth(t, fast, ref, 1, 1)
+	for p := 0; p < 2; p++ {
+		fastGrant, fastErr := fast.Request(p, p)
+		refGrant, refErr := ref.Request(p, p)
+		if !fastGrant || !refGrant || fastErr != nil || refErr != nil {
+			t.Fatalf("p%d req q%d: fast %v %v, ref %v %v", p+1, p+1, fastGrant, fastErr, refGrant, refErr)
+		}
+	}
+	for _, late := range []struct{ p, q int }{{0, 1}, {1, 0}} {
+		if err := fast.DeclareClaim(late.p, late.q); err == nil {
+			t.Errorf("Banker accepted p%d's claim on q%d while p%d holds q%d", late.p+1, late.q+1, late.p+1, late.p+1)
+		}
+		if err := ref.DeclareClaim(late.p, late.q); err == nil {
+			t.Errorf("RefBanker accepted p%d's claim on q%d while p%d holds q%d", late.p+1, late.q+1, late.p+1, late.p+1)
+		}
+		// Nothing changed: the refused claim does not let p request q.
+		if _, err := fast.Request(late.p, late.q); err == nil {
+			t.Errorf("Banker: a refused claim made q%d requestable by p%d", late.q+1, late.p+1)
+		}
+		if _, err := ref.Request(late.p, late.q); err == nil {
+			t.Errorf("RefBanker: a refused claim made q%d requestable by p%d", late.q+1, late.p+1)
+		}
+	}
+	declareBoth(t, fast, ref, 2, 0, 1, 2)
+}
+
+// Reset returns both engines to their state after construction: a reset
+// engine and a fresh one of the other kind make the same decisions on the
+// same traffic.
+func TestBankerResetMatchesNew(t *testing.T) {
+	const procs, resources = 12, 16
+	rng := det.New(5)
+	fast, ref := newBankerPair(t, procs, resources)
+	for trial := 0; trial < 10; trial++ {
+		claims := sparseClaims(rng, procs, resources)
+		freshFast, freshRef := newBankerPair(t, procs, resources)
+		for p, cl := range claims {
+			declareBoth(t, fast, freshRef, p, cl...)
+			declareBoth(t, freshFast, ref, p, cl...)
+		}
+		pick := func(p int) int { return claims[p][rng.Intn(len(claims[p]))] }
+		if d := bankerDivergence(fast, freshRef, rng, pick, 300); d != "" {
+			t.Fatalf("trial %d: reset Banker against a fresh RefBanker: %s", trial, d)
+		}
+		if d := bankerDivergence(freshFast, ref, rng, pick, 300); d != "" {
+			t.Fatalf("trial %d: fresh Banker against a reset RefBanker: %s", trial, d)
+		}
+		fast.Reset()
+		ref.Reset()
+	}
+}

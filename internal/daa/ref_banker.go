@@ -1,8 +1,8 @@
 // RefBanker is the reference Banker's algorithm: a claim list per process,
 // a plain holder index per resource and the textbook Work/Finish safety
 // scan over those lists, so a scan costs what the processes claim, not n·m.
-// It shares no state, claim storage or scanning code with the word-parallel
-// Banker (no rag.Graph, no bit plane), so the fuzz campaign can replay every
+// It shares no state, claim storage or algorithm with Banker (no rag.Graph,
+// no bit plane, no claim-wait search), so the fuzz campaign can replay every
 // seed's traffic through both and flag any grant/refuse divergence.
 
 package daa
@@ -41,11 +41,26 @@ func NewRefBanker(procs, resources int) (*RefBanker, error) {
 	return b, nil
 }
 
+// Reset returns the oracle to its state after NewRefBanker.
+func (b *RefBanker) Reset() {
+	for p := range b.claims {
+		b.claims[p] = b.claims[p][:0]
+	}
+	for q := range b.holder {
+		b.holder[q] = -1
+	}
+	b.Refusals = 0
+}
+
 // DeclareClaim registers that process p may ever need resource q.  The
-// resources are copied into p's own list, each once.
+// resources are copied into p's own list, each once; as in Banker, a process
+// that holds a resource may not claim (an error that changes nothing).
 func (b *RefBanker) DeclareClaim(p int, resources ...int) error {
 	if p < 0 || p >= b.n {
 		return fmt.Errorf("daa: process %d out of range", p)
+	}
+	if slices.Contains(b.holder, p) {
+		return fmt.Errorf("daa: p%d declares a claim while holding a resource", p+1)
 	}
 	b.claims[p] = slices.Grow(b.claims[p], len(resources))
 	for _, q := range resources {

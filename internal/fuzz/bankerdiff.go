@@ -1,5 +1,5 @@
 // The Banker differential: every fuzz seed's traffic is replayed through
-// both Banker engines — the word-parallel bitset Banker and the claim-list
+// both Banker engines — the claim-wait DFS Banker and the claim-list
 // RefBanker — and every grant/refuse decision is compared.  The replay is a
 // deterministic round-robin over the scenario's task programs with claims
 // taken from the static derivation, so both engines see byte-identical
@@ -21,8 +21,15 @@ type BankerDiffResult struct {
 	Mismatch string
 }
 
-// BankerDiff replays sc's traffic through the bitset Banker and the
-// claim-list RefBanker under st's claim sets and compares every decision.
+// BankerDiff is BankerDiffWith in a scratch of its own.
+func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
+	return BankerDiffWith(new(ExecScratch), sc, st)
+}
+
+// BankerDiffWith replays sc's traffic through the claim-wait Banker and
+// the claim-list RefBanker under st's claim sets and compares every
+// decision.  The engine pair and the replay state live in es; a pair of
+// the scenario's size is reset, not rebuilt.
 //
 // Replay semantics (identical for both engines, chosen so the stream stays
 // well-formed under refusals): an acquire of a resource the task already
@@ -30,16 +37,11 @@ type BankerDiffResult struct {
 // queue — the later matching release is then skipped too); a crash halts
 // the task at its crash point, stranding what it holds; releases of
 // resources not held (lost-release doubles, refused acquires) are skipped.
-func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
+func BankerDiffWith(es *ExecScratch, sc *Scenario, st *Static) BankerDiffResult {
 	cfg := sc.Cfg
 	var out BankerDiffResult
 
-	fast, err := daa.NewBanker(cfg.Tasks, cfg.Resources)
-	if err != nil {
-		out.Mismatch = "banker-diff: " + err.Error()
-		return out
-	}
-	ref, err := daa.NewRefBanker(cfg.Tasks, cfg.Resources)
+	fast, ref, err := es.bankers(cfg.Tasks, cfg.Resources)
 	if err != nil {
 		out.Mismatch = "banker-diff: " + err.Error()
 		return out
@@ -57,8 +59,9 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 	}
 
 	m := cfg.Resources
-	pc := make([]int, cfg.Tasks)
-	held := make([]bool, cfg.Tasks*m) // held[t*m+q]: task t holds q in the replay
+	es.pc = zeroed(es.pc, cfg.Tasks)
+	es.replayHeld = zeroed(es.replayHeld, cfg.Tasks*m)
+	pc, held := es.pc, es.replayHeld // held[t*m+q]: task t holds q in the replay
 	mismatch := func(format string, args ...any) {
 		if out.Mismatch == "" {
 			out.Mismatch = fmt.Sprintf("seed %d: banker-diff: ", sc.Seed) + fmt.Sprintf(format, args...)
@@ -120,4 +123,27 @@ func BankerDiff(sc *Scenario, st *Static) BankerDiffResult {
 		mismatch("refusal totals diverge: bitset=%d ref=%d", fast.Refusals, ref.Refusals)
 	}
 	return out
+}
+
+// bankers returns the scratch's engine pair for a procs × resources system,
+// reset to its state after construction; a pair of another size is
+// replaced.
+func (es *ExecScratch) bankers(procs, resources int) (*daa.Banker, *daa.RefBanker, error) {
+	if es.fast != nil {
+		if m, n := es.fast.Graph().Size(); m == resources && n == procs {
+			es.fast.Reset()
+			es.ref.Reset()
+			return es.fast, es.ref, nil
+		}
+	}
+	fast, err := daa.NewBanker(procs, resources)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref, err := daa.NewRefBanker(procs, resources)
+	if err != nil {
+		return nil, nil, err
+	}
+	es.fast, es.ref = fast, ref
+	return fast, ref, nil
 }

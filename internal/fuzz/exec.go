@@ -10,6 +10,7 @@ package fuzz
 import (
 	"fmt"
 
+	"deltartos/internal/daa"
 	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
 )
@@ -99,17 +100,42 @@ type taskState struct {
 	blockedRounds int // rounds spent with the acquire outstanding
 }
 
-// ExecScratch holds the executor's reusable detection buffers.  One scratch
-// serves any number of consecutive Exec runs; the sweep keeps one per chunk
-// so the periodic PDDA scans of 10⁶ seeds allocate nothing.
+// ExecScratch holds the reusable buffers of the four lock-sweep phases:
+// the scenario GenerateWith builds, DeriveWith's static view and its
+// claim, edge and DFS buffers, ExecWith's graph, task states, claim plane,
+// validation matrix and detection scratch, and BankerDiffWith's engine
+// pair and replay state.  One scratch serves any number of consecutive
+// seeds of any geometry; the sweep keeps one per campaign chunk, so once
+// the buffers have grown to the chunk's largest seed, generating,
+// deriving and replaying a seed allocate nothing and executing one
+// allocates only in its per-cell references.  The scenario and static
+// view the ...With functions return live in the scratch: each is valid
+// until the next call of the same phase on it.
 type ExecScratch struct {
-	det pdda.Scratch
+	sc          Scenario
+	names       []string // names[t] = "p<t>", interned across seeds
+	held, stack []int    // a task's held list and lock stack (Generate); held list (Derive)
+
+	st          Static
+	flat, edges []int // the claim lists' backing array; lock-order edge keys
+	color       []uint8
+	frames      []orderFrame
+
+	g       *rag.Graph
+	tasks   []taskState
+	claimed []bool      // task × resource: the static claim sets as a plane
+	mx      *rag.Matrix // the validated image of g
+	det     pdda.Scratch
+
+	fast       *daa.Banker
+	ref        *daa.RefBanker
+	pc         []int
+	replayHeld []bool // task × resource: held in the Banker replay
 }
 
-// Exec runs a scenario to a terminal state with a private scratch.
+// Exec runs a scenario to a terminal state in a scratch of its own.
 func Exec(sc *Scenario, st *Static, oracleAll bool) ExecResult {
-	var es ExecScratch
-	return ExecWith(&es, sc, st, oracleAll)
+	return ExecWith(new(ExecScratch), sc, st, oracleAll)
 }
 
 // ExecWith runs a scenario to a terminal state.  oracleAll additionally
@@ -119,8 +145,16 @@ func Exec(sc *Scenario, st *Static, oracleAll bool) ExecResult {
 // the per-cell reference engine — are checked on every run.
 func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecResult {
 	cfg := sc.Cfg
-	g := rag.NewGraph(cfg.Resources, cfg.Tasks)
-	tasks := make([]taskState, cfg.Tasks)
+	// The graph and its validation image are built together, at one size.
+	if es.g == nil || es.mx.M != cfg.Resources || es.mx.N != cfg.Tasks {
+		es.g = rag.NewGraph(cfg.Resources, cfg.Tasks)
+		es.mx = rag.NewMatrix(cfg.Resources, cfg.Tasks)
+	} else {
+		es.g.Reset()
+	}
+	g := es.g
+	es.tasks = zeroed(es.tasks, cfg.Tasks)
+	tasks := es.tasks
 	res := ExecResult{FormRound: -1, DetectRound: -1}
 
 	mismatch := func(format string, args ...any) {
@@ -128,26 +162,25 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 			res.MismatchAt = fmt.Sprintf("seed %d: ", sc.Seed) + fmt.Sprintf(format, args...)
 		}
 	}
-	// detect maps g into the scratch's work matrix, validates that matrix
-	// (the one the fast engine reduces) when asked, and runs PDDA on it.
+	// detect runs PDDA on g and, when asked, validates g's state matrix.
 	detect := func(validate bool) (deadlock bool, invalid error) {
-		mx := es.det.Work(g.Size())
-		g.MatrixInto(mx)
 		if validate {
-			invalid = mx.Validate()
+			g.MatrixInto(es.mx)
+			invalid = es.mx.Validate()
 		}
-		deadlock, _ = pdda.DetectWork(&es.det)
+		deadlock, _ = pdda.DetectGraphInto(&es.det, g)
 		return deadlock, invalid
 	}
 
 	// The claims audit: the runtime held-union per task must stay inside
 	// the statically derived claim set.  Acquisition order is audited at
 	// grant time below.
-	claimed := make([][]bool, cfg.Tasks)
-	for t := range claimed {
-		claimed[t] = make([]bool, cfg.Resources)
+	m := cfg.Resources
+	es.claimed = zeroed(es.claimed, cfg.Tasks*m)
+	claimed := es.claimed
+	for t := range tasks {
 		for _, r := range st.Claims(t) {
-			claimed[t][r] = true
+			claimed[t*m+r] = true
 		}
 	}
 
@@ -187,7 +220,7 @@ func ExecWith(es *ExecScratch, sc *Scenario, st *Static, oracleAll bool) ExecRes
 					if err := g.SetGrant(op.Res, t); err != nil {
 						mismatch("grant q%d to p%d: %v", op.Res, t, err)
 					}
-					if !claimed[t][op.Res] {
+					if !claimed[t*m+op.Res] {
 						mismatch("p%d acquired q%d outside its static claim set", t, op.Res)
 					}
 					ts.blocked = false

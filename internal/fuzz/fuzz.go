@@ -139,23 +139,38 @@ type Scenario struct {
 	Progs []TaskProg
 }
 
-// Generate builds the scenario for one (seed, config) pair.  Equal inputs
-// yield byte-identical scenarios, forever: all randomness flows through one
-// explicitly seeded splitmix64 stream drawn in a fixed order.
+// Generate builds the scenario for one (seed, config) pair in a scratch of
+// its own.
 func Generate(seed uint64, cfg GenConfig) (*Scenario, error) {
+	return GenerateWith(new(ExecScratch), seed, cfg)
+}
+
+// GenerateWith builds the scenario for one (seed, config) pair in es.
+// Equal inputs yield byte-identical scenarios, forever: all randomness
+// flows through one explicitly seeded splitmix64 stream drawn in a fixed
+// order.
+func GenerateWith(es *ExecScratch, seed uint64, cfg GenConfig) (*Scenario, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := det.New(seed)
-	sc := &Scenario{Seed: seed, Cfg: cfg, Progs: make([]TaskProg, cfg.Tasks)}
+	sc := &es.sc
+	sc.Seed, sc.Cfg = seed, cfg
+	// Rows past cfg.Tasks keep their op arrays for a later, larger seed.
+	if cap(sc.Progs) < cfg.Tasks {
+		sc.Progs = append(sc.Progs[:cap(sc.Progs)], make([]TaskProg, cfg.Tasks-cap(sc.Progs))...)
+	}
+	sc.Progs = sc.Progs[:cfg.Tasks]
+	for len(es.names) < cfg.Tasks {
+		es.names = append(es.names, fmt.Sprintf("p%d", len(es.names)))
+	}
 	// held lists the resources the task holds in ascending order,
 	// lost-release locks included (they stay held off-stack); the
 	// acquire candidates are the unheld ones.
-	held := make([]int, 0, min(cfg.MaxDepth, cfg.Resources))
+	held, stack := es.held, es.stack
 	for t := 0; t < cfg.Tasks; t++ {
-		prog := TaskProg{Name: fmt.Sprintf("p%d", t), CrashAt: -1}
-		held = held[:0]
-		var stack []int
+		prog := TaskProg{Name: es.names[t], Ops: sc.Progs[t].Ops[:0], CrashAt: -1}
+		held, stack = held[:0], stack[:0]
 		acquires := 0
 		for acquires < cfg.Ops || len(stack) > 0 {
 			free := 0
@@ -200,6 +215,7 @@ func Generate(seed uint64, cfg GenConfig) (*Scenario, error) {
 		}
 		sc.Progs[t] = prog
 	}
+	es.held, es.stack = held, stack
 	return sc, nil
 }
 

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -357,5 +358,115 @@ func TestDefaultSweepShape(t *testing.T) {
 		if err := p.Gen.validate(); err != nil {
 			t.Fatalf("point %s: %v", p.Label, err)
 		}
+	}
+}
+
+// One ExecScratch carried through changing geometries — the DefaultSweep
+// points m=256, 8 and 256 again, then a small point heavy with crashes and
+// lost releases, then m=8 — must give every seed the scenario, static
+// view, execution result and Banker replay the fresh wrappers give it.
+func TestLockScratchReuseMatchesFresh(t *testing.T) {
+	at := func(m int) GenConfig {
+		cfg := DefaultGenConfig()
+		cfg.Resources = m
+		return cfg
+	}
+	heavy := DefaultGenConfig()
+	heavy.Tasks, heavy.Resources, heavy.MaxDepth = 5, 6, 3
+	heavy.PLostRelease, heavy.PCrash = 0.3, 0.4
+	render := func(sc *Scenario, st *Static, res ExecResult, bd BankerDiffResult) string {
+		out := sc.String()
+		for t := range sc.Progs {
+			out += fmt.Sprintf("claims p%d %v\n", t, st.Claims(t))
+		}
+		return out + fmt.Sprintf("edges %d cycle %v\nexec %+v\nbanker %+v\n", st.Edges(), st.HasCycle(), res, bd)
+	}
+
+	var es ExecScratch
+	var first string // the first seed's fresh outputs, rendered
+	var firstSc *Scenario
+	var firstSt *Static
+	var firstRes ExecResult
+	var firstBd BankerDiffResult
+	crashed, lost, deadlocked, decisions := 0, 0, 0, 0
+	for round, cfg := range []GenConfig{at(256), at(8), at(256), heavy, at(8)} {
+		for seed := uint64(0); seed < 64; seed++ {
+			deep := seed%16 == 0
+			fsc, err := Generate(seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fst := Derive(fsc)
+			fres := Exec(fsc, fst, deep)
+			fbd := BankerDiff(fsc, fst)
+			want := render(fsc, fst, fres, fbd)
+			if first == "" {
+				first, firstSc, firstSt, firstRes, firstBd = want, fsc, fst, fres, fbd
+			}
+
+			sc, err := GenerateWith(&es, seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := DeriveWith(&es, sc)
+			res := ExecWith(&es, sc, st, deep)
+			bd := BankerDiffWith(&es, sc, st)
+			if got := render(sc, st, res, bd); got != want {
+				t.Fatalf("round %d seed %d: a reused scratch differs from a fresh one:\nreused\n%s\nfresh\n%s", round, seed, got, want)
+			}
+			if res.MismatchAt != "" || bd.Mismatch != "" {
+				t.Fatalf("round %d seed %d: %s%s", round, seed, res.MismatchAt, bd.Mismatch)
+			}
+			for _, p := range sc.Progs {
+				lost += p.Lost
+				if p.CrashAt >= 0 {
+					crashed++
+				}
+			}
+			if res.Outcome == Deadlocked {
+				deadlocked++
+			}
+			decisions += bd.Decisions
+		}
+	}
+	if got := render(firstSc, firstSt, firstRes, firstBd); got != first {
+		t.Errorf("later phases changed what the fresh wrappers returned:\nnow\n%s\nthen\n%s", got, first)
+	}
+	if crashed == 0 || lost == 0 || deadlocked == 0 || decisions == 0 {
+		t.Errorf("%d crashes, %d lost releases, %d deadlocks, %d Banker decisions: the points do not exercise the phases",
+			crashed, lost, deadlocked, decisions)
+	}
+}
+
+// Once each point's scratch has grown to its seeds, as a sweep chunk's
+// does, generating, deriving and replaying a seed through both Banker
+// engines allocate nothing.
+func TestLockScratchPhasesDoNotAllocate(t *testing.T) {
+	sw := DefaultSweep(16, 1)
+	scratch := make([]ExecScratch, len(sw.Points))
+	var ran string
+	pass := func() {
+		for p, pt := range sw.Points {
+			es := &scratch[p]
+			for k := 0; k < sw.Seeds; k++ {
+				sc, err := GenerateWith(es, sw.BaseSeed+uint64(p*sw.Seeds+k), pt.Gen)
+				if err != nil {
+					ran = err.Error()
+					return
+				}
+				if bd := BankerDiffWith(es, sc, DeriveWith(es, sc)); bd.Mismatch != "" {
+					ran = bd.Mismatch
+					return
+				}
+			}
+		}
+	}
+	pass()
+	allocs := testing.AllocsPerRun(5, pass)
+	if ran != "" {
+		t.Fatal(ran)
+	}
+	if allocs > 0 {
+		t.Errorf("%v allocations per pass over %d warm seeds, want 0", allocs, len(sw.Points)*sw.Seeds)
 	}
 }

@@ -26,19 +26,26 @@ type Static struct {
 	hasCycle bool
 }
 
-// Derive computes the static view of a scenario.
+// Derive computes the static view of a scenario in a scratch of its own.
 func Derive(sc *Scenario) *Static {
+	return DeriveWith(new(ExecScratch), sc)
+}
+
+// DeriveWith computes the static view of a scenario in es.
+func DeriveWith(es *ExecScratch, sc *Scenario) *Static {
 	m := sc.Cfg.Resources
-	st := &Static{claims: make([][]int, len(sc.Progs))}
+	st := &es.st
+	st.claims = zeroed(st.claims, len(sc.Progs))
 	ops := 0
 	for _, prog := range sc.Progs {
 		ops += len(prog.Ops)
 	}
-	// One backing array holds every task's claim list, and edges collects
-	// each lock-order edge a→b as a*m+b, duplicates included.
-	flat := make([]int, 0, ops)
-	edges := make([]int, 0, 2*ops)
-	var held []int
+	// One backing array holds every task's claim list, so it must not move
+	// while the lists are cut from it; edges collects each lock-order edge
+	// a→b as a*m+b, duplicates included.
+	flat := slices.Grow(es.flat[:0], ops)
+	edges := slices.Grow(es.edges[:0], 2*ops)
+	held := es.held
 	for t, prog := range sc.Progs {
 		held = held[:0]
 		start := len(flat)
@@ -63,9 +70,10 @@ func Derive(sc *Scenario) *Static {
 			st.claims[t] = slices.Clip(slices.Compact(cl))
 		}
 	}
+	es.flat, es.edges, es.held = flat, edges, held
 	slices.Sort(edges)
 	st.succ = slices.Compact(edges)
-	st.off = make([]int, m+1)
+	st.off = zeroed(st.off, m+1)
 	for i, e := range st.succ {
 		st.off[e/m+1]++
 		st.succ[i] = e % m
@@ -73,7 +81,7 @@ func Derive(sc *Scenario) *Static {
 	for a := 0; a < m; a++ {
 		st.off[a+1] += st.off[a]
 	}
-	st.hasCycle = orderCycle(st.off, st.succ)
+	st.hasCycle = es.orderCycle(st.off, st.succ)
 	return st
 }
 
@@ -86,22 +94,29 @@ func (st *Static) Claims(t int) []int { return st.claims[t] }
 // Edges counts the lock-order edges.
 func (st *Static) Edges() int { return len(st.succ) }
 
+// orderFrame is one frame of orderCycle's DFS: a vertex and the index in
+// succ of its next successor.
+type orderFrame struct{ v, next int }
+
 // orderCycle is an iterative three-color DFS over the CSR lock-order graph;
-// every start vertex reuses one frame stack.
-func orderCycle(off, succ []int) bool {
+// every start vertex reuses the scratch's frame stack.
+func (es *ExecScratch) orderCycle(off, succ []int) bool {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, len(off)-1)
-	type frame struct{ v, next int } // next indexes succ
-	var stack []frame
+	es.color = zeroed(es.color, len(off)-1)
+	color := es.color
+	// Each vertex is pushed once, so the stack never outgrows the grown
+	// array and needs no write-back.
+	es.frames = slices.Grow(es.frames[:0], len(color))
+	stack := es.frames
 	for start := range color {
 		if color[start] != white {
 			continue
 		}
-		stack = append(stack[:0], frame{start, off[start]})
+		stack = append(stack[:0], orderFrame{start, off[start]})
 		color[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -117,7 +132,7 @@ func orderCycle(off, succ []int) bool {
 				return true
 			case white:
 				color[w] = gray
-				stack = append(stack, frame{w, off[w]})
+				stack = append(stack, orderFrame{w, off[w]})
 			}
 		}
 	}

@@ -188,21 +188,21 @@ func RunSweep(sw Sweep, workers int) (*Report, error) {
 	aggs, err := campaign.Sweep(len(sw.Points), sw.Seeds, sw.BaseSeed, sw.ChunkSize, workers,
 		func(c campaign.Chunk, agg *Agg) error {
 			gen := sw.Points[c.Point].Gen
-			var es ExecScratch // detection buffers shared by the chunk's seeds
+			var es ExecScratch // every buffer of the chunk's seeds
 			for k := 0; k < c.Count; k++ {
 				idx := c.Index + k
-				sc, err := Generate(c.Seed+uint64(k), gen)
+				sc, err := GenerateWith(&es, c.Seed+uint64(k), gen)
 				if err != nil {
 					return err
 				}
-				st := Derive(sc)
+				st := DeriveWith(&es, sc)
 				deep := sw.OracleEvery > 0 && idx%sw.OracleEvery == 0
 				res := ExecWith(&es, sc, st, deep)
 				agg.fold(sc, st, res, deep)
 				// The Banker differential: replay the seed's traffic through
-				// the bitset Banker and the claim-list RefBanker, comparing
-				// every grant/refuse decision.
-				bd := BankerDiff(sc, st)
+				// the claim-wait Banker and the claim-list RefBanker,
+				// comparing every grant/refuse decision.
+				bd := BankerDiffWith(&es, sc, st)
 				agg.BankerChecked++
 				agg.BankerDecisions += bd.Decisions
 				if bd.Mismatch != "" {

@@ -207,3 +207,65 @@ func TestBitsetDegenerateCycles(t *testing.T) {
 		t.Fatalf("word-boundary 2-cycle: Cycle=%v ref=%v", got, want)
 	}
 }
+
+// mutate applies steps random edge mutations to g, each a request, a
+// withdrawal, a grant of a free resource or a release by the holder.
+func mutate(t *testing.T, rng *det.RNG, g *Graph, steps int) {
+	t.Helper()
+	m, n := g.Size()
+	for step := 0; step < steps; step++ {
+		s, p := rng.Intn(m), rng.Intn(n)
+		switch rng.Intn(4) {
+		case 0:
+			g.AddRequest(s, p)
+		case 1:
+			g.RemoveRequest(s, p)
+		case 2:
+			if g.Holder(s) == -1 {
+				mustNoErr(t, g.SetGrant(s, p))
+			}
+		case 3:
+			if g.Holder(s) == p {
+				mustNoErr(t, g.Release(s, p))
+			}
+		}
+	}
+}
+
+// queries renders every public view of g: the state matrix, the occupied
+// rows, the held-any plane, each process's held and requested resources,
+// and the cycle verdict with its witness.
+func queries(g *Graph) string {
+	m, n := g.Size()
+	rows := g.OccupiedRowsInto(NewMatrix(m, n), nil)
+	out := fmt.Sprintf("%s rows %v heldAny %x cycle %v %v\n", g.Matrix(), rows, g.HeldAnyWords(), g.HasCycle(), g.Cycle())
+	for p := 0; p < n; p++ {
+		out += fmt.Sprintf("p%d holds %v requests %v\n", p, g.HeldBy(p), g.RequestedBy(p))
+	}
+	return out
+}
+
+// A reset graph is a fresh one: right after Reset, and after the same
+// mutations applied to both, every query agrees with NewGraph's.  A Reset
+// that leaves one plane stale fails here (the transposed request plane
+// shows in RequestedBy, the summary planes in the occupied rows).
+func TestGraphResetMatchesNew(t *testing.T) {
+	rng := det.New(31)
+	for _, geo := range bitsetGeometries {
+		g := NewGraph(geo.m, geo.n)
+		for trial := 0; trial < 4; trial++ {
+			mutate(t, rng, g, 200)
+			g.Reset()
+			fresh := NewGraph(geo.m, geo.n)
+			if got, want := queries(g), queries(fresh); got != want {
+				t.Fatalf("%dx%d trial %d: after Reset\n%s\nfresh graph\n%s", geo.m, geo.n, trial, got, want)
+			}
+			seed := rng.Uint64()
+			mutate(t, det.New(seed), g, 200)
+			mutate(t, det.New(seed), fresh, 200)
+			if got, want := queries(g), queries(fresh); got != want {
+				t.Fatalf("%dx%d trial %d: same mutations after Reset\n%s\nfrom a fresh graph\n%s", geo.m, geo.n, trial, got, want)
+			}
+		}
+	}
+}

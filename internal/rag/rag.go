@@ -20,7 +20,7 @@
 // packed orientations (per-resource rows over process columns, and the
 // transposed per-process rows over resource columns) plus a held-resource
 // plane, so every hot query — cycle detection, terminal reduction, the
-// Banker's safety scan — is a word-wide sweep, the software mirror of the
+// Banker's safety search — is a word-wide sweep, the software mirror of the
 // DDU's parallel bit operations.  The per-cell reference engine in ref.go
 // preserves the original cell-at-a-time implementations as differential
 // oracles.
@@ -529,7 +529,7 @@ func (g *Graph) RequestedBy(t int) []int {
 
 // HeldWords exposes process t's packed held-resource plane (bit s: p_t holds
 // q_s).  The slice aliases graph storage; callers must treat it as
-// read-only.  This is the Banker's word-wise safety-scan fast path.
+// read-only.  The Banker's safety search reads it a word at a time.
 func (g *Graph) HeldWords(t int) []uint64 {
 	g.checkProc(t)
 	return g.held[t]
@@ -668,6 +668,18 @@ func (g *Graph) CopyFrom(src *Graph) {
 	copy(g.reqFlat, src.reqFlat)
 	copy(g.colFlat, src.colFlat)
 	copy(g.heldFlat, src.heldFlat)
+}
+
+// Reset removes every edge, leaving g equal to a fresh NewGraph of its
+// size: each plane is cleared in one call and every resource is free.  The
+// query scratch is kept, so a reused graph allocates nothing.
+func (g *Graph) Reset() {
+	for s := range g.grantTo {
+		g.grantTo[s] = -1
+	}
+	clear(g.reqFlat)
+	clear(g.colFlat)
+	clear(g.heldFlat)
 }
 
 // nextWaitHolder advances frame f's bit iterator over the packed request row
