@@ -238,22 +238,26 @@ func BenchmarkFig13DDUDetect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := u.Load(rag.Chain(50, 50)); err != nil {
+	g := rag.Chain(50, 50)
+	b.ReportAllocs()
+	res, err := u.DetectGraph(g) // warm the unit's scratch
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	res := u.Detect() // warm the unit's scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = u.Detect()
+		res, _ = u.DetectGraph(g)
 	}
 	b.ReportMetric(float64(res.Steps), "hw-steps")
 }
 
 // ---- Bitset engine vs per-cell engine across geometries ----
 //
-// The word-parallel reduction against the per-cell reference engine at
-// 64x64, 1kx1k and 16kx16k, plus the zero-allocation graph-detect path.
+// The word-parallel kernel against the per-cell reference engine at 64x64,
+// 1kx1k and 16kx16k: /cell reduces a copy of the state matrix, /bitset
+// runs the zero-allocation graph scan every detector takes
+// (pdda.DetectGraphInto: the occupied-row fill, the reduction and the
+// emptiness test).
 // Request density scales down with n so per-row request degree stays
 // realistic at 16k; the cell engine scans every cell per pass regardless of
 // density, and holds one byte per cell, so the 16kx16k /cell point
@@ -278,7 +282,8 @@ func BenchmarkBitsetReduce(b *testing.B) {
 			if pt.label == "16kx16k" && testing.Short() {
 				b.Skip("16k cell sweep takes seconds per op")
 			}
-			pristine := pt.graph().Matrix()
+			g := pt.graph()
+			pristine := g.Matrix()
 			work := pristine.Clone()
 			b.Run("cell", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -289,10 +294,10 @@ func BenchmarkBitsetReduce(b *testing.B) {
 			b.Run("bitset", func(b *testing.B) {
 				var sc pdda.Scratch
 				b.ReportAllocs()
-				pdda.ReduceInto(&sc, pristine)
+				pdda.DetectGraphInto(&sc, g)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pdda.ReduceInto(&sc, pristine)
+					pdda.DetectGraphInto(&sc, g)
 				}
 			})
 		})
@@ -556,9 +561,9 @@ func BenchmarkSimSpawn(b *testing.B) {
 // round-trips every seed through the lockorder and claims passes (a sweep
 // lint-checks only the first LintSample seeds of each point).  As in a
 // sweep chunk, the generate, derive, exec and banker_diff phases run on one
-// ExecScratch per point, warmed by a pass over the point's seeds before the
-// timer starts, and the ipc_* phases share one IPCScratch across all
-// seeds.
+// ExecScratch per point and the ipc_* phases share one IPCScratch across
+// all seeds; every phase but lint_check is warmed by a pass over all of its
+// seeds before the timer starts.
 func BenchmarkFuzzSeed(b *testing.B) {
 	const seedsPerPoint = 16
 	type lockSeed struct {
@@ -606,45 +611,45 @@ func BenchmarkFuzzSeed(b *testing.B) {
 	var is fuzz.IPCScratch
 	phases := []struct {
 		name string
-		warm bool // one untimed pass over the seeds first, as a chunk's scratch is warm
+		warm int // untimed runs first, one per seed of the phase, as a chunk's scratch is warm (0: cold)
 		run  func(b *testing.B, i int)
 	}{
-		{"generate", true, func(b *testing.B, i int) {
+		{"generate", len(locks), func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
 			if _, err := fuzz.GenerateWith(s.es, s.seed, s.gen); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"derive", true, func(b *testing.B, i int) {
+		{"derive", len(locks), func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
 			fuzz.DeriveWith(s.es, s.sc)
 		}},
-		{"exec", true, func(b *testing.B, i int) {
+		{"exec", len(locks), func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
 			if res := fuzz.ExecWith(s.es, s.sc, s.st, s.deep); res.MismatchAt != "" {
 				b.Fatal(res.MismatchAt)
 			}
 		}},
-		{"banker_diff", true, func(b *testing.B, i int) {
+		{"banker_diff", len(locks), func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
 			if bd := fuzz.BankerDiffWith(s.es, s.sc, s.st); bd.Mismatch != "" {
 				b.Fatal(bd.Mismatch)
 			}
 		}},
-		{"lint_check", false, func(b *testing.B, i int) {
+		{"lint_check", 0, func(b *testing.B, i int) {
 			s := &locks[i%len(locks)]
 			if mismatch, err := fuzz.LintCheck(s.sc, s.st); err != nil || mismatch != "" {
 				b.Fatal(err, mismatch)
 			}
 		}},
-		{"ipc_generate", false, func(b *testing.B, i int) {
+		{"ipc_generate", len(ipcs), func(b *testing.B, i int) {
 			s := &ipcs[i%len(ipcs)]
 			if _, err := fuzz.GenerateIPCWith(&is, s.seed, s.gen); err != nil {
 				b.Fatal(err)
 			}
 		}},
-		{"ipc_derive", false, func(b *testing.B, i int) { fuzz.DeriveIPCWith(&is, ipcs[i%len(ipcs)].sc) }},
-		{"ipc_exec", false, func(b *testing.B, i int) {
+		{"ipc_derive", len(ipcs), func(b *testing.B, i int) { fuzz.DeriveIPCWith(&is, ipcs[i%len(ipcs)].sc) }},
+		{"ipc_exec", len(ipcs), func(b *testing.B, i int) {
 			s := &ipcs[i%len(ipcs)]
 			if res := fuzz.ExecIPCWith(&is, s.sc, s.st); res.MismatchAt != "" {
 				b.Fatal(res.MismatchAt)
@@ -654,12 +659,10 @@ func BenchmarkFuzzSeed(b *testing.B) {
 	for _, ph := range phases {
 		b.Run(ph.name, func(b *testing.B) {
 			b.ReportAllocs()
-			if ph.warm {
-				for i := range locks {
-					ph.run(b, i)
-				}
-				b.ResetTimer()
+			for i := range ph.warm {
+				ph.run(b, i)
 			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ph.run(b, i)
 			}

@@ -59,10 +59,10 @@ func strategies() []strategy {
 				return row{}, err
 			}
 			return detectTape(func(g *rag.Graph) (bool, sim.Cycles, error) {
-				if err := u.Load(g); err != nil {
+				res, err := u.DetectGraph(g)
+				if err != nil {
 					return false, 0, err
 				}
-				res := u.Detect()
 				return res.Deadlock, sim.DDUInvokeCycles(res.Steps), nil
 			})
 		}},

@@ -38,8 +38,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	must(unit.Load(g))
-	res := unit.Detect()
+	res, err := unit.DetectGraph(g)
+	must(err)
 	fmt.Printf("DDU (hardware):      deadlock = %v  (%d hardware steps)\n", res.Deadlock, res.Steps)
 
 	// Which processes are doomed?

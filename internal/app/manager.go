@@ -72,6 +72,10 @@ type Detector interface {
 	// caller whatever the mechanism costs, and returns the verdict plus the
 	// cycles charged (the per-invocation "algorithm run time" of Table 5).
 	Invoke(c *rtos.TaskCtx, g *rag.Graph) (deadlock bool, cost sim.Cycles)
+	// Size is the system the mechanism is built for.  Its cost depends on
+	// the M·N it scans, so the resource manager sizes its graph to at
+	// least this.
+	Size() (procs, resources int)
 	// Name labels the mechanism in reports.
 	Name() string
 	// Invocations, TotalCost and Average read the backend's Meter.
@@ -81,9 +85,10 @@ type Detector interface {
 }
 
 // SoftwareDetector runs PDDA in software: every matrix cell access is an
-// uncached shared-memory access from the invoking PE.  It scans at least
-// the compiled-in system maximum (the paper's RTOS1 scans the full 5x5
-// matrix regardless of how many processes are live).
+// uncached shared-memory access from the invoking PE.  It is built for a
+// compiled-in system maximum (the paper's RTOS1 scans the full 5x5 matrix
+// regardless of how many processes are live), which the resource manager
+// sizes its graph to.
 type SoftwareDetector struct {
 	Meter
 	procs, resources int
@@ -91,7 +96,7 @@ type SoftwareDetector struct {
 }
 
 // NewSoftwareDetector sizes PDDA for a system of at most procs processes
-// and resources resources; a larger graph is scanned at its own size.
+// and resources resources.
 func NewSoftwareDetector(procs, resources int) *SoftwareDetector {
 	return &SoftwareDetector{procs: procs, resources: resources}
 }
@@ -99,20 +104,22 @@ func NewSoftwareDetector(procs, resources int) *SoftwareDetector {
 // Name implements Detector.
 func (d *SoftwareDetector) Name() string { return "PDDA in software" }
 
-// Invoke implements Detector.
+// Size implements Detector.
+func (d *SoftwareDetector) Size() (procs, resources int) { return d.procs, d.resources }
+
+// Invoke implements Detector: PDDA scans g at g's own size.
 func (d *SoftwareDetector) Invoke(c *rtos.TaskCtx, g *rag.Graph) (bool, sim.Cycles) {
-	gm, gn := g.Size()
-	g.MatrixInto(d.sc.Work(max(d.resources, gm), max(d.procs, gn)))
-	dead, st := pdda.DetectWork(&d.sc)
+	dead, st := pdda.DetectGraphInto(&d.sc, g)
 	cost := d.add(sim.SoftwareDetectCycles(st))
 	c.ChargeCompute(cost)
 	recordDetect(c, "detect.invoke", cost, st.Iterations, dead)
 	return dead, cost
 }
 
-// HardwareDetector drives a DDU: the matrix is kept in the unit by the
+// HardwareDetector drives a DDU: the RAG is kept in the unit by the
 // resource manager (one bus write per edge change, already part of the event
-// cost), so detection itself is a start plus a status read.
+// cost), so detection itself is a start plus a status read.  The unit scans
+// the manager's graph, which is the unit's size, in place.
 type HardwareDetector struct {
 	Meter
 	Unit *ddu.Unit
@@ -130,12 +137,18 @@ func NewHardwareDetector(procs, resources int) (*HardwareDetector, error) {
 // Name implements Detector.
 func (d *HardwareDetector) Name() string { return "DDU (hardware)" }
 
+// Size implements Detector.
+func (d *HardwareDetector) Size() (procs, resources int) {
+	cfg := d.Unit.Config()
+	return cfg.Procs, cfg.Resources
+}
+
 // Invoke implements Detector.
 func (d *HardwareDetector) Invoke(c *rtos.TaskCtx, g *rag.Graph) (bool, sim.Cycles) {
-	if err := d.Unit.Load(g); err != nil {
+	res, err := d.Unit.DetectGraph(g)
+	if err != nil {
 		panic("app: ddu size mismatch: " + err.Error())
 	}
-	res := d.Unit.Detect()
 	cost := d.add(sim.DDUInvokeCycles(res.Steps))
 	c.ChargeCompute(cost)
 	recordDetect(c, "detect.invoke", cost, res.Steps, res.Deadlock)
@@ -188,12 +201,16 @@ func (rm *ResourceManager) lock(c *rtos.TaskCtx) { rm.mu.Lock(c) }
 func (rm *ResourceManager) unlock(c *rtos.TaskCtx) { rm.mu.Unlock(c) }
 
 // NewResourceManager builds the service for n processes and the given
-// resource devices.
+// resource devices.  Its graph takes the detector's size where that is
+// larger (Table 5 runs a 4-process scenario on a 5x5 DDU), so the detector
+// scans the M·N it is built for; the spare processes and resources hold no
+// edge.
 func NewResourceManager(k *rtos.Kernel, det Detector, procs int, devices []*sim.Device) *ResourceManager {
+	dp, dr := det.Size()
 	return &ResourceManager{
 		k:       k,
 		det:     det,
-		g:       rag.NewGraph(len(devices), procs),
+		g:       rag.NewGraph(max(len(devices), dr), max(procs, dp)),
 		prio:    make([]int, procs),
 		waiters: map[int][]*waiter{},
 		devices: devices,

@@ -113,24 +113,17 @@ func New(cfg Config) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	dd, err := ddu.New(ddu.Config{Procs: cfg.Procs, Resources: cfg.Resources})
-	if err != nil {
-		return nil, err
-	}
-	u := &Unit{cfg: cfg, av: av, dd: dd}
+	u := &Unit{cfg: cfg, av: av, dd: ddu.On(av.Graph())}
 	av.SetDetector(u.hardwareDetect)
 	return u, nil
 }
 
-// hardwareDetect runs the embedded DDU on the candidate graph, charging its
-// steps to the current command.  The graph maps straight into the DDU's
-// scratch, row by occupied row, so a warm unit decides a command without
-// allocating and without a full-width reload.
-func (u *Unit) hardwareDetect(g *rag.Graph) bool {
-	res, err := u.dd.DetectGraph(g)
-	if err != nil {
-		panic("dau: internal ddu size mismatch: " + err.Error())
-	}
+// hardwareDetect runs the embedded DDU, charging its steps to the current
+// command.  The DDU's cells are the avoider's tracked graph, which holds
+// the candidate edge while the avoider vets it, so the unit keeps no cell
+// store of its own and a warm unit decides a command without allocating.
+func (u *Unit) hardwareDetect(*rag.Graph) bool {
+	res := u.dd.Detect()
 	u.stepsThisCmd += res.Steps
 	return res.Deadlock
 }

@@ -2,11 +2,13 @@ package dau
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"deltartos/internal/daa"
 	"deltartos/internal/ddu"
+	"deltartos/internal/rag"
 	"deltartos/internal/verilog"
 )
 
@@ -368,6 +370,43 @@ func TestEmbeddedDDUConfigMatches(t *testing.T) {
 	if u.dd.Config() != (ddu.Config{Procs: 3, Resources: 7}) {
 		t.Errorf("embedded DDU config = %+v", u.dd.Config())
 	}
+}
+
+// The embedded DDU's cells are the avoider's graph, so New allocates its
+// avoider and a few small structs, not a second cell store.  At the
+// detect_churn size (768 processes, 1024 resources) a cell matrix is about
+// 251 KB; New must cost less than half of one more than daa.New.
+func TestNewAllocatesNoDDUCells(t *testing.T) {
+	const procs, resources = 768, 1024
+	unit := heapBytes(func() {
+		if _, err := New(Config{Procs: procs, Resources: resources}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	avoider := heapBytes(func() {
+		if _, err := daa.New(daa.Config{Procs: procs, Resources: resources}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cells := heapBytes(func() { rag.NewMatrix(resources, procs) })
+	if unit-avoider >= cells/2 {
+		t.Errorf("dau.New allocated %d B, daa.New %d B: %d B more, a cell matrix is %d B",
+			unit, avoider, unit-avoider, cells)
+	}
+}
+
+// heapBytes returns the fewest heap bytes f allocated over three runs.
+func heapBytes(f func()) uint64 {
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
 }
 
 func TestVerilogLinesSanity(t *testing.T) {

@@ -6,9 +6,12 @@
 // Four views of the unit are provided:
 //
 //   - Unit: a functional, step-counted model used inside the MPSoC
-//     simulation.  The DDU is PDDA in hardware (Section 4.2), so the Unit
-//     runs pdda's one reduction kernel on a copy of its cells and converts
-//     the iteration count k into clock steps with HardwareSteps.
+//     simulation.  Its cells are a rag.Graph that the command port
+//     (SetRequest, SetGrant, ClearCell) writes as the PEs program the
+//     real unit over the bus.  The DDU is PDDA in hardware (Section 4.2),
+//     so the Unit runs pdda's one reduction kernel on that graph
+//     (pdda.DetectGraphInto) and converts the iteration count k into
+//     clock steps with HardwareSteps.
 //   - NewRTL: a cell-accurate model of the generated hardware — pdda's
 //     per-cell engine, which evaluates Equations 3–7 register by register
 //     on its own cell array and shares no storage or code with the
@@ -51,13 +54,13 @@ type Result struct {
 	Steps      int // hardware clock steps consumed (see HardwareSteps)
 }
 
-// Unit is the functional DDU model.  The matrix is owned by the unit; the
-// surrounding system (RTOS or DAU) writes cells through the command
-// interface, mirroring how PEs program the real unit over the bus.
+// Unit is the functional DDU model.  Its cells are a single-unit RAG: the
+// surrounding system (RTOS or DAU) writes them through the command
+// interface, mirroring how PEs program the real unit over the bus, and a
+// detection scans them where they are, with no copy or reload.
 type Unit struct {
-	cfg Config
-	mx  *rag.Matrix  // the cells
-	sc  pdda.Scratch // detection working copy
+	g  *rag.Graph   // the cells
+	sc pdda.Scratch // detection working matrix
 
 	// cumulative instrumentation
 	Detections int
@@ -69,55 +72,68 @@ func New(cfg Config) (*Unit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Unit{cfg: cfg, mx: rag.NewMatrix(cfg.Resources, cfg.Procs)}, nil
+	return On(rag.NewGraph(cfg.Resources, cfg.Procs)), nil
 }
+
+// On returns a DDU whose cells are g itself: the unit's commands write g
+// and its detections scan g.  A system that already tracks its RAG as a
+// graph (the DAU's avoider) embeds a DDU this way without a second cell
+// store.
+func On(g *rag.Graph) *Unit { return &Unit{g: g} }
 
 // Config returns the unit's configuration.
-func (u *Unit) Config() Config { return u.cfg }
-
-// Matrix exposes the internal state matrix (read-only use by callers).
-func (u *Unit) Matrix() *rag.Matrix { return u.mx }
-
-// SetRequest asserts the request bit for (resource s, process t).
-func (u *Unit) SetRequest(s, t int) { u.mx.Set(s, t, rag.Request) }
-
-// SetGrant asserts the grant bit for (resource s, process t).
-func (u *Unit) SetGrant(s, t int) { u.mx.Set(s, t, rag.Grant) }
-
-// ClearCell clears cell (s,t).
-func (u *Unit) ClearCell(s, t int) { u.mx.Set(s, t, rag.None) }
-
-// Load replaces the whole matrix with the state matrix of g.  A graph
-// smaller than the unit embeds in the top-left corner with the spare cells
-// zero (see rag.Graph.MatrixInto); a larger graph is an error.
-func (u *Unit) Load(g *rag.Graph) error {
-	if m, n := g.Size(); m > u.cfg.Resources || n > u.cfg.Procs {
-		return fmt.Errorf("ddu: graph %dx%d does not fit unit %dx%d",
-			m, n, u.cfg.Resources, u.cfg.Procs)
-	}
-	g.MatrixInto(u.mx)
-	return nil
+func (u *Unit) Config() Config {
+	m, n := u.g.Size()
+	return Config{Procs: n, Resources: m}
 }
 
-// Detect runs the hardware algorithm on a snapshot of the current matrix and
-// returns the decision.  The internal matrix is not consumed: the real DDU
-// also keeps its cells, re-evaluating weights combinationally.  The
-// snapshot lives in the unit's scratch, so a warm unit does not allocate.
+// Matrix returns a copy of the unit's cells as a state matrix.
+func (u *Unit) Matrix() *rag.Matrix { return u.g.Matrix() }
+
+// SetRequest asserts the request bit for (resource s, process t).  As in
+// the generated ddu_cell, set_r clears the cell's grant bit: a process
+// that held s and now requests it no longer holds it.
+func (u *Unit) SetRequest(s, t int) {
+	if u.g.Holder(s) == t {
+		_ = u.g.Release(s, t) // t holds s: cannot fail
+	}
+	u.g.AddRequest(s, t)
+}
+
+// SetGrant asserts the grant bit for (resource s, process t), clearing the
+// cell's request bit as set_g does.  Resources are single-unit (Section
+// 3.2.2), so a grant of a resource another process holds is a protocol
+// error the cells cannot represent: it panics.
+func (u *Unit) SetGrant(s, t int) {
+	if err := u.g.SetGrant(s, t); err != nil {
+		panic("ddu: set_g: " + err.Error())
+	}
+}
+
+// ClearCell clears both bits of cell (s,t).
+func (u *Unit) ClearCell(s, t int) {
+	if u.g.Holder(s) == t {
+		_ = u.g.Release(s, t) // t holds s: cannot fail
+	}
+	u.g.RemoveRequest(s, t)
+}
+
+// Detect runs the hardware algorithm on the unit's cells and returns the
+// decision.  The cells are not consumed: the real DDU also keeps its
+// cells, re-evaluating weights combinationally.  The reduction runs in the
+// unit's scratch, so a warm unit does not allocate.
 func (u *Unit) Detect() Result {
-	dead, st := pdda.DetectInto(&u.sc, u.mx)
+	dead, st := pdda.DetectGraphInto(&u.sc, u.g)
 	return u.count(dead, st)
 }
 
 // DetectGraph runs the hardware algorithm on the state matrix of g, a
-// graph of the unit's size, without writing the unit's cells: g maps
-// straight into the unit's scratch (pdda.DetectGraphInto), so a scan
-// touches only the rows g occupies.  The result and the instrumentation
-// are those of Load(g) followed by Detect.  This is the DAU's path, whose
-// avoider vets each tentative edge on its tracked graph.
+// graph of the unit's size, without writing the unit's cells: the result
+// and the instrumentation are those of a unit whose cells hold g.
 func (u *Unit) DetectGraph(g *rag.Graph) (Result, error) {
-	if m, n := g.Size(); m != u.cfg.Resources || n != u.cfg.Procs {
-		return Result{}, fmt.Errorf("ddu: graph %dx%d is not the unit's %dx%d",
-			m, n, u.cfg.Resources, u.cfg.Procs)
+	um, un := u.g.Size()
+	if m, n := g.Size(); m != um || n != un {
+		return Result{}, fmt.Errorf("ddu: graph %dx%d is not the unit's %dx%d", m, n, um, un)
 	}
 	dead, st := pdda.DetectGraphInto(&u.sc, g)
 	return u.count(dead, st), nil
@@ -156,14 +172,7 @@ func HardwareSteps(k int) int {
 // number of reduction iterations for the unit's size).
 func WorstCaseSteps(cfg Config) int {
 	g := rag.Chain(cfg.Resources, cfg.Procs)
-	u, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	if err := u.Load(g); err != nil {
-		panic(err)
-	}
-	return u.Detect().Steps
+	return On(g).Detect().Steps
 }
 
 // SynthResult mirrors one row of Table 1.

@@ -79,44 +79,80 @@ func TestDetectPreservesMatrix(t *testing.T) {
 	}
 }
 
-func TestLoadSizeCheck(t *testing.T) {
-	u := mustNew(t, 4, 4)
-	if err := u.Load(rag.NewGraph(5, 4)); err == nil {
-		t.Error("Load accepted wrong-size graph")
+// load writes g's state matrix into u's cells through the command port, as
+// the PEs program the unit over the bus: it clears every cell of the unit,
+// then sets each grant and each request of g, which must fit the unit.
+func load(u *Unit, g *rag.Graph) {
+	cfg := u.Config()
+	for s := 0; s < cfg.Resources; s++ {
+		for p := 0; p < cfg.Procs; p++ {
+			u.ClearCell(s, p)
+		}
 	}
-	if err := u.Load(rag.NewGraph(4, 4)); err != nil {
-		t.Errorf("Load rejected correct size: %v", err)
+	m, _ := g.Size()
+	for s := 0; s < m; s++ {
+		if h := g.Holder(s); h != -1 {
+			u.SetGrant(s, h)
+		}
+		for _, p := range g.Requesters(s) {
+			u.SetRequest(s, p)
+		}
 	}
 }
 
+func mustPanic(t *testing.T, label string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", label)
+		}
+	}()
+	f()
+}
+
+// A command addressing a cell outside the unit panics; DetectGraph takes
+// only a graph of the unit's size.
+func TestLoadSizeCheck(t *testing.T) {
+	u := mustNew(t, 4, 4)
+	mustPanic(t, "set_r row 4", func() { u.SetRequest(4, 0) })
+	mustPanic(t, "set_g column 4", func() { u.SetGrant(0, 4) })
+	mustPanic(t, "clr row -1", func() { u.ClearCell(-1, 0) })
+	if _, err := u.DetectGraph(rag.NewGraph(5, 4)); err == nil {
+		t.Error("DetectGraph accepted wrong-size graph")
+	}
+	if _, err := u.DetectGraph(rag.NewGraph(4, 4)); err != nil {
+		t.Errorf("DetectGraph rejected correct size: %v", err)
+	}
+}
+
+// Loading copies the graph's edges into the cells, and Matrix returns a
+// copy of the cells: neither aliases the unit.
 func TestLoadIsACopy(t *testing.T) {
 	u := mustNew(t, 3, 3)
 	g := rag.NewGraph(3, 3)
-	if err := u.Load(g); err != nil {
-		t.Fatal(err)
-	}
+	load(u, g)
 	if err := g.SetGrant(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if u.Matrix().Get(0, 0) != rag.None {
-		t.Error("Load aliased caller graph")
+		t.Error("load aliased caller graph")
+	}
+	u.Matrix().Set(1, 1, rag.Request)
+	if u.Matrix().Get(1, 1) != rag.None {
+		t.Error("Matrix aliased the unit's cells")
 	}
 }
 
-// A system smaller than the unit embeds top-left (Table 5 runs a 4-process
-// scenario on a 5x5 DDU): the verdict, iteration count and step count must
-// equal those of a unit of the system's own size.
+// A system smaller than the unit occupies its top-left cells (Table 5 runs
+// a 4-process scenario on a 5x5 DDU): the verdict, iteration count and
+// step count must equal those of a unit of the system's own size.
 func TestLoadSmallerGraphMatchesExactUnit(t *testing.T) {
 	rng := det.New(77)
 	for i := 0; i < 200; i++ {
 		g := rag.Random(rng, 4, 4, 0.7, 0.35)
 		big, exact := mustNew(t, 5, 5), mustNew(t, 4, 4)
-		if err := big.Load(g); err != nil {
-			t.Fatal(err)
-		}
-		if err := exact.Load(g); err != nil {
-			t.Fatal(err)
-		}
+		load(big, g)
+		load(exact, g)
 		if got, want := big.Detect(), exact.Detect(); got != want {
 			t.Fatalf("case %d: 5x5 unit %+v, 4x4 unit %+v\n%s", i, got, want, g.Matrix())
 		}
@@ -127,16 +163,12 @@ func TestLoadSmallerGraphMatchesExactUnit(t *testing.T) {
 // state behind in the spare rows or columns.
 func TestLoadClearsSpareCells(t *testing.T) {
 	u := mustNew(t, 5, 5)
-	if err := u.Load(rag.CycleGraph(5, 5, 5)); err != nil {
-		t.Fatal(err)
-	}
+	load(u, rag.CycleGraph(5, 5, 5))
 	if !u.Detect().Deadlock {
 		t.Fatal("5-cycle not detected")
 	}
 	small := rag.Chain(4, 4)
-	if err := u.Load(small); err != nil {
-		t.Fatal(err)
-	}
+	load(u, small)
 	want := rag.NewMatrix(5, 5)
 	for s := 0; s < 4; s++ {
 		for p := 0; p < 4; p++ {
@@ -151,22 +183,152 @@ func TestLoadClearsSpareCells(t *testing.T) {
 	}
 }
 
-// A warm unit detects without allocating: the snapshot lives in the unit's
-// pdda.Scratch (the DDU counterpart of pdda's TestDetectDoesNotAllocate).
+// The command port follows the generated ddu_cell: set_r clears the
+// cell's g, set_g clears its r and clr clears both.  The cells are a
+// single-unit RAG, so set_g on a resource another process holds cannot be
+// stored: it panics and leaves the cells as they were.
+func TestCommandPortSemantics(t *testing.T) {
+	type cell struct {
+		s, p int
+		c    rag.Cell
+	}
+	cases := []struct {
+		name      string
+		cells     func() *rag.Graph // the unit's cells before the command
+		cmd       func(u *Unit)
+		want      []cell // every non-empty cell after the command
+		wantPanic bool
+	}{
+		{"set_r on a cell its process holds", granted(0, 0),
+			func(u *Unit) { u.SetRequest(0, 0) }, []cell{{0, 0, rag.Request}}, false},
+		{"set_r on a resource another process holds", granted(0, 0),
+			func(u *Unit) { u.SetRequest(0, 1) }, []cell{{0, 0, rag.Grant}, {0, 1, rag.Request}}, false},
+		{"set_g on a requested cell", requested(0, 1),
+			func(u *Unit) { u.SetGrant(0, 1) }, []cell{{0, 1, rag.Grant}}, false},
+		{"set_g on a cell its process holds", granted(0, 1),
+			func(u *Unit) { u.SetGrant(0, 1) }, []cell{{0, 1, rag.Grant}}, false},
+		{"set_g on a resource another process holds", granted(0, 0),
+			func(u *Unit) { u.SetGrant(0, 1) }, []cell{{0, 0, rag.Grant}}, true},
+		{"clr on a granted cell", granted(1, 2),
+			func(u *Unit) { u.ClearCell(1, 2) }, nil, false},
+		{"clr on a requested cell", requested(1, 2),
+			func(u *Unit) { u.ClearCell(1, 2) }, nil, false},
+		{"clr on a cell holding both bits", func() *rag.Graph {
+			g := granted(1, 2)()
+			g.AddRequest(1, 2) // only a graph built outside the port holds both
+			return g
+		}, func(u *Unit) { u.ClearCell(1, 2) }, nil, false},
+		{"clr on another process's cell", granted(1, 2),
+			func(u *Unit) { u.ClearCell(1, 0) }, []cell{{1, 2, rag.Grant}}, false},
+	}
+	for _, tc := range cases {
+		u := On(tc.cells())
+		if tc.wantPanic {
+			mustPanic(t, tc.name, func() { tc.cmd(u) })
+		} else {
+			tc.cmd(u)
+		}
+		want := rag.NewMatrix(3, 3)
+		for _, c := range tc.want {
+			want.Set(c.s, c.p, c.c)
+		}
+		if got := u.Matrix(); !got.Equal(want) {
+			t.Errorf("%s: cells\n%swant\n%s", tc.name, got, want)
+		}
+	}
+}
+
+// granted and requested return builders of a 3x3 graph holding one edge.
+func granted(s, p int) func() *rag.Graph {
+	return func() *rag.Graph {
+		g := rag.NewGraph(3, 3)
+		if err := g.SetGrant(s, p); err != nil {
+			panic(err) // unreachable: fresh graph
+		}
+		return g
+	}
+}
+
+func requested(s, p int) func() *rag.Graph {
+	return func() *rag.Graph {
+		g := rag.NewGraph(3, 3)
+		g.AddRequest(s, p)
+		return g
+	}
+}
+
+// Random command sequences replayed into a unit and, through Set, into a
+// rag.Matrix must leave the same cells, and the unit's verdict must be the
+// per-cell engine's on that matrix.  A set_g on a resource another process
+// holds panics in the unit (TestCommandPortSemantics) and is dropped on
+// both sides.  The sizes straddle the 64-column word edge.
+func TestCommandPortMatchesMatrix(t *testing.T) {
+	rng := det.New(97)
+	for _, sz := range []struct{ m, n int }{{3, 3}, {5, 4}, {9, 65}, {70, 66}} {
+		u := mustNew(t, sz.n, sz.m)
+		mx := rag.NewMatrix(sz.m, sz.n)
+		deadlocks := 0
+		for step := 0; step < 4000; step++ {
+			s, p := rng.Intn(sz.m), rng.Intn(sz.n)
+			// Hot rows and columns make cycles and repeated writes likely.
+			if rng.Intn(2) == 0 {
+				s, p = s%3, p%3
+			}
+			switch rng.Intn(5) {
+			case 0, 1:
+				u.SetRequest(s, p)
+				mx.Set(s, p, rag.Request)
+			case 2:
+				held := false
+				for q := 0; q < sz.n; q++ {
+					held = held || (q != p && mx.Get(s, q) == rag.Grant)
+				}
+				if held {
+					mustPanic(t, "set_g on a held resource", func() { u.SetGrant(s, p) })
+					break
+				}
+				u.SetGrant(s, p)
+				mx.Set(s, p, rag.Grant)
+			default:
+				u.ClearCell(s, p)
+				mx.Set(s, p, rag.None)
+			}
+			if !u.Matrix().Equal(mx) {
+				t.Fatalf("%dx%d step %d: cells\n%swant\n%s", sz.m, sz.n, step, u.Matrix(), mx)
+			}
+			if step%7 != 0 {
+				continue
+			}
+			res := u.Detect()
+			if want := pdda.DetectCells(mx); res.Deadlock != want {
+				t.Fatalf("%dx%d step %d: Detect %v, DetectCells %v\n%s", sz.m, sz.n, step, res.Deadlock, want, mx)
+			}
+			if res.Deadlock {
+				deadlocks++
+			}
+		}
+		if deadlocks == 0 {
+			t.Errorf("%dx%d: no detection saw a deadlock", sz.m, sz.n)
+		}
+	}
+}
+
+// A warm unit detects without allocating: the reduction runs in the
+// unit's pdda.Scratch (the DDU counterpart of pdda's
+// TestDetectDoesNotAllocate).
 func TestUnitDetectDoesNotAllocate(t *testing.T) {
 	u := mustNew(t, 96, 48)
-	if err := u.Load(rag.Random(det.New(3), 48, 96, 0.7, 0.2)); err != nil {
-		t.Fatal(err)
-	}
+	load(u, rag.Random(det.New(3), 48, 96, 0.7, 0.2))
 	u.Detect() // warm the scratch
 	if allocs := testing.AllocsPerRun(10, func() { u.Detect() }); allocs > 0 {
 		t.Errorf("Unit.Detect allocated %.0f times per scan, want 0", allocs)
 	}
 }
 
-// DetectGraph must return what Load followed by Detect returns and charge
-// the same instrumentation, without writing the unit's cells, on one unit
-// that alternates the two paths; a graph of another size is an error.
+// DetectGraph must return what loading the graph into the cells followed
+// by Detect returns and charge the same instrumentation, without writing
+// the unit's cells, on one unit that alternates the two paths; a graph of
+// another size is an error.
 func TestDetectGraphMatchesLoadDetect(t *testing.T) {
 	rng := det.New(53)
 	viaGraph, viaLoad := mustNew(t, 70, 66), mustNew(t, 70, 66)
@@ -174,9 +336,7 @@ func TestDetectGraphMatchesLoadDetect(t *testing.T) {
 		t.Error("DetectGraph accepted a smaller graph")
 	}
 	cells := rag.CycleGraph(66, 70, 4)
-	if err := viaGraph.Load(cells); err != nil {
-		t.Fatal(err)
-	}
+	load(viaGraph, cells)
 	cellSteps, cellDetects := 0, 0
 	for i := 0; i < 100; i++ {
 		g := rag.Random(rng, 66, 70, 0.6, 0.03)
@@ -188,11 +348,9 @@ func TestDetectGraphMatchesLoadDetect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := viaLoad.Load(g); err != nil {
-			t.Fatal(err)
-		}
+		load(viaLoad, g)
 		if want := viaLoad.Detect(); got != want || got.Deadlock != g.HasCycle() {
-			t.Fatalf("case %d: DetectGraph %+v, Load+Detect %+v, HasCycle %v", i, got, want, g.HasCycle())
+			t.Fatalf("case %d: DetectGraph %+v, load+Detect %+v, HasCycle %v", i, got, want, g.HasCycle())
 		}
 		if i%10 == 0 {
 			// The unit's own cells share the scratch with DetectGraph.
@@ -208,7 +366,7 @@ func TestDetectGraphMatchesLoadDetect(t *testing.T) {
 		t.Error("DetectGraph wrote the unit's cells")
 	}
 	if viaGraph.Detections-cellDetects != viaLoad.Detections || viaGraph.TotalSteps-cellSteps != viaLoad.TotalSteps {
-		t.Errorf("DetectGraph unit counted %d detections, %d steps; Load+Detect unit %d, %d",
+		t.Errorf("DetectGraph unit counted %d detections, %d steps; load+Detect unit %d, %d",
 			viaGraph.Detections-cellDetects, viaGraph.TotalSteps-cellSteps, viaLoad.Detections, viaLoad.TotalSteps)
 	}
 	g := rag.Random(rng, 66, 70, 0.6, 0.03)
@@ -246,9 +404,7 @@ func TestDDUMatchesPDDAAndOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.Load(g); err != nil {
-			t.Fatal(err)
-		}
+		load(u, g)
 		hw := u.Detect()
 		sw, _ := pdda.DetectGraph(g)
 		if hw.Deadlock != sw || hw.Deadlock != g.HasCycle() {
@@ -265,9 +421,7 @@ func TestIterationAgreement(t *testing.T) {
 		g := rag.Random(rng, 1+rng.Intn(8), 1+rng.Intn(8), 0.8, 0.35)
 		m, n := g.Size()
 		u, _ := New(Config{Procs: n, Resources: m})
-		if err := u.Load(g); err != nil {
-			t.Fatal(err)
-		}
+		load(u, g)
 		hw := u.Detect()
 		mx := g.Matrix()
 		k, _ := pdda.Reduce(mx)

@@ -76,9 +76,7 @@ func TestRTLEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := unit.Load(g); err != nil {
-			t.Fatal(err)
-		}
+		load(unit, g)
 		fast := unit.Detect()
 
 		rtl, err := NewRTL(Config{Procs: nSize, Resources: mSize})

@@ -65,9 +65,7 @@ func TestDumpMatchesUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	u, _ := New(Config{Procs: 6, Resources: 6})
-	if err := u.Load(g); err != nil {
-		t.Fatal(err)
-	}
+	load(u, g)
 	fast := u.Detect()
 	if res.Deadlock != fast.Deadlock || res.Iterations != fast.Iterations {
 		t.Errorf("dump (%v,%d) != unit (%v,%d)", res.Deadlock, res.Iterations, fast.Deadlock, fast.Iterations)

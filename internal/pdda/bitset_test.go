@@ -47,12 +47,10 @@ func TestBitsetEngineMatchesCellEngine(t *testing.T) {
 }
 
 // A Scratch reused across calls must answer exactly as a fresh one: the
-// same verdict, k and Stats, and the verdict of the per-cell engine.  One
-// scratch runs a seeded interleaving of every entry point over graphs of
-// three sizes, deadlocked and not, including a working matrix filled
-// through Work and abandoned before the next DetectGraphInto.  Rows left
-// over from an earlier scan, or from a caller's fill, would change a
-// verdict or k here.
+// same verdict, Stats and irreducible matrix, and the verdict of the
+// per-cell engine.  One scratch scans a seeded sequence of graphs of three
+// sizes, deadlocked and not.  Rows left over from an earlier scan would
+// change a verdict, k or the reduced matrix here.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := det.New(41)
 	sizes := []struct{ m, n int }{{7, 13}, {64, 65}, {64, 48}}
@@ -85,63 +83,27 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("%dx%d: %d of %d graphs deadlocked, want some of each", sz.m, sz.n, deadlocked, len(graphs))
 		}
 	}
-	pick := func(i int, deadOnly bool) entry {
-		for {
-			e := pool[i][rng.Intn(len(pool[i]))]
-			if e.dead || !deadOnly {
-				return e
-			}
-		}
-	}
+	pick := func(i int) entry { return pool[i][rng.Intn(len(pool[i]))] }
 
 	var sc Scratch
 	for step := 0; step < 600; step++ {
 		i := rng.Intn(len(sizes))
-		e := pick(i, false)
+		e := pick(i)
 		m, n := e.g.Size()
-		mx := e.g.Matrix()
 		var fresh Scratch
-		var dead, want bool
-		var got, wantSt Stats
-		op := rng.Intn(5)
-		switch op {
-		case 0:
-			dead, got = DetectGraphInto(&sc, e.g)
-			want, wantSt = DetectGraphInto(&fresh, e.g)
-		case 1:
-			dead, got = DetectInto(&sc, mx)
-			want, wantSt = DetectInto(&fresh, mx)
-		case 2:
-			var k, wantK int
-			k, got = ReduceInto(&sc, mx)
-			wantK, wantSt = ReduceInto(&fresh, mx)
-			if k != wantK || !sc.work.Equal(fresh.work) {
-				t.Fatalf("step %d: ReduceInto k=%d or its matrix differs from a fresh scratch's (k=%d)", step, k, wantK)
-			}
-			dead, want = len(sc.live) > 0, len(fresh.live) > 0
-		case 3:
-			e.g.MatrixInto(sc.Work(m, n))
-			dead, got = DetectWork(&sc)
-			e.g.MatrixInto(fresh.Work(m, n))
-			want, wantSt = DetectWork(&fresh)
-		case 4:
-			// A caller fills the working matrix with a deadlocked graph and
-			// abandons it; the next graph scan must not see those rows.
-			pick(i, true).g.MatrixInto(sc.Work(m, n))
-			dead, got = DetectGraphInto(&sc, e.g)
-			want, wantSt = DetectGraphInto(&fresh, e.g)
-		}
-		if dead != want || got != wantSt {
-			t.Fatalf("step %d op %d %dx%d: reused scratch says %v %+v, fresh says %v %+v",
-				step, op, m, n, dead, got, want, wantSt)
+		dead, got := DetectGraphInto(&sc, e.g)
+		want, wantSt := DetectGraphInto(&fresh, e.g)
+		if dead != want || got != wantSt || !sc.work.Equal(fresh.work) {
+			t.Fatalf("step %d %dx%d: reused scratch says %v %+v, fresh says %v %+v (reduced matrices equal: %v)",
+				step, m, n, dead, got, want, wantSt, sc.work.Equal(fresh.work))
 		}
 		if dead != e.dead {
-			t.Fatalf("step %d op %d %dx%d: verdict %v, DetectGraphCells %v", step, op, m, n, dead, e.dead)
+			t.Fatalf("step %d %dx%d: verdict %v, DetectGraphCells %v", step, m, n, dead, e.dead)
 		}
 	}
 }
 
-// FuzzReduce checks every word-parallel entry point against the per-cell
+// FuzzReduce checks the word-parallel entry points against the per-cell
 // engine (checkLean) on two graphs decoded from bytes by decodeGraphs,
 // checking the first and then the second in one shared Scratch, so the
 // fuzzer also searches for rows a scan leaves behind for the next.  The
@@ -177,8 +139,9 @@ func FuzzReduce(f *testing.F) {
 
 // checkLean is the fuzz target's check: the per-cell engine reduces g once,
 // and each word-parallel entry point runs once, untraced, against it.
-// DetectGraphInto runs first, so in a scratch shared with an earlier check
-// it scans whatever that check left.  The unit tests run the full
+// DetectGraphInto scans in a scratch shared with an earlier check, so it
+// scans whatever that check left, and must end on the per-cell engine's
+// irreducible matrix.  The unit tests run the full
 // checkAgainstCells, which also walks ReduceTraced step by step and runs
 // the per-cell detectors.
 func checkLean(t *testing.T, sc *Scratch, g *rag.Graph) {
@@ -187,21 +150,16 @@ func checkLean(t *testing.T, sc *Scratch, g *rag.Graph) {
 	cells := mx.Clone()
 	k := ReduceCells(cells)
 	wantDead := !cells.Empty()
-	if dead, _ := DetectGraphInto(sc, g); dead != wantDead {
-		t.Fatalf("DetectGraphInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
+	if dead, st := DetectGraphInto(sc, g); dead != wantDead || st.Iterations != k || !sc.work.Equal(cells) {
+		t.Fatalf("DetectGraphInto=%v k=%d or its matrix differs from ReduceCells (empty=%v, k=%d)",
+			dead, st.Iterations, !wantDead, k)
 	}
 	word := mx.Clone()
 	if wordK, _ := Reduce(word); wordK != k || !word.Equal(cells) {
 		t.Fatalf("Reduce k=%d or its matrix differs from ReduceCells (k=%d)", wordK, k)
 	}
-	if intoK, _ := ReduceInto(sc, mx); intoK != k || !sc.work.Equal(cells) {
-		t.Fatalf("ReduceInto k=%d or its matrix differs from ReduceCells (k=%d)", intoK, k)
-	}
 	if dead, _ := Detect(mx); dead != wantDead {
 		t.Fatalf("Detect=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
-	}
-	if dead, _ := DetectInto(sc, mx); dead != wantDead {
-		t.Fatalf("DetectInto=%v, per-cell irreducible matrix empty=%v", dead, !wantDead)
 	}
 }
 
@@ -282,9 +240,6 @@ func checkAgainstCells(t *testing.T, sc *Scratch, label string, g *rag.Graph) in
 	if !cellCopy.Equal(wordCopy) {
 		t.Fatalf("%s: irreducible matrices differ", label)
 	}
-	if k, _ := ReduceInto(sc, mx); k != cellK || !sc.work.Equal(cellCopy) {
-		t.Fatalf("%s: ReduceInto k=%d or its matrix differs from ReduceCells (k=%d)", label, k, cellK)
-	}
 	tracedK, _, trace := ReduceTraced(mx.Clone())
 	if tracedK != cellK || len(trace) != cellK {
 		t.Fatalf("%s: ReduceTraced k=%d with %d steps, want %d", label, tracedK, len(trace), cellK)
@@ -311,11 +266,9 @@ func checkAgainstCells(t *testing.T, sc *Scratch, label string, g *rag.Graph) in
 	if dead, _ := Detect(mx); dead != wantDead {
 		t.Fatalf("%s: Detect=%v, DetectCells=%v", label, dead, wantDead)
 	}
-	if dead, _ := DetectInto(sc, mx); dead != wantDead {
-		t.Fatalf("%s: DetectInto=%v, DetectCells=%v", label, dead, wantDead)
-	}
-	if dead, _ := DetectGraphInto(sc, g); dead != wantDead {
-		t.Fatalf("%s: DetectGraphInto=%v, DetectCells=%v", label, dead, wantDead)
+	if dead, st := DetectGraphInto(sc, g); dead != wantDead || st.Iterations != cellK || !sc.work.Equal(cellCopy) {
+		t.Fatalf("%s: DetectGraphInto=%v k=%d or its matrix differs from the per-cell engine (DetectCells=%v, k=%d)",
+			label, dead, st.Iterations, wantDead, cellK)
 	}
 	if dead := DetectGraphCells(g); dead != wantDead {
 		t.Fatalf("%s: DetectGraphCells=%v, DetectCells=%v", label, dead, wantDead)
@@ -329,8 +282,8 @@ func rowHasEdge(mx *rag.Matrix, s int) bool {
 }
 
 // Stats is the abstract cost model the simulator converts to bus cycles; the
-// scratch path must charge exactly what the legacy clone path charges, which
-// in turn is pinned to the per-cell formula (N reads per row scan, M·N per
+// graph scan must charge exactly what a scan of the state matrix charges,
+// which in turn is pinned to the per-cell formula (N reads per row scan, M·N per
 // column scan, N writes per cleared row, M per cleared column, plus the
 // construct/test M·N passes of Algorithm 2).
 func TestStatsMatchAcrossPaths(t *testing.T) {
@@ -340,10 +293,6 @@ func TestStatsMatchAcrossPaths(t *testing.T) {
 		g := rag.Random(rng, 7, 13, 0.7, 0.25)
 		mx := g.Matrix()
 		_, legacy := Detect(mx)
-		_, scratch := DetectInto(&sc, mx)
-		if legacy != scratch {
-			t.Fatalf("trial %d: Detect stats %+v != DetectInto stats %+v", trial, legacy, scratch)
-		}
 		_, graphScratch := DetectGraphInto(&sc, g)
 		if legacy != graphScratch {
 			t.Fatalf("trial %d: Detect stats %+v != DetectGraphInto stats %+v", trial, legacy, graphScratch)
@@ -419,11 +368,6 @@ func TestDetectDoesNotAllocate(t *testing.T) {
 	DetectGraphInto(&sc, g) // warm the scratch
 	if allocs := testing.AllocsPerRun(10, func() { DetectGraphInto(&sc, g) }); allocs > 0 {
 		t.Errorf("DetectGraphInto allocated %.0f times per scan, want 0", allocs)
-	}
-	mx := g.Matrix()
-	DetectInto(&sc, mx)
-	if allocs := testing.AllocsPerRun(10, func() { DetectInto(&sc, mx) }); allocs > 0 {
-		t.Errorf("DetectInto allocated %.0f times per scan, want 0", allocs)
 	}
 	g.HasCycle() // warm the graph scratch
 	if allocs := testing.AllocsPerRun(10, func() { g.HasCycle() }); allocs > 0 {

@@ -194,12 +194,6 @@ func (mx *Matrix) Edges() (requests, grants int) {
 	return
 }
 
-// Clear zeroes every cell.
-func (mx *Matrix) Clear() {
-	clear(mx.reqFlat)
-	clear(mx.grantFlat)
-}
-
 // ClearRows zeroes every cell in the listed rows, one clear per plane for
 // each run of consecutive rows.
 func (mx *Matrix) ClearRows(rows []int) {
@@ -552,30 +546,16 @@ func (g *Graph) Matrix() *Matrix {
 	return mx
 }
 
-// MatrixInto writes the graph's state matrix into a caller-owned matrix —
-// a copy of the packed request plane plus one grant bit per held resource,
-// no allocation.  This is the scratch-reuse path the periodic detection
-// scan runs on.  A matrix larger than the graph receives the graph in its
-// top-left corner with every spare cell cleared (the paper's experiments
-// run 4-process systems on a 5x5 DDU); a smaller one panics.  When the rows
-// have the same word width the request plane is one copy; a wider matrix
-// takes it row by row.
+// MatrixInto writes the graph's state matrix into a caller-owned matrix of
+// the graph's size — a copy of the packed request plane plus one grant bit
+// per held resource, one call per plane and no allocation.  A matrix of
+// another size panics.
 func (g *Graph) MatrixInto(mx *Matrix) {
-	if mx.M < g.m || mx.N < g.n {
+	if mx.M != g.m || mx.N != g.n {
 		panic(fmt.Sprintf("rag: MatrixInto %dx%d graph into %dx%d matrix", g.m, g.n, mx.M, mx.N))
 	}
 	clear(mx.grantFlat)
-	if mx.words == g.nw {
-		clear(mx.reqFlat[copy(mx.reqFlat, g.reqFlat):])
-	} else {
-		for s, req := range mx.req {
-			if s >= g.m {
-				clear(req)
-				continue
-			}
-			clear(req[copy(req, g.reqRows[s]):])
-		}
-	}
+	copy(mx.reqFlat, g.reqFlat)
 	for s, h := range g.grantTo {
 		if h != -1 {
 			mx.grant[s][h/64] |= 1 << (uint(h) % 64)

@@ -69,6 +69,9 @@ func TestMatrixPanics(t *testing.T) {
 	mustPanic(t, func() { mx.Get(2, 0) })
 	mustPanic(t, func() { mx.Set(0, 2, Grant) })
 	mustPanic(t, func() { mx.Set(0, 0, Cell(3)) })
+	// A state matrix has the graph's size: no embedding into a larger one.
+	mustPanic(t, func() { NewGraph(2, 2).MatrixInto(NewMatrix(3, 2)) })
+	mustPanic(t, func() { NewGraph(2, 2).MatrixInto(NewMatrix(2, 65)) })
 }
 
 func mustPanic(t *testing.T, f func()) {
