@@ -46,13 +46,13 @@ bench:
 prod-lines:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^_perfbench/' | grep -v '/testdata/' | xargs cat | wc -l
 
-# bench-detect runs the detection-layer benchmarks — the PDDA reduction and
-# graph-detect scans on dense and block-diagonal geometries, the DAA and
-# DAU hand-off cycle on the block-diagonal shape, and the DDU model's
-# detect — three times each with allocation counts.  -short skips
-# the 16kx16k point, whose per-cell sweep takes seconds per op.
+# bench-detect runs the detection-layer benchmarks — the PDDA reduction
+# (per-cell engine and word-parallel graph scan) on dense and block-diagonal
+# geometries, the DAA and DAU hand-off cycle on the block-diagonal shape,
+# and the DDU model's detect — three times each with allocation counts.
+# -short skips the 16kx16k point, whose per-cell sweep takes seconds per op.
 bench-detect:
-	$(GO) test -run '^$$' -bench 'BitsetReduce|BitsetDetectGraph|AvoidRequest|Fig13DDUDetect' -benchmem -count 3 -short .
+	$(GO) test -run '^$$' -bench 'BitsetReduce|AvoidRequest|Fig13DDUDetect' -benchmem -count 3 -short .
 
 # bench-fuzz-seed runs the per-seed fuzz phase benchmarks — generate,
 # derive, exec and the Banker differential over the DefaultSweep points, and

@@ -304,27 +304,6 @@ func BenchmarkBitsetReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkBitsetDetectGraph measures the steady-state fuzz-executor scan:
-// graph-to-matrix mapping plus full reduction in caller-owned scratch.  The
-// allocs/op column must read 0 (gated by TestDetectDoesNotAllocate).
-func BenchmarkBitsetDetectGraph(b *testing.B) {
-	for _, pt := range bitsetPoints {
-		if pt.label != "1kx1k" && pt.label != "tiles64x16x12" {
-			continue
-		}
-		g := pt.graph()
-		b.Run(pt.label, func(b *testing.B) {
-			var sc pdda.Scratch
-			b.ReportAllocs()
-			pdda.DetectGraphInto(&sc, g)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pdda.DetectGraphInto(&sc, g)
-			}
-		})
-	}
-}
-
 // BenchmarkAvoidRequest measures the avoidance layer on the detect_churn
 // shape: a daa.Avoider and a dau.Unit of the tiles64x16x12 size, holding
 // the grants and the requests of that graph as far as avoidance lets them,

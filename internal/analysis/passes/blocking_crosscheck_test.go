@@ -34,20 +34,37 @@ func loadAppBounds(t *testing.T) map[string]map[string]BlockingBound {
 	return out
 }
 
-// traceScenario runs fn with a recorder-attaching option and returns the
-// merged counter registry of every sim the scenario created.
-func traceScenario(t *testing.T, fn func(opt app.Option)) map[string]uint64 {
+// recordScenario runs fn with a recorder-attaching option and returns the
+// session holding one recorder per sim the scenario created.
+func recordScenario(t *testing.T, fn func(opt app.Option)) *trace.Session {
 	t.Helper()
 	sess := trace.NewSession()
 	hooks := &sim.Hooks{OnNew: func(s *sim.Sim) {
 		s.Rec = sess.NewRecorder("run" + string(rune('0'+sess.Len())))
 	}}
 	fn(app.WithSimHooks(hooks))
-	counters := sess.CountersFrom(0)
-	if counters == nil {
+	if sess.Len() == 0 {
 		t.Fatal("scenario recorded no simulations")
 	}
-	return counters
+	return sess
+}
+
+// traceScenario runs fn traced and returns the merged counter registry of
+// every sim the scenario created.
+func traceScenario(t *testing.T, fn func(opt app.Option)) map[string]uint64 {
+	t.Helper()
+	return recordScenario(t, fn).CountersFrom(0)
+}
+
+// scenarioEvents runs fn traced and returns the event stream of the one sim
+// the scenario created, for the replayed claims and race audits.
+func scenarioEvents(t *testing.T, fn func(opt app.Option)) []trace.Event {
+	t.Helper()
+	sess := recordScenario(t, fn)
+	if sess.Len() != 1 {
+		t.Fatalf("scenario built %d simulations, want 1", sess.Len())
+	}
+	return sess.Recorders()[0].Events()
 }
 
 // checkBlockingBound compares the traced per-task blocking counters of one

@@ -28,8 +28,8 @@ func loadAppManifest(t *testing.T) *claims.Manifest {
 	return m
 }
 
-// checkSubset asserts that every runtime-observed (task, resource) hold is
-// covered by the scenario's static claims, failing with a named witness.
+// checkSubset asserts that every runtime (task, resource) hold is covered by
+// the scenario's static claims, failing with a named witness.
 func checkSubset(t *testing.T, m *claims.Manifest, scenario string, observed []claims.TaskClaim) {
 	t.Helper()
 	sc := m.Scenario(scenario)
@@ -37,55 +37,49 @@ func checkSubset(t *testing.T, m *claims.Manifest, scenario string, observed []c
 		t.Fatalf("static claims manifest has no scenario %q (have %d scenarios)", scenario, len(m.Scenarios))
 	}
 	if len(observed) == 0 {
-		t.Fatalf("%s: runtime audit observed no holds — the audit hooks are disconnected", scenario)
+		t.Fatalf("%s: the replayed trace shows no holds — the hold events are disconnected", scenario)
 	}
-	for _, tc := range observed {
-		for _, r := range tc.Resources {
-			if !sc.Covers(tc.Task, r) {
-				t.Errorf("%s: task %s held %s at runtime, but no static claim covers it", scenario, tc.Task, r)
-			}
-		}
+	if task, key, bad := sc.Witness(observed); bad {
+		t.Errorf("%s: task %s held %s at runtime, but no static claim covers it", scenario, task, key)
 	}
 }
 
 // The static claims manifest must over-approximate the runtime: on every
-// scenario, the audited per-task held-sets are a subset of the inferred
-// maximal claims.  A violation names the task and resource that escaped the
-// static analysis — exactly the hole that would let the DAU/Banker admit an
-// undeclared request.
+// scenario, the per-task held-sets folded from the traced run are a subset
+// of the inferred maximal claims.  A violation names the task and resource
+// that escaped the static analysis — exactly the hole that would let the
+// DAU/Banker admit an undeclared request.
 func TestRuntimeHeldSetsWithinStaticClaims(t *testing.T) {
 	m := loadAppManifest(t)
 
-	t.Run("detection", func(t *testing.T) {
-		run := app.RunDetectionScenario(app.NewSoftwareDetector(5, 5))
-		checkSubset(t, m, "RunDetectionScenario", run.Observed)
-	})
-	t.Run("grant-avoidance", func(t *testing.T) {
-		run := app.RunGrantDeadlockScenario(softwareAvoidance(t))
-		checkSubset(t, m, "RunGrantDeadlockScenario", run.Observed)
-	})
-	t.Run("request-avoidance", func(t *testing.T) {
-		run := app.RunRequestDeadlockScenario(softwareAvoidance(t))
-		checkSubset(t, m, "RunRequestDeadlockScenario", run.Observed)
-	})
-	t.Run("robot-rtos5", func(t *testing.T) {
-		run := app.RunRobotScenario(app.NewRTOS5Locks, false)
-		checkSubset(t, m, "RunRobotScenario", run.Observed)
-	})
-	t.Run("robot-rtos6", func(t *testing.T) {
-		run := app.RunRobotScenario(app.NewRTOS6Locks, false)
-		checkSubset(t, m, "RunRobotScenario", run.Observed)
-	})
-	t.Run("chaos", func(t *testing.T) {
-		w := app.BuildChaosScenario(app.NewRTOS6Locks)
-		w.S.Run()
-		if task, key, bad := w.Audit.Witness(m.Scenario("BuildChaosScenario")); bad {
-			t.Errorf("BuildChaosScenario: task %s held %s at runtime, but no static claim covers it", task, key)
-		}
-		if len(w.Audit.Observed()) == 0 {
-			t.Fatal("BuildChaosScenario: runtime audit observed no holds")
-		}
-	})
+	for _, tc := range []struct {
+		name, scenario string
+		run            func(t *testing.T, opt app.Option)
+	}{
+		{"detection", "RunDetectionScenario", func(t *testing.T, opt app.Option) {
+			app.RunDetectionScenario(app.NewSoftwareDetector(5, 5), opt)
+		}},
+		{"grant-avoidance", "RunGrantDeadlockScenario", func(t *testing.T, opt app.Option) {
+			app.RunGrantDeadlockScenario(softwareAvoidance(t), opt)
+		}},
+		{"request-avoidance", "RunRequestDeadlockScenario", func(t *testing.T, opt app.Option) {
+			app.RunRequestDeadlockScenario(softwareAvoidance(t), opt)
+		}},
+		{"robot-rtos5", "RunRobotScenario", func(t *testing.T, opt app.Option) {
+			app.RunRobotScenario(app.NewRTOS5Locks, false, opt)
+		}},
+		{"robot-rtos6", "RunRobotScenario", func(t *testing.T, opt app.Option) {
+			app.RunRobotScenario(app.NewRTOS6Locks, false, opt)
+		}},
+		{"chaos", "BuildChaosScenario", func(t *testing.T, opt app.Option) {
+			app.BuildChaosScenario(app.NewRTOS6Locks, opt).S.Run()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			evs := scenarioEvents(t, func(opt app.Option) { tc.run(t, opt) })
+			checkSubset(t, m, tc.scenario, app.HeldSets(evs))
+		})
+	}
 }
 
 // The inferred manifest must be usable as the avoidance configuration: a
@@ -116,14 +110,15 @@ func TestBankerFromManifestAvoidsDeadlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := tc.run(b)
+		var res app.AvoidanceResult
+		evs := scenarioEvents(t, func(opt app.Option) { res = tc.run(b, opt) })
 		if !res.Completed {
 			t.Errorf("%s under Banker(manifest): scenario did not complete deadlock-free", tc.scenario)
 		}
 		if !tc.avoided(res) {
 			t.Errorf("%s under Banker(manifest): the engineered deadlock was not exercised/avoided", tc.scenario)
 		}
-		checkSubset(t, m, tc.scenario, res.Observed)
+		checkSubset(t, m, tc.scenario, app.HeldSets(evs))
 	}
 }
 

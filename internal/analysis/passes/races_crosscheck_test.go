@@ -30,7 +30,7 @@ func loadRaceManifest(t *testing.T) *races.Manifest {
 }
 
 // checkContained asserts the cross-check contract: every location the
-// runtime shadow auditor reports (shared-modified with an empty candidate
+// shadow auditor reports over the replayed trace (shared-modified with an empty candidate
 // lockset) must be statically flagged Racy in the same scenario's manifest
 // entry.  The converse need not hold — the runtime only sees the schedule
 // it ran.
@@ -49,6 +49,13 @@ func checkContained(t *testing.T, m *races.Manifest, scenario string, aud *races
 	}
 }
 
+// raceAudit runs fn traced and replays its event stream through the shadow
+// auditor.
+func raceAudit(t *testing.T, fn func(opt app.Option)) *races.Auditor {
+	t.Helper()
+	return app.RaceAudit(scenarioEvents(t, fn))
+}
+
 // Runtime shadow-lockset reports must be contained in the static race flags
 // on all four instrumented scenarios — and the containment must not be
 // vacuous: the ring's completion counter actually races, and the robot's
@@ -57,8 +64,7 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	m := loadRaceManifest(t)
 
 	t.Run("robot", func(t *testing.T) {
-		aud := races.NewAuditor()
-		app.RunRobotScenario(app.NewRTOS5Locks, false, app.WithRaceAuditor(aud))
+		aud := raceAudit(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS5Locks, false, opt) })
 		checkContained(t, m, "RunRobotScenario", aud)
 		if n := len(aud.Reports()); n != 0 {
 			t.Errorf("robot: %d runtime race reports on the fully guarded scenario, want 0: %+v", n, aud.Reports())
@@ -100,8 +106,7 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("robot-rtos6", func(t *testing.T) {
-		aud := races.NewAuditor()
-		app.RunRobotScenario(app.NewRTOS6Locks, false, app.WithRaceAuditor(aud))
+		aud := raceAudit(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS6Locks, false, opt) })
 		checkContained(t, m, "RunRobotScenario", aud)
 		if n := len(aud.Reports()); n != 0 {
 			t.Errorf("robot/rtos6: %d runtime race reports, want 0: %+v", n, aud.Reports())
@@ -109,32 +114,36 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("avoidance", func(t *testing.T) {
-		audG := races.NewAuditor()
-		app.RunGrantDeadlockScenario(softwareAvoidance(t), app.WithRaceAuditor(audG))
+		audG := raceAudit(t, func(opt app.Option) { app.RunGrantDeadlockScenario(softwareAvoidance(t), opt) })
 		checkContained(t, m, "RunGrantDeadlockScenario", audG)
-		audR := races.NewAuditor()
-		app.RunRequestDeadlockScenario(softwareAvoidance(t), app.WithRaceAuditor(audR))
+		audR := raceAudit(t, func(opt app.Option) { app.RunRequestDeadlockScenario(softwareAvoidance(t), opt) })
 		checkContained(t, m, "RunRequestDeadlockScenario", audR)
 		// done[i] elements are task-exclusive: the shadow state machine must
-		// never escalate them past exclusive.
-		for _, l := range audG.Locations() {
-			if strings.HasPrefix(l.Location, "done[") && l.State != "exclusive" {
-				t.Errorf("grant-avoidance: %s reached %s, want exclusive (single writer)", l.Location, l.State)
+		// never escalate them past exclusive.  Every pipeline has released
+		// all its resources when it marks itself done, so a non-empty
+		// lockset is a release the replay lost.
+		for _, aud := range []*races.Auditor{audG, audR} {
+			for _, l := range aud.Locations() {
+				if !strings.HasPrefix(l.Location, "done[") {
+					continue
+				}
+				if l.State != "exclusive" {
+					t.Errorf("avoidance: %s reached %s, want exclusive (single writer)", l.Location, l.State)
+				}
+				if len(l.Lockset) != 0 {
+					t.Errorf("avoidance: %s written holding %v, want nothing held", l.Location, l.Lockset)
+				}
 			}
 		}
 	})
 
 	t.Run("chaos", func(t *testing.T) {
-		aud := races.NewAuditor()
-		w := app.BuildChaosScenario(app.NewRTOS6Locks, app.WithRaceAuditor(aud))
-		w.S.Run()
+		aud := raceAudit(t, func(opt app.Option) { app.BuildChaosScenario(app.NewRTOS6Locks, opt).S.Run() })
 		checkContained(t, m, "BuildChaosScenario", aud)
 	})
 
 	t.Run("ring", func(t *testing.T) {
-		aud := races.NewAuditor()
-		w := app.BuildRingScenario(app.WithRaceAuditor(aud))
-		w.S.Run()
+		aud := raceAudit(t, func(opt app.Option) { app.BuildRingScenario(opt).S.Run() })
 		checkContained(t, m, "BuildRingScenario", aud)
 		// Non-vacuity: the completion counter is written by all four ring
 		// tasks with no lock anywhere — the auditor must catch it, and the
@@ -155,9 +164,7 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("ring-timeout", func(t *testing.T) {
-		aud := races.NewAuditor()
-		w := app.BuildRingTimeoutScenario(app.WithRaceAuditor(aud))
-		w.S.Run()
+		aud := raceAudit(t, func(opt app.Option) { app.BuildRingTimeoutScenario(opt).S.Run() })
 		checkContained(t, m, "BuildRingTimeoutScenario", aud)
 	})
 }

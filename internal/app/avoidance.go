@@ -3,10 +3,8 @@ package app
 import (
 	"fmt"
 
-	"deltartos/internal/claims"
 	"deltartos/internal/daa"
 	"deltartos/internal/dau"
-	"deltartos/internal/races"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/trace"
@@ -190,27 +188,15 @@ type AvoidanceWorld struct {
 	devices []*sim.Device
 	// GiveUps counts give-up compliance actions.
 	GiveUps int
-	// Audit records every (task, resource) hold actually granted, for the
-	// runtime-vs-static-claims cross-check.
-	Audit *claims.Audit
-	// Races, when attached, shadows every resource grant and release for
-	// the runtime lockset auditor (the races-pass cross-check); nil-safe.
-	Races *races.Auditor
 }
 
 // NewAvoidanceWorld builds a 4-PE world with the standard devices.
 func NewAvoidanceWorld(b AvoidanceBackend, opts ...Option) *AvoidanceWorld {
-	s, aud := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	return &AvoidanceWorld{
 		S: s, K: rtos.NewKernel(s, 4), B: b, devices: sim.StandardDevices(s),
-		tasks: make([]*rtos.Task, 4), Audit: claims.NewAudit(), Races: aud,
+		tasks: make([]*rtos.Task, 4),
 	}
-}
-
-// recordHold books that the calling task now holds resource q.
-func (w *AvoidanceWorld) recordHold(c *rtos.TaskCtx, q int) {
-	w.Audit.Record(c.Task().Name, claims.ResourceKey("res", q))
-	w.Races.Acquire(c.Task().Name, claims.ResourceKey("res", q))
 }
 
 // taskName resolves process p's task name, falling back to the invoking
@@ -264,7 +250,7 @@ func (w *AvoidanceWorld) ask(c *rtos.TaskCtx, p, q int) bool {
 		//deltalint:partial a plain Pending needs no action before the wait
 		switch res.Decision {
 		case daa.Granted:
-			w.recordHold(c, q)
+			recordTaskRes(c, "res.acquire", q, c.Task().Name)
 			return true
 		case daa.GiveUpRequested:
 			w.GiveUps++
@@ -285,13 +271,13 @@ func (w *AvoidanceWorld) await(c *rtos.TaskCtx, p, q int, why string) {
 	for w.B.Holder(q) != p {
 		c.Park(fmt.Sprintf("%s:%s", why, w.devices[q].Name))
 	}
-	w.recordHold(c, q)
+	recordTaskRes(c, "res.acquire", q, c.Task().Name)
 }
 
 // Release frees q held by p and wakes whoever the avoider granted it to.
 func (w *AvoidanceWorld) Release(c *rtos.TaskCtx, p, q int) {
 	res, cost := w.B.ReleaseOp(p, q)
-	w.Races.Release(w.taskName(p, c.Task().Name), claims.ResourceKey("res", q))
+	recordTaskRes(c, "res.release", q, w.taskName(p, c.Task().Name))
 	c.ChargeCompute(cost)
 	w.handOver(res, "avoid.release", c.Now(), cost, c.Task().PE, c.Task().Name, q)
 }
@@ -333,7 +319,7 @@ func (w *AvoidanceWorld) askOwner(owner, q int) {
 			return // already released
 		}
 		res, cost := w.B.ReleaseOp(owner, q)
-		w.Races.Release(w.taskName(owner, p.Name), claims.ResourceKey("res", q))
+		recordRes(w.S.Rec, "res.release", p.Now(), p.PE, p.Name, q, w.taskName(owner, p.Name))
 		p.Delay(cost)
 		w.handOver(res, "avoid.giveup", p.Now(), cost, p.PE, p.Name, q)
 		// The owner will need the resource again: queue its re-request.
@@ -361,9 +347,6 @@ type AvoidanceResult struct {
 	GDlAvoided   bool
 	RDlAvoided   bool
 	Completed    bool
-	// Observed is the audited per-task held-set, for the static-claims
-	// cross-check.
-	Observed []claims.TaskClaim
 }
 
 // RunGrantDeadlockScenario executes Application Example I (Table 6 /
@@ -387,7 +370,7 @@ func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResul
 		w.Release(c, 0, resVI)   // t4
 		w.Release(c, 0, resIDCT) // t4/t5: DAU detects potential G-dl here
 		done[0] = true
-		w.Races.Access(c.Task().Name, "done[0]", true)
+		recordTaskAccess(c, "done[0]", true)
 	})
 	// p3: frame conversion + wireless send (t2, t6).
 	w.tasks[2] = w.K.CreateTask("p3", 2, 3, p3RequestAt, func(c *rtos.TaskCtx) {
@@ -397,7 +380,7 @@ func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResul
 		w.Release(c, 2, resIDCT) // t6
 		w.Release(c, 2, resWI)   // t6
 		done[2] = true
-		w.Races.Access(c.Task().Name, "done[2]", true)
+		recordTaskAccess(c, "done[2]", true)
 	})
 	// p2: competing pipeline (t3, t7, t8).
 	w.tasks[1] = w.K.CreateTask("p2", 1, 2, p2RequestAt, func(c *rtos.TaskCtx) {
@@ -407,7 +390,7 @@ func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResul
 		w.Release(c, 1, resIDCT) // t8
 		w.Release(c, 1, resWI)
 		done[1] = true
-		w.Races.Access(c.Task().Name, "done[1]", true)
+		recordTaskAccess(c, "done[1]", true)
 	})
 
 	w.S.Run()
@@ -439,7 +422,7 @@ func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceRes
 		w.Release(c, 0, resVI)   // t8
 		w.Release(c, 0, resIDCT) // t8
 		done[0] = true
-		w.Races.Access(c.Task().Name, "done[0]", true)
+		recordTaskAccess(c, "done[0]", true)
 	})
 	// p2 needs q2 (IDCT) and q3 (DSP).
 	w.tasks[1] = w.K.CreateTask("p2", 1, 2, 900, func(c *rtos.TaskCtx) {
@@ -454,7 +437,7 @@ func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceRes
 		w.Release(c, 1, resIDCT) // t10
 		w.Release(c, 1, resDSP)
 		done[1] = true
-		w.Races.Access(c.Task().Name, "done[1]", true)
+		recordTaskAccess(c, "done[1]", true)
 	})
 	// p3 needs q3 (DSP) and q1 (VI).
 	w.tasks[2] = w.K.CreateTask("p3", 2, 3, 1800, func(c *rtos.TaskCtx) {
@@ -466,7 +449,7 @@ func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceRes
 		w.Release(c, 2, resVI)  // t9
 		w.Release(c, 2, resDSP) // t9
 		done[2] = true
-		w.Races.Access(c.Task().Name, "done[2]", true)
+		recordTaskAccess(c, "done[2]", true)
 	})
 
 	w.S.Run()
@@ -486,7 +469,6 @@ func (w *AvoidanceWorld) result(done []bool) (res AvoidanceResult, avoided bool)
 		AvgAlgCycles: w.B.Average(),
 		AppCycles:    lastFinish(w.K),
 		Completed:    completed,
-		Observed:     w.Audit.Observed(),
 	}, completed && !w.B.Deadlocked()
 }
 

@@ -1,7 +1,6 @@
 package app
 
 import (
-	"deltartos/internal/claims"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
@@ -53,9 +52,6 @@ type ChaosWorld struct {
 	// IRQServices counts IDCT interrupt-service activations, real and
 	// spurious alike.
 	IRQServices int
-	// Audit records every (task, lock) hold for the static-claims
-	// cross-check.
-	Audit *claims.Audit
 }
 
 // BuildChaosScenario constructs the chaos workload on a 4-PE MPSoC without
@@ -65,9 +61,8 @@ type ChaosWorld struct {
 // allocation failure is absorbed, so a recovery-restarted task replays
 // cleanly.
 func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Option) *ChaosWorld {
-	s, aud := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
-	k.Races = aud
 	locks := mkLocks(k)
 	shorts := locks.(shortLocker)
 	mem, err := socdmmu.New(socdmmu.Config{TotalBytes: 1 << 20, BlockBytes: 64 << 10, PEs: 4})
@@ -76,8 +71,6 @@ func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Opti
 	}
 	idct := s.NewDevice("IDCT")
 	w := &ChaosWorld{S: s, K: k, Locks: locks, Mem: mem, Devices: []*sim.Device{idct}}
-	w.Audit = claims.NewAudit()
-	locks.Attach(w.Audit, aud)
 
 	const (
 		lockState = 0 // long: shared position state
@@ -93,7 +86,7 @@ func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Opti
 		for {
 			idct.IRQ.Wait(p)
 			w.IRQServices++
-			aud.Access(p.Name, "w.IRQServices", true)
+			recordAccess(s.Rec, p.Now(), p.PE, p.Name, "w.IRQServices", true)
 			s.Bus.Read(p, 1)
 			p.Delay(sim.InterruptEntryCycles + chaosISRCycles)
 		}
@@ -117,7 +110,7 @@ func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Opti
 		fn()
 		if err != nil {
 			w.AllocFailures++
-			aud.Access(c.Task().Name, "w.AllocFailures", true)
+			recordTaskAccess(c, "w.AllocFailures", true)
 			return
 		}
 		mem.Free(c, addr)

@@ -1,7 +1,6 @@
 package app
 
 import (
-	"deltartos/internal/claims"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 )
@@ -18,9 +17,6 @@ type DetectionResult struct {
 	// the RAG at the moment of detection (nil when nothing deadlocked).
 	DeadlockedProcs     []int
 	DeadlockedResources []int
-	// Observed is the audited per-task held-set, for the static-claims
-	// cross-check.
-	Observed []claims.TaskClaim
 }
 
 // Scenario timing.  Table 4 fixes the event ORDER; absolute times are our
@@ -64,12 +60,11 @@ const (
 //
 //deltalint:deadlock-expected the scenario exists to exercise the DDU/PDDA
 func RunDetectionScenario(det Detector, opts ...Option) DetectionResult {
-	s, _ := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	defer s.Close()
 	k := rtos.NewKernel(s, 4)
 	devices := sim.StandardDevices(s)
 	rm := NewResourceManager(k, det, 4, devices)
-	rm.Audit = claims.NewAudit()
 	for p := 0; p < 4; p++ {
 		rm.SetPriority(p, p+1) // p1 highest .. p4 lowest
 	}
@@ -117,6 +112,5 @@ func RunDetectionScenario(det Detector, opts ...Option) DetectionResult {
 		AppCycles:           rm.DeadlockAt,
 		DeadlockedProcs:     rm.DeadlockedProcs,
 		DeadlockedResources: rm.DeadlockedResources,
-		Observed:            rm.Audit.Observed(),
 	}
 }

@@ -8,7 +8,6 @@ package app
 import (
 	"fmt"
 
-	"deltartos/internal/claims"
 	"deltartos/internal/ddu"
 	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
@@ -185,9 +184,6 @@ type ResourceManager struct {
 	DeadlockedResources []int
 	// Events counts allocation events (requests, grants, releases).
 	Events int
-	// Audit records every (task, resource) grant for the static-claims
-	// cross-check; nil-safe, set by the scenarios.
-	Audit *claims.Audit
 }
 
 type waiter struct {
@@ -270,7 +266,7 @@ func (rm *ResourceManager) ask(c *rtos.TaskCtx, p, q int) bool {
 		if err := rm.g.SetGrant(q, p); err != nil {
 			panic("app: " + err.Error())
 		}
-		rm.Audit.Record(c.Task().Name, claims.ResourceKey("res", q))
+		recordTaskRes(c, "res.acquire", q, c.Task().Name)
 	} else {
 		rm.g.AddRequest(q, p)
 	}
@@ -332,6 +328,7 @@ func (rm *ResourceManager) Release(c *rtos.TaskCtx, p, q int) {
 	if err := rm.g.Release(q, p); err != nil {
 		panic("app: " + err.Error())
 	}
+	recordTaskRes(c, "res.release", q, c.Task().Name)
 	ws := rm.waiters[q]
 	if len(ws) == 0 {
 		rm.detect(c)
@@ -343,7 +340,7 @@ func (rm *ResourceManager) Release(c *rtos.TaskCtx, p, q int) {
 	if err := rm.g.SetGrant(q, w.proc); err != nil {
 		panic("app: " + err.Error())
 	}
-	rm.Audit.Record(w.t.Name, claims.ResourceKey("res", q))
+	recordTaskRes(c, "res.acquire", q, w.t.Name)
 	// The grant event triggers detection — this is the event that catches
 	// the grant deadlock of the detection scenario.
 	rm.detect(c)

@@ -55,7 +55,7 @@ type RingWorld struct {
 //
 //deltalint:ipc-expected the blocking ring is a send/recv cycle: message loss can wedge it
 func BuildRingScenario(opts ...Option) *RingWorld {
-	s, aud := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	q0 := k.NewQueue("ring.q0", 1)
 	q1 := k.NewQueue("ring.q1", 1)
@@ -72,7 +72,7 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 			q1.Send(c, 0)
 		}
 		w.Completed++
-		aud.Access(c.Task().Name, "w.Completed", true)
+		recordTaskAccess(c, "w.Completed", true)
 		done.Set(c, 1<<0)
 	})
 	t1 := k.CreateTask("ring1", 1, 1, 0, func(c *rtos.TaskCtx) {
@@ -83,7 +83,7 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 			q2.Send(c, 1)
 		}
 		w.Completed++
-		aud.Access(c.Task().Name, "w.Completed", true)
+		recordTaskAccess(c, "w.Completed", true)
 		done.Set(c, 1<<1)
 	})
 	t2 := k.CreateTask("ring2", 2, 1, 0, func(c *rtos.TaskCtx) {
@@ -94,7 +94,7 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 			q3.Send(c, 2)
 		}
 		w.Completed++
-		aud.Access(c.Task().Name, "w.Completed", true)
+		recordTaskAccess(c, "w.Completed", true)
 		done.Set(c, 1<<2)
 	})
 	t3 := k.CreateTask("ring3", 3, 1, 0, func(c *rtos.TaskCtx) {
@@ -105,7 +105,7 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 			q0.Send(c, 3)
 		}
 		w.Completed++
-		aud.Access(c.Task().Name, "w.Completed", true)
+		recordTaskAccess(c, "w.Completed", true)
 		done.Set(c, 1<<3)
 	})
 	k.CreateTask("ringmon", 0, 5, 0, func(c *rtos.TaskCtx) {
@@ -131,7 +131,7 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 // operation blocks forever, so message faults cost throughput, never
 // liveness.
 func BuildRingTimeoutScenario(opts ...Option) *RingWorld {
-	s, aud := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	k := rtos.NewKernel(s, 4)
 	q0 := k.NewQueue("ring.q0", 1)
 	q1 := k.NewQueue("ring.q1", 1)
@@ -148,16 +148,16 @@ func BuildRingTimeoutScenario(opts ...Option) *RingWorld {
 				// The token is gone (dropped, or stuck behind a jam): mint a
 				// replacement instead of waiting for one that may never come.
 				w.Regenerated++
-				aud.Access(c.Task().Name, "w.Regenerated", true)
+				recordTaskAccess(c, "w.Regenerated", true)
 			}
 			c.Compute(ringWork)
 			if !out.SendRetry(c, token, pol) {
 				w.SendFailures++
-				aud.Access(c.Task().Name, "w.SendFailures", true)
+				recordTaskAccess(c, "w.SendFailures", true)
 			}
 		}
 		w.Completed++
-		aud.Access(c.Task().Name, "w.Completed", true)
+		recordTaskAccess(c, "w.Completed", true)
 		done.Set(c, bit)
 	}
 	k.CreateTask("ring0", 0, 1, 0, func(c *rtos.TaskCtx) { stage(c, 0, q0, q1, 1<<0) })

@@ -1,7 +1,6 @@
 package app
 
 import (
-	"deltartos/internal/claims"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/soclc"
@@ -15,9 +14,6 @@ type RobotResult struct {
 	OverallCycles sim.Cycles
 	DeadlinesMet  bool
 	Trace         []rtos.TraceEvent
-	// Observed is the audited per-task held-set, for the static-claims
-	// cross-check.
-	Observed []claims.TaskClaim
 }
 
 // Robot application parameters (Section 5.5 / Figure 19).  The master clock
@@ -68,14 +64,11 @@ type shortLocker interface {
 // (RTOS6, SoCLC with IPCP in hardware).  Everything else is identical, so
 // the deltas of Table 10 come entirely from the lock system.
 func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool, opts ...Option) RobotResult {
-	s, raud := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	defer s.Close()
 	k := rtos.NewKernel(s, 4)
-	k.Races = raud
 	locks := mkLocks(k)
 	shorts := locks.(shortLocker)
-	aud := claims.NewAudit()
-	locks.Attach(aud, raud)
 
 	var trace []rtos.TraceEvent
 	if wantTrace {
@@ -119,7 +112,7 @@ func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool
 			c.Compute(sensorReadCycles)
 			locks.Acquire(c, lockState)
 			position++
-			raud.Access(c.Task().Name, "position", true)
+			recordTaskAccess(c, "position", true)
 			c.Compute(sharedStateCS) // publish obstacle coordinates
 			locks.Release(c, lockState)
 			telemetry(c, telemetryOps)
@@ -134,7 +127,7 @@ func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool
 		for i := 0; i < task2Iters; i++ {
 			locks.Acquire(c, lockState)
 			_ = position
-			raud.Access(c.Task().Name, "position", false)
+			recordTaskAccess(c, "position", false)
 			c.Compute(sharedStateCS) // read coordinates from task_1
 			locks.Release(c, lockState)
 			telemetry(c, telemetryOps)
@@ -148,7 +141,7 @@ func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool
 		for i := 0; i < task3Iters; i++ {
 			locks.Acquire(c, lockState)
 			_ = position
-			raud.Access(c.Task().Name, "position", false)
+			recordTaskAccess(c, "position", false)
 			c.Compute(displayCS)
 			locks.Release(c, lockState)
 			c.Compute(displayCycles)
@@ -193,7 +186,6 @@ func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool
 		OverallCycles: overall,
 		DeadlinesMet:  deadlinesMet,
 		Trace:         trace,
-		Observed:      aud.Observed(),
 	}
 }
 

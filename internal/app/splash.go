@@ -388,7 +388,7 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
 // runBench runs body as a single task on PE0 of a fresh MPSoC and returns
 // the total execution time.
 func runBench(opts []Option, body func(c *rtos.TaskCtx)) sim.Cycles {
-	s, _ := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	defer s.Close()
 	k := rtos.NewKernel(s, 1)
 	k.CreateTask("bench", 0, 1, 0, body)

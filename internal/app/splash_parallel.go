@@ -31,7 +31,7 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...Option)
 	alloc := mkAlloc()
 	var verified bool
 
-	s, _ := newScenarioSim(opts)
+	s := newScenarioSim(opts)
 	defer s.Close()
 	k := rtos.NewKernel(s, pes)
 	bar := k.NewBarrier("radix", pes)

@@ -39,22 +39,27 @@ func TestDetectionTraceDeterministic(t *testing.T) {
 }
 
 func TestDetectionTraceCrossChecksBus(t *testing.T) {
-	sess := withSession(t, func(opt Option) {
-		RunDetectionScenario(newHW(t), opt)
-	})
-	if sess.Len() == 0 {
-		t.Fatal("no simulations recorded")
+	// Close detaches the recorder, so keep each sim's own.
+	var sims []*sim.Sim
+	var recs []*trace.Recorder
+	hooks := &sim.Hooks{OnNew: func(s *sim.Sim) {
+		s.Rec = trace.NewRecorder("run")
+		sims = append(sims, s)
+		recs = append(recs, s.Rec)
+	}}
+	RunDetectionScenario(newHW(t), WithSimHooks(hooks))
+	if len(sims) == 0 || recs[0].Counter("bus.transactions") == 0 {
+		t.Fatal("no bus events recorded")
 	}
-	for _, r := range sess.Recorders() {
-		for _, pair := range [][2]string{
-			{"bus.transactions", "busfield.transactions"},
-			{"bus.words", "busfield.words"},
-			{"bus.stall_cycles", "busfield.stall_cycles"},
-			{"bus.occupied_cycles", "busfield.occupied_cycles"},
+	for i, s := range sims {
+		for name, field := range map[string]sim.Cycles{
+			"bus.transactions":    s.Bus.Transactions,
+			"bus.words":           s.Bus.WordsMoved,
+			"bus.stall_cycles":    s.Bus.StallCycles,
+			"bus.occupied_cycles": s.Bus.OccupiedCycles,
 		} {
-			if r.Counter(pair[0]) != r.Counter(pair[1]) {
-				t.Errorf("%s: %s = %d but %s = %d", r.Label,
-					pair[0], r.Counter(pair[0]), pair[1], r.Counter(pair[1]))
+			if derived := recs[i].Counter(name); derived != field {
+				t.Errorf("%s = %d but the Bus field reads %d", name, derived, field)
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 // Package claims defines the machine-readable resource-claims manifest the
-// claims static-analysis pass emits, plus the runtime audit that records
-// which locks and resources each task actually held.  Together they close
-// the static-to-runtime loop the paper's avoidance scheme depends on: the
+// claims static-analysis pass emits, plus the subset test a runtime
+// held-set must pass against it (the held-sets themselves are folded from a
+// scenario's recorded trace, app.HeldSets).  Together they close the
+// static-to-runtime loop the paper's avoidance scheme depends on: the
 // DAA/DAU (and a Banker's-algorithm backend) avoid deadlock only if every
 // process's maximal claim is declared up front, and the manifest is exactly
 // that declaration, inferred from the task bodies at compile time.
@@ -9,7 +10,8 @@
 // Resource identities use the analyzer's canonical keys: "long:0" (SoCLC
 // long lock 0), "short:1", "res:2" (avoidance/detection resource 2) and
 // "mutex:pkg.name".  Only stdlib imports are allowed here — the package is
-// shared by the analysis passes, the runtime and the linter CLI.
+// shared by the analysis passes, the scenarios' audit fold and the linter
+// CLI.
 package claims
 
 import (
@@ -129,7 +131,7 @@ func (s *Scenario) ResourceClaims() map[int][]int {
 }
 
 // Covers reports whether the scenario claims resource key for task; it is
-// the subset test the runtime audit uses.
+// the subset test of the runtime cross-check.
 func (s *Scenario) Covers(task, key string) bool {
 	for _, c := range s.Claims {
 		if c.Task != task {
@@ -150,58 +152,11 @@ type TaskClaim struct {
 	Resources []string
 }
 
-// Audit records, at runtime, every (task, resource) hold the kernel
-// services actually granted.  The simulator is a discrete-event machine
-// (one task context runs at a time), so no locking is needed.
-type Audit struct {
-	observed map[string]map[string]bool
-}
-
-// NewAudit returns an empty audit.
-func NewAudit() *Audit {
-	return &Audit{observed: map[string]map[string]bool{}}
-}
-
-// Record books that task held the resource with the given canonical key.
-func (a *Audit) Record(task, key string) {
-	if a == nil {
-		return
-	}
-	set, ok := a.observed[task]
-	if !ok {
-		set = map[string]bool{}
-		a.observed[task] = set
-	}
-	set[key] = true
-}
-
-// Observed returns the per-task held-sets, sorted by task then resource.
-func (a *Audit) Observed() []TaskClaim {
-	if a == nil {
-		return nil
-	}
-	var tasks []string
-	for t := range a.observed {
-		tasks = append(tasks, t)
-	}
-	sort.Strings(tasks)
-	out := make([]TaskClaim, 0, len(tasks))
-	for _, t := range tasks {
-		var res []string
-		for k := range a.observed[t] {
-			res = append(res, k)
-		}
-		sort.Strings(res)
-		out = append(out, TaskClaim{Task: t, Resources: res})
-	}
-	return out
-}
-
-// Witness returns the first observed (task, resource) hold that the
-// scenario's static claims do not cover; ok is false when the runtime
-// held-sets are a subset of the manifest (the desired state).
-func (a *Audit) Witness(s *Scenario) (task, key string, ok bool) {
-	for _, tc := range a.Observed() {
+// Witness returns the first observed (task, resource) hold, in the order
+// given, that the scenario's claims do not cover; ok is false when the
+// runtime held-sets are a subset of the manifest (the desired state).
+func (s *Scenario) Witness(observed []TaskClaim) (task, key string, ok bool) {
+	for _, tc := range observed {
 		for _, r := range tc.Resources {
 			if !s.Covers(tc.Task, r) {
 				return tc.Task, r, true

@@ -75,24 +75,19 @@ func TestAuditWitness(t *testing.T) {
 	m.Normalize()
 	sc := m.Scenario("RunGrantDeadlockScenario")
 
-	aud := NewAudit()
-	aud.Record("p1", "res:0")
-	aud.Record("p1", "res:1")
-	if task, key, bad := aud.Witness(sc); bad {
+	held := []TaskClaim{{Task: "p1", Resources: []string{"res:0", "res:1"}}}
+	if task, key, bad := sc.Witness(held); bad {
 		t.Fatalf("unexpected witness %s/%s", task, key)
 	}
 
-	aud.Record("p3", "res:2") // not claimed by p3
-	task, key, bad := aud.Witness(sc)
+	// p3 claims res:1 and res:3 only; the first uncovered hold is named.
+	held = append(held, TaskClaim{Task: "p3", Resources: []string{"res:1", "res:2", "res:4"}})
+	task, key, bad := sc.Witness(held)
 	if !bad || task != "p3" || key != "res:2" {
 		t.Fatalf("witness = %s/%s/%v, want p3/res:2/true", task, key, bad)
 	}
-}
-
-func TestNilAuditSafe(t *testing.T) {
-	var a *Audit
-	a.Record("t", "res:0") // must not panic
-	if a.Observed() != nil {
-		t.Fatal("nil audit observed something")
+	// A task the manifest does not know claims nothing.
+	if task, key, bad := sc.Witness([]TaskClaim{{Task: "p9", Resources: []string{"res:0"}}}); !bad || task != "p9" || key != "res:0" {
+		t.Fatalf("witness = %s/%s/%v, want p9/res:0/true", task, key, bad)
 	}
 }

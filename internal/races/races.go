@@ -1,16 +1,18 @@
 // Package races defines the machine-readable guard manifest the races
 // static-analysis pass emits — for every shared abstract location of a
 // scenario, the inferred candidate lockset (its GuardedBy set) — plus the
-// runtime shadow-lockset auditor that replays the Eraser state machine
-// (virgin → exclusive → shared → shared-modified) over instrumented
-// accesses.  Together they close the data-race half of the static↔runtime
+// shadow-lockset auditor that runs the Eraser state machine (virgin →
+// exclusive → shared → shared-modified) over lock transitions and
+// instrumented accesses; app.RaceAudit drives it from a scenario's recorded
+// trace.  Together they close the data-race half of the static↔runtime
 // loop: the pass proves every shared location keeps a non-empty candidate
 // lockset, and the auditor's reports must be a subset of the pass's flags.
 //
 // Lock identities use the analyzer's canonical keys: "long:0" (SoCLC long
 // lock 0), "short:1", "res:2" (avoidance/detection resource 2) and
 // "mutex:pkg.name".  Only stdlib imports are allowed here — the package is
-// shared by the analysis passes, the runtime and the linter CLI.
+// shared by the analysis passes, the scenarios' audit fold and the linter
+// CLI.
 package races
 
 import (
@@ -156,13 +158,12 @@ type Report struct {
 	Lockset  []string
 }
 
-// Auditor replays the Eraser lockset algorithm at runtime.  Scenario code
-// feeds it lock transitions (Acquire/Release, canonical keys) and
-// instrumented location accesses; Reports returns every location that
-// reached shared-modified with an empty candidate lockset.  All methods are
-// nil-receiver safe, so uninstrumented runs pay only a nil check.  The
-// simulator is a discrete-event machine (one task context runs at a time),
-// so no locking is needed and output is deterministic.
+// Auditor runs the Eraser lockset algorithm over one run's lock transitions
+// (Acquire/Release, canonical keys) and location accesses, fed in the
+// order they happened; Reports returns every location that reached
+// shared-modified with an empty candidate lockset.  The simulator is a
+// discrete-event machine (one task context runs at a time), so one event
+// order exists and the output is deterministic.
 type Auditor struct {
 	held map[string]map[string]bool // task -> held lock keys
 	locs map[string]*shadow
@@ -175,9 +176,6 @@ func NewAuditor() *Auditor {
 
 // Acquire books that task now holds the lock with the given canonical key.
 func (a *Auditor) Acquire(task, lock string) {
-	if a == nil {
-		return
-	}
 	set, ok := a.held[task]
 	if !ok {
 		set = map[string]bool{}
@@ -188,18 +186,12 @@ func (a *Auditor) Acquire(task, lock string) {
 
 // Release books that task dropped the lock.
 func (a *Auditor) Release(task, lock string) {
-	if a == nil {
-		return
-	}
 	delete(a.held[task], lock)
 }
 
 // Access runs one instrumented location access through the state machine,
 // refining the location's candidate lockset with task's current held set.
 func (a *Auditor) Access(task, loc string, write bool) {
-	if a == nil {
-		return
-	}
 	s, ok := a.locs[loc]
 	if !ok {
 		s = &shadow{state: virgin, tasks: map[string]bool{}}
@@ -262,9 +254,6 @@ func (s *shadow) report(name string) Report {
 // Reports returns the race verdicts: every instrumented location that
 // reached shared-modified with an empty candidate lockset, sorted by name.
 func (a *Auditor) Reports() []Report {
-	if a == nil {
-		return nil
-	}
 	var out []Report
 	for name, s := range a.locs {
 		if s.state == sharedModified && len(s.lockset) == 0 {
@@ -278,9 +267,6 @@ func (a *Auditor) Reports() []Report {
 // Locations returns the shadow record of every instrumented location,
 // sorted by name (for tests and diagnostics).
 func (a *Auditor) Locations() []Report {
-	if a == nil {
-		return nil
-	}
 	var out []Report
 	for name, s := range a.locs {
 		out = append(out, s.report(name))

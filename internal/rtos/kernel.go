@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strings"
 
-	"deltartos/internal/races"
 	"deltartos/internal/sim"
 	"deltartos/internal/trace"
 )
@@ -118,14 +117,10 @@ type Kernel struct {
 
 	// Instrumentation.
 	ContextSwitches int
-	ServiceCalls    int
 	Kills           int
 	// TraceFn, when set, receives scheduling trace records (Figure 20-style
 	// execution traces).
 	TraceFn func(ev TraceEvent)
-	// Races, when attached, shadows Mutex lock transitions for the runtime
-	// lockset auditor (the races-pass cross-check); nil-safe.
-	Races *races.Auditor
 }
 
 // TraceEvent is one scheduling trace record.
@@ -657,7 +652,6 @@ func (c *TaskCtx) SleepUntil(deadline sim.Cycles) {
 // structures in shared memory, and exit.
 func (c *TaskCtx) serviceOverhead(words int) {
 	c.ensureRunning()
-	c.k.ServiceCalls++
 	entry := c.p.Now()
 	cost := sim.Cycles(sim.KernelEntryCycles + sim.KernelExitCycles + sim.SpinLockProbeCycles)
 	c.p.Delay(cost)

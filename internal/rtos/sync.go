@@ -97,7 +97,7 @@ func (k *Kernel) NewMutex(name string) *Mutex {
 func (m *Mutex) purgeTask(t *Task) {
 	m.waiters.Remove(t)
 	if m.owner == t {
-		m.handOff(t)
+		m.handOff()
 	}
 }
 
@@ -126,7 +126,6 @@ func (m *Mutex) Lock(c *TaskCtx) {
 	t := c.t
 	if m.owner == nil {
 		m.owner = t
-		m.k.Races.Acquire(t.Name, "mutex:"+m.Name)
 		return
 	}
 	if m.owner == t {
@@ -143,13 +142,11 @@ func (m *Mutex) Lock(c *TaskCtx) {
 		t.sig.Wait(c.p)
 	}
 	c.ensureRunning() // unwinds the task if it was killed while waiting
-	m.k.Races.Acquire(t.Name, "mutex:"+m.Name)
 }
 
-// handOff takes the lock from its departing owner t — dropping t's
-// shadow-lockset entry — and grants it to the best waiter, or frees it.
-func (m *Mutex) handOff(t *Task) {
-	m.k.Races.Release(t.Name, "mutex:"+m.Name)
+// handOff takes the lock from its departing owner and grants it to the best
+// waiter, or frees it.
+func (m *Mutex) handOff() {
 	m.owner = m.waiters.Pop()
 	if m.owner != nil {
 		m.k.makeReady(m.owner)
@@ -172,5 +169,5 @@ func (m *Mutex) Unlock(c *TaskCtx) {
 		c.k.trace(t.PE, t.Name, "misuse:unlock")
 		return // tolerated: the lock keeps its true owner
 	}
-	m.handOff(t)
+	m.handOff()
 }

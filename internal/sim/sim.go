@@ -285,14 +285,6 @@ func (s *Sim) RunUntil(limit Cycles) Cycles {
 		s.drained = true
 	}
 	if s.Rec != nil {
-		// Stamp the legacy Bus instrumentation fields into the registry so
-		// every export carries both the event-derived counters and the
-		// fields they subsume; equality between the two is the tracing
-		// layer's self-check (see TestRecorderCrossChecksBusCounters).
-		s.Rec.SetCounter("busfield.transactions", s.Bus.Transactions)
-		s.Rec.SetCounter("busfield.words", s.Bus.WordsMoved)
-		s.Rec.SetCounter("busfield.stall_cycles", s.Bus.StallCycles)
-		s.Rec.SetCounter("busfield.occupied_cycles", s.Bus.OccupiedCycles)
 		s.Rec.SetCounter("sim.end_cycle", s.now)
 	}
 	return s.now

@@ -29,16 +29,15 @@ func TestRecorderCrossChecksBusCounters(t *testing.T) {
 	s.Rec = trace.NewRecorder("x")
 	mixedTraffic(s)
 	end := s.Run()
-	for _, pair := range [][2]string{
-		{"bus.transactions", "busfield.transactions"},
-		{"bus.words", "busfield.words"},
-		{"bus.stall_cycles", "busfield.stall_cycles"},
-		{"bus.occupied_cycles", "busfield.occupied_cycles"},
+	for name, field := range map[string]Cycles{
+		"bus.transactions":    s.Bus.Transactions,
+		"bus.words":           s.Bus.WordsMoved,
+		"bus.stall_cycles":    s.Bus.StallCycles,
+		"bus.occupied_cycles": s.Bus.OccupiedCycles,
 	} {
-		derived, field := s.Rec.Counter(pair[0]), s.Rec.Counter(pair[1])
-		if derived != field {
-			t.Errorf("%s = %d but %s = %d; event-derived counters must equal the Bus fields",
-				pair[0], derived, pair[1], field)
+		if derived := s.Rec.Counter(name); derived != field {
+			t.Errorf("%s = %d but the Bus field reads %d; event-derived counters must equal the Bus fields",
+				name, derived, field)
 		}
 	}
 	if got := s.Rec.Counter("sim.end_cycle"); got != end {

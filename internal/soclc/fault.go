@@ -10,8 +10,6 @@ package soclc
 import (
 	"fmt"
 
-	"deltartos/internal/claims"
-	"deltartos/internal/races"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 )
@@ -30,15 +28,7 @@ type lockTable struct {
 	// when a task blocks.
 	atGrant func(t *rtos.Task, id, prio int)
 	// Instrumentation.
-	ShortAcquires   int
-	ShortSpinCycles sim.Cycles
-	DroppedReleases int
-	// Audit records every (task, lock) hold for the static-claims
-	// cross-check; nil-safe, set by the scenarios.
-	Audit *claims.Audit
-	// Races, when attached, shadows every lock transition for the runtime
-	// lockset auditor (the races-pass cross-check); nil-safe.
-	Races *races.Auditor
+	ShortAcquires int
 }
 
 func newLockTable(k *rtos.Kernel, longs, shorts int) lockTable {
@@ -47,14 +37,6 @@ func newLockTable(k *rtos.Kernel, longs, shorts int) lockTable {
 
 // Stats implements Manager.
 func (lt *lockTable) Stats() Stats { return lt.stats }
-
-// Attach wires the audits a scenario cross-checks against the static
-// passes: every hold into a (claims pass), every lock transition into r
-// (races pass).  Either may be nil.
-func (lt *lockTable) Attach(a *claims.Audit, r *races.Auditor) {
-	lt.Audit = a
-	lt.Races = r
-}
 
 // SetInjector attaches a fault injector (nil detaches).
 func (lt *lockTable) SetInjector(inj Injector) { lt.inj = inj }
@@ -67,7 +49,6 @@ func (lt *lockTable) Owner(id int) *rtos.Task { return lt.locks[id].owner }
 // whether it did; otherwise the acquisition is contended.
 func (lt *lockTable) request(c *rtos.TaskCtx, id int, start sim.Cycles) bool {
 	lt.stats.Acquires++
-	lt.Audit.Record(c.Task().Name, claims.ResourceKey("long", id))
 	if lt.locks[id].owner == nil {
 		lt.grant(c, id, start)
 		return true
@@ -83,7 +64,6 @@ func (lt *lockTable) grant(c *rtos.TaskCtx, id int, start sim.Cycles) {
 	t := c.Task()
 	l.owner = t
 	l.savedPrio = t.CurPrio
-	lt.Races.Acquire(t.Name, claims.ResourceKey("long", id))
 	if lt.atGrant != nil {
 		lt.atGrant(t, id, l.savedPrio)
 	}
@@ -94,7 +74,6 @@ func (lt *lockTable) grant(c *rtos.TaskCtx, id int, start sim.Cycles) {
 // granted completes a contended acquisition once a hand-off has made the
 // calling task the owner of long lock id.
 func (lt *lockTable) granted(c *rtos.TaskCtx, id int, start sim.Cycles) {
-	lt.Races.Acquire(c.Task().Name, claims.ResourceKey("long", id))
 	lt.stats.TotalDelay += c.Now() - start
 	record(c, "lock.acquire", start, id, "contended")
 }
@@ -127,11 +106,9 @@ func (lt *lockTable) release(c *rtos.TaskCtx, id int, start sim.Cycles) bool {
 	l := &lt.locks[id]
 	t := c.Task()
 	if lt.inj != nil && lt.inj.DropRelease(t.Name, id, c.Now()) {
-		lt.DroppedReleases++
 		record(c, "lock.release.drop", start, id, "")
 		return false
 	}
-	lt.Races.Release(t.Name, claims.ResourceKey("long", id))
 	lt.k.SetTaskPriority(t, l.savedPrio)
 	if l.waiters.Len() == 0 {
 		l.owner = nil
@@ -160,10 +137,7 @@ func (lt *lockTable) claimShort(c *rtos.TaskCtx, id int) bool {
 	if lt.shortOwner[id] != nil {
 		return false
 	}
-	t := c.Task()
-	lt.shortOwner[id] = t
-	lt.Audit.Record(t.Name, claims.ResourceKey("short", id))
-	lt.Races.Acquire(t.Name, claims.ResourceKey("short", id))
+	lt.shortOwner[id] = c.Task()
 	return true
 }
 
@@ -171,7 +145,6 @@ func (lt *lockTable) claimShort(c *rtos.TaskCtx, id int) bool {
 // start.
 func (lt *lockTable) shortAcquired(c *rtos.TaskCtx, id int, start sim.Cycles) {
 	lt.ShortAcquires++
-	lt.ShortSpinCycles += c.Now() - start
 	record(c, "lock.acquire.short", start, id, "")
 }
 
@@ -188,7 +161,7 @@ func (lt *lockTable) freeShort(c *rtos.TaskCtx, id int) bool {
 		return false
 	}
 	lt.shortOwner[id] = nil
-	lt.Races.Release(c.Task().Name, claims.ResourceKey("short", id))
+	record(c, "lock.release.short", c.Now(), id, "")
 	return true
 }
 

@@ -27,9 +27,7 @@ import (
 	"errors"
 	"fmt"
 
-	"deltartos/internal/claims"
 	"deltartos/internal/gates"
-	"deltartos/internal/races"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/trace"
@@ -75,8 +73,6 @@ type Manager interface {
 	Release(c *rtos.TaskCtx, id int)
 	// Stats returns accumulated measurements.
 	Stats() Stats
-	// Attach wires the runtime claims and races audits (either may be nil).
-	Attach(a *claims.Audit, r *races.Auditor)
 }
 
 // Stats aggregates the lock metrics of Table 10.

@@ -34,7 +34,9 @@ const (
 	// exit, ...), mirroring rtos.TraceEvent.
 	KindSched
 	// KindLock is a lock operation (acquire/release/hand-off, long or
-	// short) of either lock system.
+	// short) of either lock system, or a resource grant or release
+	// ("res.acquire", "res.release") of the detection and avoidance
+	// services, whose Verdict names the task the hold belongs to.
 	KindLock
 	// KindAlloc is an allocator command (alloc/free) of either allocator.
 	KindAlloc
@@ -50,6 +52,10 @@ const (
 	// ("ipc.send", "ipc.recv", "ipc.block", "ipc.timeout"), Verdict the
 	// endpoint name.
 	KindIPC
+	// KindAccess is an instrumented access to a shared location of a
+	// scenario ("access.read", "access.write"): Proc is the accessor and
+	// Verdict the location, for the replayed race audit.
+	KindAccess
 )
 
 // String names the kind (used as the Chrome trace category).
@@ -71,6 +77,8 @@ func (k Kind) String() string {
 		return "fault"
 	case KindIPC:
 		return "ipc"
+	case KindAccess:
+		return "access"
 	}
 	return "other"
 }
@@ -140,8 +148,8 @@ func (r *Recorder) Count(name string, delta uint64) {
 	r.counters[name] += delta
 }
 
-// SetCounter stores an absolute counter value (used by the simulator to
-// stamp its legacy instrumentation fields for cross-checking).
+// SetCounter stores an absolute counter value (the simulator's end cycle, a
+// task's longest blocking episode).
 func (r *Recorder) SetCounter(name string, v uint64) {
 	r.counters[name] = v
 }
