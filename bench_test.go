@@ -178,7 +178,7 @@ func BenchmarkTable12Splash(b *testing.B) {
 func splashBench(b *testing.B, tag string, mk func() socdmmu.Allocator) {
 	kernels := []struct {
 		name string
-		run  func(func() socdmmu.Allocator, ...app.Option) app.SplashResult
+		run  func(func() socdmmu.Allocator, ...sim.Option) app.SplashResult
 	}{
 		{"LU", app.RunLU}, {"FFT", app.RunFFT}, {"RADIX", app.RunRadix},
 	}

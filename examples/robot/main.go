@@ -33,10 +33,10 @@ func main() {
 	fmt.Println("execution trace under IPCP (tasks on PE2, first 20 events):")
 	shown := 0
 	for _, ev := range hw.Trace {
-		if !strings.HasPrefix(ev.Task, "task") || shown >= 20 {
+		if !strings.HasPrefix(ev.Proc, "task") || shown >= 20 {
 			continue
 		}
-		fmt.Printf("  t=%-7d PE%d %-6s %s\n", ev.Time, ev.PE+1, ev.Task, ev.What)
+		fmt.Printf("  t=%-7d PE%d %-6s %s\n", ev.Cycle, ev.PE+1, ev.Proc, strings.TrimPrefix(ev.Name, "sched."))
 		shown++
 	}
 	fmt.Println()

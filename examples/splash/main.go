@@ -10,11 +10,12 @@ import (
 	"fmt"
 
 	"deltartos/internal/app"
+	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
 )
 
 func main() {
-	kernels := []func(func() socdmmu.Allocator, ...app.Option) app.SplashResult{
+	kernels := []func(func() socdmmu.Allocator, ...sim.Option) app.SplashResult{
 		app.RunLU, app.RunFFT, app.RunRadix,
 	}
 

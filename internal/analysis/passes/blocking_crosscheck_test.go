@@ -36,13 +36,13 @@ func loadAppBounds(t *testing.T) map[string]map[string]BlockingBound {
 
 // recordScenario runs fn with a recorder-attaching option and returns the
 // session holding one recorder per sim the scenario created.
-func recordScenario(t *testing.T, fn func(opt app.Option)) *trace.Session {
+func recordScenario(t *testing.T, fn func(opt sim.Option)) *trace.Session {
 	t.Helper()
 	sess := trace.NewSession()
 	hooks := &sim.Hooks{OnNew: func(s *sim.Sim) {
 		s.Rec = sess.NewRecorder("run" + string(rune('0'+sess.Len())))
 	}}
-	fn(app.WithSimHooks(hooks))
+	fn(sim.WithHooks(hooks))
 	if sess.Len() == 0 {
 		t.Fatal("scenario recorded no simulations")
 	}
@@ -51,14 +51,14 @@ func recordScenario(t *testing.T, fn func(opt app.Option)) *trace.Session {
 
 // traceScenario runs fn traced and returns the merged counter registry of
 // every sim the scenario created.
-func traceScenario(t *testing.T, fn func(opt app.Option)) map[string]uint64 {
+func traceScenario(t *testing.T, fn func(opt sim.Option)) map[string]uint64 {
 	t.Helper()
 	return recordScenario(t, fn).CountersFrom(0)
 }
 
 // scenarioEvents runs fn traced and returns the event stream of the one sim
 // the scenario created, for the replayed claims and race audits.
-func scenarioEvents(t *testing.T, fn func(opt app.Option)) []trace.Event {
+func scenarioEvents(t *testing.T, fn func(opt sim.Option)) []trace.Event {
 	t.Helper()
 	sess := recordScenario(t, fn)
 	if sess.Len() != 1 {
@@ -125,30 +125,30 @@ func TestTracedBlockingWithinStaticBounds(t *testing.T) {
 	bounds := loadAppBounds(t)
 
 	t.Run("robot-rtos5", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS5Locks, false, opt) })
+		c := traceScenario(t, func(opt sim.Option) { app.RunRobotScenario(app.NewRTOS5Locks, false, opt) })
 		checkBlockingBound(t, bounds, "RunRobotScenario", c, true)
 	})
 	t.Run("robot-rtos6", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS6Locks, false, opt) })
+		c := traceScenario(t, func(opt sim.Option) { app.RunRobotScenario(app.NewRTOS6Locks, false, opt) })
 		checkBlockingBound(t, bounds, "RunRobotScenario", c, true)
 	})
 	t.Run("grant-avoidance", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) { app.RunGrantDeadlockScenario(softwareAvoidance(t), opt) })
+		c := traceScenario(t, func(opt sim.Option) { app.RunGrantDeadlockScenario(softwareAvoidance(t), opt) })
 		checkBlockingBound(t, bounds, "RunGrantDeadlockScenario", c, true)
 	})
 	t.Run("request-avoidance", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) { app.RunRequestDeadlockScenario(softwareAvoidance(t), opt) })
+		c := traceScenario(t, func(opt sim.Option) { app.RunRequestDeadlockScenario(softwareAvoidance(t), opt) })
 		checkBlockingBound(t, bounds, "RunRequestDeadlockScenario", c, true)
 	})
 	t.Run("chaos", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) {
+		c := traceScenario(t, func(opt sim.Option) {
 			w := app.BuildChaosScenario(app.NewRTOS6Locks, opt)
 			w.S.Run()
 		})
 		checkBlockingBound(t, bounds, "BuildChaosScenario", c, true)
 	})
 	t.Run("ring", func(t *testing.T) {
-		c := traceScenario(t, func(opt app.Option) {
+		c := traceScenario(t, func(opt sim.Option) {
 			w := app.BuildRingScenario(opt)
 			w.S.Run()
 		})

@@ -6,6 +6,7 @@ import (
 	"deltartos/internal/analysis/framework"
 	"deltartos/internal/app"
 	"deltartos/internal/claims"
+	"deltartos/internal/sim"
 )
 
 // loadAppManifest runs the claims pass over the real internal/app sources and
@@ -54,29 +55,29 @@ func TestRuntimeHeldSetsWithinStaticClaims(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, scenario string
-		run            func(t *testing.T, opt app.Option)
+		run            func(t *testing.T, opt sim.Option)
 	}{
-		{"detection", "RunDetectionScenario", func(t *testing.T, opt app.Option) {
+		{"detection", "RunDetectionScenario", func(t *testing.T, opt sim.Option) {
 			app.RunDetectionScenario(app.NewSoftwareDetector(5, 5), opt)
 		}},
-		{"grant-avoidance", "RunGrantDeadlockScenario", func(t *testing.T, opt app.Option) {
+		{"grant-avoidance", "RunGrantDeadlockScenario", func(t *testing.T, opt sim.Option) {
 			app.RunGrantDeadlockScenario(softwareAvoidance(t), opt)
 		}},
-		{"request-avoidance", "RunRequestDeadlockScenario", func(t *testing.T, opt app.Option) {
+		{"request-avoidance", "RunRequestDeadlockScenario", func(t *testing.T, opt sim.Option) {
 			app.RunRequestDeadlockScenario(softwareAvoidance(t), opt)
 		}},
-		{"robot-rtos5", "RunRobotScenario", func(t *testing.T, opt app.Option) {
+		{"robot-rtos5", "RunRobotScenario", func(t *testing.T, opt sim.Option) {
 			app.RunRobotScenario(app.NewRTOS5Locks, false, opt)
 		}},
-		{"robot-rtos6", "RunRobotScenario", func(t *testing.T, opt app.Option) {
+		{"robot-rtos6", "RunRobotScenario", func(t *testing.T, opt sim.Option) {
 			app.RunRobotScenario(app.NewRTOS6Locks, false, opt)
 		}},
-		{"chaos", "BuildChaosScenario", func(t *testing.T, opt app.Option) {
+		{"chaos", "BuildChaosScenario", func(t *testing.T, opt sim.Option) {
 			app.BuildChaosScenario(app.NewRTOS6Locks, opt).S.Run()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			evs := scenarioEvents(t, func(opt app.Option) { tc.run(t, opt) })
+			evs := scenarioEvents(t, func(opt sim.Option) { tc.run(t, opt) })
 			checkSubset(t, m, tc.scenario, app.HeldSets(evs))
 		})
 	}
@@ -91,7 +92,7 @@ func TestBankerFromManifestAvoidsDeadlock(t *testing.T) {
 
 	for _, tc := range []struct {
 		scenario string
-		run      func(app.AvoidanceBackend, ...app.Option) app.AvoidanceResult
+		run      func(app.AvoidanceBackend, ...sim.Option) app.AvoidanceResult
 		avoided  func(app.AvoidanceResult) bool
 	}{
 		{"RunGrantDeadlockScenario", app.RunGrantDeadlockScenario,
@@ -111,7 +112,7 @@ func TestBankerFromManifestAvoidsDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res app.AvoidanceResult
-		evs := scenarioEvents(t, func(opt app.Option) { res = tc.run(b, opt) })
+		evs := scenarioEvents(t, func(opt sim.Option) { res = tc.run(b, opt) })
 		if !res.Completed {
 			t.Errorf("%s under Banker(manifest): scenario did not complete deadlock-free", tc.scenario)
 		}

@@ -78,7 +78,7 @@ func IPC() *Analyzer {
 			"between tasks, blocking ops with no counterparty at all, and\n" +
 			"tasks waiting only on already-flagged tasks.  Intentionally\n" +
 			"fragile scenarios are annotated //deltalint:ipc-expected.",
-		Requires: []*Analyzer{summariesAnalyzer},
+		Requires: []*Analyzer{lockFlowAnalyzer, summariesAnalyzer},
 		Run:      runIPC,
 	}
 }
@@ -135,27 +135,33 @@ func runIPC(pass *Pass) (any, error) {
 	}
 	w.collectBindings()
 	res := &IPCResult{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+	for _, fs := range pass.ResultOf[lockFlowAnalyzer].(*flowReport).scopes {
+		// The scenario's tasks are lockflow's created tasks and spawned
+		// procs; the pseudo-task (lit == nil) is the scope's own code.
+		scope := &ipcScope{fn: fs.fn, expected: hasDirective(fs.decl.Doc, "deltalint:ipc-expected")}
+		touched := false
+		for _, t := range fs.tasks {
+			if t.lit == nil {
 				continue
 			}
-			scope := w.walkScope(fd)
-			if scope == nil {
-				continue
-			}
-			rep := analyzeIPCScope(scope)
-			if len(rep.Findings) == 0 {
-				continue
-			}
-			res.Scopes = append(res.Scopes, rep)
-			if scope.expected {
-				continue
-			}
-			for _, f := range rep.Findings {
-				pass.Reportf(f.Pos, "%s (annotate the scenario //deltalint:ipc-expected if intentional)", f.Detail)
-			}
+			task := &ipcTask{label: t.name, ops: map[string]*ipcOps{}}
+			w.collectOps(task, t.lit.Body, nil, map[*ast.FuncLit]bool{t.lit: true}, 0)
+			scope.tasks = append(scope.tasks, task)
+			touched = touched || len(task.ops) > 0
+		}
+		if !touched {
+			continue
+		}
+		rep := analyzeIPCScope(scope)
+		if len(rep.Findings) == 0 {
+			continue
+		}
+		res.Scopes = append(res.Scopes, rep)
+		if scope.expected {
+			continue
+		}
+		for _, f := range rep.Findings {
+			pass.Reportf(f.Pos, "%s (annotate the scenario //deltalint:ipc-expected if intentional)", f.Detail)
 		}
 	}
 	sort.Slice(res.Scopes, func(i, j int) bool { return res.Scopes[i].Scope < res.Scopes[j].Scope })
@@ -214,49 +220,6 @@ func (w *ipcWalker) collectBindings() {
 			return true
 		})
 	}
-}
-
-// walkScope collects the IPC operation summaries of every task fd creates.
-// Returns nil when fd creates no tasks that touch IPC endpoints.
-func (w *ipcWalker) walkScope(fd *ast.FuncDecl) *ipcScope {
-	scope := &ipcScope{
-		fn:       fd.Name.Name,
-		expected: hasDirective(fd.Doc, "deltalint:ipc-expected"),
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, _ := calleeOf(w.pass, call)
-		if name != "CreateTask" {
-			return true
-		}
-		label := fmt.Sprintf("%s#%d", fd.Name.Name, len(scope.tasks))
-		if len(call.Args) > 0 {
-			if tv, ok := w.pass.TypesInfo.Types[call.Args[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-				label = constant.StringVal(tv.Value)
-			}
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				task := &ipcTask{label: label, ops: map[string]*ipcOps{}}
-				w.collectOps(task, lit.Body, nil, map[*ast.FuncLit]bool{lit: true}, 0)
-				scope.tasks = append(scope.tasks, task)
-			}
-		}
-		return true
-	})
-	touched := false
-	for _, t := range scope.tasks {
-		if len(t.ops) > 0 {
-			touched = true
-		}
-	}
-	if !touched {
-		return nil
-	}
-	return scope
 }
 
 // collectOps records every IPC operation reachable from body, inlining

@@ -341,7 +341,14 @@ func (sf *scopeFlow) drainTasks() {
 	for len(sf.taskQueue) > 0 {
 		req := sf.taskQueue[0]
 		sf.taskQueue = sf.taskQueue[1:]
-		ti := newTaskInfo(req.name, req.lit.Pos())
+		name := req.name
+		if name == "" {
+			// A task created under a non-constant name is labelled
+			// <scope>#<n>: unique in the scope, and never the scope's own
+			// name, which the pseudo-task carries.
+			name = fmt.Sprintf("%s#%d", sf.scope.fn, len(sf.scope.tasks))
+		}
+		ti := newTaskInfo(name, req.lit.Pos())
 		ti.prio, ti.hasPrio = req.prio, req.hasPrio
 		ti.delay = req.delay
 		ti.lit = req.lit
@@ -716,9 +723,6 @@ func (sf *scopeFlow) queueTaskCall(call *ast.CallExpr, name string) {
 			taskName = constant.StringVal(tv.Value)
 			label = "task " + taskName
 		}
-	}
-	if taskName == "" {
-		taskName = label
 	}
 	// CreateTask(name, pe, prio, delay, fn) vs Spawn(name, prio, fn).
 	prioIdx := 2

@@ -7,6 +7,7 @@ import (
 	"deltartos/internal/analysis/framework"
 	"deltartos/internal/app"
 	"deltartos/internal/races"
+	"deltartos/internal/sim"
 )
 
 // loadRaceManifest runs the races pass over the real internal/app sources
@@ -51,7 +52,7 @@ func checkContained(t *testing.T, m *races.Manifest, scenario string, aud *races
 
 // raceAudit runs fn traced and replays its event stream through the shadow
 // auditor.
-func raceAudit(t *testing.T, fn func(opt app.Option)) *races.Auditor {
+func raceAudit(t *testing.T, fn func(opt sim.Option)) *races.Auditor {
 	t.Helper()
 	return app.RaceAudit(scenarioEvents(t, fn))
 }
@@ -64,7 +65,7 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	m := loadRaceManifest(t)
 
 	t.Run("robot", func(t *testing.T) {
-		aud := raceAudit(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS5Locks, false, opt) })
+		aud := raceAudit(t, func(opt sim.Option) { app.RunRobotScenario(app.NewRTOS5Locks, false, opt) })
 		checkContained(t, m, "RunRobotScenario", aud)
 		if n := len(aud.Reports()); n != 0 {
 			t.Errorf("robot: %d runtime race reports on the fully guarded scenario, want 0: %+v", n, aud.Reports())
@@ -106,7 +107,7 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("robot-rtos6", func(t *testing.T) {
-		aud := raceAudit(t, func(opt app.Option) { app.RunRobotScenario(app.NewRTOS6Locks, false, opt) })
+		aud := raceAudit(t, func(opt sim.Option) { app.RunRobotScenario(app.NewRTOS6Locks, false, opt) })
 		checkContained(t, m, "RunRobotScenario", aud)
 		if n := len(aud.Reports()); n != 0 {
 			t.Errorf("robot/rtos6: %d runtime race reports, want 0: %+v", n, aud.Reports())
@@ -114,9 +115,9 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("avoidance", func(t *testing.T) {
-		audG := raceAudit(t, func(opt app.Option) { app.RunGrantDeadlockScenario(softwareAvoidance(t), opt) })
+		audG := raceAudit(t, func(opt sim.Option) { app.RunGrantDeadlockScenario(softwareAvoidance(t), opt) })
 		checkContained(t, m, "RunGrantDeadlockScenario", audG)
-		audR := raceAudit(t, func(opt app.Option) { app.RunRequestDeadlockScenario(softwareAvoidance(t), opt) })
+		audR := raceAudit(t, func(opt sim.Option) { app.RunRequestDeadlockScenario(softwareAvoidance(t), opt) })
 		checkContained(t, m, "RunRequestDeadlockScenario", audR)
 		// done[i] elements are task-exclusive: the shadow state machine must
 		// never escalate them past exclusive.  Every pipeline has released
@@ -138,12 +139,12 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("chaos", func(t *testing.T) {
-		aud := raceAudit(t, func(opt app.Option) { app.BuildChaosScenario(app.NewRTOS6Locks, opt).S.Run() })
+		aud := raceAudit(t, func(opt sim.Option) { app.BuildChaosScenario(app.NewRTOS6Locks, opt).S.Run() })
 		checkContained(t, m, "BuildChaosScenario", aud)
 	})
 
 	t.Run("ring", func(t *testing.T) {
-		aud := raceAudit(t, func(opt app.Option) { app.BuildRingScenario(opt).S.Run() })
+		aud := raceAudit(t, func(opt sim.Option) { app.BuildRingScenario(opt).S.Run() })
 		checkContained(t, m, "BuildRingScenario", aud)
 		// Non-vacuity: the completion counter is written by all four ring
 		// tasks with no lock anywhere — the auditor must catch it, and the
@@ -164,7 +165,7 @@ func TestRuntimeRaceReportsWithinStaticFlags(t *testing.T) {
 	})
 
 	t.Run("ring-timeout", func(t *testing.T) {
-		aud := raceAudit(t, func(opt app.Option) { app.BuildRingTimeoutScenario(opt).S.Run() })
+		aud := raceAudit(t, func(opt sim.Option) { app.BuildRingTimeoutScenario(opt).S.Run() })
 		checkContained(t, m, "BuildRingTimeoutScenario", aud)
 	})
 }

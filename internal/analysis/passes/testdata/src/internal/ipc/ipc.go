@@ -10,6 +10,7 @@ func (c *TaskCtx) Compute(cycles int) {}
 type Kernel struct{}
 
 func (k *Kernel) CreateTask(name string, pe, prio, delay int, fn func(c *TaskCtx)) {}
+func (k *Kernel) Spawn(name string, prio int, fn func(c *TaskCtx))                 {}
 func (k *Kernel) NewQueue(name string, capacity int) *Queue                        { return nil }
 func (k *Kernel) NewEventFlags(name string) *EventFlags                            { return nil }
 
@@ -210,5 +211,28 @@ func DuplicateWaitEdges(k *Kernel) {
 		back.Recv(c)
 		q1.Send(c, 1)
 		q2.Send(c, 2)
+	})
+}
+
+// DynamicNames creates its two ring tasks under names it computes, so each
+// takes a label unique in the scope, DynamicNames#<n> by creation order, and
+// neither takes the scope's own name.  The spawned proc is one of the
+// scope's tasks too: as the only sender on feed it is the counterparty of
+// the first ring task's receive, which is therefore not unmatched.
+func DynamicNames(k *Kernel, name func(i int) string) {
+	feed := k.NewQueue("feed", 1)
+	ab := k.NewQueue("ab", 1)
+	ba := k.NewQueue("ba", 1)
+	k.CreateTask(name(0), 0, 1, 0, func(c *TaskCtx) {
+		ab.Recv(c) // want `potential IPC deadlock: tasks of DynamicNames form a blocking send/recv cycle: DynamicNames#0 -> DynamicNames#1 -> DynamicNames#0`
+		feed.Recv(c)
+		ba.Send(c, 1)
+	})
+	k.CreateTask(name(1), 1, 1, 0, func(c *TaskCtx) {
+		ba.Recv(c)
+		ab.Send(c, 2)
+	})
+	k.Spawn(name(2), 2, func(c *TaskCtx) {
+		feed.Send(c, 3)
 	})
 }

@@ -166,7 +166,7 @@ func TestRobotTraceShowsIPCP(t *testing.T) {
 	}
 	var sawDispatch bool
 	for _, ev := range hw.Trace {
-		if ev.What == "dispatch" && ev.Task == "task3" {
+		if ev.Name == "sched.dispatch" && ev.Proc == "task3" {
 			sawDispatch = true
 		}
 	}
@@ -213,7 +213,7 @@ func TestSplashTable11Shape(t *testing.T) {
 func TestSplashTable12Reductions(t *testing.T) {
 	for _, pair := range []struct {
 		name string
-		run  func(func() socdmmu.Allocator, ...Option) SplashResult
+		run  func(func() socdmmu.Allocator, ...sim.Option) SplashResult
 	}{
 		{"LU", RunLU}, {"FFT", RunFFT}, {"RADIX", RunRadix},
 	} {
@@ -285,17 +285,17 @@ func TestSoftwareDetectorPadding(t *testing.T) {
 func TestScenariosCloseTheirSimulations(t *testing.T) {
 	for _, sc := range []struct {
 		name string
-		run  func(opts ...Option)
+		run  func(opts ...sim.Option)
 	}{
-		{"detection", func(o ...Option) { RunDetectionScenario(NewSoftwareDetector(5, 5), o...) }},
-		{"grant-deadlock", func(o ...Option) { RunGrantDeadlockScenario(mkSWBackend(t), o...) }},
-		{"request-deadlock", func(o ...Option) { RunRequestDeadlockScenario(mkSWBackend(t), o...) }},
-		{"robot", func(o ...Option) { RunRobotScenario(NewRTOS6Locks, false, o...) }},
-		{"radix", func(o ...Option) { RunRadix(NewSoCDMMUAllocator, o...) }},
-		{"radix-parallel", func(o ...Option) { RunRadixParallel(NewSoCDMMUAllocator, 2, o...) }},
+		{"detection", func(o ...sim.Option) { RunDetectionScenario(NewSoftwareDetector(5, 5), o...) }},
+		{"grant-deadlock", func(o ...sim.Option) { RunGrantDeadlockScenario(mkSWBackend(t), o...) }},
+		{"request-deadlock", func(o ...sim.Option) { RunRequestDeadlockScenario(mkSWBackend(t), o...) }},
+		{"robot", func(o ...sim.Option) { RunRobotScenario(NewRTOS6Locks, false, o...) }},
+		{"radix", func(o ...sim.Option) { RunRadix(NewSoCDMMUAllocator, o...) }},
+		{"radix-parallel", func(o ...sim.Option) { RunRadixParallel(NewSoCDMMUAllocator, 2, o...) }},
 	} {
 		var sims []*sim.Sim
-		sc.run(WithSimHooks(&sim.Hooks{OnNew: func(s *sim.Sim) { sims = append(sims, s) }}))
+		sc.run(sim.WithHooks(&sim.Hooks{OnNew: func(s *sim.Sim) { sims = append(sims, s) }}))
 		if len(sims) == 0 {
 			t.Fatalf("%s: built no simulation", sc.name)
 		}

@@ -69,6 +69,8 @@ func holdStep(ev trace.Event) (task, key string, acquire, ok bool) {
 		return ev.Proc, claims.ResourceKey("long", int(ev.Arg)), true, true
 	case "lock.release", "lock.handoff":
 		return ev.Proc, claims.ResourceKey("long", int(ev.Arg)), false, true
+	case "lock.reclaim":
+		return ev.Proc, claims.ResourceKey(ev.Verdict, int(ev.Arg)), false, true
 	case "lock.acquire.short":
 		return ev.Proc, claims.ResourceKey("short", int(ev.Arg)), true, true
 	case "lock.release.short":

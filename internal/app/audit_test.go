@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"deltartos/internal/claims"
+	"deltartos/internal/fault"
 	"deltartos/internal/races"
+	"deltartos/internal/rtos"
+	"deltartos/internal/sim"
+	"deltartos/internal/soclc"
 	"deltartos/internal/trace"
 )
 
@@ -65,6 +69,14 @@ func TestRaceAuditReplaysHoldTransitions(t *testing.T) {
 			lockEv("lock.acquire", "A", 1),
 			{Proc: "A", Kind: trace.KindLock, Name: "lock.handoff", Arg: 1, Verdict: "B"},
 			writeEv("A", "x"),
+			lockEv("lock.acquire", "B", 1),
+			writeEv("B", "x"),
+		}, nil, true},
+		{"reclaim releases for the victim", []trace.Event{
+			lockEv("lock.acquire", "A", 1),
+			writeEv("A", "x"),
+			{Proc: "A", Kind: trace.KindLock, Name: "lock.reclaim", Arg: 1, Verdict: "long"},
+			writeEv("A", "x"), // recovery took long:1 from A
 			lockEv("lock.acquire", "B", 1),
 			writeEv("B", "x"),
 		}, nil, true},
@@ -151,16 +163,16 @@ func TestTracedRunsReleaseEveryHold(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		run  func(t *testing.T, opt Option)
+		run  func(t *testing.T, opt sim.Option)
 	}{
-		{"robot-rtos5", func(t *testing.T, opt Option) { RunRobotScenario(NewRTOS5Locks, false, opt) }},
-		{"robot-rtos6", func(t *testing.T, opt Option) { RunRobotScenario(NewRTOS6Locks, false, opt) }},
-		{"chaos", func(t *testing.T, opt Option) { BuildChaosScenario(NewRTOS5Locks, opt).S.Run() }},
-		{"grant-avoidance", func(t *testing.T, opt Option) { RunGrantDeadlockScenario(newSW(t), opt) }},
-		{"request-avoidance", func(t *testing.T, opt Option) { RunRequestDeadlockScenario(newSW(t), opt) }},
+		{"robot-rtos5", func(t *testing.T, opt sim.Option) { RunRobotScenario(NewRTOS5Locks, false, opt) }},
+		{"robot-rtos6", func(t *testing.T, opt sim.Option) { RunRobotScenario(NewRTOS6Locks, false, opt) }},
+		{"chaos", func(t *testing.T, opt sim.Option) { BuildChaosScenario(NewRTOS5Locks, opt).S.Run() }},
+		{"grant-avoidance", func(t *testing.T, opt sim.Option) { RunGrantDeadlockScenario(newSW(t), opt) }},
+		{"request-avoidance", func(t *testing.T, opt sim.Option) { RunRequestDeadlockScenario(newSW(t), opt) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sess := withSession(t, func(opt Option) { tc.run(t, opt) })
+			sess := withSession(t, func(opt sim.Option) { tc.run(t, opt) })
 			if sess.Len() != 1 {
 				t.Fatalf("%d simulations, want 1", sess.Len())
 			}
@@ -185,6 +197,57 @@ func TestTracedRunsReleaseEveryHold(t *testing.T) {
 			}
 			if len(steps) < 2 {
 				t.Errorf("hold events seen: %v, want acquisitions and releases", steps)
+			}
+		})
+	}
+}
+
+// A recovery that kills a victim takes its locks back through the lock
+// system, which records one lock.reclaim release per lock.  In a chaos run
+// whose plan loses a release, the victim's acquisition stays recorded while
+// the lost release is not, so only the reclaim can drop that hold: at every
+// reclaim, the replayed held-sets must stop showing the lock held by its
+// victim.  A restarted victim re-acquires and releases the lock later, so
+// the check is made at the reclaim, not at the end of the run.
+func TestChaosReclaimReleasesVictimHolds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(k *rtos.Kernel) soclc.Manager
+	}{{"rtos5", NewRTOS5Locks}, {"rtos6", NewRTOS6Locks}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := withSession(t, func(opt sim.Option) {
+				w := BuildChaosScenario(tc.mk, opt)
+				defer w.S.Close()
+				plan := fault.NewPlan(1).Add(fault.Fault{Kind: fault.LostRelease, Task: "display", Lock: fault.AnyLock})
+				plan.Attach(w.K, w.Locks, w.Mem, w.Devices)
+				fault.NewRecovery(w.K, plan, w.Locks, w.Mem, fault.RestartOnce, 80000, 10).WatchAll()
+				w.S.RunUntil(1_000_000)
+			})
+			held := map[string]bool{}
+			recordedHolds := 0
+			for _, ev := range sess.Recorders()[0].Events() {
+				reclaim := ev.Proc + " " + claims.ResourceKey(ev.Verdict, int(ev.Arg))
+				wasHeld := held[reclaim]
+				task, key, acquire, ok := holdStep(ev)
+				switch {
+				case !ok:
+				case acquire:
+					held[task+" "+key] = true
+				default:
+					delete(held, task+" "+key)
+				}
+				if ev.Name != "lock.reclaim" {
+					continue
+				}
+				if wasHeld {
+					recordedHolds++
+				}
+				if held[reclaim] {
+					t.Errorf("at cycle %d: %s reclaimed, yet still held in the replayed held-sets", ev.Cycle, reclaim)
+				}
+			}
+			if recordedHolds == 0 {
+				t.Fatal("recovery reclaimed no recorded hold")
 			}
 		})
 	}

@@ -191,8 +191,8 @@ type AvoidanceWorld struct {
 }
 
 // NewAvoidanceWorld builds a 4-PE world with the standard devices.
-func NewAvoidanceWorld(b AvoidanceBackend, opts ...Option) *AvoidanceWorld {
-	s := newScenarioSim(opts)
+func NewAvoidanceWorld(b AvoidanceBackend, opts ...sim.Option) *AvoidanceWorld {
+	s := sim.New(opts...)
 	return &AvoidanceWorld{
 		S: s, K: rtos.NewKernel(s, 4), B: b, devices: sim.StandardDevices(s),
 		tasks: make([]*rtos.Task, 4),
@@ -354,7 +354,7 @@ type AvoidanceResult struct {
 // safely by the avoider.  Returns the Table 7 measurements.
 //
 //deltalint:deadlock-expected the scenario exists to exercise G-dl avoidance
-func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResult {
+func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...sim.Option) AvoidanceResult {
 	w := NewAvoidanceWorld(b, opts...)
 	defer w.S.Close()
 	for p := 0; p < 4; p++ {
@@ -404,7 +404,7 @@ func RunGrantDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResul
 // Table 9 measurements.
 //
 //deltalint:deadlock-expected the scenario exists to exercise R-dl avoidance
-func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...Option) AvoidanceResult {
+func RunRequestDeadlockScenario(b AvoidanceBackend, opts ...sim.Option) AvoidanceResult {
 	w := NewAvoidanceWorld(b, opts...)
 	defer w.S.Close()
 	for p := 0; p < 4; p++ {

@@ -60,11 +60,10 @@ type ChaosWorld struct {
 // re-acquires its locks and re-allocates its buffers from scratch, and
 // allocation failure is absorbed, so a recovery-restarted task replays
 // cleanly.
-func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Option) *ChaosWorld {
-	s := newScenarioSim(opts)
+func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...sim.Option) *ChaosWorld {
+	s := sim.New(opts...)
 	k := rtos.NewKernel(s, 4)
 	locks := mkLocks(k)
-	shorts := locks.(shortLocker)
 	mem, err := socdmmu.New(socdmmu.Config{TotalBytes: 1 << 20, BlockBytes: 64 << 10, PEs: 4})
 	if err != nil {
 		panic(err)
@@ -95,10 +94,10 @@ func BuildChaosScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, opts ...Opti
 	telemetry := func(c *rtos.TaskCtx, n int) {
 		for i := 0; i < n; i++ {
 			old := c.SetEffectivePriority(-1)
-			shorts.AcquireShort(c, lockTele)
+			locks.AcquireShort(c, lockTele)
 			c.BusWrite(4)
 			c.ChargeCompute(chaosTeleCS)
-			shorts.ReleaseShort(c, lockTele)
+			locks.ReleaseShort(c, lockTele)
 			c.SetEffectivePriority(old)
 		}
 	}

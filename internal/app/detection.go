@@ -59,8 +59,8 @@ const (
 // deadlock was detected.
 //
 //deltalint:deadlock-expected the scenario exists to exercise the DDU/PDDA
-func RunDetectionScenario(det Detector, opts ...Option) DetectionResult {
-	s := newScenarioSim(opts)
+func RunDetectionScenario(det Detector, opts ...sim.Option) DetectionResult {
+	s := sim.New(opts...)
 	defer s.Close()
 	k := rtos.NewKernel(s, 4)
 	devices := sim.StandardDevices(s)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"deltartos/internal/sim"
 	"deltartos/internal/trace"
 )
 
@@ -15,29 +16,29 @@ import (
 func TestMeterMatchesTraceStream(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func(t *testing.T, opt Option) *Meter
+		run  func(t *testing.T, opt sim.Option) *Meter
 	}{
-		{"PDDA in software", func(t *testing.T, opt Option) *Meter {
+		{"PDDA in software", func(t *testing.T, opt sim.Option) *Meter {
 			d := NewSoftwareDetector(5, 5)
 			RunDetectionScenario(d, opt)
 			return &d.Meter
 		}},
-		{"DDU", func(t *testing.T, opt Option) *Meter {
+		{"DDU", func(t *testing.T, opt sim.Option) *Meter {
 			d := newHW(t)
 			RunDetectionScenario(d, opt)
 			return &d.Meter
 		}},
-		{"DAA in software", func(t *testing.T, opt Option) *Meter {
+		{"DAA in software", func(t *testing.T, opt sim.Option) *Meter {
 			b := mkSWBackend(t)
 			RunRequestDeadlockScenario(b, opt)
 			return &b.Meter
 		}},
-		{"DAU", func(t *testing.T, opt Option) *Meter {
+		{"DAU", func(t *testing.T, opt sim.Option) *Meter {
 			b := mkHWBackend(t)
 			RunRequestDeadlockScenario(b, opt)
 			return &b.Meter
 		}},
-		{"Banker", func(t *testing.T, opt Option) *Meter {
+		{"Banker", func(t *testing.T, opt sim.Option) *Meter {
 			b, err := NewBankerAvoidance(5, 5)
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +54,7 @@ func TestMeterMatchesTraceStream(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m *Meter
-			sess := withSession(t, func(opt Option) { m = tc.run(t, opt) })
+			sess := withSession(t, func(opt sim.Option) { m = tc.run(t, opt) })
 			events := 0
 			for _, r := range sess.Recorders() {
 				for _, ev := range r.Events() {

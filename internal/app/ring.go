@@ -54,8 +54,8 @@ type RingWorld struct {
 // the monitor behind it — wedges irreducibly.
 //
 //deltalint:ipc-expected the blocking ring is a send/recv cycle: message loss can wedge it
-func BuildRingScenario(opts ...Option) *RingWorld {
-	s := newScenarioSim(opts)
+func BuildRingScenario(opts ...sim.Option) *RingWorld {
+	s := sim.New(opts...)
 	k := rtos.NewKernel(s, 4)
 	q0 := k.NewQueue("ring.q0", 1)
 	q1 := k.NewQueue("ring.q1", 1)
@@ -130,8 +130,8 @@ func BuildRingScenario(opts ...Option) *RingWorld {
 // recv that exhausts its retries re-mints the token it evidently lost.  No
 // operation blocks forever, so message faults cost throughput, never
 // liveness.
-func BuildRingTimeoutScenario(opts ...Option) *RingWorld {
-	s := newScenarioSim(opts)
+func BuildRingTimeoutScenario(opts ...sim.Option) *RingWorld {
+	s := sim.New(opts...)
 	k := rtos.NewKernel(s, 4)
 	q0 := k.NewQueue("ring.q0", 1)
 	q1 := k.NewQueue("ring.q1", 1)

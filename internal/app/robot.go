@@ -4,6 +4,7 @@ import (
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/soclc"
+	"deltartos/internal/trace"
 )
 
 // RobotResult is one column of Table 10.
@@ -13,7 +14,7 @@ type RobotResult struct {
 	LockDelay     float64 // cycles, contended hand-off
 	OverallCycles sim.Cycles
 	DeadlinesMet  bool
-	Trace         []rtos.TraceEvent
+	Trace         []trace.Event // KindSched events, when traced
 }
 
 // Robot application parameters (Section 5.5 / Figure 19).  The master clock
@@ -46,12 +47,6 @@ const (
 	task1WCRT   = 25000 // 250 µs hard deadline
 )
 
-// shortLocker is the short-CS interface both lock systems provide.
-type shortLocker interface {
-	AcquireShort(c *rtos.TaskCtx, id int)
-	ReleaseShort(c *rtos.TaskCtx, id int)
-}
-
 // RunRobotScenario executes the robot control application plus MPEG decoder
 // on a 4-PE MPSoC (Figure 18): task_1 (PE1, priority 1, hard RT), task_2
 // and task_3 (PE2, priorities 2 and 3), task_4 (PE3, priority 4) and the
@@ -63,16 +58,15 @@ type shortLocker interface {
 // inheritance in software, spin locks in shared memory) or soclc.LockCache
 // (RTOS6, SoCLC with IPCP in hardware).  Everything else is identical, so
 // the deltas of Table 10 come entirely from the lock system.
-func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool, opts ...Option) RobotResult {
-	s := newScenarioSim(opts)
+func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool, opts ...sim.Option) RobotResult {
+	s := sim.New(opts...)
 	defer s.Close()
 	k := rtos.NewKernel(s, 4)
 	locks := mkLocks(k)
-	shorts := locks.(shortLocker)
 
-	var trace []rtos.TraceEvent
+	var sched []trace.Event
 	if wantTrace {
-		k.TraceFn = func(ev rtos.TraceEvent) { trace = append(trace, ev) }
+		k.TraceFn = func(ev trace.Event) { sched = append(sched, ev) }
 	}
 
 	const (
@@ -96,10 +90,10 @@ func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool
 	telemetry := func(c *rtos.TaskCtx, n int) {
 		for i := 0; i < n; i++ {
 			old := c.SetEffectivePriority(-1)
-			shorts.AcquireShort(c, lockTele)
+			locks.AcquireShort(c, lockTele)
 			c.BusWrite(4)
 			c.ChargeCompute(telemetryCS)
-			shorts.ReleaseShort(c, lockTele)
+			locks.ReleaseShort(c, lockTele)
 			c.SetEffectivePriority(old)
 		}
 	}
@@ -185,7 +179,7 @@ func RunRobotScenario(mkLocks func(k *rtos.Kernel) soclc.Manager, wantTrace bool
 		LockDelay:     st.AvgDelay(),
 		OverallCycles: overall,
 		DeadlinesMet:  deadlinesMet,
-		Trace:         trace,
+		Trace:         sched,
 	}
 }
 

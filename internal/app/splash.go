@@ -127,7 +127,7 @@ const (
 // RunLU performs the blocked LU decomposition benchmark: the matrix is
 // allocated row-by-row (the paper replaced SPLASH-2's static arrays with
 // dynamic allocation), decomposed in place, and verified against A = L·U.
-func RunLU(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
+func RunLU(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult {
 	alloc := mkAlloc()
 	var verified bool
 	total := runBench(opts, func(c *rtos.TaskCtx) {
@@ -209,7 +209,7 @@ func RunLU(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
 // RunFFT performs the complex 1D FFT benchmark: data and twiddle tables are
 // allocated in chunks, a radix-2 decimation-in-time FFT runs in place, and
 // the inverse transform verifies the round trip.
-func RunFFT(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
+func RunFFT(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult {
 	alloc := mkAlloc()
 	var verified bool
 	total := runBench(opts, func(c *rtos.TaskCtx) {
@@ -322,7 +322,7 @@ func fft(re, im []float64, inverse bool, kc *kernelCost) {
 // RunRadix performs the integer radix sort benchmark: keys are allocated in
 // chunks, sorted by 8-bit digits with per-pass bucket arrays allocated and
 // freed (the dynamic-allocation port), and verified against sort.Ints.
-func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
+func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult {
 	alloc := mkAlloc()
 	var verified bool
 	total := runBench(opts, func(c *rtos.TaskCtx) {
@@ -387,8 +387,8 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...Option) SplashResult {
 
 // runBench runs body as a single task on PE0 of a fresh MPSoC and returns
 // the total execution time.
-func runBench(opts []Option, body func(c *rtos.TaskCtx)) sim.Cycles {
-	s := newScenarioSim(opts)
+func runBench(opts []sim.Option, body func(c *rtos.TaskCtx)) sim.Cycles {
+	s := sim.New(opts...)
 	defer s.Close()
 	k := rtos.NewKernel(s, 1)
 	k.CreateTask("bench", 0, 1, 0, body)

@@ -6,6 +6,7 @@ import (
 
 	"deltartos/internal/det"
 	"deltartos/internal/rtos"
+	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
 )
 
@@ -24,14 +25,14 @@ type ParallelResult struct {
 // another barrier, then a parallel permutation into reserved offsets.  The
 // allocator is shared (and is where SoCDMMU-vs-malloc contention shows up);
 // bus contention between PEs emerges from the simulator.
-func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...Option) ParallelResult {
+func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Option) ParallelResult {
 	if pes <= 0 || radixN%pes != 0 {
 		panic(fmt.Sprintf("app: invalid PE count %d", pes))
 	}
 	alloc := mkAlloc()
 	var verified bool
 
-	s := newScenarioSim(opts)
+	s := sim.New(opts...)
 	defer s.Close()
 	k := rtos.NewKernel(s, pes)
 	bar := k.NewBarrier("radix", pes)

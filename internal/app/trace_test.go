@@ -11,19 +11,19 @@ import (
 // withSession runs fn with a scenario option that wires every sim the
 // scenario creates to a fresh session (per-Sim hook injection — there is no
 // package global to save and restore).
-func withSession(t *testing.T, fn func(opt Option)) *trace.Session {
+func withSession(t *testing.T, fn func(opt sim.Option)) *trace.Session {
 	t.Helper()
 	sess := trace.NewSession()
 	hooks := &sim.Hooks{OnNew: func(s *sim.Sim) {
 		s.Rec = sess.NewRecorder("run" + string(rune('0'+sess.Len())))
 	}}
-	fn(WithSimHooks(hooks))
+	fn(sim.WithHooks(hooks))
 	return sess
 }
 
 func TestDetectionTraceDeterministic(t *testing.T) {
 	export := func() []byte {
-		sess := withSession(t, func(opt Option) {
+		sess := withSession(t, func(opt sim.Option) {
 			RunDetectionScenario(NewSoftwareDetector(5, 5), opt)
 		})
 		var buf bytes.Buffer
@@ -47,7 +47,7 @@ func TestDetectionTraceCrossChecksBus(t *testing.T) {
 		sims = append(sims, s)
 		recs = append(recs, s.Rec)
 	}}
-	RunDetectionScenario(newHW(t), WithSimHooks(hooks))
+	RunDetectionScenario(newHW(t), sim.WithHooks(hooks))
 	if len(sims) == 0 || recs[0].Counter("bus.transactions") == 0 {
 		t.Fatal("no bus events recorded")
 	}
@@ -68,7 +68,7 @@ func TestDetectionTraceCrossChecksBus(t *testing.T) {
 func TestDetectionCyclesUnchangedByTracing(t *testing.T) {
 	plain := RunDetectionScenario(NewSoftwareDetector(5, 5))
 	var traced DetectionResult
-	withSession(t, func(opt Option) {
+	withSession(t, func(opt sim.Option) {
 		traced = RunDetectionScenario(NewSoftwareDetector(5, 5), opt)
 	})
 	if plain.AppCycles != traced.AppCycles || plain.Invocations != traced.Invocations {
@@ -77,7 +77,7 @@ func TestDetectionCyclesUnchangedByTracing(t *testing.T) {
 }
 
 func TestDetectionTraceSeesDeadlockVerdict(t *testing.T) {
-	sess := withSession(t, func(opt Option) {
+	sess := withSession(t, func(opt sim.Option) {
 		RunDetectionScenario(NewSoftwareDetector(5, 5), opt)
 	})
 	found := false

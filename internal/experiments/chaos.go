@@ -110,15 +110,15 @@ func RunChaosSeed(cfg ChaosConfig, seed uint64, hooks *sim.Hooks) (ChaosRun, err
 		kinds = AllFaultKinds
 	}
 
-	w := app.BuildChaosScenario(mk, app.WithSimHooks(hooks))
+	w := app.BuildChaosScenario(mk, sim.WithHooks(hooks))
 	defer w.S.Close()
 	plan := fault.NewPlan(seed).Randomize(cfg.Faults, kinds, fault.Profile{
 		Tasks:   app.ChaosTaskNames,
 		Devices: []string{"IDCT"},
 		Horizon: cfg.Horizon,
 	})
-	plan.Attach(w.K, w.Locks.(fault.LockSystem), w.Mem, w.Devices)
-	rec := fault.NewRecovery(w.K, plan, w.Locks.(fault.LockManager), w.Mem,
+	plan.Attach(w.K, w.Locks, w.Mem, w.Devices)
+	rec := fault.NewRecovery(w.K, plan, w.Locks, w.Mem,
 		fault.RestartOnce, cfg.Budget, cfg.MaxRecoveries)
 	rec.WatchAll()
 

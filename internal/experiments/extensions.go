@@ -175,7 +175,7 @@ func runExtParallel(rc *RunCtx) (Result, error) {
 		Header: []string{"PEs", "allocator", "total cycles", "mgmt cycles", "speedup", "verified"},
 	}
 	for _, pes := range []int{1, 2, 4} {
-		res := app.RunRadixParallel(app.NewSoCDMMUAllocator, pes, app.WithSimHooks(rc.SimHooks()))
+		res := app.RunRadixParallel(app.NewSoCDMMUAllocator, pes, sim.WithHooks(rc.SimHooks()))
 		if !res.Verified {
 			return r, fmt.Errorf("parallel radix on %d PEs produced wrong output", pes)
 		}
@@ -185,7 +185,7 @@ func runExtParallel(rc *RunCtx) (Result, error) {
 			fmt.Sprintf("%.2fX", res.Speedup), fmt.Sprint(res.Verified),
 		})
 	}
-	sw := app.RunRadixParallel(app.NewGlibcAllocator, 4, app.WithSimHooks(rc.SimHooks()))
+	sw := app.RunRadixParallel(app.NewGlibcAllocator, 4, sim.WithHooks(rc.SimHooks()))
 	if !sw.Verified {
 		return r, fmt.Errorf("parallel radix with software allocator produced wrong output")
 	}

@@ -10,7 +10,8 @@ import (
 	"deltartos/internal/delta"
 	"deltartos/internal/pdda"
 	"deltartos/internal/rag"
-	"deltartos/internal/rtos"
+	"deltartos/internal/sim"
+	"deltartos/internal/trace"
 )
 
 func init() {
@@ -192,7 +193,7 @@ func runFig16(rc *RunCtx) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	hw := app.RunGrantDeadlockScenario(unit, app.WithSimHooks(rc.SimHooks()))
+	hw := app.RunGrantDeadlockScenario(unit, sim.WithHooks(rc.SimHooks()))
 	r := Result{
 		ID:     "fig16",
 		Title:  "G-dl scenario outcome with the DAU",
@@ -211,7 +212,7 @@ func runFig17(rc *RunCtx) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	hw := app.RunRequestDeadlockScenario(unit, app.WithSimHooks(rc.SimHooks()))
+	hw := app.RunRequestDeadlockScenario(unit, sim.WithHooks(rc.SimHooks()))
 	r := Result{
 		ID:     "fig17",
 		Title:  "R-dl scenario outcome with the DAU",
@@ -233,8 +234,8 @@ func runFig20(rc *RunCtx) (Result, error) {
 // RunFig20 runs the robot scenario once and returns both the rendered
 // Figure 20 excerpt and the full scheduler trace, so callers that also want
 // a waveform dump (deltasim -exp fig20 -vcd) do not re-run the scenario.
-func RunFig20(rc *RunCtx) (Result, []rtos.TraceEvent, error) {
-	res := app.RunRobotScenario(app.NewRTOS6Locks, true, app.WithSimHooks(rc.SimHooks()))
+func RunFig20(rc *RunCtx) (Result, []trace.Event, error) {
+	res := app.RunRobotScenario(app.NewRTOS6Locks, true, sim.WithHooks(rc.SimHooks()))
 	r := Result{
 		ID:     "fig20",
 		Title:  "Execution trace of task1/task2/task3 under IPCP (first events)",
@@ -243,16 +244,17 @@ func RunFig20(rc *RunCtx) (Result, []rtos.TraceEvent, error) {
 	count := 0
 	sawPreempt := false
 	for _, ev := range res.Trace {
-		if !strings.HasPrefix(ev.Task, "task") {
+		if !strings.HasPrefix(ev.Proc, "task") {
 			continue
 		}
+		what := strings.TrimPrefix(ev.Name, "sched.")
 		if count < 30 {
 			r.Rows = append(r.Rows, []string{
-				fmt.Sprint(ev.Time), fmt.Sprint(ev.PE + 1), ev.Task, ev.What,
+				fmt.Sprint(ev.Cycle), fmt.Sprint(ev.PE + 1), ev.Proc, what,
 			})
 			count++
 		}
-		if ev.What == "preempt" {
+		if what == "preempt" {
 			sawPreempt = true
 		}
 	}

@@ -82,7 +82,7 @@ type IPCChaosRun struct {
 	Core []string `json:"core,omitempty"`
 }
 
-func ringBuilder(variant string) (func(opts ...app.Option) *app.RingWorld, error) {
+func ringBuilder(variant string) (func(opts ...sim.Option) *app.RingWorld, error) {
 	switch variant {
 	case "blocking":
 		return app.BuildRingScenario, nil
@@ -103,7 +103,7 @@ func RunIPCChaosSeed(cfg IPCChaosConfig, seed uint64, hooks *sim.Hooks) (IPCChao
 		kinds = IPCFaultKinds
 	}
 
-	w := build(app.WithSimHooks(hooks))
+	w := build(sim.WithHooks(hooks))
 	defer w.S.Close()
 	plan := fault.NewPlan(seed).Randomize(cfg.Faults, kinds, fault.Profile{
 		Tasks:     app.RingTaskNames,

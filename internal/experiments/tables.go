@@ -7,6 +7,7 @@ import (
 	"deltartos/internal/dau"
 	"deltartos/internal/ddu"
 	"deltartos/internal/delta"
+	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
 	"deltartos/internal/verilog"
 )
@@ -98,7 +99,7 @@ func runTable3(rc *RunCtx) (Result, error) {
 }
 
 func runTable45(rc *RunCtx) (Result, error) {
-	hooks := app.WithSimHooks(rc.SimHooks())
+	hooks := sim.WithHooks(rc.SimHooks())
 	unit, err := app.NewHardwareDetector(5, 5)
 	if err != nil {
 		return Result{}, err
@@ -138,7 +139,7 @@ func avoidanceBackends() (*app.HardwareAvoidance, *app.SoftwareAvoidance, error)
 }
 
 func runTable67(rc *RunCtx) (Result, error) {
-	hooks := app.WithSimHooks(rc.SimHooks())
+	hooks := sim.WithHooks(rc.SimHooks())
 	unit, soft, err := avoidanceBackends()
 	if err != nil {
 		return Result{}, err
@@ -166,7 +167,7 @@ func runTable67(rc *RunCtx) (Result, error) {
 }
 
 func runTable89(rc *RunCtx) (Result, error) {
-	hooks := app.WithSimHooks(rc.SimHooks())
+	hooks := sim.WithHooks(rc.SimHooks())
 	unit, soft, err := avoidanceBackends()
 	if err != nil {
 		return Result{}, err
@@ -194,7 +195,7 @@ func runTable89(rc *RunCtx) (Result, error) {
 }
 
 func runTable10(rc *RunCtx) (Result, error) {
-	hooks := app.WithSimHooks(rc.SimHooks())
+	hooks := sim.WithHooks(rc.SimHooks())
 	sw := app.RunRobotScenario(app.NewRTOS5Locks, false, hooks)
 	hw := app.RunRobotScenario(app.NewRTOS6Locks, false, hooks)
 	r := Result{
@@ -228,8 +229,8 @@ func runTable11(rc *RunCtx) (Result, error) {
 		Title:  "SPLASH-2 kernels using glibc malloc()/free()",
 		Header: []string{"benchmark", "total", "paper", "mem mgmt", "paper", "% mgmt", "paper"},
 	}
-	for _, run := range []func(func() socdmmu.Allocator, ...app.Option) app.SplashResult{app.RunLU, app.RunFFT, app.RunRadix} {
-		res := run(app.NewGlibcAllocator, app.WithSimHooks(rc.SimHooks()))
+	for _, run := range []func(func() socdmmu.Allocator, ...sim.Option) app.SplashResult{app.RunLU, app.RunFFT, app.RunRadix} {
+		res := run(app.NewGlibcAllocator, sim.WithHooks(rc.SimHooks()))
 		if !res.Verified {
 			return r, fmt.Errorf("%s: kernel output verification failed", res.Benchmark)
 		}
@@ -256,8 +257,8 @@ func runTable12(rc *RunCtx) (Result, error) {
 		Title:  "SPLASH-2 kernels using the SoCDMMU",
 		Header: []string{"benchmark", "total", "paper", "mgmt", "paper", "mgmt reduction", "paper", "exe reduction", "paper"},
 	}
-	for _, run := range []func(func() socdmmu.Allocator, ...app.Option) app.SplashResult{app.RunLU, app.RunFFT, app.RunRadix} {
-		hooks := app.WithSimHooks(rc.SimHooks())
+	for _, run := range []func(func() socdmmu.Allocator, ...sim.Option) app.SplashResult{app.RunLU, app.RunFFT, app.RunRadix} {
+		hooks := sim.WithHooks(rc.SimHooks())
 		swRes := run(app.NewGlibcAllocator, hooks)
 		hwRes := run(app.NewSoCDMMUAllocator, hooks)
 		if !hwRes.Verified {

@@ -191,17 +191,11 @@ func (p *Plan) Randomize(n int, kinds []Kind, prof Profile) *Plan {
 	return p
 }
 
-// LockSystem is the lock-manager surface the plan injects into; both
-// soclc.SoftwareLocks and soclc.LockCache implement it.
-type LockSystem interface {
-	SetInjector(soclc.Injector)
-}
-
 // Attach wires the plan into a configured system: the kernel's fault
 // injector and misuse policy, the lock manager's and allocator's drop
 // injectors, and one standing proc per BusStall/SpuriousIRQ fault.  Any of
 // locks/mem/devs may be nil/empty.  Call once, before the simulation runs.
-func (p *Plan) Attach(k *rtos.Kernel, locks LockSystem, mem *socdmmu.Unit, devs []*sim.Device) {
+func (p *Plan) Attach(k *rtos.Kernel, locks soclc.Manager, mem *socdmmu.Unit, devs []*sim.Device) {
 	p.s = k.S
 	k.SetFaultInjector(p)
 	k.SetIPCInjector(p)

@@ -8,10 +8,19 @@ import (
 	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
 	"deltartos/internal/soclc"
+	"deltartos/internal/trace"
 )
+
+// kills counts the tasks a traced run killed, by recovery or by a crash
+// fault.
+func kills(tr *trace.Recorder) uint64 {
+	return tr.Counter("count.sched.kill") + tr.Counter("count.sched.fault:crash")
+}
 
 func TestTaskCrashUnwindsMidBody(t *testing.T) {
 	s := sim.New()
+	tr := trace.NewRecorder("crash")
+	s.Rec = tr
 	k := rtos.NewKernel(s, 1)
 	reached := false
 	victim := k.CreateTask("a", 0, 1, 0, func(c *rtos.TaskCtx) {
@@ -27,8 +36,8 @@ func TestTaskCrashUnwindsMidBody(t *testing.T) {
 	if victim.State() != rtos.StateKilled {
 		t.Errorf("state = %v, want killed", victim.State())
 	}
-	if k.Kills != 1 {
-		t.Errorf("Kills = %d, want 1", k.Kills)
+	if n := kills(tr); n != 1 {
+		t.Errorf("kills = %d, want 1", n)
 	}
 }
 
@@ -109,6 +118,8 @@ func buildLockScenario(t *testing.T, seed uint64) (*sim.Sim, *rtos.Kernel, *socl
 
 func TestLostReleaseCorpseReclaim(t *testing.T) {
 	s, k, sl, plan, low, hi := buildLockScenario(t, 7)
+	tr := trace.NewRecorder("corpse")
+	s.Rec = tr
 	rec := NewRecovery(k, plan, sl, nil, RestartOnce, 5000, 8)
 	rec.WatchAll()
 	s.Run()
@@ -119,8 +130,8 @@ func TestLostReleaseCorpseReclaim(t *testing.T) {
 		t.Error("hi never got the lock: corpse reclaim failed")
 	}
 	// The corpse was done, not killed: recovery must not have killed anyone.
-	if k.Kills != 0 {
-		t.Errorf("Kills = %d, want 0 (reclaim-only recovery)", k.Kills)
+	if n := kills(tr); n != 0 {
+		t.Errorf("kills = %d, want 0 (reclaim-only recovery)", n)
 	}
 	if rec.ReclaimedLocks != 1 {
 		t.Errorf("ReclaimedLocks = %d, want 1", rec.ReclaimedLocks)
@@ -242,6 +253,8 @@ func TestRandomizeDeterministicPerSeed(t *testing.T) {
 
 func TestWatchdogKickAndStop(t *testing.T) {
 	s := sim.New()
+	tr := trace.NewRecorder("wdt")
+	s.Rec = tr
 	k := rtos.NewKernel(s, 1)
 	expiries := 0
 	tk := k.CreateTask("a", 0, 1, 0, func(c *rtos.TaskCtx) {
@@ -263,7 +276,7 @@ func TestWatchdogKickAndStop(t *testing.T) {
 		t.Errorf("state = %v, want killed", tk.State())
 	}
 	w.Stop()
-	if w.Expiries != 2 {
-		t.Errorf("Expiries = %d", w.Expiries)
+	if n := tr.Counter("count.sched.wdt:expire"); n != 2 {
+		t.Errorf("sched.wdt:expire events = %d, want 2", n)
 	}
 }

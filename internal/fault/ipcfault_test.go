@@ -32,9 +32,6 @@ func TestMsgDropLosesMessage(t *testing.T) {
 	if got != nil {
 		t.Errorf("receiver got %v from a dropped send", got)
 	}
-	if q.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", q.Dropped)
-	}
 	occ := p.Fired()
 	if len(occ) != 1 || occ[0].Kind != MsgDrop || occ[0].Hit != "q" {
 		t.Errorf("Fired = %+v", occ)
@@ -87,9 +84,6 @@ func TestMsgDupDeliversTwice(t *testing.T) {
 	s.Run()
 	if len(got) != 2 || got[0] != "once" || got[1] != "once" {
 		t.Errorf("got %v, want the message twice", got)
-	}
-	if q.Duped != 1 {
-		t.Errorf("Duped = %d, want 1", q.Duped)
 	}
 }
 

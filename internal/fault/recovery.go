@@ -8,6 +8,7 @@ import (
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
+	"deltartos/internal/soclc"
 	"deltartos/internal/trace"
 )
 
@@ -24,18 +25,6 @@ const (
 	Abandon
 )
 
-// LockManager is the recovery surface of a lock system; both
-// soclc.SoftwareLocks and soclc.LockCache implement it.
-type LockManager interface {
-	// WaitChain follows task -> blocked-on lock -> owner -> ... (victim
-	// selection walks it for the lowest-priority participant).
-	WaitChain(t *rtos.Task) []*rtos.Task
-	// ReclaimOwnedBy force-releases everything t holds.
-	ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int)
-	// Holdings lists the long locks t currently owns (diagnostics).
-	Holdings(t *rtos.Task) []int
-}
-
 // RecoveryOverheadCycles is the fixed cost of one recovery action: victim
 // TCB teardown, lock-table walk and allocation-table walk, charged on the
 // watchdog's timer context.
@@ -44,8 +33,8 @@ const RecoveryOverheadCycles = 120
 // Recovery drives watchdog-based deadlock/hang recovery for one kernel.
 type Recovery struct {
 	k      *rtos.Kernel
-	plan   *Plan       // may be nil: recovery works without injection
-	locks  LockManager // may be nil
+	plan   *Plan         // may be nil: recovery works without injection
+	locks  soclc.Manager // may be nil
 	mem    *socdmmu.Unit
 	policy Policy
 	budget sim.Cycles // per-task watchdog budget
@@ -67,7 +56,7 @@ type Recovery struct {
 // NewRecovery builds a recovery harness.  plan, locks and mem are each
 // optional.  budget is the per-task watchdog allowance; max caps the number
 // of recovery actions (0 = unlimited).
-func NewRecovery(k *rtos.Kernel, plan *Plan, locks LockManager, mem *socdmmu.Unit, policy Policy, budget sim.Cycles, max int) *Recovery {
+func NewRecovery(k *rtos.Kernel, plan *Plan, locks soclc.Manager, mem *socdmmu.Unit, policy Policy, budget sim.Cycles, max int) *Recovery {
 	return &Recovery{k: k, plan: plan, locks: locks, mem: mem, policy: policy, budget: budget, max: max}
 }
 

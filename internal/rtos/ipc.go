@@ -133,11 +133,10 @@ func (w *timedWait) end() {
 	}
 }
 
-// timeout ends an operation that park gave up on: the timer is cancelled,
-// the endpoint's timeout counter bumped and the timeout traced.
-func (w *timedWait) timeout(timeouts *int) {
+// timeout ends an operation that park gave up on: the timer is cancelled
+// and the timeout traced.
+func (w *timedWait) timeout() {
 	w.end()
-	*timeouts++
 	w.c.k.ipcTrace(w.c.t, "timeout", w.ep)
 }
 
@@ -183,8 +182,9 @@ type Queue struct {
 	receivers        peerSet // tasks observed on the receiving side
 	inFlight         int     // fault-delayed deliveries not yet landed
 
-	// Instrumentation.
-	Sends, Recvs, Timeouts, Dropped, Delayed, HighWater, Duped int
+	// Delayed counts fault-delayed sends; the count names each one's
+	// delivery proc.
+	Delayed int
 }
 
 // NewQueue creates a queue with the given capacity (0 = rendezvous).
@@ -312,9 +312,6 @@ func (q *Queue) deliver(msg interface{}) {
 		q.rv = append(q.rv, &rvItem{msg: msg})
 	} else {
 		q.items = append(q.items, msg)
-		if len(q.items) > q.HighWater {
-			q.HighWater = len(q.items)
-		}
 	}
 	q.k.wakeHead(&q.readers)
 }
@@ -331,13 +328,10 @@ func (q *Queue) faultedSend(c *TaskCtx, msg interface{}) (f IPCFault, sent bool)
 	q.senders.add(t)
 	f = c.k.sendFault(q.Name, t)
 	if f.Drop {
-		q.Sends++
-		q.Dropped++
 		c.k.ipcTrace(t, "send", q.Name)
 		return f, true
 	}
 	if f.Delay > 0 {
-		q.Sends++
 		q.Delayed++
 		q.inFlight++
 		delay := f.Delay
@@ -374,7 +368,7 @@ func (q *Queue) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) boo
 	w := timedWait{c: c, ep: q.Name, deadline: deadline}
 	for q.sendBlocked() {
 		if !w.park(&q.writers, "queue-send:") {
-			w.timeout(&q.Timeouts)
+			w.timeout()
 			return false
 		}
 	}
@@ -386,7 +380,7 @@ func (q *Queue) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) boo
 		for !it.taken {
 			if !w.park(nil, "queue-rv:") {
 				q.rv, _ = removeRv(q.rv, it)
-				w.timeout(&q.Timeouts)
+				w.timeout()
 				return false
 			}
 		}
@@ -394,9 +388,7 @@ func (q *Queue) sendCommon(c *TaskCtx, msg interface{}, deadline sim.Cycles) boo
 		q.deliver(msg)
 	}
 	w.end()
-	q.Sends++
 	if f.Dup {
-		q.Duped++
 		q.deliver(msg)
 	}
 	c.k.ipcTrace(c.t, "send", q.Name)
@@ -431,7 +423,7 @@ func (q *Queue) recvCommon(c *TaskCtx, deadline sim.Cycles) (interface{}, bool) 
 	w := timedWait{c: c, ep: q.Name, deadline: deadline}
 	for !q.recvReady() {
 		if !w.park(&q.readers, "queue-recv:") {
-			w.timeout(&q.Timeouts)
+			w.timeout()
 			return nil, false
 		}
 	}
@@ -475,7 +467,6 @@ func (q *Queue) take(c *TaskCtx) interface{} {
 			break
 		}
 	}
-	q.Recvs++
 	c.k.ipcTrace(c.t, "recv", q.Name)
 	return msg
 }
@@ -490,9 +481,6 @@ type EventFlags struct {
 	waits []*eventWait
 
 	setters peerSet // tasks observed/declared setting bits
-
-	// Instrumentation.
-	Sets, Waits, Timeouts int
 }
 
 // eventWait is one task's pending wait on an event group.  It is the
@@ -565,7 +553,6 @@ func (e *EventFlags) Set(c *TaskCtx, mask uint32) {
 	c.serviceOverhead(3)
 	e.setters.add(c.t)
 	e.bits |= mask
-	e.Sets++
 	c.k.ipcTrace(c.t, "set", e.Name)
 	remaining := e.waits[:0]
 	for _, w := range e.waits {
@@ -594,12 +581,11 @@ func (e *EventFlags) WaitTimeout(c *TaskCtx, mask uint32, all bool, wait sim.Cyc
 // waitCommon implements Wait and WaitTimeout; deadline == noDeadline blocks forever.
 func (e *EventFlags) waitCommon(c *TaskCtx, mask uint32, all bool, deadline sim.Cycles) (uint32, bool) {
 	c.serviceOverhead(3)
-	e.Waits++
 	ew := &eventWait{e: e, t: c.t, mask: mask, all: all}
 	w := timedWait{c: c, ep: e.Name, deadline: deadline}
 	for !ew.satisfied(e.bits) {
 		if !w.park(ew, "events:") {
-			w.timeout(&e.Timeouts)
+			w.timeout()
 			return e.bits & mask, false
 		}
 	}

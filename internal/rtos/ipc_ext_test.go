@@ -12,8 +12,17 @@ import (
 	"deltartos/internal/trace"
 )
 
+// traced attaches a fresh recorder to s, whose ipc.<op>.<endpoint>
+// counters the tests read.
+func traced(s *sim.Sim) *trace.Recorder {
+	r := trace.NewRecorder("ipc")
+	s.Rec = r
+	return r
+}
+
 func TestQueueRecvTimeout(t *testing.T) {
 	s := sim.New()
+	tr := traced(s)
 	k := NewKernel(s, 2)
 	m := k.NewQueue("m", 1)
 	var gotFirst, gotSecond bool
@@ -39,8 +48,8 @@ func TestQueueRecvTimeout(t *testing.T) {
 	if !gotSecond {
 		t.Error("second recv should have delivered 42")
 	}
-	if m.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1", m.Timeouts)
+	if n := tr.Counter("ipc.timeout.m"); n != 1 {
+		t.Errorf("ipc.timeout.m = %d, want 1", n)
 	}
 }
 
@@ -95,6 +104,7 @@ func TestQueueRendezvousSendTimeoutWithdrawsOffer(t *testing.T) {
 
 func TestQueueSendTimeoutWhenFull(t *testing.T) {
 	s := sim.New()
+	tr := traced(s)
 	k := NewKernel(s, 1)
 	q := k.NewQueue("q", 1)
 	var ok1, ok2 bool
@@ -106,13 +116,14 @@ func TestQueueSendTimeoutWhenFull(t *testing.T) {
 	if !ok1 || ok2 {
 		t.Errorf("ok1=%v ok2=%v, want true/false", ok1, ok2)
 	}
-	if q.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1", q.Timeouts)
+	if n := tr.Counter("ipc.timeout.q"); n != 1 {
+		t.Errorf("ipc.timeout.q = %d, want 1", n)
 	}
 }
 
 func TestEventWaitTimeout(t *testing.T) {
 	s := sim.New()
+	tr := traced(s)
 	k := NewKernel(s, 2)
 	e := k.NewEventFlags("ev")
 	var ok1, ok2 bool
@@ -133,8 +144,8 @@ func TestEventWaitTimeout(t *testing.T) {
 	if !ok2 {
 		t.Error("second wait should have been satisfied")
 	}
-	if e.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1", e.Timeouts)
+	if n := tr.Counter("ipc.timeout.ev"); n != 1 {
+		t.Errorf("ipc.timeout.ev = %d, want 1", n)
 	}
 }
 
@@ -427,6 +438,7 @@ func TestIPCDeadlockCoreMixedLockIPC(t *testing.T) {
 
 func TestRetryPolicyRecvSucceedsOnRetry(t *testing.T) {
 	s := sim.New()
+	tr := traced(s)
 	k := NewKernel(s, 2)
 	q := k.NewQueue("q", 1)
 	pol := RetryPolicy{Attempts: 3, Timeout: 2000, Backoff: 500}
@@ -443,13 +455,14 @@ func TestRetryPolicyRecvSucceedsOnRetry(t *testing.T) {
 	if !ok || got != 7 {
 		t.Errorf("got %v ok=%v, want 7 true", got, ok)
 	}
-	if q.Timeouts != 1 {
-		t.Errorf("Timeouts = %d, want 1 (one failed attempt)", q.Timeouts)
+	if n := tr.Counter("ipc.timeout.q"); n != 1 {
+		t.Errorf("ipc.timeout.q = %d, want 1 (one failed attempt)", n)
 	}
 }
 
 func TestRetryPolicyExhaustion(t *testing.T) {
 	s := sim.New()
+	tr := traced(s)
 	k := NewKernel(s, 1)
 	q := k.NewQueue("q", 1)
 	pol := RetryPolicy{Attempts: 3, Timeout: 1000, Backoff: 400}
@@ -469,8 +482,8 @@ func TestRetryPolicyExhaustion(t *testing.T) {
 	if elapsed < min || elapsed > min+2000 {
 		t.Errorf("elapsed %d, want ~%d", elapsed, min)
 	}
-	if q.Timeouts != 3 {
-		t.Errorf("Timeouts = %d, want 3", q.Timeouts)
+	if n := tr.Counter("ipc.timeout.q"); n != 3 {
+		t.Errorf("ipc.timeout.q = %d, want 3", n)
 	}
 }
 
@@ -516,8 +529,9 @@ func TestIPCTraceCounters(t *testing.T) {
 // Same-seed determinism: an IPC-heavy scenario with timeouts and a
 // rendezvous runs byte-identically.
 func TestIPCDeterminism(t *testing.T) {
-	run := func() (sim.Cycles, int, int) {
+	run := func() (sim.Cycles, uint64, uint64) {
 		s := sim.New()
+		tr := traced(s)
 		k := NewKernel(s, 3)
 		q := k.NewQueue("q", 2)
 		rv := k.NewQueue("rv", 0)
@@ -545,7 +559,7 @@ func TestIPCDeterminism(t *testing.T) {
 			e.WaitTimeout(c, 0b11, true, 40000)
 		})
 		s.Run()
-		return s.Now(), q.Sends, q.Timeouts
+		return s.Now(), tr.Counter("ipc.send.q"), tr.Counter("ipc.timeout.q")
 	}
 	aT, aS, aTO := run()
 	bT, bS, bTO := run()

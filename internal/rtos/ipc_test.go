@@ -74,9 +74,6 @@ func TestQueueFIFOOrder(t *testing.T) {
 			t.Fatalf("FIFO violated: %v", got)
 		}
 	}
-	if q.HighWater == 0 {
-		t.Error("high-water mark not tracked")
-	}
 }
 
 func TestQueueBlocksWhenFull(t *testing.T) {

@@ -115,20 +115,10 @@ type Kernel struct {
 	ipcInj   IPCInjector
 	syncObjs []waitPurger
 
-	// Instrumentation.
-	ContextSwitches int
-	Kills           int
-	// TraceFn, when set, receives scheduling trace records (Figure 20-style
-	// execution traces).
-	TraceFn func(ev TraceEvent)
-}
-
-// TraceEvent is one scheduling trace record.
-type TraceEvent struct {
-	Time sim.Cycles
-	PE   int
-	Task string
-	What string // "dispatch", "preempt", "block", "exit", ...
+	// TraceFn, when set, receives the scheduling events (Figure 20-style
+	// execution traces): the same KindSched events the simulation's
+	// recorder takes.
+	TraceFn func(ev trace.Event)
 }
 
 // NewKernel builds a kernel for numPE processing elements.
@@ -147,15 +137,22 @@ func NewKernel(s *sim.Sim, numPE int) *Kernel {
 // Tasks returns all created tasks.
 func (k *Kernel) Tasks() []*Task { return k.tasks }
 
+// trace emits the scheduling event "sched.<what>" of task on pe to TraceFn
+// and to the recorder, whichever is attached.
 func (k *Kernel) trace(pe int, task, what string) {
-	if k.TraceFn != nil {
-		k.TraceFn(TraceEvent{Time: k.S.Now(), PE: pe, Task: task, What: what})
+	r := k.S.Rec
+	if r == nil && k.TraceFn == nil {
+		return
 	}
-	if r := k.S.Rec; r != nil {
-		r.Record(trace.Event{
-			Cycle: k.S.Now(), PE: pe, Proc: task,
-			Kind: trace.KindSched, Name: "sched." + what, Arg: -1,
-		})
+	ev := trace.Event{
+		Cycle: k.S.Now(), PE: pe, Proc: task,
+		Kind: trace.KindSched, Name: "sched." + what, Arg: -1,
+	}
+	if k.TraceFn != nil {
+		k.TraceFn(ev)
+	}
+	if r != nil {
+		r.Record(ev)
 	}
 }
 
@@ -260,7 +257,6 @@ func (k *Kernel) dispatch(pe int, t *Task) {
 	k.current[pe] = t
 	t.state = StateRunning
 	t.needCtx = true
-	k.ContextSwitches++
 	k.trace(pe, t.Name, "dispatch")
 	t.sig.WakeAll()
 }
@@ -274,7 +270,6 @@ func (k *Kernel) preempt(pe int, t *Task) {
 	k.current[pe] = t
 	t.state = StateRunning
 	t.needCtx = true
-	k.ContextSwitches++
 	k.trace(pe, t.Name, "dispatch")
 	// Interrupt old's compute chunk so it stops accumulating CPU time, then
 	// start the new task.
@@ -456,7 +451,6 @@ func (k *Kernel) Kill(t *Task) bool {
 		return false
 	}
 	t.killed = true
-	k.Kills++
 	k.trace(t.PE, t.Name, "kill")
 	for _, o := range k.syncObjs {
 		o.purgeTask(t)
@@ -594,7 +588,6 @@ func (c *TaskCtx) checkFaults(n sim.Cycles) sim.Cycles {
 	now := c.p.Now()
 	if fi.CrashNow(t, now) {
 		t.killed = true
-		c.k.Kills++
 		c.k.trace(t.PE, t.Name, "fault:crash")
 		for _, o := range c.k.syncObjs {
 			o.purgeTask(t)

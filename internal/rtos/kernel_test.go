@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"deltartos/internal/sim"
+	"deltartos/internal/trace"
 )
 
 func TestSingleTaskRuns(t *testing.T) {
@@ -48,6 +49,8 @@ func TestCreateTaskBadPE(t *testing.T) {
 
 func TestPriorityPreemption(t *testing.T) {
 	s := sim.New()
+	tr := trace.NewRecorder("preempt")
+	s.Rec = tr
 	k := NewKernel(s, 1)
 	var order []string
 	var highStart sim.Cycles
@@ -68,8 +71,8 @@ func TestPriorityPreemption(t *testing.T) {
 	if highStart < 2000 || highStart > 2000+2*sim.ContextSwitchCycles {
 		t.Errorf("high started at %d", highStart)
 	}
-	if k.ContextSwitches < 3 {
-		t.Errorf("ContextSwitches = %d", k.ContextSwitches)
+	if n := tr.Counter("count.sched.dispatch"); n < 3 {
+		t.Errorf("sched.dispatch events = %d, want at least 3", n)
 	}
 }
 
@@ -191,19 +194,19 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
-func TestTraceEventsEmitted(t *testing.T) {
+func TestSchedEventsEmitted(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 1)
-	var events []TraceEvent
-	k.TraceFn = func(ev TraceEvent) { events = append(events, ev) }
+	var events []trace.Event
+	k.TraceFn = func(ev trace.Event) { events = append(events, ev) }
 	k.CreateTask("a", 0, 2, 0, func(c *TaskCtx) { c.Compute(10) })
 	s.Run()
 	var sawDispatch, sawExit bool
 	for _, ev := range events {
-		if ev.What == "dispatch" {
+		if ev.Name == "sched.dispatch" {
 			sawDispatch = true
 		}
-		if ev.What == "exit" {
+		if ev.Name == "sched.exit" {
 			sawExit = true
 		}
 	}

@@ -3,22 +3,24 @@ package rtos
 import (
 	"io"
 	"sort"
+	"strings"
 
+	"deltartos/internal/trace"
 	"deltartos/internal/vcd"
 )
 
-// WriteScheduleVCD converts a scheduling trace (collected via Kernel.TraceFn)
-// into a waveform: one "running" wire per task plus a current-task vector
-// per PE, time in bus cycles.  Figure 20's execution trace becomes directly
-// viewable in GTKWave.
-func WriteScheduleVCD(w io.Writer, trace []TraceEvent, numPE int) error {
+// WriteScheduleVCD converts a scheduling trace (the KindSched events
+// Kernel.TraceFn or a recorder collected) into a waveform: one "running"
+// wire per task plus a current-task vector per PE, time in bus cycles.
+// Figure 20's execution trace becomes directly viewable in GTKWave.
+func WriteScheduleVCD(w io.Writer, sched []trace.Event, numPE int) error {
 	// Collect the task names in first-appearance order.
 	var names []string
 	seen := map[string]int{}
-	for _, ev := range trace {
-		if _, ok := seen[ev.Task]; !ok {
-			seen[ev.Task] = len(names)
-			names = append(names, ev.Task)
+	for _, ev := range sched {
+		if _, ok := seen[ev.Proc]; !ok {
+			seen[ev.Proc] = len(names)
+			names = append(names, ev.Proc)
 		}
 	}
 	sort.Strings(names)
@@ -51,13 +53,13 @@ func WriteScheduleVCD(w io.Writer, trace []TraceEvent, numPE int) error {
 	for _, v := range peVars {
 		vw.SetVec(v, 0)
 	}
-	for _, ev := range trace {
+	for _, ev := range sched {
 		if ev.PE < 0 || ev.PE >= numPE {
 			continue
 		}
-		vw.Time(ev.Time)
-		ti := idx[ev.Task]
-		switch ev.What {
+		vw.Time(ev.Cycle)
+		ti := idx[ev.Proc]
+		switch strings.TrimPrefix(ev.Name, "sched.") {
 		case "dispatch":
 			if prev := curOnPE[ev.PE]; prev >= 0 {
 				vw.SetBit(running[prev], false)

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"deltartos/internal/sim"
+	"deltartos/internal/trace"
 )
 
 func TestWriteScheduleVCD(t *testing.T) {
 	s := sim.New()
 	k := NewKernel(s, 2)
-	var trace []TraceEvent
-	k.TraceFn = func(ev TraceEvent) { trace = append(trace, ev) }
+	var sched []trace.Event
+	k.TraceFn = func(ev trace.Event) { sched = append(sched, ev) }
 	k.CreateTask("alpha", 0, 2, 0, func(c *TaskCtx) {
 		c.Compute(500)
 	})
@@ -23,11 +24,11 @@ func TestWriteScheduleVCD(t *testing.T) {
 		c.Compute(100)
 	})
 	s.Run()
-	if len(trace) == 0 {
+	if len(sched) == 0 {
 		t.Fatal("no trace collected")
 	}
 	var b strings.Builder
-	if err := WriteScheduleVCD(&b, trace, 2); err != nil {
+	if err := WriteScheduleVCD(&b, sched, 2); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()

@@ -18,9 +18,6 @@ type Watchdog struct {
 	gen      int        // re-arm generation guard (Kick/Stop invalidation)
 	stopped  bool
 	onExpire func(w *Watchdog, p *sim.Proc)
-
-	// Instrumentation.
-	Expiries int
 }
 
 // Watch arms a watchdog for t expiring at the absolute time deadline.
@@ -54,7 +51,6 @@ func (w *Watchdog) arm() {
 		}
 		// A Killed task still expires: its corpse may hold locks or memory
 		// blocks that only the expiry handler's reclaim path can free.
-		w.Expiries++
 		k.trace(w.t.PE, w.t.Name, "wdt:expire")
 		if w.onExpire != nil {
 			w.onExpire(w, p)

@@ -18,7 +18,6 @@ type Bus struct {
 	Transactions Cycles
 	WordsMoved   Cycles
 	StallCycles  Cycles // cycles procs spent waiting for a busy bus
-	HoldCycles   Cycles // cycles the bus was held by injected stalls (Hold)
 	// OccupiedCycles is the total time the bus was actually driven,
 	// tracked directly per transaction (a Transact word stream and a
 	// TransactFast word stream occupy differently, so occupancy cannot be
@@ -109,7 +108,6 @@ func (b *Bus) Hold(d Cycles) {
 		start = b.busyUntil
 	}
 	b.busyUntil = start + d
-	b.HoldCycles += d
 	b.OccupiedCycles += d
 	// Booked as a zero-word transaction so the event-derived bus counters
 	// stay in lockstep with the legacy instrumentation fields (the tracing

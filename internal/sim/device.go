@@ -16,9 +16,9 @@ type Device struct {
 	IRQ *Signal
 	// Busy processing window.
 	busyUntil Cycles
-	// Instrumentation.
-	Jobs       int
-	BusyCycles Cycles
+	// Jobs counts started jobs; it numbers their completion signals and
+	// procs.
+	Jobs int
 }
 
 // NewDevice attaches a device to the simulation.
@@ -33,7 +33,6 @@ func (s *Sim) NewDevice(name string) *Device {
 func (d *Device) Start(p *Proc, duration Cycles) *Signal {
 	d.sim.Bus.Write(p, 1) // program the command register
 	d.Jobs++
-	d.BusyCycles += duration
 	start := d.sim.now
 	if d.busyUntil > start {
 		start = d.busyUntil

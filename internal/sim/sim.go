@@ -169,9 +169,6 @@ type Proc struct {
 	PE    int        // owning processing element, -1 for device/timer procs
 	co    *coroutine // the coroutine running the body; nil once done
 	state procState
-
-	// Instrumentation.
-	BusyCycles Cycles // cycles spent computing or on the bus (not blocked)
 }
 
 type procState int
@@ -356,7 +353,6 @@ func (p *Proc) Now() Cycles { return p.sim.now }
 
 // Delay advances simulation time by dt busy cycles (computation on the PE).
 func (p *Proc) Delay(dt Cycles) {
-	p.BusyCycles += dt
 	if !p.co.yield(yieldMsg{kind: yDelay, delay: dt}) {
 		panic(stopped{})
 	}

@@ -12,6 +12,7 @@ import (
 
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
+	"deltartos/internal/trace"
 )
 
 // lockTable is the state and the protocol-independent paths of a lock
@@ -27,8 +28,6 @@ type lockTable struct {
 	// IPCP ceiling.  nil for SoftwareLocks, whose inheritance boost happens
 	// when a task blocks.
 	atGrant func(t *rtos.Task, id, prio int)
-	// Instrumentation.
-	ShortAcquires int
 }
 
 func newLockTable(k *rtos.Kernel, longs, shorts int) lockTable {
@@ -144,7 +143,6 @@ func (lt *lockTable) claimShort(c *rtos.TaskCtx, id int) bool {
 // shortAcquired completes a short-lock acquisition that began spinning at
 // start.
 func (lt *lockTable) shortAcquired(c *rtos.TaskCtx, id int, start sim.Cycles) {
-	lt.ShortAcquires++
 	record(c, "lock.acquire.short", start, id, "")
 }
 
@@ -204,9 +202,9 @@ func (lt *lockTable) WaitChain(t *rtos.Task) []*rtos.Task {
 // is purged from all waiter queues, long locks hand off to their best waiter
 // under the manager's priority protocol (or free), and short locks clear.
 // The new owner is made ready directly — LockCache raises no grant
-// interrupt here.  Runs outside any task context (the recovery proc charges
-// its own time) and returns the reclaimed long and short lock ids, in id
-// order.
+// interrupt here.  Each reclaimed lock is traced as a "lock.reclaim" release
+// by t.  Runs outside any task context (the recovery proc charges its own
+// time) and returns the reclaimed long and short lock ids, in id order.
 func (lt *lockTable) ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int) {
 	for id := range lt.locks {
 		lt.locks[id].waiters.Remove(t)
@@ -217,6 +215,7 @@ func (lt *lockTable) ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int) {
 			continue
 		}
 		longs = append(longs, id)
+		lt.recordReclaim(t, "long", id)
 		if l.waiters.Len() == 0 {
 			l.owner = nil
 			continue
@@ -227,7 +226,20 @@ func (lt *lockTable) ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int) {
 		if o == t {
 			lt.shortOwner[id] = nil
 			shorts = append(shorts, id)
+			lt.recordReclaim(t, "short", id)
 		}
 	}
 	return longs, shorts
+}
+
+// recordReclaim traces the forced release of the kind ("long" or "short")
+// lock id from the killed task t: the event stream's release of a hold that
+// t's own code never released.
+func (lt *lockTable) recordReclaim(t *rtos.Task, kind string, id int) {
+	if r := lt.k.S.Rec; r != nil {
+		r.Record(trace.Event{
+			Cycle: lt.k.S.Now(), PE: t.PE, Proc: t.Name,
+			Kind: trace.KindLock, Name: "lock.reclaim", Arg: int64(id), Verdict: kind,
+		})
+	}
 }

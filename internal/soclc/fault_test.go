@@ -6,18 +6,8 @@ import (
 
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
+	"deltartos/internal/trace"
 )
-
-// recoverable is the surface both managers share with the recovery policy,
-// plus the short locks the victim holds.
-type recoverable interface {
-	Manager
-	AcquireShort(c *rtos.TaskCtx, id int)
-	Owner(id int) *rtos.Task
-	Holdings(t *rtos.Task) []int
-	WaitChain(t *rtos.Task) []*rtos.Task
-	ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int)
-}
 
 func chainNames(ts []*rtos.Task) string {
 	var out []string
@@ -32,23 +22,24 @@ func chainNames(ts []*rtos.Task) string {
 // beside an unrelated two-task deadlock on locks 2 and 3.  Reclaim must
 // purge the victim from lock 1's queue, hand lock 0 to its best waiter
 // (raised to the ceiling under IPCP, untouched under inheritance) and clear
-// the short lock; the wait chains must stop at the victim's blocker and at
-// the deadlock cycle.
+// the short lock, tracing one lock.reclaim release by the victim per lock;
+// the wait chains must stop at the victim's blocker and at the deadlock
+// cycle.
 func TestReclaimOwnedByBothManagers(t *testing.T) {
 	const whiBase, lock0Ceiling = 3, 1
 	for _, tc := range []struct {
 		name string
-		mk   func(k *rtos.Kernel) (recoverable, *lockTable)
+		mk   func(k *rtos.Kernel) (Manager, *lockTable)
 		// wantWhiPrio is the best waiter's priority right after the
 		// reclaim hand-off of lock 0.
 		wantWhiPrio int
 	}{
-		{"SoftwareLocks", func(k *rtos.Kernel) (recoverable, *lockTable) {
+		{"SoftwareLocks", func(k *rtos.Kernel) (Manager, *lockTable) {
 			sl := NewSoftwareLocks(k, 4)
 			sl.EnableShortLocks(1)
 			return sl, &sl.lockTable
 		}, whiBase},
-		{"LockCache", func(k *rtos.Kernel) (recoverable, *lockTable) {
+		{"LockCache", func(k *rtos.Kernel) (Manager, *lockTable) {
 			lc, err := NewLockCache(k, Config{ShortLocks: 1, LongLocks: 4, PEs: 6})
 			if err != nil {
 				t.Fatal(err)
@@ -61,6 +52,8 @@ func TestReclaimOwnedByBothManagers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, k := newWorld(t, 6)
+			tr := trace.NewRecorder("reclaim")
+			s.Rec = tr
 			m, lt := tc.mk(k)
 			victim := k.CreateTask("victim", 0, 4, 0, func(c *rtos.TaskCtx) {
 				m.AcquireShort(c, 0)
@@ -113,6 +106,15 @@ func TestReclaimOwnedByBothManagers(t *testing.T) {
 				if fmt.Sprint(longs) != "[0]" || fmt.Sprint(shorts) != "[0]" {
 					t.Errorf("reclaimed longs %v shorts %v, want [0] [0]", longs, shorts)
 				}
+				var reclaims []string
+				for _, ev := range tr.Events() {
+					if ev.Name == "lock.reclaim" {
+						reclaims = append(reclaims, fmt.Sprintf("%s %s:%d", ev.Proc, ev.Verdict, ev.Arg))
+					}
+				}
+				if got := fmt.Sprint(reclaims); got != "[victim long:0 victim short:0]" {
+					t.Errorf("reclaim events %s, want [victim long:0 victim short:0]", got)
+				}
 				for id := range lt.locks {
 					if lt.locks[id].waiters.Has(victim) {
 						t.Errorf("victim still queued on lock %d", id)
@@ -121,7 +123,7 @@ func TestReclaimOwnedByBothManagers(t *testing.T) {
 				if got := chainNames(m.WaitChain(victim)); got != "[victim]" {
 					t.Errorf("WaitChain(victim) after reclaim = %s, want [victim]", got)
 				}
-				if got := m.Owner(0); got != whi {
+				if got := lt.Owner(0); got != whi {
 					t.Errorf("lock 0 handed to %v, want the best waiter whi", got)
 				}
 				if whi.CurPrio != tc.wantWhiPrio {
@@ -147,7 +149,7 @@ func TestReclaimOwnedByBothManagers(t *testing.T) {
 			}
 			// The blocker's release finds the victim gone from lock 1's queue.
 			for id := 0; id < 2; id++ {
-				if o := m.Owner(id); o != nil {
+				if o := lt.Owner(id); o != nil {
 					t.Errorf("lock %d left owned by %s", id, o.Name)
 				}
 			}

@@ -65,14 +65,30 @@ func record(c *rtos.TaskCtx, name string, start sim.Cycles, id int, verdict stri
 	}
 }
 
-// Manager is the common interface of the software and hardware lock systems.
+// Manager is the common interface of the software and hardware lock
+// systems: the task-side lock operations, the measurements, the fault hook
+// and the recovery surface, so a scenario, a fault plan and the recovery
+// policy swap RTOS5 for RTOS6 without knowing which one they hold.
 type Manager interface {
 	// Acquire takes long lock id, blocking until granted.
 	Acquire(c *rtos.TaskCtx, id int)
 	// Release frees long lock id (caller must hold it).
 	Release(c *rtos.TaskCtx, id int)
+	// AcquireShort takes short lock id, spinning until granted.
+	AcquireShort(c *rtos.TaskCtx, id int)
+	// ReleaseShort frees short lock id.
+	ReleaseShort(c *rtos.TaskCtx, id int)
 	// Stats returns accumulated measurements.
 	Stats() Stats
+	// SetInjector attaches a fault injector (nil detaches).
+	SetInjector(Injector)
+	// Holdings lists the long locks t currently owns, in id order.
+	Holdings(t *rtos.Task) []int
+	// WaitChain follows t -> blocked-on lock -> owner -> ... (victim
+	// selection walks it for the lowest-priority participant).
+	WaitChain(t *rtos.Task) []*rtos.Task
+	// ReclaimOwnedBy force-releases everything the killed task t holds.
+	ReclaimOwnedBy(t *rtos.Task) (longs, shorts []int)
 }
 
 // Stats aggregates the lock metrics of Table 10.

@@ -6,6 +6,7 @@ import (
 
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
+	"deltartos/internal/trace"
 )
 
 func newWorld(t *testing.T, pes int) (*sim.Sim, *rtos.Kernel) {
@@ -230,6 +231,8 @@ func TestReleaseByNonOwnerPanics(t *testing.T) {
 
 func TestShortLockSpin(t *testing.T) {
 	s, k := newWorld(t, 2)
+	tr := trace.NewRecorder("spin")
+	s.Rec = tr
 	lc, _ := NewLockCache(k, Config{ShortLocks: 2, LongLocks: 1, PEs: 2})
 	var maxIn, in int
 	k.CreateTask("a", 0, 1, 0, func(c *rtos.TaskCtx) {
@@ -262,8 +265,8 @@ func TestShortLockSpin(t *testing.T) {
 	if maxIn != 1 {
 		t.Errorf("short lock exclusion violated: %d", maxIn)
 	}
-	if lc.ShortAcquires != 6 {
-		t.Errorf("ShortAcquires = %d", lc.ShortAcquires)
+	if n := tr.Counter("count.lock.acquire.short"); n != 6 {
+		t.Errorf("lock.acquire.short events = %d, want 6", n)
 	}
 }
 

@@ -51,7 +51,7 @@ type chromeArgs struct {
 }
 
 type chromeFile struct {
-	TraceEvents     []chromeEvent        `json:"traceEvents"`
+	Events          []chromeEvent        `json:"traceEvents"`
 	DisplayTimeUnit string               `json:"displayTimeUnit"`
 	OtherData       map[string]countersT `json:"otherData"`
 }
@@ -74,12 +74,12 @@ func tid(ev Event) int {
 // WriteChromeTrace writes the whole session as Chrome trace-event JSON.
 func (s *Session) WriteChromeTrace(w io.Writer) error {
 	var out chromeFile
-	out.TraceEvents = []chromeEvent{} // "traceEvents":[] even when empty, never null
+	out.Events = []chromeEvent{} // "traceEvents":[] even when empty, never null
 	out.DisplayTimeUnit = "ms"
 	out.OtherData = map[string]countersT{}
 	for pid, r := range s.recorders {
 		out.OtherData[r.Label] = r.counters
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.Events = append(out.Events, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Cat: "__metadata",
 			Args: &chromeArgs{Name: r.Label},
 		})
@@ -100,7 +100,7 @@ func (s *Session) WriteChromeTrace(w io.Writer) error {
 			default:
 				name = "PE" + itoa(t)
 			}
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			out.Events = append(out.Events, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: t, Cat: "__metadata",
 				Args: &chromeArgs{Name: name},
 			})
@@ -130,7 +130,7 @@ func (s *Session) WriteChromeTrace(w io.Writer) error {
 				ce.Ph = "i"
 				ce.S = "t"
 			}
-			out.TraceEvents = append(out.TraceEvents, ce)
+			out.Events = append(out.Events, ce)
 		}
 	}
 	enc := json.NewEncoder(w)

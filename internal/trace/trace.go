@@ -30,8 +30,8 @@ const (
 	// KindService is one kernel service (entry to exit): Dur covers the
 	// trap, spin-lock word and shared-structure accesses.
 	KindService
-	// KindSched is an instant scheduler event (dispatch, preempt, block,
-	// exit, ...), mirroring rtos.TraceEvent.
+	// KindSched is an instant scheduler event ("sched.dispatch",
+	// "sched.preempt", "sched.exit", ...), also handed to rtos.Kernel.TraceFn.
 	KindSched
 	// KindLock is a lock operation (acquire/release/hand-off, long or
 	// short) of either lock system, or a resource grant or release

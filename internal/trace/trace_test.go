@@ -64,7 +64,7 @@ func TestWriteChromeTraceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 			Tid  int    `json:"tid"`
@@ -78,21 +78,21 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 
 	byName := map[string][]int{}
-	for i, ev := range f.TraceEvents {
+	for i, ev := range f.Events {
 		byName[ev.Name] = append(byName[ev.Name], i)
 	}
 	if len(byName["process_name"]) != 1 {
 		t.Error("missing process_name metadata")
 	}
-	bus := f.TraceEvents[byName["bus.transact"][0]]
+	bus := f.Events[byName["bus.transact"][0]]
 	if bus.Ph != "X" || bus.Tid != BusTID || bus.Dur != 6 {
 		t.Errorf("bus event rendered as ph=%q tid=%d dur=%d, want X/%d/6", bus.Ph, bus.Tid, bus.Dur, BusTID)
 	}
-	sched := f.TraceEvents[byName["sched.dispatch"][0]]
+	sched := f.Events[byName["sched.dispatch"][0]]
 	if sched.Ph != "i" || sched.Tid != DeviceTID {
 		t.Errorf("instant device event rendered as ph=%q tid=%d, want i/%d", sched.Ph, sched.Tid, DeviceTID)
 	}
-	lock := f.TraceEvents[byName["lock.acquire"][0]]
+	lock := f.Events[byName["lock.acquire"][0]]
 	if lock.Args["id"] != float64(3) || lock.Args["verdict"] != "contended" {
 		t.Errorf("lock args = %v, want id=3 verdict=contended", lock.Args)
 	}
