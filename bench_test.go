@@ -24,6 +24,7 @@ import (
 	"deltartos/internal/rag"
 	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
+	"deltartos/internal/trace"
 )
 
 // ---- Table 1: DDU synthesis ----
@@ -526,6 +527,36 @@ func BenchmarkSimSpawn(b *testing.B) {
 	})
 	b.ResetTimer()
 	s.Run()
+}
+
+// BenchmarkTraceRecord measures recording one trace event, the cost a
+// traced run adds per observable action.  The events cycle through a
+// traced kernel's mix: bus transactions, scheduler events, lock operations
+// and IPC operations.  The recorder is replaced outside the timer whenever
+// its pre-sized buffer fills, so no op pays for buffer growth.  The gate
+// is 0 allocs/op: Record only appends, and counters are folded later.
+func BenchmarkTraceRecord(b *testing.B) {
+	mix := []trace.Event{
+		{Cycle: 100, Dur: 6, PE: 0, Proc: "t1", Kind: trace.KindBus, Name: "bus.transact", Words: 4, Arg: -1},
+		{Cycle: 106, PE: 0, Proc: "t1", Kind: trace.KindSched, Name: "sched.dispatch", Arg: -1},
+		{Cycle: 110, Dur: 2, Wait: 3, PE: 1, Proc: "t2", Kind: trace.KindBus, Name: "bus.fast", Words: 1, Arg: -1},
+		{Cycle: 115, Dur: 9, PE: 1, Proc: "t2", Kind: trace.KindLock, Name: "lock.acquire", Arg: 3, Verdict: "contended"},
+		{Cycle: 130, PE: 0, Proc: "t1", Kind: trace.KindIPC, Name: "ipc.send", Arg: -1, Verdict: "q0"},
+		{Cycle: 131, PE: 1, Proc: "t2", Kind: trace.KindSched, Name: "sched.block:queue-recv:q1", Arg: -1},
+		{Cycle: 140, Dur: 4, PE: 1, Proc: "t2", Kind: trace.KindLock, Name: "lock.release", Arg: 3, Verdict: "uncontended"},
+		{Cycle: 150, PE: 2, Proc: "t3", Kind: trace.KindIPC, Name: "ipc.recv", Arg: -1, Verdict: "q0"},
+	}
+	b.ReportAllocs()
+	rec := trace.NewRecorder("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if evs := rec.Events(); len(evs) == cap(evs) {
+			b.StopTimer()
+			rec = trace.NewRecorder("bench")
+			b.StartTimer()
+		}
+		rec.Record(mix[i%len(mix)])
+	}
 }
 
 // ---- Fuzz sweep: per-seed phases ----

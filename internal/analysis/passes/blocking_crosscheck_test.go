@@ -53,7 +53,7 @@ func recordScenario(t *testing.T, fn func(opt sim.Option)) *trace.Session {
 // every sim the scenario created.
 func traceScenario(t *testing.T, fn func(opt sim.Option)) map[string]uint64 {
 	t.Helper()
-	return recordScenario(t, fn).CountersFrom(0)
+	return recordScenario(t, fn).Counters()
 }
 
 // scenarioEvents runs fn traced and returns the event stream of the one sim

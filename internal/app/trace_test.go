@@ -48,17 +48,18 @@ func TestDetectionTraceCrossChecksBus(t *testing.T) {
 		recs = append(recs, s.Rec)
 	}}
 	RunDetectionScenario(newHW(t), sim.WithHooks(hooks))
-	if len(sims) == 0 || recs[0].Counter("bus.transactions") == 0 {
+	if len(sims) == 0 || recs[0].Counters()["bus.transactions"] == 0 {
 		t.Fatal("no bus events recorded")
 	}
 	for i, s := range sims {
+		counters := recs[i].Counters()
 		for name, field := range map[string]sim.Cycles{
 			"bus.transactions":    s.Bus.Transactions,
 			"bus.words":           s.Bus.WordsMoved,
 			"bus.stall_cycles":    s.Bus.StallCycles,
 			"bus.occupied_cycles": s.Bus.OccupiedCycles,
 		} {
-			if derived := recs[i].Counter(name); derived != field {
+			if derived := counters[name]; derived != field {
 				t.Errorf("%s = %d but the Bus field reads %d", name, derived, field)
 			}
 		}

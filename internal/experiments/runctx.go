@@ -71,5 +71,5 @@ func (rc *RunCtx) Counters() map[string]uint64 {
 	if rc == nil || rc.Session == nil {
 		return nil
 	}
-	return rc.Session.CountersFrom(0)
+	return rc.Session.Counters()
 }

@@ -14,7 +14,8 @@ import (
 // kills counts the tasks a traced run killed, by recovery or by a crash
 // fault.
 func kills(tr *trace.Recorder) uint64 {
-	return tr.Counter("count.sched.kill") + tr.Counter("count.sched.fault:crash")
+	c := tr.Counters()
+	return c["count.sched.kill"] + c["count.sched.fault:crash"]
 }
 
 func TestTaskCrashUnwindsMidBody(t *testing.T) {
@@ -276,7 +277,7 @@ func TestWatchdogKickAndStop(t *testing.T) {
 		t.Errorf("state = %v, want killed", tk.State())
 	}
 	w.Stop()
-	if n := tr.Counter("count.sched.wdt:expire"); n != 2 {
+	if n := tr.Counters()["count.sched.wdt:expire"]; n != 2 {
 		t.Errorf("sched.wdt:expire events = %d, want 2", n)
 	}
 }

@@ -57,15 +57,14 @@ func (k *Kernel) sendFault(ep string, t *Task) IPCFault {
 	return k.ipcInj.SendFault(ep, t.Name, k.S.Now())
 }
 
-// ipcTrace records one IPC trace event and bumps the per-endpoint counter.
-// Zero overhead when tracing is off (nil recorder).
+// ipcTrace records one IPC trace event, from which the recorder's fold
+// derives the per-endpoint counters.  Zero overhead when tracing is off.
 func (k *Kernel) ipcTrace(t *Task, op, endpoint string) {
 	if r := k.S.Rec; r != nil {
 		r.Record(trace.Event{
 			Cycle: k.S.Now(), PE: t.PE, Proc: t.Name,
 			Kind: trace.KindIPC, Name: "ipc." + op, Arg: -1, Verdict: endpoint,
 		})
-		r.Count("ipc."+op+"."+endpoint, 1)
 	}
 }
 

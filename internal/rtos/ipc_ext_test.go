@@ -48,7 +48,7 @@ func TestQueueRecvTimeout(t *testing.T) {
 	if !gotSecond {
 		t.Error("second recv should have delivered 42")
 	}
-	if n := tr.Counter("ipc.timeout.m"); n != 1 {
+	if n := tr.Counters()["ipc.timeout.m"]; n != 1 {
 		t.Errorf("ipc.timeout.m = %d, want 1", n)
 	}
 }
@@ -116,7 +116,7 @@ func TestQueueSendTimeoutWhenFull(t *testing.T) {
 	if !ok1 || ok2 {
 		t.Errorf("ok1=%v ok2=%v, want true/false", ok1, ok2)
 	}
-	if n := tr.Counter("ipc.timeout.q"); n != 1 {
+	if n := tr.Counters()["ipc.timeout.q"]; n != 1 {
 		t.Errorf("ipc.timeout.q = %d, want 1", n)
 	}
 }
@@ -144,7 +144,7 @@ func TestEventWaitTimeout(t *testing.T) {
 	if !ok2 {
 		t.Error("second wait should have been satisfied")
 	}
-	if n := tr.Counter("ipc.timeout.ev"); n != 1 {
+	if n := tr.Counters()["ipc.timeout.ev"]; n != 1 {
 		t.Errorf("ipc.timeout.ev = %d, want 1", n)
 	}
 }
@@ -455,7 +455,7 @@ func TestRetryPolicyRecvSucceedsOnRetry(t *testing.T) {
 	if !ok || got != 7 {
 		t.Errorf("got %v ok=%v, want 7 true", got, ok)
 	}
-	if n := tr.Counter("ipc.timeout.q"); n != 1 {
+	if n := tr.Counters()["ipc.timeout.q"]; n != 1 {
 		t.Errorf("ipc.timeout.q = %d, want 1 (one failed attempt)", n)
 	}
 }
@@ -482,7 +482,7 @@ func TestRetryPolicyExhaustion(t *testing.T) {
 	if elapsed < min || elapsed > min+2000 {
 		t.Errorf("elapsed %d, want ~%d", elapsed, min)
 	}
-	if n := tr.Counter("ipc.timeout.q"); n != 3 {
+	if n := tr.Counters()["ipc.timeout.q"]; n != 3 {
 		t.Errorf("ipc.timeout.q = %d, want 3", n)
 	}
 }
@@ -505,13 +505,14 @@ func TestIPCTraceCounters(t *testing.T) {
 		q.Recv(c)
 	})
 	s.Run()
-	if got := rec.Counter("ipc.send.q"); got != 2 {
+	c := rec.Counters()
+	if got := c["ipc.send.q"]; got != 2 {
 		t.Errorf("ipc.send.q = %d, want 2", got)
 	}
-	if got := rec.Counter("ipc.recv.q"); got != 2 {
+	if got := c["ipc.recv.q"]; got != 2 {
 		t.Errorf("ipc.recv.q = %d, want 2", got)
 	}
-	if got := rec.Counter("count.ipc.block"); got == 0 {
+	if got := c["count.ipc.block"]; got == 0 {
 		t.Error("no ipc.block events recorded for the full-queue wait")
 	}
 	found := false
@@ -559,7 +560,8 @@ func TestIPCDeterminism(t *testing.T) {
 			e.WaitTimeout(c, 0b11, true, 40000)
 		})
 		s.Run()
-		return s.Now(), tr.Counter("ipc.send.q"), tr.Counter("ipc.timeout.q")
+		c := tr.Counters()
+		return s.Now(), c["ipc.send.q"], c["ipc.timeout.q"]
 	}
 	aT, aS, aTO := run()
 	bT, bS, bTO := run()

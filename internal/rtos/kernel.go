@@ -322,11 +322,11 @@ func (k *Kernel) vacate(t *Task, st TaskState, what string) {
 // dispatches the next ready task.  Must be called from t's own context.
 func (k *Kernel) blockCurrent(t *Task, what string) {
 	t.blockedOn = what
-	// Open a blocking episode for the static↔runtime cross-check: the
-	// blocked cycles accumulate into block.* trace counters when the task
-	// becomes ready again.  Injected faults ("fault:…") are excluded — they
-	// model hardware failure, not resource contention, and the static bound
-	// does not cover them.
+	// Open a blocking episode for the static↔runtime cross-check: it is
+	// recorded as one block event when the task leaves the blocked state.
+	// Injected faults ("fault:…") are excluded — they model hardware
+	// failure, not resource contention, and the static bound does not
+	// cover them.
 	if r := k.S.Rec; r != nil && !strings.HasPrefix(what, "fault:") {
 		t.blockAttrib = true
 		t.blockStart = k.S.Now()
@@ -334,8 +334,9 @@ func (k *Kernel) blockCurrent(t *Task, what string) {
 	k.vacate(t, StateBlocked, "block:"+what)
 }
 
-// endBlockEpisode closes an open blocking episode, crediting the blocked
-// cycles to the task's block.cycles / block.count / block.max counters.
+// endBlockEpisode closes an open blocking episode as one KindBlock event,
+// from which the recorder's fold derives the per-task blocking counters.
+// The event bypasses TraceFn: it is not a scheduling event.
 func (k *Kernel) endBlockEpisode(t *Task) {
 	if !t.blockAttrib {
 		return
@@ -345,12 +346,10 @@ func (k *Kernel) endBlockEpisode(t *Task) {
 	if r == nil {
 		return
 	}
-	d := uint64(k.S.Now() - t.blockStart)
-	r.Count("block.cycles."+t.Name, d)
-	r.Count("block.count."+t.Name, 1)
-	if d > r.Counter("block.max."+t.Name) {
-		r.SetCounter("block.max."+t.Name, d)
-	}
+	r.Record(trace.Event{
+		Cycle: t.blockStart, Dur: k.S.Now() - t.blockStart, PE: t.PE, Proc: t.Name,
+		Kind: trace.KindBlock, Name: "task.blocked", Arg: -1, Verdict: t.blockedOn,
+	})
 }
 
 // setPriority changes a task's effective priority, repositioning it in the

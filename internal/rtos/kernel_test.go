@@ -71,7 +71,7 @@ func TestPriorityPreemption(t *testing.T) {
 	if highStart < 2000 || highStart > 2000+2*sim.ContextSwitchCycles {
 		t.Errorf("high started at %d", highStart)
 	}
-	if n := tr.Counter("count.sched.dispatch"); n < 3 {
+	if n := tr.Counters()["count.sched.dispatch"]; n < 3 {
 		t.Errorf("sched.dispatch events = %d, want at least 3", n)
 	}
 }

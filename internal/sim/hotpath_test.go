@@ -126,7 +126,7 @@ func TestCloseUnwindsUnfinishedProcs(t *testing.T) {
 		defer func() {
 			unwound[p.Name] = true
 			if r := s.Rec; r != nil {
-				r.Count("unwind", 1)
+				r.Record(trace.Event{Name: "unwind", Arg: -1})
 			}
 		}()
 		if p.Name == "blocked" {
@@ -150,7 +150,7 @@ func TestCloseUnwindsUnfinishedProcs(t *testing.T) {
 	if unwound["unstarted"] {
 		t.Error("a never-started body ran on Close")
 	}
-	if s.Rec != nil || rec.Counter("unwind") != 0 {
+	if s.Rec != nil || rec.Counters()["count.unwind"] != 0 {
 		t.Error("unwinding bodies recorded into the simulation's recorder")
 	}
 	if n := settledGoroutines(base); n > base {

@@ -282,7 +282,7 @@ func (s *Sim) RunUntil(limit Cycles) Cycles {
 		s.drained = true
 	}
 	if s.Rec != nil {
-		s.Rec.SetCounter("sim.end_cycle", s.now)
+		s.Rec.SetEndCycle(s.now)
 	}
 	return s.now
 }

@@ -29,21 +29,22 @@ func TestRecorderCrossChecksBusCounters(t *testing.T) {
 	s.Rec = trace.NewRecorder("x")
 	mixedTraffic(s)
 	end := s.Run()
+	c := s.Rec.Counters()
 	for name, field := range map[string]Cycles{
 		"bus.transactions":    s.Bus.Transactions,
 		"bus.words":           s.Bus.WordsMoved,
 		"bus.stall_cycles":    s.Bus.StallCycles,
 		"bus.occupied_cycles": s.Bus.OccupiedCycles,
 	} {
-		if derived := s.Rec.Counter(name); derived != field {
+		if derived := c[name]; derived != field {
 			t.Errorf("%s = %d but the Bus field reads %d; event-derived counters must equal the Bus fields",
 				name, derived, field)
 		}
 	}
-	if got := s.Rec.Counter("sim.end_cycle"); got != end {
+	if got := c["sim.end_cycle"]; got != end {
 		t.Errorf("sim.end_cycle = %d, want %d", got, end)
 	}
-	if s.Rec.Counter("bus.transactions") == 0 {
+	if c["bus.transactions"] == 0 {
 		t.Fatal("no bus events recorded")
 	}
 }

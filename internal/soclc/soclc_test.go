@@ -265,7 +265,7 @@ func TestShortLockSpin(t *testing.T) {
 	if maxIn != 1 {
 		t.Errorf("short lock exclusion violated: %d", maxIn)
 	}
-	if n := tr.Counter("count.lock.acquire.short"); n != 6 {
+	if n := tr.Counters()["count.lock.acquire.short"]; n != 6 {
 		t.Errorf("lock.acquire.short events = %d, want 6", n)
 	}
 }

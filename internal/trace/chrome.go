@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 )
 
 // Chrome trace-event export: the session serializes as the JSON Object
@@ -78,7 +79,7 @@ func (s *Session) WriteChromeTrace(w io.Writer) error {
 	out.DisplayTimeUnit = "ms"
 	out.OtherData = map[string]countersT{}
 	for pid, r := range s.recorders {
-		out.OtherData[r.Label] = r.counters
+		out.OtherData[r.Label] = r.Counters()
 		out.Events = append(out.Events, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Cat: "__metadata",
 			Args: &chromeArgs{Name: r.Label},
@@ -98,7 +99,7 @@ func (s *Session) WriteChromeTrace(w io.Writer) error {
 			case t == DeviceTID:
 				name = "devices"
 			default:
-				name = "PE" + itoa(t)
+				name = "PE" + strconv.Itoa(t)
 			}
 			out.Events = append(out.Events, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: t, Cat: "__metadata",
@@ -135,23 +136,4 @@ func (s *Session) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&out)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf []byte
-	for v > 0 {
-		buf = append([]byte{byte('0' + v%10)}, buf...)
-		v /= 10
-	}
-	if neg {
-		return "-" + string(buf)
-	}
-	return string(buf)
 }

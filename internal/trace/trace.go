@@ -6,11 +6,11 @@
 // verdicts — each stamped with the bus-clock cycle, the issuing PE and the
 // simulated flow of control that caused it.
 //
-// On top of the raw event stream the Recorder maintains a counters registry
-// that subsumes the simulator's ad-hoc instrumentation fields (the registry
-// values are derived purely from events, so they cross-check the fields they
-// replace), and a Session groups the recorders of a multi-simulation
-// experiment so one Chrome trace-event file covers the whole run.
+// A Recorder keeps only the event stream and the end cycle; Counters folds
+// the stream into the -metrics counters on demand, so every counter is an
+// observation of events (bus.* cross-checks the simulator's Bus fields).
+// A Session groups the recorders of a multi-simulation experiment so one
+// Chrome trace-event file covers the whole run.
 //
 // Tracing is opt-in and cost-free when off: a nil *Recorder records nothing,
 // and no simulated cycles are ever charged for recording.  The event stream
@@ -56,6 +56,10 @@ const (
 	// scenario ("access.read", "access.write"): Proc is the accessor and
 	// Verdict the location, for the replayed race audit.
 	KindAccess
+	// KindBlock is a kernel task's closed blocking episode ("task.blocked",
+	// recorded when it ends): Cycle is the block start, Dur the blocked
+	// cycles, Proc the task and Verdict what it blocked on.
+	KindBlock
 )
 
 // String names the kind (used as the Chrome trace category).
@@ -79,6 +83,8 @@ func (k Kind) String() string {
 		return "ipc"
 	case KindAccess:
 		return "access"
+	case KindBlock:
+		return "block"
 	}
 	return "other"
 }
@@ -102,16 +108,17 @@ type Event struct {
 	Verdict string
 }
 
-// Recorder collects the events of one simulation and derives the counters
-// registry from them.  The zero value is not usable; create with
-// NewRecorder.  A nil *Recorder is the "tracing off" state: callers must
-// nil-check before calling Record (the simulator hooks all do).
+// Recorder collects the events of one simulation.  The zero value is not
+// usable; create with NewRecorder.  A nil *Recorder is the "tracing off"
+// state: callers must nil-check before calling Record (the simulator hooks
+// all do).
 type Recorder struct {
 	// Label identifies the simulation in multi-run exports (Chrome trace
 	// "process" name).
 	Label    string
 	events   []Event
-	counters map[string]uint64
+	endCycle uint64
+	ended    bool // SetEndCycle ran: sim.end_cycle is in the registry
 }
 
 // eventCap pre-sizes the event buffer: even short scenarios record
@@ -121,47 +128,50 @@ const eventCap = 1024
 
 // NewRecorder creates an empty recorder.
 func NewRecorder(label string) *Recorder {
-	return &Recorder{
-		Label:    label,
-		events:   make([]Event, 0, eventCap),
-		counters: map[string]uint64{},
-	}
+	return &Recorder{Label: label, events: make([]Event, 0, eventCap)}
 }
 
-// Record appends one event and folds it into the counters registry.
-func (r *Recorder) Record(ev Event) {
-	r.events = append(r.events, ev)
-	r.counters["count."+ev.Name]++
-	if ev.Kind == KindBus {
-		// The bus registry subsumes the Bus.Transactions/WordsMoved/
-		// StallCycles instrumentation fields and adds the occupancy the
-		// Utilization metric is computed from.
-		r.counters["bus.transactions"]++
-		r.counters["bus.words"] += uint64(ev.Words)
-		r.counters["bus.stall_cycles"] += ev.Wait
-		r.counters["bus.occupied_cycles"] += ev.Dur
-	}
-}
+// Record appends one event.
+func (r *Recorder) Record(ev Event) { r.events = append(r.events, ev) }
 
-// Count adds delta to a named counter without recording an event.
-func (r *Recorder) Count(name string, delta uint64) {
-	r.counters[name] += delta
-}
+// SetEndCycle stores the cycle the simulation's run loop stopped at.
+func (r *Recorder) SetEndCycle(cycle uint64) { r.endCycle, r.ended = cycle, true }
 
-// SetCounter stores an absolute counter value (the simulator's end cycle, a
-// task's longest blocking episode).
-func (r *Recorder) SetCounter(name string, v uint64) {
-	r.counters[name] = v
-}
-
-// Counter returns a named counter's value (0 if never touched).
-func (r *Recorder) Counter(name string) uint64 { return r.counters[name] }
-
-// Counters returns a copy of the registry.
+// Counters folds the event stream into the counter registry; this function
+// is the whole counter schema, tabulated in README and DESIGN §6.  Names and
+// bus sums are tallied locally, so each count.<name> and bus.* key is set once.
 func (r *Recorder) Counters() map[string]uint64 {
-	out := make(map[string]uint64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
+	out := map[string]uint64{}
+	names := map[string]uint64{}
+	var busN, busWords, busStall, busOcc uint64
+	for _, ev := range r.events {
+		names[ev.Name]++
+		//deltalint:partial only bus, ipc and block events add counters beyond count.<name>
+		switch ev.Kind {
+		case KindBus:
+			busN++
+			busWords += uint64(ev.Words)
+			busStall += ev.Wait
+			busOcc += ev.Dur
+		case KindIPC:
+			out[ev.Name+"."+ev.Verdict]++ // ipc.<op>.<endpoint>
+		case KindBlock:
+			out["block.cycles."+ev.Proc] += ev.Dur
+			out["block.count."+ev.Proc]++
+			if ev.Dur > out["block.max."+ev.Proc] {
+				out["block.max."+ev.Proc] = ev.Dur
+			}
+		}
+	}
+	for name, n := range names {
+		out["count."+name] = n
+	}
+	if busN > 0 {
+		out["bus.transactions"], out["bus.words"] = busN, busWords
+		out["bus.stall_cycles"], out["bus.occupied_cycles"] = busStall, busOcc
+	}
+	if r.ended {
+		out["sim.end_cycle"] = r.endCycle
 	}
 	return out
 }
@@ -201,19 +211,15 @@ func (s *Session) Adopt(shard *Session) {
 	s.recorders = append(s.recorders, shard.recorders...)
 }
 
-// Len returns the number of recorders created so far (used to mark the
-// start of one experiment inside a multi-experiment session).
+// Len returns the number of recorders created so far.
 func (s *Session) Len() int { return len(s.recorders) }
 
-// CountersFrom merges the counters of recorders[from:] — the registry of a
-// single experiment inside a multi-experiment session.
-func (s *Session) CountersFrom(from int) map[string]uint64 {
-	if from < 0 || from > len(s.recorders) {
-		return nil
-	}
+// Counters merges the registries of every recorder in the session, summing
+// each key (block.max and sim.end_cycle included).
+func (s *Session) Counters() map[string]uint64 {
 	out := map[string]uint64{}
-	for _, r := range s.recorders[from:] {
-		for k, v := range r.counters {
+	for _, r := range s.recorders {
+		for k, v := range r.Counters() {
 			out[k] += v
 		}
 	}

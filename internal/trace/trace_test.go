@@ -21,34 +21,78 @@ func TestRecordDerivesBusCounters(t *testing.T) {
 		"count.bus.fast":       1,
 		"count.kernel.service": 1,
 	}
+	got := r.Counters()
 	for name, want := range checks {
-		if got := r.Counter(name); got != want {
-			t.Errorf("Counter(%q) = %d, want %d", name, got, want)
+		if got[name] != want {
+			t.Errorf("Counters()[%q] = %d, want %d", name, got[name], want)
 		}
+	}
+	if len(got) != len(checks) {
+		t.Errorf("Counters() = %v, want exactly %v", got, checks)
 	}
 	if len(r.Events()) != 3 {
 		t.Errorf("Events() has %d entries, want 3", len(r.Events()))
 	}
 }
 
-func TestSessionCountersFrom(t *testing.T) {
-	s := NewSession()
-	a := s.NewRecorder("a")
-	a.Count("x", 1)
-	mark := s.Len()
-	b := s.NewRecorder("b")
-	b.Count("x", 10)
-	c := s.NewRecorder("c")
-	c.Count("x", 100)
+// The ipc, block and sim.end_cycle families fold from their events and the
+// end cycle alone; a zero longest episode leaves block.max absent.
+func TestCountersFoldIPCBlockAndEndCycle(t *testing.T) {
+	r := NewRecorder("x")
+	if _, ok := r.Counters()["sim.end_cycle"]; ok {
+		t.Error("sim.end_cycle present before SetEndCycle")
+	}
+	r.Record(Event{Cycle: 1, PE: 0, Proc: "a", Kind: KindIPC, Name: "ipc.send", Arg: -1, Verdict: "q"})
+	r.Record(Event{Cycle: 2, PE: 0, Proc: "a", Kind: KindIPC, Name: "ipc.send", Arg: -1, Verdict: "q"})
+	r.Record(Event{Cycle: 3, PE: 1, Proc: "b", Kind: KindIPC, Name: "ipc.recv", Arg: -1, Verdict: "q"})
+	r.Record(Event{Cycle: 4, Dur: 30, PE: 1, Proc: "b", Kind: KindBlock, Name: "task.blocked", Arg: -1, Verdict: "queue-recv:q"})
+	r.Record(Event{Cycle: 50, Dur: 12, PE: 1, Proc: "b", Kind: KindBlock, Name: "task.blocked", Arg: -1, Verdict: "mutex:m"})
+	r.Record(Event{Cycle: 60, PE: 0, Proc: "a", Kind: KindBlock, Name: "task.blocked", Arg: -1, Verdict: "mutex:m"})
+	r.SetEndCycle(0)
 
-	if got := s.CountersFrom(0)["x"]; got != 111 {
-		t.Errorf("CountersFrom(0)[x] = %d, want 111", got)
+	want := map[string]uint64{
+		"count.ipc.send":     2,
+		"count.ipc.recv":     1,
+		"count.task.blocked": 3,
+		"ipc.send.q":         2,
+		"ipc.recv.q":         1,
+		"block.cycles.b":     42,
+		"block.count.b":      2,
+		"block.max.b":        30,
+		"block.cycles.a":     0,
+		"block.count.a":      1,
+		"sim.end_cycle":      0,
 	}
-	if got := s.CountersFrom(mark)["x"]; got != 110 {
-		t.Errorf("CountersFrom(mark)[x] = %d, want 110", got)
+	got := r.Counters()
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("Counters()[%q] = %d, want %d", name, got[name], w)
+		}
 	}
-	if s.CountersFrom(99) != nil {
-		t.Error("out-of-range mark should return nil")
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("Counters() lacks %q", name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("Counters() = %v, want exactly the keys of %v", got, want)
+	}
+}
+
+// Session.Counters sums every recorder's registry key by key, block.max
+// included.
+func TestSessionCounters(t *testing.T) {
+	s := NewSession()
+	for i, d := range []uint64{1, 10, 100} {
+		r := s.NewRecorder(string(rune('a' + i)))
+		r.Record(Event{Dur: d, Proc: "t", Kind: KindBlock, Name: "task.blocked", Arg: -1})
+	}
+	got := s.Counters()
+	if got["block.max.t"] != 111 || got["block.count.t"] != 3 || got["count.task.blocked"] != 3 {
+		t.Errorf("Counters() = %v, want block.max.t=111 block.count.t=3 count.task.blocked=3", got)
+	}
+	if len(NewSession().Counters()) != 0 {
+		t.Error("an empty session has counters")
 	}
 }
 
