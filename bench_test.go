@@ -214,7 +214,7 @@ func BenchmarkExtParallelRadix(b *testing.B) {
 				b.Fatal("parallel radix output wrong")
 			}
 			b.ReportMetric(float64(res.TotalCycles), "sim-cycles")
-			b.ReportMetric(res.Speedup, "speedup")
+			b.ReportMetric(res.Speedup(app.RunRadix(app.NewSoCDMMUAllocator)), "speedup")
 		})
 	}
 }
@@ -495,19 +495,39 @@ func swBackend(b *testing.B) app.AvoidanceBackend {
 // ---- Campaign engine / sim hot path ----
 
 // BenchmarkSimDispatch measures the cost of one scheduled timer event:
-// push + pop on the event heap plus the coroutine resume and yield.  The
-// acceptance gate is 0 allocs/op — the de-boxed heap must not allocate in
-// steady state.
-func BenchmarkSimDispatch(b *testing.B) {
+// push + pop on the event heap plus the coroutine resume and yield.  Two
+// procs take turns, so no Delay can resume in place (that path is
+// BenchmarkSimDelayInPlace).  The acceptance gate is 0 allocs/op — the
+// de-boxed heap must not allocate in steady state.
+func BenchmarkSimDispatch(b *testing.B) { benchDelays(b, 2) }
+
+// BenchmarkSimDelayInPlace measures a Delay with no other event queued:
+// the proc resumes in place, with no heap operation and no coroutine
+// switch.  The gate is 0 allocs/op.
+func BenchmarkSimDelayInPlace(b *testing.B) { benchDelays(b, 1) }
+
+// benchDelays times about b.N Delay(1) calls shared among procs procs that
+// take turns.  Each proc starts and parks in a first, untimed Delay and
+// blocks at the end, so coroutine start-up and shutdown stay off the clock
+// even at -benchtime 1x.
+func benchDelays(b *testing.B, procs int) {
 	b.ReportAllocs()
 	s := sim.New()
-	s.Spawn("bench", 0, func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Delay(1)
-		}
-	})
+	stop := s.NewSignal("stop")
+	ops := 0
+	for pe := 0; pe < procs; pe++ {
+		s.Spawn("bench", pe, func(p *sim.Proc) {
+			for p.Delay(1); ops < b.N; ops++ {
+				p.Delay(1)
+			}
+			stop.Wait(p)
+		})
+	}
+	s.RunUntil(0)
 	b.ResetTimer()
 	s.Run()
+	b.StopTimer()
+	s.Close()
 }
 
 // BenchmarkSimSpawn measures the life of one one-shot timer proc — Spawn,

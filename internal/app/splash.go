@@ -3,7 +3,8 @@ package app
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
@@ -49,15 +50,14 @@ const (
 
 func (kc *kernelCost) op(n int)  { kc.half += sim.Cycles(n) * aluHalf }
 func (kc *kernelCost) fop(n int) { kc.half += sim.Cycles(n) * fpHalf }
+
+// mem charges n array accesses: of the access counts access+1..access+n,
+// the multiples of missEvery miss and the rest hit.
 func (kc *kernelCost) mem(n int) {
-	for i := 0; i < n; i++ {
-		kc.access++
-		if kc.access%missEvery == 0 {
-			kc.pending += missCost
-		} else {
-			kc.half += hitHalf
-		}
-	}
+	misses := (kc.access+n)/missEvery - kc.access/missEvery
+	kc.pending += sim.Cycles(misses) * missCost
+	kc.half += sim.Cycles(n-misses) * hitHalf
+	kc.access += n
 }
 
 // flush converts the accumulated cycles into simulated time.  A kernelCost
@@ -321,7 +321,7 @@ func fft(re, im []float64, inverse bool, kc *kernelCost) {
 
 // RunRadix performs the integer radix sort benchmark: keys are allocated in
 // chunks, sorted by 8-bit digits with per-pass bucket arrays allocated and
-// freed (the dynamic-allocation port), and verified against sort.Ints.
+// freed (the dynamic-allocation port), and verified against a sorted reference.
 func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult {
 	alloc := mkAlloc()
 	var verified bool
@@ -332,12 +332,7 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult
 		for i := 0; i < radixN/chunkKeys; i++ {
 			h.get(chunkKeys * 4)
 		}
-		keys := make([]int, radixN)
-		rng := det.New(99)
-		for i := range keys {
-			keys[i] = rng.Intn(1 << 31)
-		}
-		ref := append([]int(nil), keys...)
+		keys := radixKeys(seqKey)
 		tmp := make([]int, radixN)
 		passes := 32 / radixBits
 		for pass := 0; pass < passes; pass++ {
@@ -372,7 +367,7 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult
 				h.put(a)
 			}
 		}
-		sort.Ints(ref)
+		ref := radixRef()
 		verified = true
 		for i := 0; i < radixN; i += 511 {
 			if keys[i] != ref[i] {
@@ -384,6 +379,27 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult
 	})
 	return summarize("RADIX", alloc, total, verified)
 }
+
+// radixKeys draws the radix keys from seed 99 by one of the two rules:
+// RunRadix's seqKey or RunRadixParallel's parKey.
+func radixKeys(draw func(*det.RNG) int) []int {
+	keys := make([]int, radixN)
+	rng := det.New(99)
+	for i := range keys {
+		keys[i] = draw(rng)
+	}
+	return keys
+}
+
+func seqKey(r *det.RNG) int { return r.Intn(1 << 31) }
+func parKey(r *det.RNG) int { return int(r.Uint64() & 0x7fffffff) }
+
+// The sorted references the radix runs verify against.  Every run draws
+// the same keys, so each is sorted once per process; callers only read it.
+var (
+	radixRef         = sync.OnceValue(func() []int { return slices.Sorted(slices.Values(radixKeys(seqKey))) })
+	radixParallelRef = sync.OnceValue(func() []int { return slices.Sorted(slices.Values(radixKeys(parKey))) })
+)
 
 // runBench runs body as a single task on PE0 of a fresh MPSoC and returns
 // the total execution time.

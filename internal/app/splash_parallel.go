@@ -2,9 +2,7 @@ package app
 
 import (
 	"fmt"
-	"sort"
 
-	"deltartos/internal/det"
 	"deltartos/internal/rtos"
 	"deltartos/internal/sim"
 	"deltartos/internal/socdmmu"
@@ -15,8 +13,13 @@ type ParallelResult struct {
 	SplashResult
 	PEs          int
 	BarrierWaits int
-	// Speedup is sequential-cycles / parallel-cycles for the same problem.
-	Speedup float64
+}
+
+// Speedup is sequential-cycles / parallel-cycles for the same problem: seq
+// is RunRadix with the same allocator, one run of which serves every PE
+// count.
+func (r ParallelResult) Speedup(seq SplashResult) float64 {
+	return float64(seq.TotalCycles) / float64(r.TotalCycles)
 }
 
 // RunRadixParallel runs the radix-sort benchmark split across `pes`
@@ -37,13 +40,8 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Opt
 	k := rtos.NewKernel(s, pes)
 	bar := k.NewBarrier("radix", pes)
 
-	keys := make([]int, radixN)
+	keys := radixKeys(parKey)
 	tmp := make([]int, radixN)
-	rng := det.New(99)
-	for i := range keys {
-		keys[i] = int(rng.Uint64() & 0x7fffffff)
-	}
-	ref := append([]int(nil), keys...)
 	chunk := radixN / pes
 	passes := 32 / radixBits
 
@@ -119,7 +117,7 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Opt
 				}
 			}
 			if pe == 0 {
-				sort.Ints(ref)
+				ref := radixParallelRef()
 				verified = true
 				for i := 0; i < radixN; i += 509 {
 					if keys[i] != ref[i] {
@@ -133,12 +131,9 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Opt
 	}
 	total := s.Run()
 
-	res := summarize("RADIX-parallel", alloc, total, verified)
-	seq := RunRadix(mkAlloc)
 	return ParallelResult{
-		SplashResult: res,
+		SplashResult: summarize("RADIX-parallel", alloc, total, verified),
 		PEs:          pes,
 		BarrierWaits: bar.Rounds,
-		Speedup:      float64(seq.TotalCycles) / float64(total),
 	}
 }

@@ -21,8 +21,8 @@ func TestRadixParallelVerifies(t *testing.T) {
 func TestRadixParallelSpeedup(t *testing.T) {
 	r := RunRadixParallel(NewSoCDMMUAllocator, 4)
 	// 4 PEs with barriers and shared-bus contention: expect 2.5-4X.
-	if r.Speedup < 2.0 || r.Speedup > 4.2 {
-		t.Errorf("parallel speedup = %.2f, want 2.5-4X on 4 PEs", r.Speedup)
+	if sp := r.Speedup(RunRadix(NewSoCDMMUAllocator)); sp < 2.0 || sp > 4.2 {
+		t.Errorf("parallel speedup = %.2f, want 2.5-4X on 4 PEs", sp)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestRadixParallelSinglePE(t *testing.T) {
 	if !r.Verified {
 		t.Fatal("single-PE parallel radix output wrong")
 	}
-	if r.Speedup > 1.3 {
-		t.Errorf("single-PE speedup = %.2f, should be ~1", r.Speedup)
+	if sp := r.Speedup(RunRadix(NewSoCDMMUAllocator)); sp > 1.3 {
+		t.Errorf("single-PE speedup = %.2f, should be ~1", sp)
 	}
 }
 

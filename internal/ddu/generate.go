@@ -2,6 +2,7 @@ package ddu
 
 import (
 	"fmt"
+	"strconv"
 
 	"deltartos/internal/verilog"
 )
@@ -68,10 +69,12 @@ func Generate(cfg Config) (*verilog.File, error) {
 	// generator wrote them.
 	for s := 0; s < m; s++ {
 		for t := 0; t < n; t++ {
-			idx := s*n + t
-			top.Raw = append(top.Raw, fmt.Sprintf(
-				"ddu_cell c_%d_%d (.clk(clk), .set_r(cmd_valid & cmd_set_r & (cmd_row==%d) & (cmd_col==%d)), .set_g(cmd_valid & cmd_set_g & (cmd_row==%d) & (cmd_col==%d)), .clr((cmd_valid & cmd_clr & (cmd_row==%d) & (cmd_col==%d)) | (reducing & (row_tau[%d] | col_tau[%d]))), .r(mat_r[%d]), .g(mat_g[%d]));",
-				s, t, s, t, s, t, s, t, s, t, idx, idx))
+			row, col, idx := strconv.Itoa(s), strconv.Itoa(t), strconv.Itoa(s*n+t)
+			top.Raw = append(top.Raw, "ddu_cell c_"+row+"_"+col+
+				" (.clk(clk), .set_r(cmd_valid & cmd_set_r & (cmd_row=="+row+") & (cmd_col=="+col+
+				")), .set_g(cmd_valid & cmd_set_g & (cmd_row=="+row+") & (cmd_col=="+col+
+				")), .clr((cmd_valid & cmd_clr & (cmd_row=="+row+") & (cmd_col=="+col+
+				")) | (reducing & (row_tau["+row+"] | col_tau["+col+"]))), .r(mat_r["+idx+"]), .g(mat_g["+idx+"]));")
 		}
 	}
 
@@ -84,10 +87,9 @@ func Generate(cfg Config) (*verilog.File, error) {
 	}
 	// Column weight cells: gather strided bits.
 	for t := 0; t < n; t++ {
-		top.AddAssign(fmt.Sprintf("col_tau[%d]", t),
-			fmt.Sprintf("(|(%s)) ^ (|(%s))", colConcat("mat_r", t, m, n), colConcat("mat_g", t, m, n)))
-		top.AddAssign(fmt.Sprintf("col_phi[%d]", t),
-			fmt.Sprintf("(|(%s)) & (|(%s))", colConcat("mat_r", t, m, n), colConcat("mat_g", t, m, n)))
+		r, g := colConcat("mat_r", t, m, n), colConcat("mat_g", t, m, n)
+		top.AddAssign(fmt.Sprintf("col_tau[%d]", t), fmt.Sprintf("(|(%s)) ^ (|(%s))", r, g))
+		top.AddAssign(fmt.Sprintf("col_phi[%d]", t), fmt.Sprintf("(|(%s)) & (|(%s))", r, g))
 	}
 	// Decide cell (Equations 5 and 7).
 	top.AddAssign("t_iter", "(|row_tau) | (|col_tau)")
@@ -106,12 +108,11 @@ func Generate(cfg Config) (*verilog.File, error) {
 // colConcat builds the Verilog concatenation selecting column t bits out of a
 // flattened m*n plane.
 func colConcat(plane string, t, m, n int) string {
-	s := "{"
+	b := append(make([]byte, 0, m*(len(plane)+8)), '{')
 	for r := m - 1; r >= 0; r-- {
-		s += fmt.Sprintf("%s[%d]", plane, r*n+t)
-		if r > 0 {
-			s += ","
-		}
+		b = strconv.AppendInt(append(append(b, plane...), '['), int64(r*n+t), 10)
+		b = append(b, "],"...)
 	}
-	return s + "}"
+	b[len(b)-1] = '}'
+	return string(b)
 }

@@ -174,6 +174,8 @@ func runExtParallel(rc *RunCtx) (Result, error) {
 		Title:  "Parallel RADIX (16K keys) with shared allocator and barriers",
 		Header: []string{"PEs", "allocator", "total cycles", "mgmt cycles", "speedup", "verified"},
 	}
+	// The sequential baselines run untraced, one per allocator.
+	seq := app.RunRadix(app.NewSoCDMMUAllocator)
 	for _, pes := range []int{1, 2, 4} {
 		res := app.RunRadixParallel(app.NewSoCDMMUAllocator, pes, sim.WithHooks(rc.SimHooks()))
 		if !res.Verified {
@@ -182,7 +184,7 @@ func runExtParallel(rc *RunCtx) (Result, error) {
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(pes), "SoCDMMU",
 			fmt.Sprint(res.TotalCycles), fmt.Sprint(res.MgmtCycles),
-			fmt.Sprintf("%.2fX", res.Speedup), fmt.Sprint(res.Verified),
+			fmt.Sprintf("%.2fX", res.Speedup(seq)), fmt.Sprint(res.Verified),
 		})
 	}
 	sw := app.RunRadixParallel(app.NewGlibcAllocator, 4, sim.WithHooks(rc.SimHooks()))
@@ -192,7 +194,7 @@ func runExtParallel(rc *RunCtx) (Result, error) {
 	r.Rows = append(r.Rows, []string{
 		"4", "glibc malloc/free",
 		fmt.Sprint(sw.TotalCycles), fmt.Sprint(sw.MgmtCycles),
-		fmt.Sprintf("%.2fX", sw.Speedup), fmt.Sprint(sw.Verified),
+		fmt.Sprintf("%.2fX", sw.Speedup(app.RunRadix(app.NewGlibcAllocator))), fmt.Sprint(sw.Verified),
 	})
 	r.Notes = append(r.Notes,
 		"the software allocator serializes ranks on the heap lock, so the SoCDMMU advantage grows with PE count")

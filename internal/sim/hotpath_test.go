@@ -2,6 +2,8 @@ package sim
 
 import (
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -48,14 +50,18 @@ func TestEventHeapPopClearsVacatedSlot(t *testing.T) {
 
 // Steady-state scheduling must not allocate: the whole point of de-boxing
 // the heap.  This is the same gate as BenchmarkSimDispatch, in test form so
-// a regression fails `go test` rather than needing a bench run.
+// a regression fails `go test` rather than needing a bench run.  Two procs
+// take turns, so every Delay goes through the queue rather than resuming
+// in place.
 func TestDispatchDoesNotAllocate(t *testing.T) {
 	s := New()
-	s.Spawn("spin", 0, func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Delay(1)
-		}
-	})
+	for pe := 0; pe < 2; pe++ {
+		s.Spawn("spin", pe, func(p *Proc) {
+			for i := 0; i < 50; i++ {
+				p.Delay(1)
+			}
+		})
+	}
 	allocs := testing.AllocsPerRun(1, func() { s.RunUntil(1 << 62) })
 	// After the first RunUntil the queue is drained, so extra runs are pure
 	// dispatch-loop entry; the real check is that draining 100 timer events
@@ -65,6 +71,62 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 	}
 	if cap(s.events) != initialEventCap {
 		t.Errorf("event heap grew to cap %d, want pre-sized %d", cap(s.events), initialEventCap)
+	}
+}
+
+// delayOrder runs two procs spawned at cycle 0 and returns what they
+// logged, in order, each entry the proc's name and the cycle it logged at.
+func delayOrder(a, b func(p *Proc, log func())) []string {
+	s := New()
+	var order []string
+	for _, body := range []func(*Proc, func()){a, b} {
+		s.Spawn(string(rune('a'+len(s.procs))), 0, func(p *Proc) {
+			body(p, func() { order = append(order, p.Name+strconv.FormatUint(p.Now(), 10)) })
+		})
+	}
+	s.Run()
+	return order
+}
+
+// A Delay that resumes at the same cycle as a queued event yields to it:
+// the queued event has the smaller sequence number.
+func TestDelayTiedWithQueuedEventYields(t *testing.T) {
+	got := delayOrder(
+		func(p *Proc, log func()) { p.Delay(5); log() },
+		func(p *Proc, log func()) { p.Delay(2); p.Delay(3); log() })
+	if want := []string{"a5", "b5"}; !slices.Equal(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+}
+
+// Delay(0) with an event queued at the current cycle lets that event run
+// first.
+func TestDelayZeroYieldsToSameCycleEvent(t *testing.T) {
+	got := delayOrder(
+		func(p *Proc, log func()) { p.Delay(0); log() },
+		func(p *Proc, log func()) { log() })
+	if want := []string{"b0", "a0"}; !slices.Equal(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+}
+
+// A Delay past the RunUntil limit stays queued even with nothing else to
+// run: RunUntil returns at or before the limit, and the next RunUntil
+// resumes the proc at the cycle it asked for.
+func TestDelayPastRunUntilLimitStaysQueued(t *testing.T) {
+	s := New()
+	var at []Cycles
+	s.Spawn("a", 0, func(p *Proc) {
+		p.Delay(10)
+		at = append(at, p.Now())
+		p.Delay(10)
+		at = append(at, p.Now())
+	})
+	if end := s.RunUntil(15); end > 15 || !slices.Equal(at, []Cycles{10}) {
+		t.Fatalf("RunUntil(15) = %d with the proc at %v, want <= 15 and [10]", end, at)
+	}
+	if end := s.RunUntil(100); end != 20 || !slices.Equal(at, []Cycles{10, 20}) {
+		t.Errorf("RunUntil(100) = %d with the proc at %v, want 20 and [10 20]", end, at)
 	}
 }
 

@@ -10,8 +10,11 @@
 // exactly one proc runs at any instant, resumptions are ordered by (time,
 // sequence number), and therefore a given program produces identical cycle
 // counts on every run — the property the co-simulation experiments rely on
-// (substituting for Seamless CVE).  A panic in a proc body surfaces from
-// Run in the caller's goroutine; Close stops procs left unfinished.
+// (substituting for Seamless CVE).  A Delay that would be the next event
+// popped (within the RunUntil limit and strictly before every queued event,
+// which wins a tie by its older sequence number) resumes in place, with no
+// coroutine switch.  A panic in a proc body surfaces from Run in the
+// caller's goroutine; Close stops procs left unfinished.
 package sim
 
 import (
@@ -28,6 +31,7 @@ type Cycles = uint64
 // Sim is the simulation kernel.
 type Sim struct {
 	now     Cycles
+	limit   Cycles // the running RunUntil's limit
 	events  eventHeap
 	seq     uint64
 	procs   []*Proc
@@ -264,6 +268,7 @@ func (s *Sim) Run() Cycles {
 // campaign can put a hard fuse on a wedged run (spinning lock waiters keep
 // the event queue alive forever) and still inspect the frozen state.
 func (s *Sim) RunUntil(limit Cycles) Cycles {
+	s.limit = limit
 	for len(s.events) > 0 {
 		if s.events[0].t > limit {
 			break
@@ -352,7 +357,15 @@ func (s *Sim) AllDone() bool {
 func (p *Proc) Now() Cycles { return p.sim.now }
 
 // Delay advances simulation time by dt busy cycles (computation on the PE).
+// When nothing can run before now+dt it takes the sequence number and time
+// its event would have had and returns without entering the scheduler.
 func (p *Proc) Delay(dt Cycles) {
+	s := p.sim
+	if t := s.now + dt; t <= s.limit && (len(s.events) == 0 || t < s.events[0].t) {
+		s.seq++
+		s.now = t
+		return
+	}
 	if !p.co.yield(yieldMsg{kind: yDelay, delay: dt}) {
 		panic(stopped{})
 	}

@@ -18,6 +18,8 @@
 // so identical inputs yield identical streams — and byte-identical exports.
 package trace
 
+import "strings"
+
 // Kind classifies an event.
 type Kind uint8
 
@@ -215,12 +217,17 @@ func (s *Session) Adopt(shard *Session) {
 func (s *Session) Len() int { return len(s.recorders) }
 
 // Counters merges the registries of every recorder in the session, summing
-// each key (block.max and sim.end_cycle included).
+// each key (sim.end_cycle included) except block.max.<task>, which stays
+// the longest episode of any recorder.
 func (s *Session) Counters() map[string]uint64 {
 	out := map[string]uint64{}
 	for _, r := range s.recorders {
 		for k, v := range r.Counters() {
-			out[k] += v
+			if strings.HasPrefix(k, "block.max.") {
+				out[k] = max(out[k], v)
+			} else {
+				out[k] += v
+			}
 		}
 	}
 	return out

@@ -79,8 +79,8 @@ func TestCountersFoldIPCBlockAndEndCycle(t *testing.T) {
 	}
 }
 
-// Session.Counters sums every recorder's registry key by key, block.max
-// included.
+// Session.Counters sums every recorder's registry key by key, except
+// block.max, which is the longest episode of any recorder.
 func TestSessionCounters(t *testing.T) {
 	s := NewSession()
 	for i, d := range []uint64{1, 10, 100} {
@@ -88,11 +88,33 @@ func TestSessionCounters(t *testing.T) {
 		r.Record(Event{Dur: d, Proc: "t", Kind: KindBlock, Name: "task.blocked", Arg: -1})
 	}
 	got := s.Counters()
-	if got["block.max.t"] != 111 || got["block.count.t"] != 3 || got["count.task.blocked"] != 3 {
-		t.Errorf("Counters() = %v, want block.max.t=111 block.count.t=3 count.task.blocked=3", got)
+	if got["block.max.t"] != 100 || got["block.count.t"] != 3 || got["count.task.blocked"] != 3 {
+		t.Errorf("Counters() = %v, want block.max.t=100 block.count.t=3 count.task.blocked=3", got)
 	}
 	if len(NewSession().Counters()) != 0 {
 		t.Error("an empty session has counters")
+	}
+}
+
+// Two simulations of one experiment: block.max keeps the longest episode,
+// wherever it was, while block.cycles, block.count and sim.end_cycle add up.
+func TestSessionCountersMergeBlockMaxAsMaximum(t *testing.T) {
+	s := NewSession()
+	first, second := s.NewRecorder("first"), s.NewRecorder("second")
+	first.Record(Event{Cycle: 5, Dur: 70, Proc: "t", Kind: KindBlock, Name: "task.blocked", Arg: -1})
+	first.SetEndCycle(100)
+	second.Record(Event{Cycle: 1, Dur: 40, Proc: "t", Kind: KindBlock, Name: "task.blocked", Arg: -1})
+	second.Record(Event{Cycle: 50, Dur: 30, Proc: "t", Kind: KindBlock, Name: "task.blocked", Arg: -1})
+	second.Record(Event{Cycle: 90, Dur: 9, Proc: "u", Kind: KindBlock, Name: "task.blocked", Arg: -1})
+	second.SetEndCycle(120)
+	got := s.Counters()
+	for name, want := range map[string]uint64{
+		"block.max.t": 70, "block.cycles.t": 140, "block.count.t": 3,
+		"block.max.u": 9, "sim.end_cycle": 220,
+	} {
+		if got[name] != want {
+			t.Errorf("Counters()[%q] = %d, want %d", name, got[name], want)
+		}
 	}
 }
 

@@ -147,12 +147,18 @@ func rangeDecl(width int) string {
 // Emit renders the module as Verilog source text.
 func (m *Module) Emit() string {
 	var b strings.Builder
+	m.emit(&b)
+	return b.String()
+}
+
+// emit appends the module's source text to b.
+func (m *Module) emit(b *strings.Builder) {
 	if m.Comment != "" {
 		for _, line := range strings.Split(strings.TrimRight(m.Comment, "\n"), "\n") {
-			fmt.Fprintf(&b, "// %s\n", line)
+			fmt.Fprintf(b, "// %s\n", line)
 		}
 	}
-	fmt.Fprintf(&b, "module %s", m.Name)
+	fmt.Fprintf(b, "module %s", m.Name)
 	if len(m.Parameters) > 0 {
 		b.WriteString(" #(\n")
 		for i, p := range m.Parameters {
@@ -160,7 +166,7 @@ func (m *Module) Emit() string {
 			if i == len(m.Parameters)-1 {
 				comma = ""
 			}
-			fmt.Fprintf(&b, "  parameter %s = %s%s\n", p.Name, p.Value, comma)
+			fmt.Fprintf(b, "  parameter %s = %s%s\n", p.Name, p.Value, comma)
 		}
 		b.WriteString(")")
 	}
@@ -177,7 +183,7 @@ func (m *Module) Emit() string {
 			if p.Reg {
 				kind += " reg"
 			}
-			fmt.Fprintf(&b, "  %s %s%s%s\n", kind, rangeDecl(p.Width), p.Name, comma)
+			fmt.Fprintf(b, "  %s %s%s%s\n", kind, rangeDecl(p.Width), p.Name, comma)
 		}
 		b.WriteString(");\n")
 	}
@@ -189,57 +195,63 @@ func (m *Module) Emit() string {
 				kind = "reg"
 			}
 			if n.Init != "" {
-				fmt.Fprintf(&b, "  %s %s%s = %s;\n", kind, rangeDecl(n.Width), n.Name, n.Init)
+				fmt.Fprintf(b, "  %s %s%s = %s;\n", kind, rangeDecl(n.Width), n.Name, n.Init)
 			} else {
-				fmt.Fprintf(&b, "  %s %s%s;\n", kind, rangeDecl(n.Width), n.Name)
+				fmt.Fprintf(b, "  %s %s%s;\n", kind, rangeDecl(n.Width), n.Name)
 			}
 		}
 	}
 	if len(m.Assigns) > 0 {
 		b.WriteString("\n")
 		for _, a := range m.Assigns {
-			fmt.Fprintf(&b, "  assign %s = %s;\n", a.LHS, a.RHS)
+			fmt.Fprintf(b, "  assign %s = %s;\n", a.LHS, a.RHS)
 		}
 	}
 	for _, inst := range m.Instances {
 		b.WriteString("\n")
-		fmt.Fprintf(&b, "  %s", inst.Module)
+		fmt.Fprintf(b, "  %s", inst.Module)
 		if len(inst.Params) > 0 {
 			b.WriteString(" #(")
 			for i, p := range inst.Params {
 				if i > 0 {
 					b.WriteString(", ")
 				}
-				fmt.Fprintf(&b, ".%s(%s)", p.Name, p.Value)
+				fmt.Fprintf(b, ".%s(%s)", p.Name, p.Value)
 			}
 			b.WriteString(")")
 		}
-		fmt.Fprintf(&b, " %s (\n", inst.Name)
+		fmt.Fprintf(b, " %s (\n", inst.Name)
 		for i, c := range inst.Conns {
 			comma := ","
 			if i == len(inst.Conns)-1 {
 				comma = ""
 			}
-			fmt.Fprintf(&b, "    .%s(%s)%s\n", c.Port, c.Signal, comma)
+			fmt.Fprintf(b, "    .%s(%s)%s\n", c.Port, c.Signal, comma)
 		}
 		b.WriteString("  );\n")
 	}
 	for _, a := range m.Alwayses {
 		b.WriteString("\n")
-		fmt.Fprintf(&b, "  always @(%s) begin\n", a.Sensitivity)
+		fmt.Fprintf(b, "  always @(%s) begin\n", a.Sensitivity)
 		for _, line := range a.Body {
-			fmt.Fprintf(&b, "    %s\n", line)
+			fmt.Fprintf(b, "    %s\n", line)
 		}
 		b.WriteString("  end\n")
 	}
 	if len(m.Raw) > 0 {
 		b.WriteString("\n")
+		n := 0 // the raw lines are most of a large module: size b for them once
 		for _, line := range m.Raw {
-			fmt.Fprintf(&b, "  %s\n", line)
+			n += len(line) + 3
+		}
+		b.Grow(n)
+		for _, line := range m.Raw {
+			b.WriteString("  ")
+			b.WriteString(line)
+			b.WriteByte('\n')
 		}
 	}
 	b.WriteString("endmodule\n")
-	return b.String()
 }
 
 // File is a collection of modules emitted into one source file.
@@ -267,7 +279,7 @@ func (f *File) Emit() string {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		b.WriteString(m.Emit())
+		m.emit(&b)
 	}
 	return b.String()
 }
