@@ -85,9 +85,10 @@ fuzz:
 	$(GO) run -race ./cmd/deltasim -fuzz -fuzz-seeds 250 -parallel 4
 
 # fuzz-targets runs each native Go fuzz target for a fixed time: FuzzReduce
-# checks the word-parallel PDDA kernel against the per-cell engine on graphs
-# of 1–130 processes.  Plain `go test ./...` replays only the seed corpus, so
-# tier-1 does not depend on machine speed.
+# checks the word-parallel PDDA kernel against the per-cell engine on pairs
+# of graphs of 1–320 resources and 1–320 processes (rows of up to five
+# words), scanned in one shared scratch.  Plain `go test ./...` replays only
+# the seed corpus, so tier-1 does not depend on machine speed.
 fuzz-targets:
 	$(GO) test -run '^$$' -fuzz '^FuzzReduce$$' -fuzztime 15s ./internal/pdda
 

@@ -146,8 +146,8 @@ func RunLU(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult {
 					rows[i][j] += float64(luN) // diagonally dominant
 				}
 			}
-			kc.mem(luN)
 		}
+		kc.mem(luN * luN)
 		orig := make([][]float64, luN)
 		for i := range rows {
 			orig[i] = append([]float64(nil), rows[i]...)
@@ -163,14 +163,16 @@ func RunLU(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult {
 			for kcol := kb; kcol < kend; kcol++ {
 				for i := kcol + 1; i < luN; i++ {
 					rows[i][kcol] /= rows[kcol][kcol]
-					kc.fop(1)
-					kc.mem(2)
 					for j := kcol + 1; j < luN; j++ {
 						rows[i][j] -= rows[i][kcol] * rows[kcol][j]
-						kc.fop(2)
-						kc.mem(3)
 					}
 				}
+				// Per row below kcol: one division (one FP op, two
+				// accesses) and r updates of two FP ops and three
+				// accesses each.
+				r := luN - kcol - 1
+				kc.fop(r * (1 + 2*r))
+				kc.mem(r * (2 + 3*r))
 				kc.flush()
 			}
 			h.put(work)
@@ -276,19 +278,21 @@ func fft(re, im []float64, inverse bool, kc *kernelCost) {
 	}
 	n := len(re)
 	// Bit reversal.
+	swaps := 0
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
 			j ^= bit
 		}
 		j ^= bit
-		kc.op(4)
 		if i < j {
 			re[i], re[j] = re[j], re[i]
 			im[i], im[j] = im[j], im[i]
-			kc.mem(4)
+			swaps++
 		}
 	}
+	kc.op(4 * (n - 1))
+	kc.mem(4 * swaps)
 	for length := 2; length <= n; length <<= 1 {
 		ang := 2 * math.Pi / float64(length)
 		if !inverse {
@@ -304,10 +308,10 @@ func fft(re, im []float64, inverse bool, kc *kernelCost) {
 				re[i+j], im[i+j] = uRe+vRe, uIm+vIm
 				re[i+j+length/2], im[i+j+length/2] = uRe-vRe, uIm-vIm
 				curRe, curIm = curRe*wRe-curIm*wIm, curRe*wIm+curIm*wRe
-				kc.fop(6)
-				kc.mem(5)
 			}
 		}
+		kc.fop(6 * n / 2) // n/2 butterflies per stage
+		kc.mem(5 * n / 2)
 		kc.flush()
 	}
 	if inverse {
@@ -346,21 +350,21 @@ func RunRadix(mkAlloc func() socdmmu.Allocator, opts ...sim.Option) SplashResult
 			var count [1 << radixBits]int
 			for _, k := range keys {
 				count[(k>>shift)&0xff]++
-				kc.op(2)
-				kc.mem(2)
 			}
+			kc.op(2 * len(keys))
+			kc.mem(2 * len(keys))
 			sum := 0
 			for d := 0; d < 1<<radixBits; d++ {
 				count[d], sum = sum, sum+count[d]
-				kc.op(2)
 			}
+			kc.op(2 << radixBits)
 			for _, k := range keys {
 				d := (k >> shift) & 0xff
 				tmp[count[d]] = k
 				count[d]++
-				kc.op(2)
-				kc.mem(3)
 			}
+			kc.op(2 * len(keys))
+			kc.mem(3 * len(keys))
 			keys, tmp = tmp, keys
 			kc.flush()
 			for _, a := range bucketAddrs {

@@ -76,9 +76,9 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Opt
 				}
 				for _, key := range keys[lo:hi] {
 					cnt[(key>>shift)&0xff]++
-					kc.op(2)
-					kc.mem(2)
 				}
+				kc.op(2 * chunk)
+				kc.mem(2 * chunk)
 				kc.flush()
 				bar.Wait(c)
 				// Phase 2: every rank derives its scatter offsets from all
@@ -91,10 +91,11 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Opt
 							off[d] = pos
 						}
 						pos += locals[r][d]
-						kc.op(2)
-						kc.mem(1)
 					}
 				}
+				lookups := pes << radixBits // one per (digit, rank)
+				kc.op(2 * lookups)
+				kc.mem(lookups)
 				kc.flush()
 				bar.Wait(c)
 				// Phase 3: scatter.
@@ -102,9 +103,9 @@ func RunRadixParallel(mkAlloc func() socdmmu.Allocator, pes int, opts ...sim.Opt
 					d := (key >> shift) & 0xff
 					tmp[off[d]] = key
 					off[d]++
-					kc.op(2)
-					kc.mem(3)
 				}
+				kc.op(2 * chunk)
+				kc.mem(3 * chunk)
 				kc.flush()
 				bar.Wait(c)
 				// Phase 4: PE0 swaps the buffers for everyone.

@@ -1,6 +1,10 @@
 package app
 
-import "testing"
+import (
+	"testing"
+
+	"deltartos/internal/det"
+)
 
 // memLoop is the per-access cache model kernelCost.mem computes in closed
 // form: every missEvery-th access misses to the bus, the rest hit in L1.
@@ -26,6 +30,35 @@ func TestKernelCostMemMatchesPerAccessLoop(t *testing.T) {
 			memLoop(&want, n)
 			if got != want {
 				t.Fatalf("mem(%d) from access %d: got %+v, want %+v", n, start, got, want)
+			}
+		}
+	}
+}
+
+// A kernel loop charges its totals in one call, so the charge must not
+// depend on how the accesses and ops are split between calls: from every
+// start offset in two miss periods, n accesses split into seeded random
+// runs leave the same kernelCost as one mem(n), and op and fop add up.
+func TestKernelCostSplitsAddUp(t *testing.T) {
+	rng := det.New(5)
+	for start := 0; start < 2*missEvery; start++ {
+		for n := 0; n <= 96; n++ {
+			want := kernelCost{access: start, pending: 7, half: 3}
+			want.mem(n)
+			want.op(n)
+			want.fop(n)
+			for trial := 0; trial < 8; trial++ {
+				got := kernelCost{access: start, pending: 7, half: 3}
+				for left := n; left > 0; {
+					run := 1 + rng.Intn(left)
+					got.mem(run)
+					got.op(run)
+					got.fop(run)
+					left -= run
+				}
+				if got != want {
+					t.Fatalf("%d accesses from %d split into runs: got %+v, want %+v", n, start, got, want)
+				}
 			}
 		}
 	}

@@ -109,9 +109,18 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 // fuzzer also searches for rows a scan leaves behind for the next.  The
 // seed corpus spans dense, sparse and block-diagonal geometries on both
 // sides of the 64/65 word edge, paired with graphs of the same and of other
-// sizes, so plain `go test` replays exactly those.
+// sizes, so plain `go test` replays exactly those.  Two seeds pin the fused
+// sweep's edges: block-diagonal tiles whose rows span five words, and a
+// graph that reduces to empty in exactly one step.
 func FuzzReduce(f *testing.F) {
 	rng := det.New(11)
+	add := func(first, second *rag.Graph) {
+		data := encodeGraphs(first, second)
+		if a, b := decodeGraphs(data); !a.Matrix().Equal(first.Matrix()) || !b.Matrix().Equal(second.Matrix()) {
+			f.Fatal("a seed does not decode to the graphs it encodes")
+		}
+		f.Add(data)
+	}
 	graphs := []*rag.Graph{
 		rag.Random(rng, 1, 1, 0.5, 0.5),
 		rag.Random(rng, 5, 5, 0.7, 0.35),
@@ -125,10 +134,26 @@ func FuzzReduce(f *testing.F) {
 		rag.Chain(30, 30),
 	}
 	for i, g := range graphs {
-		f.Add(encodeGraphs(g, graphs[(i+1)%len(graphs)]))
+		add(g, graphs[(i+1)%len(graphs)])
 	}
-	f.Add(encodeGraphs(rag.CycleGraph(5, 5, 5), rag.Random(rng, 5, 5, 0.3, 0.1)))
-	f.Add(encodeGraphs(rag.Random(rng, 64, 64, 0.7, 0.2), rag.Chain(64, 64)))
+	add(rag.CycleGraph(5, 5, 5), rag.Random(rng, 5, 5, 0.3, 0.1))
+	add(rag.Random(rng, 64, 64, 0.7, 0.2), rag.Chain(64, 64))
+	add(rag.BlockDiagonal(rng, 24, 8, 12, 0.6, 0.15), rag.Random(rng, 192, 288, 0.3, 0.01))
+	oneStep := rag.NewGraph(70, 130)
+	for s := 0; s < 70; s++ {
+		if s%2 == 0 {
+			if err := oneStep.SetGrant(s, s); err != nil {
+				f.Fatal(err)
+			}
+		} else {
+			oneStep.AddRequest(s, s+1)
+			oneStep.AddRequest(s, 129-s)
+		}
+	}
+	if mx := oneStep.Matrix(); ReduceCells(mx) != 1 || !mx.Empty() {
+		f.Fatal("the one-step seed does not reduce to empty in exactly one step")
+	}
+	add(oneStep, rag.CycleGraph(70, 130, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc Scratch
 		first, second := decodeGraphs(data)
@@ -170,31 +195,36 @@ func decodeGraphs(data []byte) (first, second *rag.Graph) {
 	if len(data) < 2 {
 		return decodeGraph(nil), decodeGraph(nil)
 	}
-	l := min(int(data[0])|int(data[1])<<8, len(data)-2)
+	l := min(le16(data), len(data)-2)
 	return decodeGraph(data[2 : 2+l]), decodeGraph(data[2+l:])
 }
 
 // encodeGraphs is decodeGraphs' inverse.
 func encodeGraphs(first, second *rag.Graph) []byte {
 	a := encodeGraph(first)
-	data := append([]byte{byte(len(a)), byte(len(a) >> 8)}, a...)
+	data := append(put16(nil, len(a)), a...)
 	return append(data, encodeGraph(second)...)
 }
 
-// decodeGraph reads a graph of 1–130 resources and 1–130 processes from
-// bytes: data[0] and data[1] give the size, then each 3-byte op (kind,
-// resource, process) adds a grant (odd kind) or a request (even kind).  A
-// grant of a held resource, or a request by the resource's holder, is
-// skipped, so every decoded graph is a legal single-unit RAG.
+// maxDecoded bounds a decoded graph's resources and processes: rows of up
+// to five words, so the kernel's multi-word sweeps are in reach.
+const maxDecoded = 320
+
+// decodeGraph reads a graph of 1–320 resources and 1–320 processes from
+// bytes: two 16-bit little-endian fields give the size, then each 5-byte op
+// (kind, 16-bit resource, 16-bit process) adds a grant (odd kind) or a
+// request (even kind).  A grant of a held resource, or a request by the
+// resource's holder, is skipped, so every decoded graph is a legal
+// single-unit RAG.
 func decodeGraph(data []byte) *rag.Graph {
 	m, n := 1, 1
-	if len(data) >= 2 {
-		m, n = 1+int(data[0])%130, 1+int(data[1])%130
-		data = data[2:]
+	if len(data) >= 4 {
+		m, n = 1+le16(data)%maxDecoded, 1+le16(data[2:])%maxDecoded
+		data = data[4:]
 	}
 	g := rag.NewGraph(m, n)
-	for ; len(data) >= 3; data = data[3:] {
-		s, p := int(data[1])%m, int(data[2])%n
+	for ; len(data) >= 5; data = data[5:] {
+		s, p := le16(data[1:])%m, le16(data[3:])%n
 		switch {
 		case data[0]%2 == 1 && g.Holder(s) == -1:
 			if err := g.SetGrant(s, p); err != nil {
@@ -207,20 +237,24 @@ func decodeGraph(data []byte) *rag.Graph {
 	return g
 }
 
-// encodeGraph is decodeGraph's inverse for graphs of at most 130×130.
+// encodeGraph is decodeGraph's inverse for graphs of at most 320×320.
 func encodeGraph(g *rag.Graph) []byte {
 	m, n := g.Size()
-	data := []byte{byte(m - 1), byte(n - 1)}
+	data := put16(put16(nil, m-1), n-1)
 	for s := 0; s < m; s++ {
 		if h := g.Holder(s); h != -1 {
-			data = append(data, 1, byte(s), byte(h))
+			data = put16(put16(append(data, 1), s), h)
 		}
 		for _, p := range g.Requesters(s) {
-			data = append(data, 0, byte(s), byte(p))
+			data = put16(put16(append(data, 0), s), p)
 		}
 	}
 	return data
 }
+
+func le16(b []byte) int { return int(b[0]) | int(b[1])<<8 }
+
+func put16(b []byte, v int) []byte { return append(b, byte(v), byte(v>>8)) }
 
 // checkAgainstCells runs every word-parallel entry point on g and fails the
 // test unless k, the irreducible matrix and the verdicts equal the per-cell
@@ -277,8 +311,13 @@ func checkAgainstCells(t *testing.T, sc *Scratch, label string, g *rag.Graph) in
 }
 
 func rowHasEdge(mx *rag.Matrix, s int) bool {
-	anyReq, anyGrant := mx.RowSummary(s)
-	return anyReq || anyGrant
+	req, grant := mx.Row(s)
+	for w := range req {
+		if req[w]|grant[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats is the abstract cost model the simulator converts to bus cycles; the

@@ -10,10 +10,10 @@
 // column of Table 5 is reproduced.
 //
 // Two engines implement the reduction.  The word-parallel engine (this file)
-// sweeps whole []uint64 word groups per step — terminal rows via packed row
-// summaries, terminal columns via one XOR of the column BWO planes, column
-// clearing via one AND-NOT sweep per row — over only the rows that still
-// hold an edge, and, through a caller-owned Scratch, performs zero
+// sweeps whole []uint64 word groups, once per step — terminal rows via
+// packed row summaries, terminal columns via one XOR of the column BWO
+// planes, column clearing via one AND-NOT per word — over only the rows that
+// still hold an edge, and, through a caller-owned Scratch, performs zero
 // allocations per detection scan.  Every detector scans a rag.Graph
 // (DetectGraphInto), starting from the graph's occupied rows, so a scan
 // costs what the graph holds.  It is the one reduction core of the
@@ -76,8 +76,7 @@ type Scratch struct {
 	colReq   []uint64
 	colGrant []uint64
 	colTerm  []uint64
-	termRows []int
-	live     []int // rows that held an edge at the last row scan
+	live     []int // rows that held an edge at the last sweep
 }
 
 // ensure sizes the scratch for an m×n system.  A new working matrix is
@@ -91,7 +90,6 @@ func (sc *Scratch) ensure(m, n int) {
 	sc.colReq = make([]uint64, w)
 	sc.colGrant = make([]uint64, w)
 	sc.colTerm = make([]uint64, w)
-	sc.termRows = make([]int, 0, m)
 	sc.live = make([]int, 0, m)
 }
 
@@ -130,10 +128,17 @@ func ReduceTraced(mx *rag.Matrix) (k int, stats Stats, trace []StepTrace) {
 // reduce is the word-parallel terminal reduction core.  It sweeps only the
 // rows that still hold an edge: the live list starts as sc.live, which the
 // caller seeds with every row that may hold one (every row of a matrix it
-// knows nothing about, the occupied rows of a graph), each step's row scan
-// drops the rows it finds empty, and the column summaries and the column
-// clear run over the rows that remain.  On return sc.live lists exactly the
-// non-empty rows of the irreducible matrix and every other row is zero.
+// knows nothing about, the occupied rows of a graph).  Each step is one
+// sweep over the live rows that fuses lines 8–9 of Algorithm 1 with lines
+// 5–6 of the next step: a terminal row is cleared and dropped, every other
+// row loses its terminal columns, and what it keeps is ORed, on the same
+// words, into its row summary and the column BWO planes the next step's
+// terminals come from.  A row left empty is dropped.  The first sweep has
+// no terminals to clear, so it only summarizes.  A terminal row is marked
+// in place in the live list (stored as ^s), so the next step's terminal
+// rows need no storage of their own.  On return sc.live lists exactly the
+// non-empty rows of the irreducible matrix, unmarked, and every other row
+// is zero.
 //
 // Stats mirrors the abstract per-cell software model, which scans the whole
 // matrix whatever it holds: a row scan reads N cells, the column scan reads
@@ -144,70 +149,88 @@ func ReduceTraced(mx *rag.Matrix) (k int, stats Stats, trace []StepTrace) {
 func reduce(mx *rag.Matrix, sc *Scratch, traced bool) (int, Stats, []StepTrace) {
 	var stats Stats
 	var trace []StepTrace
-	words := mx.Words()
+	colReq, colGrant, colTerm := sc.colReq, sc.colGrant, sc.colTerm
+	clear(colTerm) // the first sweep clears nothing
 	live := sc.live
 	k := 0
 	for {
-		// Lines 5–6 of Algorithm 1: compute T_r and T_c.  The software
-		// model scans every cell once per direction.
-		termRows := sc.termRows[:0]
-		n := 0
+		// Lines 8–9 of step k (none before step 1), then lines 5–6 of step
+		// k+1: the row summaries, T_r and the column planes.
+		var cleared []int
+		clear(colReq)
+		clear(colGrant)
+		n, termRows := 0, 0
 		for _, s := range live {
-			anyReq, anyGrant := mx.RowSummary(s)
-			if !anyReq && !anyGrant {
+			if s < 0 {
+				req, grant := mx.Row(^s)
+				clear(req)
+				clear(grant)
+				if traced {
+					cleared = append(cleared, ^s)
+				}
+				continue // a cleared row stays empty: drop it
+			}
+			req, grant := mx.Row(s)
+			// Slicing to len(req) drops the word loop's bounds checks.
+			grant, term := grant[:len(req)], colTerm[:len(req)]
+			cr, cg := colReq[:len(req)], colGrant[:len(req)]
+			var r, g uint64
+			for w := range req {
+				q, h := req[w]&^term[w], grant[w]&^term[w]
+				req[w], grant[w] = q, h
+				r |= q
+				g |= h
+				cr[w] |= q
+				cg[w] |= h
+			}
+			if r|g == 0 {
 				continue // an empty row stays empty: drop it
+			}
+			if (r == 0) != (g == 0) { // τ_rs = α^r ⊕ α^g (Equation 4)
+				s = ^s
+				termRows++
 			}
 			live[n] = s
 			n++
-			if anyReq != anyGrant { // τ_rs = α^r ⊕ α^g (Equation 4)
-				termRows = append(termRows, s)
-			}
 		}
 		live = live[:n]
-		stats.CellReads += mx.M * mx.N // row scans
-		stats.Ops += 2 * mx.M
-		mx.ColumnSummariesInto(live, sc.colReq, sc.colGrant)
-		stats.CellReads += mx.M * mx.N // column scan
-		stats.Ops += 2 * mx.N          // τ_ct per column (Equation 4)
-		termColCount := 0
-		for w := 0; w < words; w++ {
-			sc.colTerm[w] = sc.colReq[w] ^ sc.colGrant[w]
-			termColCount += bits.OnesCount64(sc.colTerm[w])
-		}
-		// Line 7: if no more terminals, stop (T_iter == 0, Equation 5).
-		if len(termRows) == 0 && termColCount == 0 {
-			break
-		}
-		// Lines 8–9: remove all terminal edges found this iteration.
-		for _, s := range termRows {
-			mx.ClearRow(s)
-			stats.CellWrites += mx.N
-		}
-		if termColCount > 0 {
-			mx.ClearColumns(live, sc.colTerm)
-			stats.CellWrites += mx.M * termColCount
-		}
-		k++
-		stats.Iterations = k
-		if traced {
-			termCols := make([]int, 0, termColCount)
-			for w := 0; w < words; w++ {
-				word := sc.colTerm[w]
-				for word != 0 {
-					termCols = append(termCols, w*64+bits.TrailingZeros64(word))
-					word &= word - 1
-				}
-			}
+		if traced && k > 0 {
 			trace = append(trace, StepTrace{
-				TerminalRows: append([]int(nil), termRows...),
-				TerminalCols: termCols,
+				TerminalRows: cleared,
+				TerminalCols: setBits(colTerm),
 				After:        mx.Clone(),
 			})
 		}
+		// The software model scans every cell once per direction.
+		stats.CellReads += 2 * mx.M * mx.N // row scans, column scan
+		stats.Ops += 2*mx.M + 2*mx.N       // τ_rs per row, τ_ct per column
+		termCols := 0
+		for w := range colTerm {
+			colTerm[w] = colReq[w] ^ colGrant[w]
+			termCols += bits.OnesCount64(colTerm[w])
+		}
+		// Line 7: if no more terminals, stop (T_iter == 0, Equation 5).
+		if termRows == 0 && termCols == 0 {
+			break
+		}
+		k++
+		stats.Iterations = k
+		stats.CellWrites += termRows*mx.N + termCols*mx.M
 	}
-	sc.termRows = sc.termRows[:0]
 	sc.live = live
 	return k, stats, trace
+}
+
+// setBits lists the set bits of a packed set, ascending.
+func setBits(set []uint64) []int {
+	var out []int
+	for w, word := range set {
+		for word != 0 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return out
 }
 
 // Detect is Algorithm 2 (PDDA): it builds a working copy of the state matrix,

@@ -143,15 +143,6 @@ func (mx *Matrix) Get(s, t int) Cell {
 // Words returns the number of 64-bit words per row.
 func (mx *Matrix) Words() int { return mx.words }
 
-// lastMask masks off the unused high bits of the final word.
-func (mx *Matrix) lastMask() uint64 {
-	r := uint(mx.N % 64)
-	if r == 0 {
-		return ^uint64(0)
-	}
-	return (1 << r) - 1
-}
-
 // Clone returns a deep copy.
 func (mx *Matrix) Clone() *Matrix {
 	c := NewMatrix(mx.M, mx.N)
@@ -209,53 +200,10 @@ func (mx *Matrix) ClearRow(s int) {
 	clear(mx.grant[s])
 }
 
-// ClearColumns zeroes, in each listed row, every cell whose column bit is set
-// in mask (a packed column set, Words() words): one word-wide AND-NOT sweep
-// per row, the software mirror of the DDU clearing all terminal columns in
-// parallel.  Rows left out of the list must already be empty in the masked
-// columns (the reduction passes the rows that still hold an edge).
-func (mx *Matrix) ClearColumns(rows []int, mask []uint64) {
-	for _, s := range rows {
-		req, grant := mx.req[s], mx.grant[s]
-		for w := range mask {
-			req[w] &^= mask[w]
-			grant[w] &^= mask[w]
-		}
-	}
-}
-
-// RowSummary returns the row BWO pair (α^r, α^g) of Equation 3 for row s:
-// whether the row contains any request and any grant edge.
-func (mx *Matrix) RowSummary(s int) (anyReq, anyGrant bool) {
-	req, grant := mx.req[s], mx.grant[s]
-	var r, g uint64
-	for w := range req {
-		r |= req[w]
-		g |= grant[w]
-	}
-	return r != 0, g != 0
-}
-
-// ColumnSummariesInto computes, over the listed rows, the packed column BWO
-// planes of Equation 3 into caller-owned buffers of Words() words each: bit
-// t of anyReq is set iff column t holds a request edge in one of the rows,
-// likewise for anyGrant.  Listing every row that holds an edge gives the
-// planes of the whole matrix.
-func (mx *Matrix) ColumnSummariesInto(rows []int, anyReq, anyGrant []uint64) {
-	for w := 0; w < mx.words; w++ {
-		anyReq[w] = 0
-		anyGrant[w] = 0
-	}
-	for _, s := range rows {
-		req, grant := mx.req[s], mx.grant[s]
-		for w := 0; w < mx.words; w++ {
-			anyReq[w] |= req[w]
-			anyGrant[w] |= grant[w]
-		}
-	}
-	anyReq[mx.words-1] &= mx.lastMask()
-	anyGrant[mx.words-1] &= mx.lastMask()
-}
+// Row returns row s's request and grant words, Words() each.  The slices
+// alias the matrix: the reduction kernel reads and clears a row through
+// them in one sweep.  A caller must not set bits at or past column N.
+func (mx *Matrix) Row(s int) (req, grant []uint64) { return mx.req[s], mx.grant[s] }
 
 // Validate checks the single-unit resource invariant (at most one grant per
 // row, and no cell that both requests and holds — the illegal 11 of

@@ -127,47 +127,26 @@ func TestClearRowColumn(t *testing.T) {
 	if mx.Get(1, 2) != Request {
 		t.Error("ClearRow touched other rows")
 	}
-	mx.Set(1, 1, Grant)
-	mx.Set(2, 2, Request)
-	mx.ClearColumns([]int{1}, []uint64{1 << 2})
-	if mx.Get(1, 2) != None {
-		t.Error("ClearColumns left edges")
-	}
-	if mx.Get(1, 1) != Grant {
-		t.Error("ClearColumns touched other columns")
-	}
-	if mx.Get(2, 2) != Request {
-		t.Error("ClearColumns touched an unlisted row")
-	}
 }
 
-func TestRowColumnSummaries(t *testing.T) {
-	mx := NewMatrix(2, 3)
+// Row hands out the row's packed words on both planes, aliasing the
+// matrix: the reduction kernel reads its summaries and clears its columns
+// through them.
+func TestMatrixRow(t *testing.T) {
+	mx := NewMatrix(2, 130)
 	mx.Set(0, 0, Grant)
-	mx.Set(0, 1, Request)
-	mx.Set(1, 2, Request)
-	ar, ag := mx.RowSummary(0)
-	if !ar || !ag {
-		t.Error("row 0 should have both request and grant")
+	mx.Set(0, 129, Request)
+	mx.Set(1, 64, Request)
+	req, grant := mx.Row(0)
+	if len(req) != mx.Words() || len(grant) != mx.Words() {
+		t.Fatalf("Row(0) has %d and %d words, want %d", len(req), len(grant), mx.Words())
 	}
-	ar, ag = mx.RowSummary(1)
-	if !ar || ag {
-		t.Error("row 1 should have request only")
+	if req[2] != 1<<1 || req[0]|req[1] != 0 || grant[0] != 1 || grant[1]|grant[2] != 0 {
+		t.Errorf("Row(0) = req %x grant %x, want a request at 129 and a grant at 0", req, grant)
 	}
-	colReq, colGrant := make([]uint64, 1), make([]uint64, 1)
-	mx.ColumnSummariesInto([]int{1}, colReq, colGrant)
-	if colReq[0] != 1<<2 || colGrant[0] != 0 {
-		t.Errorf("row 1 only: colReq=%b colGrant=%b, want 100 and 0", colReq[0], colGrant[0])
-	}
-	mx.ColumnSummariesInto([]int{0, 1}, colReq, colGrant)
-	if colGrant[0]&1 == 0 {
-		t.Error("column 0 should have a grant")
-	}
-	if colReq[0]>>1&1 == 0 || colReq[0]>>2&1 == 0 {
-		t.Error("columns 1,2 should have requests")
-	}
-	if colReq[0]&1 != 0 {
-		t.Error("column 0 has no request")
+	req[2] = 0
+	if mx.Get(0, 129) != None || mx.Get(0, 0) != Grant || mx.Get(1, 64) != Request {
+		t.Error("a write through Row(0) did not reach exactly its cell")
 	}
 }
 

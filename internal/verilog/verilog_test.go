@@ -101,6 +101,9 @@ func TestCountLines(t *testing.T) {
 	if got := CountLines("  \n\t\n"); got != 0 {
 		t.Errorf("CountLines(whitespace) = %d, want 0", got)
 	}
+	if got := CountLines("a;\r\n \u00a0\nb;"); got != 2 {
+		t.Errorf("CountLines(CRLF, no-break space, no final newline) = %d, want 2", got)
+	}
 }
 
 func TestBitsFor(t *testing.T) {
